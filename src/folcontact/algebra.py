@@ -404,16 +404,6 @@ def symplectic_form(n: int) -> PolyOneForm:
     return PolyOneForm(coeffs)
 
 
-def power_sum_integral(n: int, power: int, scale: complex = 1.0) -> Polynomial:
-    """f(z) = scale * sum_j z_j^power."""
-    terms = []
-    for j in range(n):
-        e = [0] * n
-        e[j] = power
-        terms.append((scale, e))
-    return Polynomial(n, terms)
-
-
 def integrate_exact_form(form: PolyOneForm, tol: float = 1e-12) -> Polynomial:
     """First integral f with df = form and f(0) = 0, via radial integration.
 

@@ -6,14 +6,17 @@ root) and emit a machine-readable report on stdout:
     {"tool": ..., "version": ..., "command": ..., "config": {...}, "result": {...}}
 
 The config block echoes every resolved setting, defaults included, so a
-report identifies its run exactly. Exit codes: 0 success, 2 input error,
-3 numerical failure. All diagnostics go to stderr.
+report identifies its run exactly. Exit codes: 0 success, 2 input error
+(non-finite numbers included), 3 numerical failure, which covers a result
+that is not finite: reports are strict JSON, without NaN or Infinity. All
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any
 
@@ -49,9 +52,16 @@ from .leaf import (
     project_to_leaf,
     transversality_scan,
 )
-from .linear import analyze, morse_indices, morseify
+from .linear import analyze, morseify
 
 TOOL = "folcontact"
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,17 +76,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         if needs_input:
             p.add_argument("--input", required=True, help="path to the input JSON file")
-        p.add_argument("--radius", type=float, default=1.0, help="sphere radius (default 1)")
+        p.add_argument("--radius", type=_finite, default=1.0, help="sphere radius (default 1)")
         p.add_argument("--seeds", type=int, default=50, help="random solver seeds (default 50)")
         p.add_argument(
             "--samples", type=int, default=10000, help="scan sample count (default 10000)"
         )
         p.add_argument(
-            "--tol", type=float, default=None, help="acceptance tolerance (module default)"
+            "--tol", type=_finite, default=None, help="acceptance tolerance (module default)"
         )
         p.add_argument("--rng-seed", type=int, default=0, help="random generator key (default 0)")
-        p.add_argument("--c-re", type=float, default=None, help="leaf value, real part")
-        p.add_argument("--c-im", type=float, default=None, help="leaf value, imaginary part")
+        p.add_argument("--c-re", type=_finite, default=None, help="leaf value, real part")
+        p.add_argument("--c-im", type=_finite, default=None, help="leaf value, imaginary part")
         p.add_argument(
             "--output", choices=("json", "pretty"), default="json", help="report format"
         )
@@ -84,11 +94,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("linear-analyze", "Morse verdict and contact lines of a symmetric matrix")
     p = add("linear-morseify", "nearest Morse-type perturbation of a symmetric matrix")
-    p.add_argument("--eps", type=float, default=1e-6, help="Frobenius budget (default 1e-6)")
+    p.add_argument("--eps", type=_finite, default=1e-6, help="Frobenius budget (default 1e-6)")
     add("contact-solve", "contact points of a one-form on a sphere")
     p = add("contact-trace", "radial continuation of a contact point (input: {form, start})")
-    p.add_argument("--r-min", type=float, default=0.1)
-    p.add_argument("--r-max", type=float, default=2.0)
+    p.add_argument("--r-min", type=_finite, default=0.1)
+    p.add_argument("--r-max", type=_finite, default=2.0)
     p.add_argument("--steps", type=int, default=20)
     p = add("leaf-flow", "distance flow on a leaf to a critical point (input: {form, seed})")
     p.add_argument("--direction", choices=("descend", "ascend"), default="descend")
@@ -143,13 +153,10 @@ def _leaf_setup(args, key: str):
 def _dispatch(args) -> tuple[dict[str, Any], dict[str, Any]]:
     """Returns (result, extra_config) for the subcommand."""
     tol = args.tol if args.tol is not None else ACCEPT_TOL
-    c = _resolve_c(args)
 
     if args.command == "linear-analyze":
         A = matrix_from_json(_load_json(args.input), args.input)
         verdict, lineset = analyze(A)
-        if verdict.is_morse:
-            lineset = morse_indices(A)
         result = {
             "is_morse": verdict.is_morse,
             "sigma": verdict.sigma,
@@ -323,10 +330,12 @@ def main(argv=None) -> int:
         "config": config,
         "result": result,
     }
-    if args.output == "json":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(_pretty(report))
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        print(f"{TOOL}: numerical failure: non-finite report value ({exc})", file=sys.stderr)
+        return 3
+    sys.stdout.write(text if args.output == "json" else _pretty(report))
     return 0
 
 

@@ -16,7 +16,10 @@ The sphere solver works on the real system in 2n+2 unknowns
     |z|^2 - r^2       = 0
     Im <z, anchor>    = 0          (kills the phase orbit through a solution)
 
-with damped Newton iteration from reproducible random sphere seeds.
+with damped Newton iteration from reproducible random sphere seeds. The
+iteration is `_damped_newton`, one kernel shared with the leaf polish in
+leaf.py: it builds the Jacobian once per Newton step, at the iterate the
+step starts from, and its line search evaluates only residuals.
 """
 
 from __future__ import annotations
@@ -79,14 +82,18 @@ def form_id(form: PolyOneForm) -> str:
     return digest[:12]
 
 
-def mu_of(form: PolyOneForm, z) -> complex:
-    """Least-squares multiplier minimizing ||z - mu * conj(f(z))||."""
-    z = as_cvec(z, form.n)
-    f = eval_form(form, z)
+def _multiplier(z: np.ndarray, f: np.ndarray) -> complex:
+    """mu(z) from the coefficient vector f = f(z); see mu_of."""
     denom = float(np.sum(np.abs(f) ** 2))
     if np.sqrt(denom) <= 1e-14 * (1.0 + np.linalg.norm(z)):
         raise SingularGradientError("gradient of the one-form vanishes at this point")
     return complex(np.sum(z * f) / denom)
+
+
+def mu_of(form: PolyOneForm, z) -> complex:
+    """Least-squares multiplier minimizing ||z - mu * conj(f(z))||."""
+    z = as_cvec(z, form.n)
+    return _multiplier(z, eval_form(form, z))
 
 
 def contact_residual(form: PolyOneForm, z) -> float:
@@ -99,8 +106,8 @@ def contact_residual(form: PolyOneForm, z) -> float:
     norm_z = np.linalg.norm(z)
     if norm_z == 0.0:
         raise ValueError("contact residual is undefined at the origin")
-    mu = mu_of(form, z)
     f = eval_form(form, z)
+    mu = _multiplier(z, f)
     return float(np.linalg.norm(z - mu * f.conj()) / norm_z)
 
 
@@ -118,46 +125,78 @@ def sphere_seeds(n: int, count: int, rng_seed: int, radius: float = 1.0) -> np.n
     return radius * z / norms[:, None]
 
 
-def _contact_system(form: PolyOneForm, u: np.ndarray, r: float, anchor: np.ndarray):
-    """Residual vector and Jacobian of the real contact system at u.
+def _real_rows(dz: np.ndarray, dzbar: np.ndarray, dlam: np.ndarray) -> np.ndarray:
+    """Real Jacobian rows (Re G; Im G) of a complex block G(z, conj z, lam).
+
+    From the Wirtinger blocks dG/dz, dG/dconj(z) (m x n) and dG/dlam (m) of
+    a G holomorphic in lam, in the columns (Re z, Im z, Re lam, Im lam).
+    """
+    block = np.hstack([dz + dzbar, 1j * (dz - dzbar), dlam[:, None], 1j * dlam[:, None]])
+    return np.vstack([block.real, block.imag])
+
+
+def _contact_system(form: PolyOneForm, r: float, anchor: np.ndarray):
+    """(residual, jacobian) callbacks of the real contact system.
 
     u packs (Re z, Im z, Re nu, Im nu) where nu = 1/mu, i.e. the solved
     equations are nu z - conj(f(z)) = 0 plus the sphere and phase-anchor
     rows. The inverse multiplier keeps the Jacobian uniformly scaled across
     solution branches (the nu-column is z, of norm r, whereas the mu-column
     conj(f) collapses on branches with small coefficient norm and starves
-    their Newton basins). Returns (F, J) with F of length 2n+2.
+    their Newton basins). The residual has length 2n+2.
     """
     n = form.n
-    z = u[:n] + 1j * u[n : 2 * n]
-    nu = complex(u[2 * n], u[2 * n + 1])
-    f = form.evaluate(z)
-    Jf = jacobian_form(form, z)
 
-    G = nu * z - f.conj()
-    F = np.empty(2 * n + 2)
-    F[:n] = G.real
-    F[n : 2 * n] = G.imag
-    F[2 * n] = float(np.sum(np.abs(z) ** 2) - r * r)
-    F[2 * n + 1] = float(np.imag(np.sum(z * anchor.conj())))
+    def residual(u: np.ndarray) -> np.ndarray:
+        z = u[:n] + 1j * u[n : 2 * n]
+        G = complex(u[2 * n], u[2 * n + 1]) * z - form.evaluate(z).conj()
+        sphere = np.sum(np.abs(z) ** 2) - r * r
+        return np.concatenate([G.real, G.imag, [sphere, np.imag(np.sum(z * anchor.conj()))]])
 
-    # dG/dx_k = nu e_k - conj(Jf)_{.,k}; dG/dy_k = i nu e_k + i conj(Jf)_{.,k}
-    Cx = nu * np.eye(n, dtype=complex) - Jf.conj()
-    Cy = 1j * nu * np.eye(n, dtype=complex) + 1j * Jf.conj()
-    J = np.zeros((2 * n + 2, 2 * n + 2))
-    J[:n, :n] = Cx.real
-    J[:n, n : 2 * n] = Cy.real
-    J[n : 2 * n, :n] = Cx.imag
-    J[n : 2 * n, n : 2 * n] = Cy.imag
-    J[:n, 2 * n] = z.real
-    J[n : 2 * n, 2 * n] = z.imag
-    J[:n, 2 * n + 1] = (1j * z).real
-    J[n : 2 * n, 2 * n + 1] = (1j * z).imag
-    J[2 * n, :n] = 2.0 * z.real
-    J[2 * n, n : 2 * n] = 2.0 * z.imag
-    J[2 * n + 1, :n] = -anchor.imag
-    J[2 * n + 1, n : 2 * n] = anchor.real
-    return F, J
+    def jacobian(u: np.ndarray) -> np.ndarray:
+        z = u[:n] + 1j * u[n : 2 * n]
+        nu = complex(u[2 * n], u[2 * n + 1])
+        rows = _real_rows(nu * np.eye(n), -jacobian_form(form, z).conj(), z)
+        sphere = np.concatenate([2.0 * z.real, 2.0 * z.imag, [0.0, 0.0]])
+        phase = np.concatenate([-anchor.imag, anchor.real, [0.0, 0.0]])
+        return np.vstack([rows, sphere, phase])
+
+    return residual, jacobian
+
+
+def _damped_newton(residual, jacobian, u0: np.ndarray, target: float, max_iter: int):
+    """Damped Newton on residual(u) = 0 from u0; (u, ||F(u)||) or None.
+
+    Runs until ||F|| <= target or for max_iter steps; the caller judges the
+    final norm. Each step builds the Jacobian once, at its starting iterate,
+    and halves the step until ||F(u + t du)|| < (1 - 1e-4 t) ||F(u)||, with
+    residuals only at the trial points. None on a singular or non-finite
+    step, or when NEWTON_MAX_HALVINGS + 1 halvings find no decrease.
+    """
+    u = u0
+    F = residual(u)
+    norm_f = np.linalg.norm(F)
+    for _ in range(max_iter):
+        if norm_f <= target:
+            break
+        try:
+            du = np.linalg.solve(jacobian(u), -F)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(du)):
+            return None
+        step = 1.0
+        for _ in range(NEWTON_MAX_HALVINGS + 1):
+            u_trial = u + step * du
+            F_trial = residual(u_trial)
+            norm_trial = np.linalg.norm(F_trial)
+            if norm_trial < (1.0 - 1e-4 * step) * norm_f:
+                break
+            step *= 0.5
+        else:
+            return None  # no productive step left
+        u, F, norm_f = u_trial, F_trial, norm_trial
+    return u, norm_f
 
 
 def _newton_on_sphere(
@@ -173,34 +212,11 @@ def _newton_on_sphere(
         anchor = z0
     f0 = form.evaluate(z0)
     nu0 = np.conj(np.sum(f0 * z0)) / (r * r)  # least squares for ||nu z - conj f||
-    u = np.concatenate([z0.real, z0.imag, [nu0.real, nu0.imag]])
-    target = 1e-13 * max(1.0, r)
-
-    F, J = _contact_system(form, u, r, anchor)
-    norm_f = np.linalg.norm(F)
-    for _ in range(max_iter):
-        if norm_f <= target:
-            break
-        try:
-            du = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(du)):
-            return None
-        step = 1.0
-        for _ in range(NEWTON_MAX_HALVINGS + 1):
-            u_trial = u + step * du
-            F_trial, J_trial = _contact_system(form, u_trial, r, anchor)
-            norm_trial = np.linalg.norm(F_trial)
-            if norm_trial < (1.0 - 1e-4 * step) * norm_f:
-                break
-            step *= 0.5
-        else:
-            return None  # no productive step left
-        u, F, J, norm_f = u_trial, F_trial, J_trial, norm_trial
-    if norm_f > 1e-6 * max(1.0, r):
-        return None  # stagnated far from a solution
-    z = u[:n] + 1j * u[n : 2 * n]
+    u0 = np.concatenate([z0.real, z0.imag, [nu0.real, nu0.imag]])
+    out = _damped_newton(*_contact_system(form, r, anchor), u0, 1e-13 * max(1.0, r), max_iter)
+    if out is None or out[1] > 1e-6 * max(1.0, r):
+        return None  # failed, or stagnated far from a solution
+    z = out[0][:n] + 1j * out[0][n : 2 * n]
     nz = np.linalg.norm(z)
     if nz == 0.0:
         return None
@@ -254,6 +270,8 @@ def sphere_search(
         raise ValueError("radius must be positive")
     if n_seeds < 1:
         raise ValueError("need at least one seed")
+    if all(f.is_zero for f in form.coeffs):
+        raise SingularGradientError("every coefficient of the one-form is zero")
     seeds = sphere_seeds(form.n, n_seeds, rng_seed, r)
     out = SphereSearch(seeds_tried=n_seeds)
     found: list[ContactPoint] = []

@@ -3,11 +3,14 @@
 Complex numbers are {"re": .., "im": ..} objects everywhere; matrices and
 one-forms follow the canonical on-disk shapes consumed by the CLI (see
 schemas/ in the repository root). Parse errors raise InputFormatError with
-the offending path for exit-code-2 handling.
+the offending path for exit-code-2 handling; that includes non-finite
+numbers (the NaN and Infinity literals Python's json module accepts, and
+literals too large for a float).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 import numpy as np
@@ -25,6 +28,13 @@ def _expect(cond: bool, where: str, msg: str) -> None:
         raise InputFormatError(f"{where}: {msg}")
 
 
+def _is_finite_number(v: Any) -> bool:
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
+
+
 def complex_to_json(v: complex) -> dict[str, float]:
     v = complex(v)
     return {"re": v.real, "im": v.imag}
@@ -34,12 +44,8 @@ def complex_from_json(obj: Any, where: str = "value") -> complex:
     _expect(isinstance(obj, dict), where, f"expected {{re, im}} object, got {type(obj).__name__}")
     _expect(set(obj) == {"re", "im"}, where, f"expected keys re/im, got {sorted(obj)}")
     re, im = obj["re"], obj["im"]
-    _expect(
-        isinstance(re, (int, float)) and not isinstance(re, bool), where, "re must be a number"
-    )
-    _expect(
-        isinstance(im, (int, float)) and not isinstance(im, bool), where, "im must be a number"
-    )
+    _expect(_is_finite_number(re), where, "re must be a finite number")
+    _expect(_is_finite_number(im), where, "im must be a finite number")
     return complex(re, im)
 
 
@@ -154,9 +160,9 @@ def boundary_samples_from_json(obj: Any, where: str = "samples"):
             _expect(
                 isinstance(v, list)
                 and len(v) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v),
+                and all(_is_finite_number(x) for x in v),
                 f"{iw}.{key}",
-                "must be [x, y] numbers",
+                "must be [x, y] finite numbers",
             )
             vals.append([float(v[0]), float(v[1])])
         out.append(tuple(np.array(v) for v in vals))

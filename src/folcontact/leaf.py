@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Polynomial, PolyOneForm, as_cvec
-from .contact import ContactPoint, contact_residual, mu_of
+from .algebra import Polynomial, PolyOneForm, as_cvec, jacobian_form
+from .contact import ContactPoint, _damped_newton, _real_rows, contact_residual, mu_of, sphere_seeds
 from .errors import (
     ChartError,
     FlowError,
@@ -44,7 +44,6 @@ class FieldSample:
     """One evaluation of the projected tangential field."""
 
     z: np.ndarray
-    radial: np.ndarray
     grad_omega: np.ndarray
     mu: complex
     w: np.ndarray
@@ -108,7 +107,6 @@ def sample_field(form: PolyOneForm, z) -> FieldSample:
     w = z - mu * grad
     return FieldSample(
         z=z,
-        radial=z,
         grad_omega=grad,
         mu=mu,
         w=w,
@@ -199,82 +197,58 @@ def make_chart(
     )
 
 
+def _leaf_system(chart: LeafChart):
+    """(residual, jacobian) callbacks of the leaf-constrained contact system.
+
+    Square real system in (Re z, Im z, Re mu, Im mu): z - mu conj(f(z)) = 0
+    plus the real and imaginary parts of f(z) - c = 0. The leaf constraint
+    replaces the sphere and phase rows of the sphere solver, as the leaf
+    meets each phase orbit discretely.
+    """
+    form, integral, c = chart.form, chart.integral, chart.c
+    n = form.n
+
+    def residual(u: np.ndarray) -> np.ndarray:
+        z = u[:n] + 1j * u[n : 2 * n]
+        G = z - complex(u[2 * n], u[2 * n + 1]) * form.evaluate(z).conj()
+        L = integral.evaluate(z) - c
+        return np.concatenate([G.real, G.imag, [L.real, L.imag]])
+
+    def jacobian(u: np.ndarray) -> np.ndarray:
+        z = u[:n] + 1j * u[n : 2 * n]
+        mu = complex(u[2 * n], u[2 * n + 1])
+        f = form.evaluate(z)
+        rows = _real_rows(np.eye(n), -mu * jacobian_form(form, z).conj(), -f.conj())
+        # d(f - c) = sum_k f_k dz_k: holomorphic, free of the multiplier
+        leaf = _real_rows(f[None, :], np.zeros((1, n)), np.zeros(1))
+        return np.vstack([rows, leaf])
+
+    return residual, jacobian
+
+
 def _polish_on_leaf(
     chart: LeafChart, z0: np.ndarray, max_iter: int = 40
 ) -> np.ndarray | None:
     """Newton on (z - mu conj(f) = 0, f(z) - c = 0); None on failure.
 
-    Square real system in (Re z, Im z, Re mu, Im mu): the leaf constraint
-    replaces the sphere and phase equations of the sphere solver, as the
-    leaf meets each phase orbit discretely.
+    Runs the damped-Newton kernel shared with the sphere solver
+    (contact._damped_newton: one Jacobian per step, residuals only at
+    line-search trial points) and, unlike that solver, succeeds only when
+    the residual norm reaches its target 1e-13 (1 + |c| + |z0|).
     """
-    from .algebra import jacobian_form
-
-    form, integral, c = chart.form, chart.integral, chart.c
+    form, c = chart.form, chart.c
     n = form.n
     f0 = form.evaluate(z0)
     d0 = float(np.sum(np.abs(f0) ** 2))
     if d0 <= 1e-28:
         return None
     mu = complex(np.sum(z0 * f0) / d0)
-    u = np.concatenate([z0.real, z0.imag, [mu.real, mu.imag]])
-    scale = 1.0 + abs(c) + np.linalg.norm(z0)
-    target = 1e-13 * scale
-
-    def system(u):
-        z = u[:n] + 1j * u[n : 2 * n]
-        mu = complex(u[2 * n], u[2 * n + 1])
-        f = form.evaluate(z)
-        Jf = jacobian_form(form, z)
-        G = z - mu * f.conj()
-        L = integral.evaluate(z) - c
-        F = np.empty(2 * n + 2)
-        F[:n] = G.real
-        F[n : 2 * n] = G.imag
-        F[2 * n] = L.real
-        F[2 * n + 1] = L.imag
-        Cx = np.eye(n, dtype=complex) - mu * Jf.conj()
-        Cy = 1j * np.eye(n, dtype=complex) + 1j * mu * Jf.conj()
-        J = np.zeros((2 * n + 2, 2 * n + 2))
-        J[:n, :n] = Cx.real
-        J[:n, n : 2 * n] = Cy.real
-        J[n : 2 * n, :n] = Cx.imag
-        J[n : 2 * n, n : 2 * n] = Cy.imag
-        J[:n, 2 * n] = (-f.conj()).real
-        J[n : 2 * n, 2 * n] = (-f.conj()).imag
-        J[:n, 2 * n + 1] = (-1j * f.conj()).real
-        J[n : 2 * n, 2 * n + 1] = (-1j * f.conj()).imag
-        # d(f - c)/dx_k = f_k, /dy_k = i f_k  (holomorphic integral)
-        J[2 * n, :n] = f.real
-        J[2 * n, n : 2 * n] = -f.imag
-        J[2 * n + 1, :n] = f.imag
-        J[2 * n + 1, n : 2 * n] = f.real
-        return F, J
-
-    F, J = system(u)
-    norm_f = np.linalg.norm(F)
-    for _ in range(max_iter):
-        if norm_f <= target:
-            break
-        try:
-            du = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(du)):
-            return None
-        step = 1.0
-        for _ in range(31):
-            F_t, J_t = system(u + step * du)
-            norm_t = np.linalg.norm(F_t)
-            if norm_t < (1.0 - 1e-4 * step) * norm_f:
-                break
-            step *= 0.5
-        else:
-            return None
-        u, F, J, norm_f = u + step * du, F_t, J_t, norm_t
-    if norm_f > target:
+    u0 = np.concatenate([z0.real, z0.imag, [mu.real, mu.imag]])
+    target = 1e-13 * (1.0 + abs(c) + np.linalg.norm(z0))
+    out = _damped_newton(*_leaf_system(chart), u0, target, max_iter)
+    if out is None or out[1] > target:
         return None
-    return u[:n] + 1j * u[n : 2 * n]
+    return out[0][:n] + 1j * out[0][n : 2 * n]
 
 
 def flow_to_critical(
@@ -482,8 +456,6 @@ def transversality_scan(
     the gradient vanishes score 0 (a singular point on the sphere is maximal
     non-transversality).
     """
-    from .contact import sphere_seeds
-
     if r <= 0:
         raise ValueError("radius must be positive")
     if n_samples < 1:

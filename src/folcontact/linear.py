@@ -105,8 +105,9 @@ def analyze(A: SymMatrix, gap_tol: float = GAP_TOL) -> tuple[MorseVerdict, Conta
     """Morse verdict and validated contact-line candidates of A.
 
     Every reported direction is checked against the contact residual at
-    radius 1; the eigen route supplies candidates only. Raises
-    SingularMatrixError for singular A.
+    radius 1; the eigen route supplies candidates only. When A is of Morse
+    type the lines also carry their Morse indices (see morse_indices).
+    Raises SingularMatrixError for singular A.
     """
     _require_invertible(A)
     tk = takagi(A)
@@ -123,6 +124,16 @@ def analyze(A: SymMatrix, gap_tol: float = GAP_TOL) -> tuple[MorseVerdict, Conta
             direction=w, sigma=float(s), mu_modulus=float(1.0 / s), residual=res
         )
         (lines if res <= LINE_RESIDUAL_TOL else rejected).append(line)
+    if verdict.is_morse:
+        # closed-form index, cross-checked against the descending sigma order
+        sigma = np.array([line.sigma for line in lines])
+        for j, line in enumerate(lines):
+            negatives = int(np.sum(hessian_eigenvalues_closed_form(sigma, j) < 0.0))
+            if negatives != j:
+                raise AssertionError(
+                    f"closed-form negative count {negatives} disagrees with line order {j}"
+                )
+            line.morse_index = negatives
     return verdict, ContactLineSet(lines=lines, source=A, rejected=rejected)
 
 
@@ -130,23 +141,14 @@ def morse_indices(A: SymMatrix) -> ContactLineSet:
     """Contact lines with Morse indices filled; requires a Morse matrix.
 
     The index of line j (descending sigma) is the negative count of the
-    closed-form leaf-Hessian eigenvalues, cross-checked against the positional
-    value j-1 implied by the descending order.
+    closed-form leaf-Hessian eigenvalues, which analyze fills for every
+    Morse matrix; NotMorseError otherwise.
     """
     verdict, lineset = analyze(A)
     if not verdict.is_morse:
         raise NotMorseError(
             f"matrix is not of Morse type (min sigma gap {verdict.min_gap:.3e})"
         )
-    sigma = np.array([line.sigma for line in lineset.lines])
-    for j, line in enumerate(lineset.lines):
-        evs = hessian_eigenvalues_closed_form(sigma, j)
-        negatives = int(np.sum(evs < 0.0))
-        if negatives != j:
-            raise AssertionError(
-                f"closed-form negative count {negatives} disagrees with line order {j}"
-            )
-        line.morse_index = negatives
     return lineset
 
 

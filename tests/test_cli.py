@@ -259,6 +259,69 @@ def test_exit_2_on_non_exact_leaf_form(tmp_path):
     assert "exact" in err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
+def test_exit_2_on_non_finite_form_coefficient(tmp_path, literal):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(
+        '{"n": 2, "coeffs": [[{"re": 1, "im": %s, "exp": [1, 0]}], '
+        '[{"re": 2, "im": 0, "exp": [0, 1]}]]}' % literal
+    )
+    for command in ("contact-solve", "scan"):
+        code, out, err = run_cli([command, "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert f"{path}.coeffs[0][0]" in err
+
+
+def test_exit_2_on_non_finite_matrix_entry(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"n": 2, "entries": [[{"re": NaN, "im": 0}, {"re": 0, "im": 0}], '
+        '[{"re": 0, "im": 0}, {"re": 1, "im": 0}]]}'
+    )
+    code, out, err = run_cli(["linear-analyze", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert f"{path}.entries[0][0]" in err
+
+
+def test_exit_2_on_non_finite_audit_sample(tmp_path, audit_file):
+    samples = json.loads(open(audit_file).read())
+    samples[3]["field"][1] = float("inf")
+    path = tmp_path / "audit_inf.json"
+    path.write_text(json.dumps(samples))
+    code, out, err = run_cli(["index-audit", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert f"{path}[3].field" in err
+
+
+def test_exit_2_on_non_finite_option(symplectic_file):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["scan", "--input", symplectic_file, "--radius", "nan"])
+    assert exc.value.code == 2
+
+
+def test_exit_3_on_zero_form(tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"n": 2, "coeffs": [[], []]}))
+    code, out, err = run_cli(["contact-solve", "--input", str(path)])
+    assert code == 3 and out == ""
+    assert "numerical failure" in err
+
+
+def test_exit_3_on_non_finite_result(tmp_path, form321):
+    # |f|^2 overflows at radius 1e200, so every scan score is NaN
+    path = tmp_path / "form321.json"
+    path.write_text(json.dumps(form_to_json(form321)))
+    for output in ("json", "pretty"):
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(
+                ["scan", "--input", str(path), "--radius", "1e200", "--samples", "20",
+                 "--output", output]
+            )
+        assert code == 3 and out == ""
+        assert "non-finite" in err
+
+
 def test_argparse_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         run_cli(["definitely-not-a-command"])

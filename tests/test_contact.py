@@ -8,6 +8,7 @@ import pytest
 import folcontact as fc
 from folcontact.contact import (
     _contact_system,
+    _damped_newton,
     _merge_points,
     sphere_search,
     sphere_seeds,
@@ -90,17 +91,59 @@ def test_contact_system_jacobian_matches_finite_differences(form321, cubic3):
     for form in (form321, cubic3.differential()):
         n = form.n
         anchor = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        residual, jacobian = _contact_system(form, 1.0, anchor)
         for _ in range(10):
             u = rng.standard_normal(2 * n + 2)
-            F, J = _contact_system(form, u, 1.0, anchor)
+            J = jacobian(u)
             h = 1e-6
             for k in range(2 * n + 2):
                 e = np.zeros(2 * n + 2)
                 e[k] = h
-                Fp, _ = _contact_system(form, u + e, 1.0, anchor)
-                Fm, _ = _contact_system(form, u - e, 1.0, anchor)
-                fd = (Fp - Fm) / (2 * h)
+                fd = (residual(u + e) - residual(u - e)) / (2 * h)
                 assert np.all(np.abs(fd - J[:, k]) <= 1e-5 * (1.0 + np.abs(J[:, k])))
+
+
+def test_damped_newton_builds_jacobian_once_per_step():
+    # arctan(u) = 0 from u = 3: the full Newton step overshoots to u = -9.5,
+    # so the line search has to reject trial points before it accepts one
+    res_pts, jac_pts = [], []
+
+    def residual(u):
+        res_pts.append(u.copy())
+        return np.arctan(u)
+
+    def jacobian(u):
+        jac_pts.append(u.copy())
+        return np.array([[1.0 / (1.0 + u[0] ** 2)]])
+
+    u, norm_f = _damped_newton(residual, jacobian, np.array([3.0]), 1e-12, 50)
+    assert norm_f <= 1e-12 and abs(u[0]) <= 1e-12
+    assert np.array_equal(res_pts[0], [3.0]) and np.array_equal(jac_pts[0], [3.0])
+    # one Jacobian per step, each at the iterate the step starts from: the
+    # start, then every accepted point except the final one
+    accepted = jac_pts[1:] + [u]
+    assert all(any(np.array_equal(a, p) for p in res_pts) for a in accepted)
+    assert len({float(p[0]) for p in jac_pts}) == len(jac_pts)
+    # every other residual evaluation is a rejected trial point, with no Jacobian
+    rejected = [
+        p for p in res_pts[1:] if not any(np.array_equal(p, a) for a in accepted)
+    ]
+    assert len(rejected) >= 1
+    assert len(res_pts) == 1 + len(accepted) + len(rejected)
+    assert not any(np.array_equal(p, q) for p in rejected for q in jac_pts)
+
+
+def test_damped_newton_fails_on_singular_jacobian():
+    out = _damped_newton(
+        lambda u: u - 1.0, lambda u: np.zeros((2, 2)), np.zeros(2), 1e-12, 10
+    )
+    assert out is None
+
+
+def test_sphere_search_rejects_zero_form():
+    zero = fc.PolyOneForm([fc.Polynomial(2, []), fc.Polynomial(2, [])])
+    with pytest.raises(SingularGradientError):
+        sphere_search(zero, 1.0, 5, 0)
 
 
 def test_solve_on_sphere_diag(form321):

@@ -8,7 +8,7 @@ import pytest
 import folcontact as fc
 from folcontact.contact import sphere_seeds
 from folcontact.errors import ChartError, FlowError
-from folcontact.leaf import homogeneous_leaf_scale
+from folcontact.leaf import _leaf_system, homogeneous_leaf_scale
 
 from conftest import axis_distance
 
@@ -26,7 +26,6 @@ def _on_leaf_seed(integral, form, raw, c):
 def test_sample_field_on_contact_line(form321):
     s = fc.sample_field(form321, [1, 0, 0])
     assert s.t_norm <= 1e-15
-    assert np.array_equal(s.radial, s.z)
 
 
 def test_sample_field_symplectic(symplectic4):
@@ -53,6 +52,24 @@ def test_orthogonality_property(form321, symplectic4, cubic3):
             s = fc.sample_field(form, z)
             scale = (1 + np.linalg.norm(s.w)) * (1 + np.linalg.norm(s.grad_omega))
             assert abs(np.sum(s.w * s.grad_omega.conj())) <= 1e-10 * scale
+
+
+def test_leaf_system_jacobian_matches_finite_differences(form321, integral321, cubic3):
+    rng = np.random.default_rng(15)
+    cubic_form = cubic3.differential()
+    for integral, form in ((integral321, form321), (cubic3, cubic_form)):
+        n = form.n
+        base = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        residual, jacobian = _leaf_system(fc.make_chart(integral, base, form=form))
+        for _ in range(10):
+            u = rng.standard_normal(2 * n + 2)
+            J = jacobian(u)
+            h = 1e-6
+            for k in range(2 * n + 2):
+                e = np.zeros(2 * n + 2)
+                e[k] = h
+                fd = (residual(u + e) - residual(u - e)) / (2 * h)
+                assert np.all(np.abs(fd - J[:, k]) <= 1e-5 * (1.0 + np.abs(J[:, k])))
 
 
 def test_gradient_identity_in_chart(diag321, form321, integral321):
