@@ -57,6 +57,7 @@ from .errors import (
     LeafCorrectionError,
     NonHomogeneousFormError,
     NotMorseError,
+    RadiusRangeError,
     SingularGradientError,
     SingularMatrixError,
 )

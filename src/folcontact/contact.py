@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import PolyOneForm, as_cvec, eval_form, jacobian_form
-from .errors import NonHomogeneousFormError, SingularGradientError
+from .errors import NonHomogeneousFormError, RadiusRangeError, SingularGradientError
 
 ACCEPT_TOL = 1e-9
 NEWTON_MAX_ITER = 100
@@ -123,6 +123,19 @@ def sphere_seeds(n: int, count: int, rng_seed: int, radius: float = 1.0) -> np.n
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0
     return radius * z / norms[:, None]
+
+
+def _check_radius(r: float) -> None:
+    """Refuse a sphere radius whose square is not a normal finite double.
+
+    Point norms are taken with np.linalg.norm, which squares: at such radii
+    |z| itself comes out as 0 or inf, so no result could be trusted.
+    """
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    if not np.finfo(float).tiny <= r * r < np.inf:
+        what = "below the normal double range" if r < 1.0 else "non-finite"
+        raise RadiusRangeError(f"radius {r:.3g} is out of range: its square is {what}")
 
 
 def _real_rows(dz: np.ndarray, dzbar: np.ndarray, dlam: np.ndarray) -> np.ndarray:
@@ -265,28 +278,46 @@ def sphere_search(
     rng_seed: int,
     tol: float = ACCEPT_TOL,
 ) -> SphereSearch:
-    """Multi-seed contact solve on the radius-r sphere, with diagnostics."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    """Multi-seed contact solve on the radius-r sphere, with diagnostics.
+
+    The contact set of a homogeneous form of degree k is a cone, and mu
+    scales by t^(1-k) along it: such forms are solved on the unit sphere
+    and the points scaled to radius r, so the answer does not depend on
+    how far r is from 1.
+    """
+    _check_radius(r)
     if n_seeds < 1:
         raise ValueError("need at least one seed")
     if all(f.is_zero for f in form.coeffs):
         raise SingularGradientError("every coefficient of the one-form is zero")
-    seeds = sphere_seeds(form.n, n_seeds, rng_seed, r)
+    k = form.homogeneous_degree()
+    r_solve = 1.0 if k is not None else r
+    seeds = sphere_seeds(form.n, n_seeds, rng_seed, r_solve)
     out = SphereSearch(seeds_tried=n_seeds)
     found: list[ContactPoint] = []
     for a in seeds:
-        z = _newton_on_sphere(form, a, r)
+        z = _newton_on_sphere(form, a, r_solve)
         if z is None:
             continue
         try:
             res = contact_residual(form, z)
         except SingularGradientError:
             continue
-        if res <= tol and abs(np.linalg.norm(z) - r) <= 1e-10 * r:
-            found.append(ContactPoint(z=z, mu=mu_of(form, z), radius=r, residual=res))
+        if res <= tol and abs(np.linalg.norm(z) - r_solve) <= 1e-10 * r_solve:
+            found.append(ContactPoint(z=z, mu=mu_of(form, z), radius=r_solve, residual=res))
             out.seeds_converged += 1
-    out.points = _merge_points(found, dedup_tol=1e-6 * r)
+    out.points = _merge_points(found, dedup_tol=1e-6 * r_solve)
+    if r_solve != r:
+        try:
+            mu_scale = r ** (1 - k)
+        except OverflowError:
+            raise RadiusRangeError(
+                f"radius {r:.3g} is out of range: mu scales by r^{1 - k}, which is non-finite"
+            ) from None
+        out.points = [
+            ContactPoint(z=r * p.z, mu=mu_scale * p.mu, radius=r, residual=p.residual)
+            for p in out.points
+        ]
     return out
 
 

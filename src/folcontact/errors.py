@@ -36,12 +36,16 @@ class SingularGradientError(FolContactError):
     """The gradient of the one-form vanishes (within tolerance) at the point."""
 
 
+class RadiusRangeError(FolContactError):
+    """The sphere radius squares outside the normal double-precision range."""
+
+
 class ConvergenceError(FolContactError):
     """An iterative routine failed to converge within its iteration cap."""
 
 
 class ChartError(FolContactError):
-    """Implicit-function chart is invalid (pivot coefficient too small)."""
+    """Every coefficient of the one-form vanishes where a leaf chart is made."""
 
 
 class FlowError(ConvergenceError):

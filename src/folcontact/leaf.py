@@ -8,10 +8,11 @@ distance restricted to the leaf. Flowing along -w therefore descends the
 distance on the leaf; critical points of the restricted distance are the
 contact points on that leaf.
 
-Leaves are tracked through a known polynomial first integral f: the flow
-corrects drift by Newton steps back onto {f = c} along the gradient, and
-the restricted Hessian is computed in implicit-function chart coordinates
-that eliminate the strongest coefficient ("pivot") variable.
+Leaves are tracked through a known polynomial first integral g with
+f = dg: the flow corrects drift by Newton steps back onto {g = c} along the
+gradient, and the restricted Hessian at a critical point is computed
+exactly from f, D^2 g and the multiplier, in an orthonormal basis of the
+tangent space ker(f^T) of the leaf.
 
 Hessian scale convention: reports contain half the Hessian of the squared
 distance, which makes the eigenvalues dimensionless (the quadratic-integral
@@ -25,7 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Polynomial, PolyOneForm, as_cvec, jacobian_form
-from .contact import ContactPoint, _damped_newton, _real_rows, contact_residual, mu_of, sphere_seeds
+from .contact import (
+    ContactPoint,
+    _check_radius,
+    _damped_newton,
+    _multiplier,
+    _real_rows,
+    contact_residual,
+    mu_of,
+    sphere_seeds,
+)
 from .errors import (
     ChartError,
     FlowError,
@@ -35,7 +45,6 @@ from .errors import (
 
 LEAF_TOL = 1e-9  # relative on-leaf precondition tolerance
 EIG_TOL = 1e-7
-HESSIAN_STEP = 1e-4
 DEFAULT_FLOW_TOL = 1e-8
 
 
@@ -52,33 +61,27 @@ class FieldSample:
 
 @dataclass
 class LeafChart:
-    """Implicit-function chart on the leaf {f = c} around `base`.
+    """The leaf {g = c} of a first integral g, with the one-form f = dg.
 
-    The pivot is the coordinate with the largest |f_j(base)|; it is the
-    variable eliminated by the implicit function theorem, and computations
-    in the chart refuse to continue if its coefficient decays below half
-    the creation-time strength.
+    Flows, the leaf polish and the restricted Hessian all move on the leaf
+    through g and f; make_chart checks that the leaf is regular where it
+    is created.
     """
 
     integral: Polynomial
     form: PolyOneForm
-    base: np.ndarray
     c: complex
-    pivot: int
-    pivot_strength: float
-
-    def validate_at(self, z: np.ndarray) -> None:
-        fk = abs(self.form.coeffs[self.pivot].evaluate(z))
-        if fk < 0.5 * self.pivot_strength or fk < 1e-12 * (1.0 + np.linalg.norm(z)):
-            raise ChartError(
-                f"pivot coefficient {self.pivot} degenerated ({fk:.3e} vs creation "
-                f"strength {self.pivot_strength:.3e})"
-            )
 
 
 @dataclass
 class HessianReport:
-    """Real restricted Hessian in chart coordinates (half squared-distance)."""
+    """Exact restricted Hessian (half squared distance) at a critical point.
+
+    `matrix` is symmetric, of size 2(n-1), in the real coordinates
+    (Re xi_1, Im xi_1, Re xi_2, Im xi_2, ...) of tangent vectors v = Q xi,
+    where Q is an orthonormal complex basis of the leaf's tangent space (see
+    leaf_hessian); its eigenvalues do not depend on that choice of basis.
+    """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray  # ascending
@@ -103,7 +106,7 @@ def sample_field(form: PolyOneForm, z) -> FieldSample:
         raise ValueError("field sample is undefined at the origin")
     f = form.evaluate(z)
     grad = f.conj()
-    mu = mu_of(form, z)
+    mu = _multiplier(z, f)
     w = z - mu * grad
     return FieldSample(
         z=z,
@@ -171,7 +174,11 @@ def make_chart(
     c: complex | None = None,
     form: PolyOneForm | None = None,
 ) -> LeafChart:
-    """Chart on the leaf of `integral` through (or prescribed by c near) base."""
+    """The leaf of `integral` through (or prescribed by c near) base.
+
+    Raises ValueError if base is off the prescribed leaf and ChartError if
+    every coefficient of the form vanishes there.
+    """
     if form is None:
         form = integral.differential()
     base = as_cvec(base, form.n)
@@ -182,19 +189,9 @@ def make_chart(
         raise ValueError(
             f"base is not on the leaf (|f(base) - c| = {abs(val - c):.3e})"
         )
-    f = form.evaluate(base)
-    pivot = int(np.argmax(np.abs(f)))
-    strength = float(np.abs(f[pivot]))
-    if strength < 1e-10 * (1.0 + np.linalg.norm(base)):
+    if np.max(np.abs(form.evaluate(base))) < 1e-10 * (1.0 + np.linalg.norm(base)):
         raise ChartError("all form coefficients vanish at the base point")
-    return LeafChart(
-        integral=integral,
-        form=form,
-        base=base,
-        c=complex(c),
-        pivot=pivot,
-        pivot_strength=strength,
-    )
+    return LeafChart(integral=integral, form=form, c=complex(c))
 
 
 def _leaf_system(chart: LeafChart):
@@ -355,94 +352,73 @@ def flow_to_critical(
     )
 
 
-def _chart_point(
-    chart: LeafChart, p: np.ndarray, free_idx: list[int], offsets: np.ndarray
-) -> np.ndarray:
-    """Leaf point with the free chart coordinates displaced by `offsets`.
+def _tangent_basis(f: np.ndarray) -> np.ndarray:
+    """Orthonormal complex basis Q (n x (n-1)) of ker(f^T) = {v : sum f_j v_j = 0}.
 
-    offsets has length 2(n-1), interleaved (dx, dy) per free coordinate; the
-    pivot coordinate is re-solved by 1-d Newton on f(z) = c.
+    The Gram-Schmidt basis of the implicit-function tangents
+    e_j - (f_j/f_k) e_k, j != k, with k = argmax |f_j|: their QR factors
+    with the diagonal of R made real positive. Where those tangents are
+    already orthonormal (e.g. f along a coordinate axis), Q is exactly them.
     """
-    integral, form, c, k = chart.integral, chart.form, chart.c, chart.pivot
-    z = p.copy()
-    for m, j in enumerate(free_idx):
-        z[j] = z[j] + complex(offsets[2 * m], offsets[2 * m + 1])
-    target = 1e-14 * (1.0 + abs(c))
-    for _ in range(60):
-        val = integral.evaluate(z)
-        if abs(val - c) <= target:
-            return z
-        fk = form.coeffs[k].evaluate(z)
-        if abs(fk) < 0.5 * chart.pivot_strength:
-            raise ChartError("pivot coefficient degenerated during chart solve")
-        z[k] = z[k] - (val - c) / fk
-    if abs(integral.evaluate(z) - c) <= 1e-12 * (1.0 + abs(c)):
-        return z
-    raise ChartError("pivot solve did not converge")
+    n = f.size
+    k = int(np.argmax(np.abs(f)))
+    free = [j for j in range(n) if j != k]
+    V = np.zeros((n, n - 1), dtype=complex)
+    V[free, range(n - 1)] = 1.0
+    V[k] = -f[free] / f[k]
+    Q, R = np.linalg.qr(V)
+    d = np.diagonal(R)
+    return Q * (d / np.abs(d))
 
 
 def leaf_hessian(
     chart: LeafChart,
     p,
     crit_tol: float = 1e-6,
-    step_scale: float = HESSIAN_STEP,
     eig_tol: float = EIG_TOL,
 ) -> HessianReport:
-    """Restricted Hessian (half squared distance) at a critical point p.
+    """Exact restricted Hessian (half squared distance) at a critical point p.
 
-    Second-order central differences in the 2(n-1) real chart coordinates;
-    every displaced point is put back on the leaf through the pivot before
-    evaluating the distance.
+    A leaf curve z(t) = p + t v + t^2 a / 2 with f = dg(p) has f^T v = 0 and
+    f^T a = -v^T H v, where H = D^2 g(p) (the Jacobian of the form). As
+    p = mu conj(f) at a critical point, phi = |z|^2/2 has second derivative
+    |v|^2 - Re(conj(mu) v^T H v) along it (the second-order conditions of
+    constrained optimisation). With v = Q xi for an orthonormal basis Q of
+    ker(f^T) and S = conj(mu) Q^T H Q this is |xi|^2 - Re(xi^T S xi), so the
+    real matrix is I - [[Re S, -Im S], [-Im S, -Re S]], with (Re xi_a,
+    Im xi_a) interleaved, and its eigenvalues are 1 +- (Takagi values of S).
     """
     form, integral, c = chart.form, chart.integral, chart.c
     p = as_cvec(p, form.n)
-    if abs(integral.evaluate(p) - c) > LEAF_TOL * (1.0 + abs(c)):
+    val = complex(integral.evaluate(p))
+    if abs(val - c) > LEAF_TOL * (1.0 + abs(c)):
         raise ValueError("point is not on the chart leaf")
     s = sample_field(form, p)
     if s.t_norm > crit_tol:
         raise ValueError(f"point is not critical (t_norm = {s.t_norm:.3e})")
-    chart.validate_at(p)
 
-    free_idx = [j for j in range(form.n) if j != chart.pivot]
-    dims = 2 * len(free_idx)
-    h = step_scale * (1.0 + np.linalg.norm(p))
+    Q = _tangent_basis(s.grad_omega.conj())
+    H = jacobian_form(form, p)
+    S = np.conj(s.mu) * (Q.T @ (0.5 * (H + H.T)) @ Q)
+    # block (a, b) of M is delta_ab I - Re S_ab diag(1, -1) + Im S_ab [[0, 1], [1, 0]]
+    M = (
+        np.eye(2 * (form.n - 1))
+        - np.kron(S.real, np.diag([1.0, -1.0]))
+        + np.kron(S.imag, [[0.0, 1.0], [1.0, 0.0]])
+    )
 
-    def phi_half(offsets: np.ndarray) -> float:
-        z = _chart_point(chart, p, free_idx, offsets)
-        return 0.5 * float(np.sum(np.abs(z) ** 2))
-
-    phi0 = 0.5 * float(np.sum(np.abs(p) ** 2))
-    H = np.empty((dims, dims))
-    for a in range(dims):
-        ea = np.zeros(dims)
-        ea[a] = h
-        H[a, a] = (phi_half(ea) - 2.0 * phi0 + phi_half(-ea)) / (h * h)
-    for a in range(dims):
-        for b in range(a + 1, dims):
-            ea = np.zeros(dims)
-            eb = np.zeros(dims)
-            ea[a] = h
-            eb[b] = h
-            val = (
-                phi_half(ea + eb)
-                - phi_half(ea - eb)
-                - phi_half(-ea + eb)
-                + phi_half(-ea - eb)
-            ) / (4.0 * h * h)
-            H[a, b] = H[b, a] = val
-
-    eigenvalues = np.linalg.eigvalsh(H)
+    eigenvalues = np.linalg.eigvalsh(M)
     negative_count = int(np.sum(eigenvalues < -eig_tol))
     point = ContactPoint(
         z=p,
         mu=s.mu,
         radius=float(np.linalg.norm(p)),
         residual=contact_residual(form, p),
-        leaf_value=complex(integral.evaluate(p)),
+        leaf_value=val,
         morse_index=negative_count,
     )
     return HessianReport(
-        matrix=H, eigenvalues=eigenvalues, negative_count=negative_count, point=point
+        matrix=M, eigenvalues=eigenvalues, negative_count=negative_count, point=point
     )
 
 
@@ -454,23 +430,25 @@ def transversality_scan(
     Samples share the seed stream with the contact solver, so larger sample
     counts extend (and their minima refine) smaller ones. Sample points where
     the gradient vanishes score 0 (a singular point on the sphere is maximal
-    non-transversality).
+    non-transversality). The score of a homogeneous form is scale-free, so
+    such forms are sampled on the unit sphere and the worst points scaled
+    to radius r.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    _check_radius(r)
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    z = sphere_seeds(form.n, n_samples, rng_seed, r)
+    r_sample = 1.0 if form.homogeneous_degree() is not None else r
+    z = sphere_seeds(form.n, n_samples, rng_seed, r_sample)
     f = form.evaluate(z)
     denom = np.sum(np.abs(f) ** 2, axis=1)
-    singular = np.sqrt(denom) <= 1e-14 * (1.0 + r)
+    singular = np.sqrt(denom) <= 1e-14 * (1.0 + r_sample)
     denom_safe = np.where(singular, 1.0, denom)
     mu = np.sum(z * f, axis=1) / denom_safe
     w = z - mu[:, None] * f.conj()
-    scores = np.linalg.norm(w, axis=1) / r
+    scores = np.linalg.norm(w, axis=1) / r_sample
     scores[singular] = 0.0
     order = np.argsort(scores, kind="stable")[: min(n_worst, n_samples)]
-    worst = [(float(scores[i]), z[i]) for i in order]
+    worst = [(float(scores[i]), z[i] * (r / r_sample)) for i in order]
     return float(scores.min()), worst
 
 

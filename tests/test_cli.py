@@ -35,6 +35,14 @@ def symplectic_file(tmp_path, symplectic4):
 
 
 @pytest.fixture
+def diag12_file(tmp_path):
+    form = fc.linear_form(fc.SymMatrix(np.diag([1.0, 2.0]).astype(complex)))
+    path = tmp_path / "diag12.json"
+    path.write_text(json.dumps(form_to_json(form)))
+    return str(path)
+
+
+@pytest.fixture
 def flow_file(tmp_path, form321):
     seed = np.array([0.4 + 0.1j, 0.5 - 0.2j, 0.6 + 0.3j])
     path = tmp_path / "flow.json"
@@ -309,7 +317,7 @@ def test_exit_3_on_zero_form(tmp_path):
 
 
 def test_exit_3_on_non_finite_result(tmp_path, form321):
-    # |f|^2 overflows at radius 1e200, so every scan score is NaN
+    # radius 1e200 squares to infinity, so the scan has no finite result
     path = tmp_path / "form321.json"
     path.write_text(json.dumps(form_to_json(form321)))
     for output in ("json", "pretty"):
@@ -320,6 +328,51 @@ def test_exit_3_on_non_finite_result(tmp_path, form321):
             )
         assert code == 3 and out == ""
         assert "non-finite" in err
+
+
+def test_exit_3_on_non_finite_report(tmp_path):
+    # a non-homogeneous form is scanned at its radius: z1^3 overflows at 1e150
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(
+        {"n": 2, "coeffs": [[{"re": 1.0, "im": 0.0, "exp": [3, 0]},
+                             {"re": 1.0, "im": 0.0, "exp": [0, 1]}],
+                            [{"re": 1.0, "im": 0.0, "exp": [1, 0]}]]}
+    ))
+    for output in ("json", "pretty"):
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(
+                ["scan", "--input", str(path), "--radius", "1e150", "--samples", "20",
+                 "--output", output]
+            )
+        assert code == 3 and out == ""
+        assert "non-finite report value" in err
+
+
+def test_radius_far_from_one_keeps_the_unit_answer(diag12_file, report_schema):
+    # both lines of diag(1, 2) meet every sphere, and the scan score of a
+    # linear form is scale-free
+    solve = ["contact-solve", "--input", diag12_file, "--seeds", "20"]
+    scan = ["scan", "--input", diag12_file, "--samples", "500"]
+    unit_solve = _check(solve, report_schema)["result"]
+    unit_score = _check(scan, report_schema)["result"]["min_score"]
+    assert len(unit_solve["points"]) == 2
+    for radius in ("1e-100", "1e100"):
+        result = _check(solve + ["--radius", radius], report_schema)["result"]
+        assert result["seeds_converged"] == unit_solve["seeds_converged"]
+        assert [p["radius"] for p in result["points"]] == [float(radius)] * 2
+        assert [p["residual"] for p in result["points"]] == [
+            p["residual"] for p in unit_solve["points"]
+        ]
+        result = _check(scan + ["--radius", radius], report_schema)["result"]
+        assert result["min_score"] == unit_score
+
+
+@pytest.mark.parametrize("radius", ["1e-170", "1e200"])
+@pytest.mark.parametrize("command", ["contact-solve", "scan"])
+def test_exit_3_on_radius_out_of_range(diag12_file, command, radius):
+    code, out, err = run_cli([command, "--input", diag12_file, "--radius", radius])
+    assert code == 3 and out == ""
+    assert f"radius {float(radius):.3g} is out of range" in err
 
 
 def test_argparse_rejects_unknown_command():

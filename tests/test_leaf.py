@@ -8,9 +8,9 @@ import pytest
 import folcontact as fc
 from folcontact.contact import sphere_seeds
 from folcontact.errors import ChartError, FlowError
-from folcontact.leaf import _leaf_system, homogeneous_leaf_scale
+from folcontact.leaf import _leaf_system, _tangent_basis, homogeneous_leaf_scale
 
-from conftest import axis_distance
+from conftest import axis_distance, random_morse
 
 
 def _on_leaf_seed(integral, form, raw, c):
@@ -26,6 +26,14 @@ def _on_leaf_seed(integral, form, raw, c):
 def test_sample_field_on_contact_line(form321):
     s = fc.sample_field(form321, [1, 0, 0])
     assert s.t_norm <= 1e-15
+
+
+def test_sample_field_evaluates_form_once(form321, monkeypatch):
+    calls = []
+    evaluate = form321.evaluate
+    monkeypatch.setattr(form321, "evaluate", lambda z: calls.append(1) or evaluate(z))
+    fc.sample_field(form321, [0.4 + 0.1j, 0.5, 0.6 - 0.2j])
+    assert len(calls) == 1
 
 
 def test_sample_field_symplectic(symplectic4):
@@ -138,7 +146,6 @@ def test_flow_ascend_reports_or_diagnoses(form321, integral321):
         assert exc.last_point is not None
     else:
         # converged: must be a genuine contact point of higher index
-        # (fresh chart: the old pivot degenerates at the new critical point)
         assert res.point.residual <= 1e-7
         chart2 = fc.make_chart(integral321, res.point.z, 1.0, form=form321)
         report = fc.leaf_hessian(chart2, res.point.z)
@@ -223,6 +230,71 @@ def test_leaf_hessian_complex_phase_blocks(diag321, form321):
     H_expected[2:, 2:] = blocks[1]
     assert np.allclose(report.matrix, H_expected, atol=1e-6)
     assert np.allclose(np.sort(report.eigenvalues), np.sort(expected_eigs), rtol=1e-6)
+
+
+def _off_axis_lines(rng, n):
+    """Random Morse A, its descending Takagi values, and every line's point
+    scaled by a non-real factor (so the leaf value has a genuine phase)."""
+    A = random_morse(rng, n)
+    verdict, lineset = fc.analyze(A)
+    points = [line.direction * 0.7 * np.exp(0.3j) for line in lineset.lines]
+    return A, verdict.sigma, points
+
+
+def _cubic_contact_points():
+    """The 21 contact directions of z1^3 + z2^3 + z3^3 on the unit sphere:
+    equal moduli on a support, relative phases cube roots of unity."""
+    out = []
+    for support in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)):
+        for phases in np.ndindex(*(3,) * (len(support) - 1)):
+            z = np.zeros(3, dtype=complex)
+            z[list(support)] = np.exp(2j * np.pi * np.array((0,) + phases) / 3)
+            out.append(z / np.linalg.norm(z))
+    return out
+
+
+def test_leaf_hessian_matches_closed_form_on_random_morse():
+    rng = np.random.default_rng(17)
+    for n in (3, 4, 5, 6):
+        for _ in range(2):
+            A, sigma, points = _off_axis_lines(rng, n)
+            form = fc.linear_form(A)
+            integral = fc.quadratic_first_integral(A)
+            for j, p in enumerate(points):
+                report = fc.leaf_hessian(fc.make_chart(integral, p, form=form), p)
+                closed = fc.hessian_eigenvalues_closed_form(sigma, j)
+                assert np.max(np.abs(report.eigenvalues - closed)) <= 1e-9
+                assert report.negative_count == j
+
+
+def test_leaf_hessian_matches_finite_differences_of_distance(cubic3):
+    # chart-free oracle: for a unit tangent v = Q (x_even + i x_odd), the
+    # second difference of |z|^2/2 along leaf projections of p +- h v is x^T M x
+    rng = np.random.default_rng(18)
+    cases = []
+    for n in (3, 4, 5):
+        A, _, points = _off_axis_lines(rng, n)
+        cases += [(fc.quadratic_first_integral(A), fc.linear_form(A), p) for p in points]
+    cases += [(cubic3, cubic3.differential(), p) for p in _cubic_contact_points()]
+    h = 1e-4
+    for integral, form, p in cases:
+        chart = fc.make_chart(integral, p, form=form)
+        report = fc.leaf_hessian(chart, p)
+        Q = _tangent_basis(fc.eval_form(form, p))
+        assert np.allclose(Q.conj().T @ Q, np.eye(form.n - 1), atol=1e-14)
+        assert np.allclose(fc.eval_form(form, p) @ Q, 0.0, atol=1e-14)
+
+        def phi(z):
+            return 0.5 * float(np.sum(np.abs(z) ** 2))
+
+        for _ in range(3):
+            x = rng.standard_normal(2 * (form.n - 1))
+            x /= np.linalg.norm(x)
+            v = Q @ (x[0::2] + 1j * x[1::2])
+            zp = fc.project_to_leaf(integral, form, p + h * v, chart.c)
+            zm = fc.project_to_leaf(integral, form, p - h * v, chart.c)
+            fd = (phi(zp) + phi(zm) - 2.0 * phi(p)) / (h * h)
+            assert fd == pytest.approx(x @ report.matrix @ x, abs=1e-5)
 
 
 def test_leaf_hessian_rejects_noncritical(form321, integral321):
