@@ -11,6 +11,19 @@ Provides the value types the rest of the library is built on:
 * ``gram_inverse``, the hermitian positive matrix ``(conj(A) A)^{-1}`` whose
   eigenvalues are ``1/sigma_j^2``.
 
+A one-form is compiled once, at construction, into a monomial table shared
+by its n coefficients: the distinct exponents E (m x n) and the coefficient
+matrix C (n x m), so that f(z) = C z^E, and a derivative table of the same
+kind for the Jacobian. ``PolyOneForm.evaluate`` and ``jacobian_form`` take
+one point (n,) or a stack (S, n) in a few numpy operations. The monomials
+are built from a table of the powers z_k^0..z_k^d of every variable, one
+factor at a time: each monomial's first variable's power is gathered, then
+its second's is gathered and multiplied in, and so on, so a linear form
+takes one gather whatever n is. A stack is taken ROW_BLOCK points at a
+time, so no intermediate exceeds ROW_BLOCK x m or the power table; the
+(S, m, n) tensor of every variable's power in every monomial is never
+built.
+
 Everything here is a pure function of immutable values; arrays handed out
 are set read-only.
 """
@@ -28,6 +41,9 @@ from .errors import DimensionMismatchError, ConvergenceError, SingularMatrixErro
 GAP_TOL = 1e-9
 # Condition-number cap for matrix inversion.
 COND_CAP = 1e12
+# Points of a batch whose monomials are built at once: the intermediates of
+# a form evaluation stay within ROW_BLOCK x (number of monomials).
+ROW_BLOCK = 1024
 
 
 def as_cvec(values, n: int | None = None) -> np.ndarray:
@@ -69,7 +85,6 @@ class Polynomial:
         items = sorted((e, c) for e, c in merged.items() if c != 0)
         self._exps = _readonly(np.array([e for e, _ in items], dtype=np.int64).reshape(len(items), self.n))
         self._coeffs = _readonly(np.array([c for _, c in items], dtype=complex))
-        self._partials: dict[int, Polynomial] = {}
 
     @property
     def terms(self) -> list[tuple[complex, tuple[int, ...]]]:
@@ -105,16 +120,14 @@ class Polynomial:
         return complex(out) if z.ndim == 1 else out
 
     def partial(self, j: int) -> "Polynomial":
-        """Partial derivative with respect to z_j (cached)."""
-        if j not in self._partials:
-            terms = []
-            for c, e in zip(self._coeffs, self._exps):
-                if e[j] > 0:
-                    ne = e.copy()
-                    ne[j] -= 1
-                    terms.append((c * e[j], tuple(ne)))
-            self._partials[j] = Polynomial(self.n, terms)
-        return self._partials[j]
+        """Partial derivative with respect to z_j."""
+        terms = []
+        for c, e in zip(self._coeffs, self._exps):
+            if e[j] > 0:
+                ne = e.copy()
+                ne[j] -= 1
+                terms.append((c * e[j], tuple(ne)))
+        return Polynomial(self.n, terms)
 
     def differential(self) -> "PolyOneForm":
         """The exact one-form d(self) with coefficients dself/dz_j."""
@@ -133,8 +146,74 @@ class Polynomial:
         return f"Polynomial(n={self.n}, terms={self.terms!r})"
 
 
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an integer array in lexicographic order, and the
+    index of each row of a among them."""
+    order = np.lexsort(a.T[::-1])
+    rows = a[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    index = np.empty(len(rows), dtype=np.int64)
+    index[order] = np.cumsum(first) - 1
+    return rows[first], index
+
+
+def _power_plan(exps: np.ndarray) -> tuple:
+    """How _monomial_dot builds the monomials of a table exps (m x n).
+
+    (0..d, factor columns): d is the largest exponent, and factor column t
+    holds, for each monomial, the index k (d + 1) + e of the power z_k^e of
+    its t-th variable (in increasing k) in the flattened power table, or
+    index 0 (z_1^0 = 1) when the monomial has fewer than t + 1 variables.
+    There is at least one column, so a constant monomial gathers a 1.
+    """
+    m = exps.shape[0]
+    d = int(exps.max(initial=0))
+    rows, ks = np.nonzero(exps)
+    counts = np.count_nonzero(exps, axis=1)
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    columns = np.zeros((max(1, int(counts.max(initial=0))), m), dtype=np.int64)
+    columns[slot, rows] = ks * (d + 1) + exps[rows, ks]
+    return np.arange(d + 1), tuple(columns)
+
+
+def _monomial_dot(z: np.ndarray, plan: tuple, coeffs: np.ndarray) -> np.ndarray:
+    """z^E @ coeffs for the monomial table E of a plan and coeffs (m x q).
+
+    One point (n,) gives (q,) and a batch (..., n) gives (..., q). The
+    monomials are built ROW_BLOCK points at a time, one factor at a time
+    (see _power_plan): the powers z_k^0..z_k^d of every variable are taken
+    once, and each factor column gathers one variable's power for every
+    monomial and multiplies it in.
+    """
+    powers, columns = plan
+    flat = z.reshape(-1, z.shape[-1])
+    out = np.empty((len(flat), coeffs.shape[1]), dtype=np.result_type(z, coeffs))
+    for start in range(0, len(flat), ROW_BLOCK):
+        block = flat[start : start + ROW_BLOCK]
+        table = (block[:, :, None] ** powers).reshape(len(block), -1)
+        monomials = table[:, columns[0]]
+        for column in columns[1:]:
+            monomials *= table[:, column]
+        out[start : start + ROW_BLOCK] = monomials @ coeffs
+    return out.reshape(z.shape[:-1] + (coeffs.shape[1],))
+
+
+def _check_points(z, n: int) -> np.ndarray:
+    z = np.asarray(z, dtype=complex)
+    if z.shape[-1] != n:
+        raise DimensionMismatchError(f"point dimension {z.shape[-1]} != {n}")
+    return z
+
+
 class PolyOneForm:
-    """Polynomial one-form sum_j f_j(z) dz_j given by n coefficient polynomials."""
+    """Polynomial one-form sum_j f_j(z) dz_j given by n coefficient polynomials.
+
+    Compiled at construction (see the module docstring): f(z) = C z^E from
+    the monomial table E (m x n) and coefficient matrix C (n x m), and the
+    Jacobian from the derivative table D (p x n) and its coefficients
+    (p x n x n).
+    """
 
     def __init__(self, coeffs: Sequence[Polynomial]):
         coeffs = list(coeffs)
@@ -146,6 +225,23 @@ class PolyOneForm:
                 raise DimensionMismatchError("coefficient polynomial has wrong variable count")
         self.n = n
         self.coeffs = tuple(coeffs)
+
+        exps, term = _unique_rows(np.concatenate([f._exps for f in coeffs]))
+        owner = np.repeat(np.arange(n), [f._coeffs.size for f in coeffs])
+        C = np.zeros((n, len(exps)), dtype=complex)
+        C[owner, term] = np.concatenate([f._coeffs for f in coeffs])
+        self._plan = _power_plan(exps)
+        self._coeffs_t = _readonly(C.T.copy())  # f(z) = z^E @ C^T
+        self._abs_coeffs_t = _readonly(np.abs(self._coeffs_t))
+
+        # d(c z^e)/dz_k = c e_k z^(e - e_k): one derivative monomial per
+        # (term, variable) pair with e_k > 0, each carrying a column of C
+        i, k = np.nonzero(exps)
+        dexps, slot = _unique_rows(exps[i] - np.eye(n, dtype=np.int64)[k])
+        D = np.zeros((len(dexps), n, n), dtype=complex)
+        D[slot, :, k] = (C[:, i] * exps[i, k]).T
+        self._dplan = _power_plan(dexps)
+        self._dcoeffs = _readonly(D.reshape(len(dexps), n * n))
 
     @property
     def degree_info(self) -> tuple[int, ...]:
@@ -167,11 +263,18 @@ class PolyOneForm:
 
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         """(f_1(z), ..., f_n(z)); batched input (..., n) gives (..., n)."""
-        z = np.asarray(z, dtype=complex)
-        if z.shape[-1] != self.n:
-            raise DimensionMismatchError(f"point dimension {z.shape[-1]} != {self.n}")
-        vals = [f.evaluate(z) for f in self.coeffs]
-        return np.stack([np.asarray(v) for v in vals], axis=-1)
+        z = _check_points(z, self.n)
+        return _monomial_dot(z, self._plan, self._coeffs_t)
+
+    def rounding_scale(self, z: np.ndarray) -> float | np.ndarray:
+        """||(|C| |z|^E)||, per point of a batch (..., n).
+
+        The size f(z) would have if no terms cancelled: f(z) is exact to a
+        few rounding units of it. It is 0 for the zero form and wherever
+        every term vanishes.
+        """
+        a = np.abs(_check_points(z, self.n))
+        return np.linalg.norm(_monomial_dot(a, self._plan, self._abs_coeffs_t), axis=-1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PolyOneForm) and self.coeffs == other.coeffs
@@ -186,14 +289,13 @@ def eval_form(form: PolyOneForm, z) -> np.ndarray:
 
 
 def jacobian_form(form: PolyOneForm, z) -> np.ndarray:
-    """Matrix of holomorphic partials, entry (j,k) = df_j/dz_k at z."""
-    z = as_cvec(z, form.n)
+    """Matrix of holomorphic partials, entry (j,k) = df_j/dz_k at z.
+
+    z is one point (n,), giving (n, n), or a stack (S, n), giving (S, n, n).
+    """
     n = form.n
-    J = np.empty((n, n), dtype=complex)
-    for j, f in enumerate(form.coeffs):
-        for k in range(n):
-            J[j, k] = f.partial(k).evaluate(z)
-    return J
+    z = as_cvec(z, n) if np.ndim(z) == 1 else _check_points(z, n)
+    return _monomial_dot(z, form._dplan, form._dcoeffs).reshape(z.shape[:-1] + (n, n))
 
 
 # -----------------------------------------------------------------------------

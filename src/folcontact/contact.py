@@ -8,6 +8,10 @@ its least-squares formula
     mu(z) = <z, conj(f(z))> / ||f(z)||^2 = sum_j z_j f_j(z) / sum_j |f_j(z)|^2
 
 so the residual ||z - mu conj(f)|| / |z| is independent of any solver state.
+It is undefined where f(z) is zero to rounding, ||f(z)|| <= 1e-14 times
+the form's rounding scale ||(|C| |z|^E)|| at z (see
+PolyOneForm.rounding_scale): a test relative to the size of the terms,
+so it holds at any |z|.
 
 The sphere solver works on the real system in 2n+2 unknowns
 (Re z, Im z, Re mu, Im mu):
@@ -17,9 +21,14 @@ The sphere solver works on the real system in 2n+2 unknowns
     Im <z, anchor>    = 0          (kills the phase orbit through a solution)
 
 with damped Newton iteration from reproducible random sphere seeds. The
-iteration is `_damped_newton`, one kernel shared with the leaf polish in
-leaf.py: it builds the Jacobian once per Newton step, at the iterate the
+iteration is `_damped_newton`, the one Newton kernel of the library, which
+runs a stack of starting points together: each row keeps its own Newton
+sequence, line search and stopping rule, and a row that fails drops out
+alone. It builds the Jacobians once per Newton step, at the iterates the
 step starts from, and its line search evaluates only residuals.
+`sphere_search` hands it the seeds in blocks of SEED_BLOCK rows, so memory
+does not grow with the seed count; `continue_radially` and the leaf polish
+in leaf.py call it with a stack of one.
 """
 
 from __future__ import annotations
@@ -36,6 +45,8 @@ from .errors import NonHomogeneousFormError, RadiusRangeError, SingularGradientE
 ACCEPT_TOL = 1e-9
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 30
+# Seeds per stacked Newton solve in sphere_search.
+SEED_BLOCK = 64
 
 
 @dataclass
@@ -82,18 +93,22 @@ def form_id(form: PolyOneForm) -> str:
     return digest[:12]
 
 
-def _multiplier(z: np.ndarray, f: np.ndarray) -> complex:
+def _gradient_vanishes(form: PolyOneForm, z: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Where f = f(z) is zero to rounding, per point of a batch (..., n)."""
+    return np.linalg.norm(f, axis=-1) <= 1e-14 * form.rounding_scale(z)
+
+
+def _multiplier(form: PolyOneForm, z: np.ndarray, f: np.ndarray) -> complex:
     """mu(z) from the coefficient vector f = f(z); see mu_of."""
-    denom = float(np.sum(np.abs(f) ** 2))
-    if np.sqrt(denom) <= 1e-14 * (1.0 + np.linalg.norm(z)):
+    if _gradient_vanishes(form, z, f):
         raise SingularGradientError("gradient of the one-form vanishes at this point")
-    return complex(np.sum(z * f) / denom)
+    return complex(np.sum(z * f) / float(np.sum(np.abs(f) ** 2)))
 
 
 def mu_of(form: PolyOneForm, z) -> complex:
     """Least-squares multiplier minimizing ||z - mu * conj(f(z))||."""
     z = as_cvec(z, form.n)
-    return _multiplier(z, eval_form(form, z))
+    return _multiplier(form, z, eval_form(form, z))
 
 
 def contact_residual(form: PolyOneForm, z) -> float:
@@ -107,7 +122,7 @@ def contact_residual(form: PolyOneForm, z) -> float:
     if norm_z == 0.0:
         raise ValueError("contact residual is undefined at the origin")
     f = eval_form(form, z)
-    mu = _multiplier(z, f)
+    mu = _multiplier(form, z, f)
     return float(np.linalg.norm(z - mu * f.conj()) / norm_z)
 
 
@@ -141,99 +156,130 @@ def _check_radius(r: float) -> None:
 def _real_rows(dz: np.ndarray, dzbar: np.ndarray, dlam: np.ndarray) -> np.ndarray:
     """Real Jacobian rows (Re G; Im G) of a complex block G(z, conj z, lam).
 
-    From the Wirtinger blocks dG/dz, dG/dconj(z) (m x n) and dG/dlam (m) of
-    a G holomorphic in lam, in the columns (Re z, Im z, Re lam, Im lam).
+    From the Wirtinger blocks dG/dz, dG/dconj(z) (S x m x n) and dG/dlam
+    (S x m) of a G holomorphic in lam, for each row of a stack of S points,
+    in the columns (Re z, Im z, Re lam, Im lam).
     """
-    block = np.hstack([dz + dzbar, 1j * (dz - dzbar), dlam[:, None], 1j * dlam[:, None]])
-    return np.vstack([block.real, block.imag])
+    dlam = dlam[..., None]
+    block = np.concatenate([dz + dzbar, 1j * (dz - dzbar), dlam, 1j * dlam], axis=-1)
+    return np.concatenate([block.real, block.imag], axis=-2)
 
 
-def _contact_system(form: PolyOneForm, r: float, anchor: np.ndarray):
-    """(residual, jacobian) callbacks of the real contact system.
+def _contact_system(form: PolyOneForm, r: float, anchors: np.ndarray):
+    """Stacked (residual, jacobian) callbacks of the real contact system.
 
-    u packs (Re z, Im z, Re nu, Im nu) where nu = 1/mu, i.e. the solved
-    equations are nu z - conj(f(z)) = 0 plus the sphere and phase-anchor
-    rows. The inverse multiplier keeps the Jacobian uniformly scaled across
-    solution branches (the nu-column is z, of norm r, whereas the mu-column
-    conj(f) collapses on branches with small coefficient norm and starves
-    their Newton basins). The residual has length 2n+2.
+    Row s of a stack U packs (Re z, Im z, Re nu, Im nu) where nu = 1/mu,
+    i.e. the solved equations are nu z - conj(f(z)) = 0 plus the sphere and
+    phase-anchor rows, with anchors[s] the anchor of stack row s. The
+    inverse multiplier keeps the Jacobian uniformly scaled across solution
+    branches (the nu-column is z, of norm r, whereas the mu-column conj(f)
+    collapses on branches with small coefficient norm and starves their
+    Newton basins). residual(U, rows) is (S, 2n+2) and jacobian(U, rows)
+    is (S, 2n+2, 2n+2) for the stack rows `rows` held in U.
     """
     n = form.n
 
-    def residual(u: np.ndarray) -> np.ndarray:
-        z = u[:n] + 1j * u[n : 2 * n]
-        G = complex(u[2 * n], u[2 * n + 1]) * z - form.evaluate(z).conj()
-        sphere = np.sum(np.abs(z) ** 2) - r * r
-        return np.concatenate([G.real, G.imag, [sphere, np.imag(np.sum(z * anchor.conj()))]])
+    def residual(U: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        Z = U[:, :n] + 1j * U[:, n : 2 * n]
+        G = (U[:, 2 * n] + 1j * U[:, 2 * n + 1])[:, None] * Z - form.evaluate(Z).conj()
+        sphere = np.sum(np.abs(Z) ** 2, axis=1) - r * r
+        phase = np.imag(np.sum(Z * anchors[rows].conj(), axis=1))
+        return np.concatenate([G.real, G.imag, sphere[:, None], phase[:, None]], axis=1)
 
-    def jacobian(u: np.ndarray) -> np.ndarray:
-        z = u[:n] + 1j * u[n : 2 * n]
-        nu = complex(u[2 * n], u[2 * n + 1])
-        rows = _real_rows(nu * np.eye(n), -jacobian_form(form, z).conj(), z)
-        sphere = np.concatenate([2.0 * z.real, 2.0 * z.imag, [0.0, 0.0]])
-        phase = np.concatenate([-anchor.imag, anchor.real, [0.0, 0.0]])
-        return np.vstack([rows, sphere, phase])
+    def jacobian(U: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        Z = U[:, :n] + 1j * U[:, n : 2 * n]
+        nu = U[:, 2 * n] + 1j * U[:, 2 * n + 1]
+        G = _real_rows(nu[:, None, None] * np.eye(n), -jacobian_form(form, Z).conj(), Z)
+        zeros = np.zeros((len(U), 2))
+        anchor = anchors[rows]
+        sphere = np.concatenate([2.0 * Z.real, 2.0 * Z.imag, zeros], axis=1)
+        phase = np.concatenate([-anchor.imag, anchor.real, zeros], axis=1)
+        return np.concatenate([G, sphere[:, None], phase[:, None]], axis=1)
 
     return residual, jacobian
 
 
-def _damped_newton(residual, jacobian, u0: np.ndarray, target: float, max_iter: int):
-    """Damped Newton on residual(u) = 0 from u0; (u, ||F(u)||) or None.
+def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Steps -J^{-1} F for a stack; NaN rows where J is exactly singular."""
+    try:
+        return np.linalg.solve(J, -F[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # a singular row: solve the rows one by one
+        dU = np.full_like(F, np.nan)
+        for s in range(len(F)):
+            try:
+                dU[s] = np.linalg.solve(J[s], -F[s])
+            except np.linalg.LinAlgError:
+                pass
+        return dU
 
-    Runs until ||F|| <= target or for max_iter steps; the caller judges the
-    final norm. Each step builds the Jacobian once, at its starting iterate,
-    and halves the step until ||F(u + t du)|| < (1 - 1e-4 t) ||F(u)||, with
-    residuals only at the trial points. None on a singular or non-finite
-    step, or when NEWTON_MAX_HALVINGS + 1 halvings find no decrease.
+
+def _damped_newton(residual, jacobian, U0: np.ndarray, target: float, max_iter: int):
+    """Damped Newton on residual(U) = 0 from each row of U0; (U, ||F(U)||).
+
+    Each row runs its own iteration until ||F|| <= target or for max_iter
+    steps; the caller judges the final norms. Each step builds the
+    Jacobians once, at the iterates it starts from, and halves each row's
+    step until ||F(u + t du)|| < (1 - 1e-4 t) ||F(u)||, with residuals only
+    at the trial points of the rows still searching. A row fails, and comes
+    back with norm inf, on a singular or non-finite step, or when
+    NEWTON_MAX_HALVINGS + 1 halvings find no decrease; the other rows go on.
+    The callbacks take (U, rows): the iterates of the stack rows `rows`.
     """
-    u = u0
-    F = residual(u)
-    norm_f = np.linalg.norm(F)
+    U = np.array(U0, dtype=float)
+    F = residual(U, np.arange(len(U)))
+    norm = np.linalg.norm(F, axis=1)
+    live = np.ones(len(U), dtype=bool)
     for _ in range(max_iter):
-        if norm_f <= target:
+        live &= ~(norm <= target)  # a NaN start iterates, and fails on its step
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
             break
-        try:
-            du = np.linalg.solve(jacobian(u), -F)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(du)):
-            return None
-        step = 1.0
+        dU = _newton_steps(jacobian(U[rows], rows), F[rows])
+        finite = np.all(np.isfinite(dU), axis=1)
+        norm[rows[~finite]] = np.inf
+        live[rows[~finite]] = False
+        rows, dU = rows[finite], dU[finite]
+        step = np.ones(len(rows))
+        todo = np.arange(len(rows))  # rows still searching, as indices into `rows`
         for _ in range(NEWTON_MAX_HALVINGS + 1):
-            u_trial = u + step * du
-            F_trial = residual(u_trial)
-            norm_trial = np.linalg.norm(F_trial)
-            if norm_trial < (1.0 - 1e-4 * step) * norm_f:
+            if todo.size == 0:
                 break
-            step *= 0.5
-        else:
-            return None  # no productive step left
-        u, F, norm_f = u_trial, F_trial, norm_trial
-    return u, norm_f
+            at = rows[todo]
+            U_trial = U[at] + step[todo, None] * dU[todo]
+            F_trial = residual(U_trial, at)
+            norm_trial = np.linalg.norm(F_trial, axis=1)
+            ok = norm_trial < (1.0 - 1e-4 * step[todo]) * norm[at]
+            U[at[ok]], F[at[ok]], norm[at[ok]] = U_trial[ok], F_trial[ok], norm_trial[ok]
+            todo = todo[~ok]
+            step[todo] *= 0.5
+        norm[rows[todo]] = np.inf  # no productive step left
+        live[rows[todo]] = False
+    return U, norm
 
 
 def _newton_on_sphere(
     form: PolyOneForm,
-    z0: np.ndarray,
+    Z0: np.ndarray,
     r: float,
-    anchor: np.ndarray | None = None,
     max_iter: int = NEWTON_MAX_ITER,
-) -> np.ndarray | None:
-    """Damped Newton on the contact system at fixed radius; None on failure."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on the contact system at fixed radius from each row of Z0.
+
+    Each row is anchored at its own start. Returns the solutions scaled to
+    radius r and the mask of rows that converged; a row fails when the
+    kernel fails on it, when it stagnates above 1e-6 max(1, r), or when z
+    collapses to 0.
+    """
     n = form.n
-    if anchor is None:
-        anchor = z0
-    f0 = form.evaluate(z0)
-    nu0 = np.conj(np.sum(f0 * z0)) / (r * r)  # least squares for ||nu z - conj f||
-    u0 = np.concatenate([z0.real, z0.imag, [nu0.real, nu0.imag]])
-    out = _damped_newton(*_contact_system(form, r, anchor), u0, 1e-13 * max(1.0, r), max_iter)
-    if out is None or out[1] > 1e-6 * max(1.0, r):
-        return None  # failed, or stagnated far from a solution
-    z = out[0][:n] + 1j * out[0][n : 2 * n]
-    nz = np.linalg.norm(z)
-    if nz == 0.0:
-        return None
-    return z * (r / nz)
+    F0 = form.evaluate(Z0)
+    nu0 = np.conj(np.sum(F0 * Z0, axis=1)) / (r * r)  # least squares for ||nu z - conj f||
+    U0 = np.concatenate([Z0.real, Z0.imag, nu0.real[:, None], nu0.imag[:, None]], axis=1)
+    U, norm = _damped_newton(*_contact_system(form, r, Z0), U0, 1e-13 * max(1.0, r), max_iter)
+    Z = U[:, :n] + 1j * U[:, n : 2 * n]
+    nz = np.linalg.norm(Z, axis=1)
+    ok = (norm <= 1e-6 * max(1.0, r)) & (nz > 0.0)
+    Z[ok] *= (r / nz[ok])[:, None]
+    return Z, ok
 
 
 def _aligned_distance(z: np.ndarray, w: np.ndarray) -> float:
@@ -295,17 +341,21 @@ def sphere_search(
     seeds = sphere_seeds(form.n, n_seeds, rng_seed, r_solve)
     out = SphereSearch(seeds_tried=n_seeds)
     found: list[ContactPoint] = []
-    for a in seeds:
-        z = _newton_on_sphere(form, a, r_solve)
-        if z is None:
-            continue
-        try:
-            res = contact_residual(form, z)
-        except SingularGradientError:
-            continue
-        if res <= tol and abs(np.linalg.norm(z) - r_solve) <= 1e-10 * r_solve:
-            found.append(ContactPoint(z=z, mu=mu_of(form, z), radius=r_solve, residual=res))
-            out.seeds_converged += 1
+    for start in range(0, n_seeds, SEED_BLOCK):
+        Z, ok = _newton_on_sphere(form, seeds[start : start + SEED_BLOCK], r_solve)
+        Z = Z[ok]
+        F = form.evaluate(Z)
+        regular = ~_gradient_vanishes(form, Z, F)
+        Z, F = Z[regular], F[regular]
+        mu = np.sum(Z * F, axis=1) / np.sum(np.abs(F) ** 2, axis=1)
+        norm_z = np.linalg.norm(Z, axis=1)
+        res = np.linalg.norm(Z - mu[:, None] * F.conj(), axis=1) / norm_z
+        keep = (res <= tol) & (np.abs(norm_z - r_solve) <= 1e-10 * r_solve)
+        found += [
+            ContactPoint(z=z, mu=complex(m), radius=r_solve, residual=float(e))
+            for z, m, e in zip(Z[keep], mu[keep], res[keep])
+        ]
+    out.seeds_converged = len(found)
     out.points = _merge_points(found, dedup_tol=1e-6 * r_solve)
     if r_solve != r:
         try:
@@ -385,8 +435,8 @@ def continue_radially(
         r_prev = start.radius
         for r in radii:
             pred = z_prev * (r / r_prev)
-            z = _newton_on_sphere(form, pred, r, anchor=pred)
-            ok = z is not None
+            Z, converged = _newton_on_sphere(form, pred[None], r)
+            z, ok = Z[0], bool(converged[0])
             if ok:
                 res = contact_residual(form, z)
                 # a corrected point far from the prediction means the branch

@@ -30,6 +30,7 @@ from .contact import (
     ContactPoint,
     _check_radius,
     _damped_newton,
+    _gradient_vanishes,
     _multiplier,
     _real_rows,
     contact_residual,
@@ -106,7 +107,7 @@ def sample_field(form: PolyOneForm, z) -> FieldSample:
         raise ValueError("field sample is undefined at the origin")
     f = form.evaluate(z)
     grad = f.conj()
-    mu = _multiplier(z, f)
+    mu = _multiplier(form, z, f)
     w = z - mu * grad
     return FieldSample(
         z=z,
@@ -195,30 +196,35 @@ def make_chart(
 
 
 def _leaf_system(chart: LeafChart):
-    """(residual, jacobian) callbacks of the leaf-constrained contact system.
+    """Stacked (residual, jacobian) callbacks of the leaf-constrained contact system.
 
-    Square real system in (Re z, Im z, Re mu, Im mu): z - mu conj(f(z)) = 0
-    plus the real and imaginary parts of f(z) - c = 0. The leaf constraint
-    replaces the sphere and phase rows of the sphere solver, as the leaf
-    meets each phase orbit discretely.
+    Square real system in (Re z, Im z, Re mu, Im mu) for each row of a
+    stack U: z - mu conj(f(z)) = 0 plus the real and imaginary parts of
+    f(z) - c = 0. The leaf constraint replaces the sphere and phase rows of
+    the sphere solver, as the leaf meets each phase orbit discretely. The
+    system has no per-row data, so the callbacks ignore the kernel's rows.
     """
     form, integral, c = chart.form, chart.integral, chart.c
     n = form.n
 
-    def residual(u: np.ndarray) -> np.ndarray:
-        z = u[:n] + 1j * u[n : 2 * n]
-        G = z - complex(u[2 * n], u[2 * n + 1]) * form.evaluate(z).conj()
-        L = integral.evaluate(z) - c
-        return np.concatenate([G.real, G.imag, [L.real, L.imag]])
+    def residual(U: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        Z = U[:, :n] + 1j * U[:, n : 2 * n]
+        G = Z - (U[:, 2 * n] + 1j * U[:, 2 * n + 1])[:, None] * form.evaluate(Z).conj()
+        L = integral.evaluate(Z) - c
+        return np.concatenate([G.real, G.imag, L.real[:, None], L.imag[:, None]], axis=1)
 
-    def jacobian(u: np.ndarray) -> np.ndarray:
-        z = u[:n] + 1j * u[n : 2 * n]
-        mu = complex(u[2 * n], u[2 * n + 1])
-        f = form.evaluate(z)
-        rows = _real_rows(np.eye(n), -mu * jacobian_form(form, z).conj(), -f.conj())
+    def jacobian(U: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        Z = U[:, :n] + 1j * U[:, n : 2 * n]
+        mu = U[:, 2 * n] + 1j * U[:, 2 * n + 1]
+        F = form.evaluate(Z)
+        G = _real_rows(
+            np.broadcast_to(np.eye(n), (len(U), n, n)),
+            -mu[:, None, None] * jacobian_form(form, Z).conj(),
+            -F.conj(),
+        )
         # d(f - c) = sum_k f_k dz_k: holomorphic, free of the multiplier
-        leaf = _real_rows(f[None, :], np.zeros((1, n)), np.zeros(1))
-        return np.vstack([rows, leaf])
+        leaf = _real_rows(F[:, None, :], np.zeros((len(U), 1, n)), np.zeros((len(U), 1)))
+        return np.concatenate([G, leaf], axis=1)
 
     return residual, jacobian
 
@@ -228,8 +234,8 @@ def _polish_on_leaf(
 ) -> np.ndarray | None:
     """Newton on (z - mu conj(f) = 0, f(z) - c = 0); None on failure.
 
-    Runs the damped-Newton kernel shared with the sphere solver
-    (contact._damped_newton: one Jacobian per step, residuals only at
+    Runs the damped-Newton kernel shared with the sphere solver on a stack
+    of one (contact._damped_newton: one Jacobian per step, residuals only at
     line-search trial points) and, unlike that solver, succeeds only when
     the residual norm reaches its target 1e-13 (1 + |c| + |z0|).
     """
@@ -242,10 +248,10 @@ def _polish_on_leaf(
     mu = complex(np.sum(z0 * f0) / d0)
     u0 = np.concatenate([z0.real, z0.imag, [mu.real, mu.imag]])
     target = 1e-13 * (1.0 + abs(c) + np.linalg.norm(z0))
-    out = _damped_newton(*_leaf_system(chart), u0, target, max_iter)
-    if out is None or out[1] > target:
+    U, norm = _damped_newton(*_leaf_system(chart), u0[None], target, max_iter)
+    if not norm[0] <= target:
         return None
-    return out[0][:n] + 1j * out[0][n : 2 * n]
+    return U[0, :n] + 1j * U[0, n : 2 * n]
 
 
 def flow_to_critical(
@@ -441,7 +447,7 @@ def transversality_scan(
     z = sphere_seeds(form.n, n_samples, rng_seed, r_sample)
     f = form.evaluate(z)
     denom = np.sum(np.abs(f) ** 2, axis=1)
-    singular = np.sqrt(denom) <= 1e-14 * (1.0 + r_sample)
+    singular = _gradient_vanishes(form, z, f)
     denom_safe = np.where(singular, 1.0, denom)
     mu = np.sum(z * f, axis=1) / denom_safe
     w = z - mu[:, None] * f.conj()

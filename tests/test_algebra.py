@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,74 @@ def test_jacobian_matches_finite_differences(fixture, diag321, cubic3):
             fd = (fc.eval_form(form, z + e) - fc.eval_form(form, z - e)) / (2 * h)
             scale = np.abs(J[:, k]) + 1.0
             assert np.all(np.abs(fd - J[:, k]) <= 1e-5 * scale)
+
+
+def _random_form(rng: np.random.Generator, n: int, degree: int) -> fc.PolyOneForm:
+    """Up to 5 random terms per coefficient, exponents up to `degree` per
+    variable; some coefficients are the zero polynomial, some have constants."""
+    coeffs = []
+    for _ in range(n):
+        terms = [
+            (complex(*rng.standard_normal(2)), rng.integers(0, degree + 1, size=n))
+            for _ in range(int(rng.integers(0, 6)))
+        ]
+        if rng.random() < 0.3:
+            terms.append((complex(*rng.standard_normal(2)), [0] * n))
+        coeffs.append(fc.Polynomial(n, terms))
+    return fc.PolyOneForm(coeffs)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_batched_form_matches_per_coefficient_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    for degree in range(6):
+        form = _random_form(rng, n, degree)
+        Z = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+        Z[1, 0] = 0.0
+        Z[2, :] = 0.0
+        Z[3, n - 1] = 0.0
+        F = form.evaluate(Z)
+        J = fc.jacobian_form(form, Z)
+        assert F.shape == (6, n) and J.shape == (6, n, n)
+        want_F = np.stack([f.evaluate(Z) for f in form.coeffs], axis=-1)
+        want_J = np.stack(
+            [np.stack([f.partial(k).evaluate(Z) for k in range(n)], axis=-1) for f in form.coeffs],
+            axis=-2,
+        )
+        assert np.all(np.abs(F - want_F) <= 1e-12 * np.maximum(np.abs(want_F), 1.0))
+        assert np.all(np.abs(J - want_J) <= 1e-12 * np.maximum(np.abs(want_J), 1.0))
+        # one point gives the row of the stack
+        assert np.allclose(form.evaluate(Z[4]), F[4], rtol=1e-12, atol=0)
+        assert np.allclose(fc.jacobian_form(form, Z[4]), J[4], rtol=1e-12, atol=0)
+
+
+def test_zero_form_evaluates_to_zero():
+    zero = fc.PolyOneForm([fc.Polynomial(3, []) for _ in range(3)])
+    Z = np.ones((4, 3), dtype=complex)
+    assert np.array_equal(zero.evaluate(Z), np.zeros((4, 3)))
+    assert np.array_equal(fc.jacobian_form(zero, Z), np.zeros((4, 3, 3)))
+    assert np.array_equal(zero.rounding_scale(Z), np.zeros(4))
+
+
+def test_batched_evaluate_never_builds_a_power_tensor():
+    # the monomials are built one factor at a time: the peak stays below the
+    # (S, m, n) complex tensor of all variable powers of every monomial
+    n = 8
+    cubic = fc.Polynomial(
+        n,
+        [(1.0 + 0.5j, e) for e in itertools.product(range(4), repeat=n) if sum(e) == 3],
+    )
+    form = cubic.differential()
+    m = form._coeffs_t.shape[0]  # the monomials of the form's table
+    Z = np.random.default_rng(1).standard_normal((10_000, n)) + 0j
+    tracemalloc.start()
+    try:
+        form.evaluate(Z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m == 36  # the degree-2 monomials in 8 variables
+    assert peak < Z.shape[0] * m * n * 16
 
 
 def test_integrate_exact_form_roundtrip(diag321, cubic3):

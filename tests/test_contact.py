@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 import folcontact as fc
+from folcontact import contact
 from folcontact.contact import (
+    _aligned_distance,
     _contact_system,
     _damped_newton,
     _merge_points,
+    _newton_on_sphere,
     sphere_search,
     sphere_seeds,
 )
@@ -90,54 +93,131 @@ def test_contact_system_jacobian_matches_finite_differences(form321, cubic3):
     rng = np.random.default_rng(8)
     for form in (form321, cubic3.differential()):
         n = form.n
-        anchor = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        residual, jacobian = _contact_system(form, 1.0, anchor)
-        for _ in range(10):
-            u = rng.standard_normal(2 * n + 2)
-            J = jacobian(u)
-            h = 1e-6
-            for k in range(2 * n + 2):
-                e = np.zeros(2 * n + 2)
-                e[k] = h
-                fd = (residual(u + e) - residual(u - e)) / (2 * h)
-                assert np.all(np.abs(fd - J[:, k]) <= 1e-5 * (1.0 + np.abs(J[:, k])))
+        anchors = rng.standard_normal((10, n)) + 1j * rng.standard_normal((10, n))
+        residual, jacobian = _contact_system(form, 1.0, anchors)
+        rows = np.arange(10)
+        U = rng.standard_normal((10, 2 * n + 2))
+        J = jacobian(U, rows)
+        assert J.shape == (10, 2 * n + 2, 2 * n + 2)
+        h = 1e-6
+        for k in range(2 * n + 2):
+            e = np.zeros(2 * n + 2)
+            e[k] = h
+            fd = (residual(U + e, rows) - residual(U - e, rows)) / (2 * h)
+            assert np.all(np.abs(fd - J[:, :, k]) <= 1e-5 * (1.0 + np.abs(J[:, :, k])))
 
 
 def test_damped_newton_builds_jacobian_once_per_step():
-    # arctan(u) = 0 from u = 3: the full Newton step overshoots to u = -9.5,
-    # so the line search has to reject trial points before it accepts one
-    res_pts, jac_pts = [], []
+    # arctan(u) = 0 from u = 3 and u = -2: the full Newton steps overshoot
+    # (3 -> -9.5), so the line search has to reject trial points before it
+    # accepts one; each row keeps its own sequence
+    res_pts = {0: [], 1: []}
+    jac_pts = {0: [], 1: []}
 
-    def residual(u):
-        res_pts.append(u.copy())
-        return np.arctan(u)
+    def residual(U, rows):
+        for s, u in zip(rows, U):
+            res_pts[int(s)].append(u.copy())
+        return np.arctan(U)
 
-    def jacobian(u):
-        jac_pts.append(u.copy())
-        return np.array([[1.0 / (1.0 + u[0] ** 2)]])
+    def jacobian(U, rows):
+        for s, u in zip(rows, U):
+            jac_pts[int(s)].append(u.copy())
+        return (1.0 / (1.0 + U**2))[:, :, None]
 
-    u, norm_f = _damped_newton(residual, jacobian, np.array([3.0]), 1e-12, 50)
-    assert norm_f <= 1e-12 and abs(u[0]) <= 1e-12
-    assert np.array_equal(res_pts[0], [3.0]) and np.array_equal(jac_pts[0], [3.0])
-    # one Jacobian per step, each at the iterate the step starts from: the
-    # start, then every accepted point except the final one
-    accepted = jac_pts[1:] + [u]
-    assert all(any(np.array_equal(a, p) for p in res_pts) for a in accepted)
-    assert len({float(p[0]) for p in jac_pts}) == len(jac_pts)
-    # every other residual evaluation is a rejected trial point, with no Jacobian
-    rejected = [
-        p for p in res_pts[1:] if not any(np.array_equal(p, a) for a in accepted)
-    ]
-    assert len(rejected) >= 1
-    assert len(res_pts) == 1 + len(accepted) + len(rejected)
-    assert not any(np.array_equal(p, q) for p in rejected for q in jac_pts)
+    U0 = np.array([[3.0], [-2.0]])
+    U, norm = _damped_newton(residual, jacobian, U0, 1e-12, 50)
+    for s in (0, 1):
+        u, res, jac = U[s], res_pts[s], jac_pts[s]
+        assert norm[s] <= 1e-12 and abs(u[0]) <= 1e-12
+        assert np.array_equal(res[0], U0[s]) and np.array_equal(jac[0], U0[s])
+        # one Jacobian per step, each at the iterate the step starts from: the
+        # start, then every accepted point except the final one
+        accepted = jac[1:] + [u]
+        assert all(any(np.array_equal(a, p) for p in res) for a in accepted)
+        assert len({float(p[0]) for p in jac}) == len(jac)
+        # every other residual evaluation is a rejected trial point, with no Jacobian
+        rejected = [p for p in res[1:] if not any(np.array_equal(p, a) for a in accepted)]
+        assert len(rejected) >= 1
+        assert len(res) == 1 + len(accepted) + len(rejected)
+        assert not any(np.array_equal(p, q) for p in rejected for q in jac)
 
 
 def test_damped_newton_fails_on_singular_jacobian():
-    out = _damped_newton(
-        lambda u: u - 1.0, lambda u: np.zeros((2, 2)), np.zeros(2), 1e-12, 10
+    _, norm = _damped_newton(
+        lambda U, rows: U - 1.0,
+        lambda U, rows: np.zeros((len(U), 2, 2)),
+        np.zeros((3, 2)),
+        1e-12,
+        10,
     )
-    assert out is None
+    assert np.all(norm == np.inf)
+
+
+def test_damped_newton_failing_rows_drop_out_alone():
+    # u - 1 = 0 with slopes 0 (singular), 1e-320 (the step overflows to inf)
+    # and 1 (converges in one step), and a NaN start, whose step is NaN
+    slopes = np.array([0.0, 1e-320, 1.0, 1.0])
+
+    def jacobian(U, rows):
+        return slopes[rows][:, None, None] * np.ones((len(U), 1, 1))
+
+    U0 = np.array([[0.0], [0.0], [0.0], [np.nan]])
+    U, norm = _damped_newton(lambda U, rows: U - 1.0, jacobian, U0, 1e-12, 10)
+    assert norm[0] == norm[1] == norm[3] == np.inf
+    assert norm[2] <= 1e-12 and U[2, 0] == 1.0
+
+
+def test_stacked_rows_match_rows_solved_alone(cubic3):
+    for form in (fc.linear_form(random_morse(np.random.default_rng(2), 4)), cubic3.differential()):
+        seeds = sphere_seeds(form.n, 12, 5)
+        Z, ok = _newton_on_sphere(form, seeds, 1.0)
+        assert ok.sum() >= 6
+        for s in range(len(seeds)):
+            z1, ok1 = _newton_on_sphere(form, seeds[s : s + 1], 1.0)
+            assert ok1[0] == ok[s]
+            if ok[s]:
+                assert np.abs(z1[0] - Z[s]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_sphere_search_does_not_depend_on_the_seed_block(block, monkeypatch, cubic3):
+    for form in (fc.linear_form(random_morse(np.random.default_rng(4), 5)), cubic3.differential()):
+        ref = sphere_search(form, 1.0, 20, 17)
+        monkeypatch.setattr(contact, "SEED_BLOCK", block)
+        got = sphere_search(form, 1.0, 20, 17)
+        monkeypatch.undo()
+        assert (got.seeds_tried, got.seeds_converged) == (ref.seeds_tried, ref.seeds_converged)
+        # the same phase orbits; which phase represents an orbit is chosen by
+        # residuals at the rounding level, which the stack size can change
+        assert len(got.points) == len(ref.points)
+        for q in ref.points:
+            p = min(got.points, key=lambda p: _aligned_distance(p.z, q.z))
+            phase = np.vdot(q.z, p.z) / abs(np.vdot(q.z, p.z))
+            assert np.abs(p.z - phase * q.z).max() <= 1e-12
+            assert abs(abs(p.mu) - abs(q.mu)) <= 1e-12 * abs(q.mu)
+
+
+def test_point_at_tiny_point_is_not_singular():
+    # the singular-gradient test is relative to the size of the terms of f,
+    # so a contact point near the origin is as regular as one at |z| = 1
+    form = fc.linear_form(fc.SymMatrix(np.diag([1.0, 2.0])))
+    p = fc.point_at(form, [1e-20, 0.0])
+    assert p.residual == 0.0 and p.mu == 1.0
+
+
+def test_singular_gradient_at_origin_zero_form_and_cancelling_terms(form321):
+    with pytest.raises(SingularGradientError):
+        fc.mu_of(form321, [0.0, 0.0, 0.0])
+    zero = fc.PolyOneForm([fc.Polynomial(2, []), fc.Polynomial(2, [])])
+    with pytest.raises(SingularGradientError):
+        fc.mu_of(zero, [1.0, 0.5])
+    # (z1 - 1) dz1 + 0 dz2: the terms cancel exactly at (1, 0) but not at
+    # (1 + 1e-10, 0), where f = (1e-10, 0) is far above their rounding
+    step = fc.PolyOneForm([fc.Polynomial(2, [(1.0, (1, 0)), (-1.0, (0, 0))]), fc.Polynomial(2, [])])
+    with pytest.raises(SingularGradientError):
+        fc.point_at(step, [1.0, 0.0])
+    p = fc.point_at(step, [1.0 + 1e-10, 0.0])
+    assert p.residual <= 1e-15
 
 
 def test_sphere_search_rejects_zero_form():

@@ -7,7 +7,8 @@ import pytest
 
 import folcontact as fc
 from folcontact.contact import sphere_seeds
-from folcontact.errors import ChartError, FlowError
+from folcontact import leaf
+from folcontact.errors import ChartError, FlowError, SingularGradientError
 from folcontact.leaf import _leaf_system, _tangent_basis, homogeneous_leaf_scale
 
 from conftest import axis_distance, random_morse
@@ -69,15 +70,16 @@ def test_leaf_system_jacobian_matches_finite_differences(form321, integral321, c
         n = form.n
         base = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         residual, jacobian = _leaf_system(fc.make_chart(integral, base, form=form))
-        for _ in range(10):
-            u = rng.standard_normal(2 * n + 2)
-            J = jacobian(u)
-            h = 1e-6
-            for k in range(2 * n + 2):
-                e = np.zeros(2 * n + 2)
-                e[k] = h
-                fd = (residual(u + e) - residual(u - e)) / (2 * h)
-                assert np.all(np.abs(fd - J[:, k]) <= 1e-5 * (1.0 + np.abs(J[:, k])))
+        rows = np.arange(10)
+        U = rng.standard_normal((10, 2 * n + 2))
+        J = jacobian(U, rows)
+        assert J.shape == (10, 2 * n + 2, 2 * n + 2)
+        h = 1e-6
+        for k in range(2 * n + 2):
+            e = np.zeros(2 * n + 2)
+            e[k] = h
+            fd = (residual(U + e, rows) - residual(U - e, rows)) / (2 * h)
+            assert np.all(np.abs(fd - J[:, :, k]) <= 1e-5 * (1.0 + np.abs(J[:, :, k])))
 
 
 def test_gradient_identity_in_chart(diag321, form321, integral321):
@@ -351,6 +353,27 @@ def test_scan_deterministic(form321):
     b = fc.transversality_scan(form321, 1.0, 500, 24)
     assert a[0] == b[0]
     assert all(np.array_equal(x[1], y[1]) and x[0] == y[0] for x, y in zip(a[1], b[1]))
+
+
+def test_scan_singular_mask_agrees_with_mu_of(monkeypatch):
+    # samples score 0 exactly where mu_of finds the gradient zero to rounding;
+    # a form whose terms are all tiny is not singular anywhere but at 0
+    step = fc.PolyOneForm([fc.Polynomial(2, [(1.0, (1, 0)), (-1.0, (0, 0))]), fc.Polynomial(2, [])])
+    tiny = fc.linear_form(fc.SymMatrix(1e-20 * np.array([[1.0, 1.0], [1.0, 0.0]])))
+    points = np.array([[1.0, 0.0], [1.0 + 1e-10, 1.0], [1.0, 1j]], dtype=complex)
+    monkeypatch.setattr(leaf, "sphere_seeds", lambda n, count, seed, r: points[:count])
+    for form, want_singular in ((step, [True, False, True]), (tiny, [False, False, False])):
+        _, worst = fc.transversality_scan(form, 1.0, 3, 0, n_worst=3)
+        singular = []
+        for score, z in sorted(worst, key=lambda sz: points.tolist().index(sz[1].tolist())):
+            try:
+                fc.mu_of(form, z)
+                singular.append(False)
+                assert score > 0.0
+            except SingularGradientError:
+                singular.append(True)
+                assert score == 0.0
+        assert singular == want_singular
 
 
 # -----------------------------------------------------------------------------

@@ -115,3 +115,25 @@ def test_merge_points_is_permutation_invariant(points, data):
     b = _merge_points([points[i] for i in order], dedup_tol=1e-6)
     assert len(a) == len(b)
     assert all(p is q for p, q in zip(a, b))
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    log_gap=st.floats(-12.0, -6.0),
+)
+def test_takagi_reconstructs_near_degenerate_matrices(seed, n, log_gap):
+    # A = U diag(sigma) U^T with one pair of sigma values split by a relative
+    # gap of 1e-12 to 1e-6: the eigenvectors of the pair mix freely, and the
+    # factors must still reconstruct A and stay unitary
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    sigma = np.sort(rng.uniform(0.5, 2.0, n))[::-1]
+    j = int(rng.integers(n - 1))
+    sigma[j + 1] = sigma[j] * (1.0 - 10.0**log_gap)
+    A = U @ np.diag(sigma) @ U.T
+    tk = fc.takagi(fc.SymMatrix(0.5 * (A + A.T)))
+    scale = max(1.0, np.abs(A).max())
+    assert np.abs(tk.reconstruct() - A).max() <= 1e-10 * scale
+    assert np.abs(tk.U.conj().T @ tk.U - np.eye(n)).max() <= 1e-10
