@@ -25,10 +25,14 @@ iteration is `_damped_newton`, the one Newton kernel of the library, which
 runs a stack of starting points together: each row keeps its own Newton
 sequence, line search and stopping rule, and a row that fails drops out
 alone. It builds the Jacobians once per Newton step, at the iterates the
-step starts from, and its line search evaluates only residuals.
+step starts from, and its line search evaluates only residuals: Armijo
+backtracking whose trial steps 2^-h are tried in doubling chunks of h,
+one residual call per chunk, so a step makes at most five calls.
 `sphere_search` hands it the seeds in blocks of SEED_BLOCK rows, so memory
 does not grow with the seed count; `continue_radially` and the leaf polish
-in leaf.py call it with a stack of one.
+in leaf.py call it with a stack of one. The points found are merged into
+phase orbits from Gram products in blocks of SEED_BLOCK rows against all
+m points, so the merge needs O(SEED_BLOCK m) memory, never m^2.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ from .errors import NonHomogeneousFormError, RadiusRangeError, SingularGradientE
 ACCEPT_TOL = 1e-9
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 30
-# Seeds per stacked Newton solve in sphere_search.
+# Seeds per stacked Newton solve in sphere_search, and rows per Gram block
+# of its merge.
 SEED_BLOCK = 64
 
 
@@ -117,13 +122,17 @@ def contact_residual(form: PolyOneForm, z) -> float:
     Vanishes exactly on the contact variety away from the origin; for linear
     forms it is invariant under z -> T z for any complex T != 0.
     """
-    z = as_cvec(z, form.n)
+    return _residual_and_multiplier(form, as_cvec(z, form.n))[0]
+
+
+def _residual_and_multiplier(form: PolyOneForm, z: np.ndarray) -> tuple[float, complex]:
+    """(contact_residual, mu_of) at a point z, from one form evaluation."""
     norm_z = np.linalg.norm(z)
     if norm_z == 0.0:
         raise ValueError("contact residual is undefined at the origin")
     f = eval_form(form, z)
     mu = _multiplier(form, z, f)
-    return float(np.linalg.norm(z - mu * f.conj()) / norm_z)
+    return float(np.linalg.norm(z - mu * f.conj()) / norm_z), mu
 
 
 def sphere_seeds(n: int, count: int, rng_seed: int, radius: float = 1.0) -> np.ndarray:
@@ -218,12 +227,18 @@ def _damped_newton(residual, jacobian, U0: np.ndarray, target: float, max_iter: 
 
     Each row runs its own iteration until ||F|| <= target or for max_iter
     steps; the caller judges the final norms. Each step builds the
-    Jacobians once, at the iterates it starts from, and halves each row's
-    step until ||F(u + t du)|| < (1 - 1e-4 t) ||F(u)||, with residuals only
-    at the trial points of the rows still searching. A row fails, and comes
-    back with norm inf, on a singular or non-finite step, or when
-    NEWTON_MAX_HALVINGS + 1 halvings find no decrease; the other rows go on.
-    The callbacks take (U, rows): the iterates of the stack rows `rows`.
+    Jacobians once, at the iterates it starts from, and takes for each row
+    the first step t = 2^-h, h = 0..NEWTON_MAX_HALVINGS, with
+    ||F(u + t du)|| < (1 - 1e-4 t) ||F(u)|| (Armijo backtracking). The trial
+    steps are tried in doubling chunks, h = 0 | 1-2 | 3-6 | 7-14 | 15-30,
+    each one residual call over the rows still searching: at most five
+    calls per step, and a row that needs k halvings evaluates at most
+    2k + 1 trial points (trying all 31 at once would evaluate several
+    times the rows). The row takes the first passing h of its chunk, the
+    very step a one-halving-at-a-time search would take. A row fails, and
+    comes back with norm inf, on a singular or non-finite step, or when no
+    h passes; the other rows go on. The callbacks take (U, rows): the
+    iterates of the stack rows `rows`.
     """
     U = np.array(U0, dtype=float)
     F = residual(U, np.arange(len(U)))
@@ -239,21 +254,23 @@ def _damped_newton(residual, jacobian, U0: np.ndarray, target: float, max_iter: 
         norm[rows[~finite]] = np.inf
         live[rows[~finite]] = False
         rows, dU = rows[finite], dU[finite]
-        step = np.ones(len(rows))
-        todo = np.arange(len(rows))  # rows still searching, as indices into `rows`
-        for _ in range(NEWTON_MAX_HALVINGS + 1):
-            if todo.size == 0:
-                break
-            at = rows[todo]
-            U_trial = U[at] + step[todo, None] * dU[todo]
-            F_trial = residual(U_trial, at)
-            norm_trial = np.linalg.norm(F_trial, axis=1)
-            ok = norm_trial < (1.0 - 1e-4 * step[todo]) * norm[at]
-            U[at[ok]], F[at[ok]], norm[at[ok]] = U_trial[ok], F_trial[ok], norm_trial[ok]
-            todo = todo[~ok]
-            step[todo] *= 0.5
-        norm[rows[todo]] = np.inf  # no productive step left
-        live[rows[todo]] = False
+        lo = 0  # the chunk h = lo..hi
+        while rows.size and lo <= NEWTON_MAX_HALVINGS:
+            hi = min(2 * lo, NEWTON_MAX_HALVINGS)
+            t = 0.5 ** np.arange(lo, hi + 1)
+            U_trial = U[rows, None] + t[:, None] * dU[:, None]  # (rows, chunk, 2n+2)
+            F_trial = residual(U_trial.reshape(-1, U.shape[1]), np.repeat(rows, len(t)))
+            F_trial = F_trial.reshape(len(rows), len(t), -1)
+            norm_trial = np.linalg.norm(F_trial, axis=2)
+            passes = norm_trial < (1.0 - 1e-4 * t) * norm[rows, None]
+            ok = passes.any(axis=1)
+            h = np.argmax(passes[ok], axis=1)  # the first passing step of each row
+            at = rows[ok]
+            U[at], F[at], norm[at] = U_trial[ok, h], F_trial[ok, h], norm_trial[ok, h]
+            rows, dU = rows[~ok], dU[~ok]
+            lo = hi + 1
+        norm[rows] = np.inf  # no productive step left
+        live[rows] = False
     return U, norm
 
 
@@ -283,37 +300,63 @@ def _newton_on_sphere(
 
 
 def _aligned_distance(z: np.ndarray, w: np.ndarray) -> float:
-    """Euclidean distance after the optimal global phase rotation of w."""
-    d2 = np.sum(np.abs(z) ** 2) + np.sum(np.abs(w) ** 2) - 2.0 * abs(np.sum(z * w.conj()))
-    return float(np.sqrt(max(d2, 0.0)))
+    """Euclidean distance after the optimal global phase rotation of w.
+
+    Taken as ||z - e^{i theta} w|| with e^{i theta} = <w, z>/|<w, z>| (1 when
+    <w, z> = 0), not from |z|^2 + |w|^2 - 2|<z, w>|, which cancels to a
+    floor of about 1.5e-8 |z|.
+    """
+    s = np.vdot(w, z)
+    phase = s / abs(s) if s != 0 else 1.0
+    return float(np.linalg.norm(z - phase * w))
 
 
 def _point_sort_key(p: ContactPoint):
-    return tuple(np.round(np.concatenate([p.z.real, p.z.imag]), 9))
+    """(Re z, Im z) rounded to 9 places, ties broken by the exact values."""
+    x = np.concatenate([p.z.real, p.z.imag])
+    return tuple(np.round(x, 9)), tuple(x)
 
 
 def _merge_points(points: list[ContactPoint], dedup_tol: float) -> list[ContactPoint]:
-    """Merge phase-orbit duplicates; order-independent (full pairwise graph)."""
+    """Merge phase-orbit duplicates; order-independent.
+
+    Two points are joined when their phase-aligned distance is below
+    dedup_tol, and every connected component of that graph is one orbit.
+    The distances come from Gram products in row blocks of SEED_BLOCK
+    points against all m, d^2 = |z_i|^2 + |z_j|^2 - 2|<z_i, z_j>| < tol^2,
+    so memory is O(SEED_BLOCK m), never m^2. This form cancels to an error
+    of about eps r^2, far below tol^2 = 1e-12 r^2 at the tolerance
+    sphere_search uses. The components are found by min-label propagation
+    with pointer jumping, recomputing the blocks each round, until no label
+    changes. Each component is represented by its least point in
+    _point_sort_key order, not by its least residual: residuals near 1e-16
+    are rounding noise and would let rounding pick the phase.
+    """
+    if not points:
+        return []
     m = len(points)
-    parent = list(range(m))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if _aligned_distance(points[i].z, points[j].z) < dedup_tol:
-                parent[root(i)] = root(j)
+    Z = np.array([p.z for p in points])
+    Zbar = Z.conj()
+    sq = np.sum(np.abs(Z) ** 2, axis=1)
+    label = np.arange(m)
+    while True:
+        hooked = label.copy()
+        for start in range(0, m, SEED_BLOCK):
+            block = slice(start, start + SEED_BLOCK)
+            # einsum, not matmul: a multithreaded BLAS product of this thin
+            # shape can be ten times slower on a loaded machine
+            gram = np.einsum("ik,jk->ij", Z[block], Zbar)
+            d2 = sq[block, None] + sq - 2.0 * np.abs(gram)
+            hooked[block] = np.min(np.where(d2 < dedup_tol**2, label, label[block, None]), axis=1)
+        while not np.array_equal(hooked[hooked], hooked):  # pointer jumping
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
     clusters: dict[int, list[ContactPoint]] = {}
-    for i in range(m):
-        clusters.setdefault(root(i), []).append(points[i])
-    reps = [
-        min(group, key=lambda p: (p.residual, _point_sort_key(p)))
-        for group in clusters.values()
-    ]
+    for i, p in zip(label, points):
+        clusters.setdefault(int(i), []).append(p)
+    reps = [min(group, key=_point_sort_key) for group in clusters.values()]
     return sorted(reps, key=_point_sort_key)
 
 
@@ -438,7 +481,7 @@ def continue_radially(
             Z, converged = _newton_on_sphere(form, pred[None], r)
             z, ok = Z[0], bool(converged[0])
             if ok:
-                res = contact_residual(form, z)
+                res, mu = _residual_and_multiplier(form, z)
                 # a corrected point far from the prediction means the branch
                 # was lost (collision / non-Morse behavior), not continued
                 ok = res <= tol and _aligned_distance(z, pred) <= 0.3 * r
@@ -449,7 +492,7 @@ def continue_radially(
                 ):
                     truncation_radius = float(r)
                 break
-            pts.append(ContactPoint(z=z, mu=mu_of(form, z), radius=float(r), residual=res))
+            pts.append(ContactPoint(z=z, mu=mu, radius=float(r), residual=res))
             z_prev, r_prev = z, r
         return pts
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -92,8 +93,8 @@ def _check(argv, report_schema):
 
 
 def test_input_fixtures_match_published_schemas(matrix_file, symplectic_file):
-    jsonschema.validate(json.load(open(matrix_file)), load_schema("matrix.json"))
-    jsonschema.validate(json.load(open(symplectic_file)), load_schema("form.json"))
+    jsonschema.validate(json.loads(Path(matrix_file).read_text()), load_schema("matrix.json"))
+    jsonschema.validate(json.loads(Path(symplectic_file).read_text()), load_schema("form.json"))
 
 
 def test_linear_analyze_report(matrix_file, report_schema):
@@ -293,7 +294,7 @@ def test_exit_2_on_non_finite_matrix_entry(tmp_path):
 
 
 def test_exit_2_on_non_finite_audit_sample(tmp_path, audit_file):
-    samples = json.loads(open(audit_file).read())
+    samples = json.loads(Path(audit_file).read_text())
     samples[3]["field"][1] = float("inf")
     path = tmp_path / "audit_inf.json"
     path.write_text(json.dumps(samples))

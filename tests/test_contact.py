@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,7 +137,7 @@ def test_damped_newton_builds_jacobian_once_per_step():
         accepted = jac[1:] + [u]
         assert all(any(np.array_equal(a, p) for p in res) for a in accepted)
         assert len({float(p[0]) for p in jac}) == len(jac)
-        # every other residual evaluation is a rejected trial point, with no Jacobian
+        # every other residual evaluation is a trial point not taken, with no Jacobian
         rejected = [p for p in res[1:] if not any(np.array_equal(p, a) for a in accepted)]
         assert len(rejected) >= 1
         assert len(res) == 1 + len(accepted) + len(rejected)
@@ -167,6 +169,72 @@ def test_damped_newton_failing_rows_drop_out_alone():
     assert norm[2] <= 1e-12 and U[2, 0] == 1.0
 
 
+def _backtracking_reference(u0: np.ndarray, target: float, max_iter: int):
+    """Damped Newton on arctan(u) = 0 for one row, one halving at a time.
+
+    Returns (u, ||F||, halvings of each step, None for a failed search).
+    """
+    u = np.array(u0, dtype=float)
+    F = np.arctan(u)
+    norm = np.linalg.norm(F)
+    halvings = []
+    for _ in range(max_iter):
+        if norm <= target:
+            break
+        du = np.linalg.solve(np.diag(1.0 / (1.0 + u**2)), -F)
+        t = 1.0
+        for h in range(contact.NEWTON_MAX_HALVINGS + 1):
+            trial = u + t * du
+            F_trial = np.arctan(trial)
+            norm_trial = np.linalg.norm(F_trial)
+            if norm_trial < (1.0 - 1e-4 * t) * norm:
+                u, F, norm = trial, F_trial, norm_trial
+                halvings.append(h)
+                break
+            t *= 0.5
+        else:
+            return u, np.inf, halvings + [None]
+    return u, norm, halvings
+
+
+# arctan(u) = 0 from these starts needs 0, 1, 2, 3, 7, 15, 30 and more than
+# NEWTON_MAX_HALVINGS halvings on its first step (the full step overshoots
+# to about -pi u^2 / 2); 0.0 starts at the root
+ARCTAN_STARTS = [0.5, 2.0, 3.0, 6.0, 100.0, 3e4, 1e9, 1e10, 0.0]
+FIRST_HALVINGS = [0, 1, 2, 3, 7, 15, 30, None, None]
+
+
+def test_chunked_backtracking_matches_one_halving_at_a_time():
+    steps = []  # per Newton step, the stack rows of each residual call
+
+    def residual(U, rows):
+        if steps:
+            steps[-1].append(rows.copy())
+        return np.arctan(U)
+
+    def jacobian(U, rows):
+        steps.append([])
+        return (1.0 / (1.0 + U**2))[:, :, None]
+
+    U0 = np.array(ARCTAN_STARTS)[:, None]
+    U, norm = _damped_newton(residual, jacobian, U0, 1e-12, 50)
+    for s, u0 in enumerate(U0):
+        u, ref_norm, halvings = _backtracking_reference(u0, 1e-12, 50)
+        assert (halvings or [None])[0] == FIRST_HALVINGS[s]
+        assert np.array_equal(U[s], u) and norm[s] == ref_norm
+    assert np.isinf(norm[7]) and np.all(np.delete(norm, 7) <= 1e-12)
+    # at most five residual calls per Newton step; on the first step a row
+    # that needs k halvings evaluates at most 2k + 1 trial points, and the
+    # failing row all NEWTON_MAX_HALVINGS + 1 of them
+    assert all(len(step) <= 5 for step in steps)
+    first = np.concatenate(steps[0])
+    for s, k in enumerate(FIRST_HALVINGS[:-1]):
+        evaluated = np.count_nonzero(first == s)
+        assert 1 <= evaluated <= (2 * k + 1 if k is not None else contact.NEWTON_MAX_HALVINGS + 1)
+    assert np.count_nonzero(first == 7) == contact.NEWTON_MAX_HALVINGS + 1
+    assert np.count_nonzero(first == 8) == 0
+
+
 def test_stacked_rows_match_rows_solved_alone(cubic3):
     for form in (fc.linear_form(random_morse(np.random.default_rng(2), 4)), cubic3.differential()):
         seeds = sphere_seeds(form.n, 12, 5)
@@ -187,14 +255,12 @@ def test_sphere_search_does_not_depend_on_the_seed_block(block, monkeypatch, cub
         got = sphere_search(form, 1.0, 20, 17)
         monkeypatch.undo()
         assert (got.seeds_tried, got.seeds_converged) == (ref.seeds_tried, ref.seeds_converged)
-        # the same phase orbits; which phase represents an orbit is chosen by
-        # residuals at the rounding level, which the stack size can change
+        # the same points at the same phase: the representative of an orbit
+        # does not depend on rounding-level residuals
         assert len(got.points) == len(ref.points)
-        for q in ref.points:
-            p = min(got.points, key=lambda p: _aligned_distance(p.z, q.z))
-            phase = np.vdot(q.z, p.z) / abs(np.vdot(q.z, p.z))
-            assert np.abs(p.z - phase * q.z).max() <= 1e-12
-            assert abs(abs(p.mu) - abs(q.mu)) <= 1e-12 * abs(q.mu)
+        for p, q in zip(got.points, ref.points):
+            assert np.abs(p.z - q.z).max() <= 1e-12
+            assert abs(p.mu - q.mu) <= 1e-12 * abs(q.mu)
 
 
 def test_point_at_tiny_point_is_not_singular():
@@ -293,6 +359,91 @@ def test_merge_is_order_independent(form321):
         assert keys == ref
 
 
+def _merge_reference(points, dedup_tol):
+    """Pairwise union-find over the same Gram distance; the merged points."""
+    parent = list(range(len(points)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, p in enumerate(points):
+        for j in range(i + 1, len(points)):
+            w = points[j].z
+            d2 = np.sum(np.abs(p.z) ** 2) + np.sum(np.abs(w) ** 2) - 2.0 * abs(np.sum(p.z * w.conj()))
+            if d2 < dedup_tol**2:
+                parent[root(i)] = root(j)
+    clusters = {}
+    for i, p in enumerate(points):
+        clusters.setdefault(root(i), []).append(p)
+
+    def key(p):
+        return tuple(np.round(np.concatenate([p.z.real, p.z.imag]), 9)), tuple(
+            np.concatenate([p.z.real, p.z.imag])
+        )
+
+    return sorted((min(group, key=key) for group in clusters.values()), key=key)
+
+
+def _points(Z):
+    return [fc.ContactPoint(z=z, mu=1.0, radius=1.0, residual=0.0) for z in Z]
+
+
+def test_merge_points_matches_pairwise_union_find():
+    tol = 1e-6
+    e1, e2, e3 = np.eye(3, dtype=complex)
+    # a chain of points 0.75 tol apart, so that only neighbours are joined,
+    # with a rotated copy of one link; a lone point, an exact duplicate pair
+    # and random phase copies
+    chain = [e1 + 0.75 * k * tol * e2 for k in range(8)] + [np.exp(2j) * (e1 + 0.75 * tol * e2)]
+    twins = [e3 / np.sqrt(2) + e2 / np.sqrt(2)] * 2
+    rng = np.random.default_rng(21)
+    base = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    copies = [np.exp(1j * rng.uniform(0, 2 * np.pi)) * base[k % 5] for k in range(20)]
+    cases = [[], [e2], chain, twins, chain + [e3] + twins + copies]
+    for Z in cases:
+        for order in [None] + [rng.permutation(len(Z)) for _ in range(4)]:
+            points = _points(Z if order is None else [Z[i] for i in order])
+            got, want = _merge_points(points, tol), _merge_reference(points, tol)
+            assert [p.z.tolist() for p in got] == [p.z.tolist() for p in want]
+    assert len(_merge_points(_points(chain), tol)) == 1
+    assert len(_merge_points(_points(cases[-1]), tol)) == 1 + 1 + 1 + 5
+
+
+def test_merge_points_memory_stays_below_the_gram_matrix():
+    # 1024 orbits, 4 phase copies each: an m x m complex Gram matrix would
+    # take 4096^2 * 16 bytes = 268 MB
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((1024, 3)) + 1j * rng.standard_normal((1024, 3))
+    base /= np.linalg.norm(base, axis=1)[:, None]
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 1024, 1)))
+    points = _points((phases * base).reshape(-1, 3))
+    tracemalloc.start()
+    try:
+        merged = _merge_points(points, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(merged) == 1024
+    assert peak < 268e6 / 10
+
+
+def test_aligned_distance_resolves_close_points():
+    # |z|^2 + |w|^2 - 2|<z, w>| cancels to a floor of about 1.5e-8 |z|
+    # and read 0.0 for both pairs
+    rng = np.random.default_rng(12)
+    z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    z /= np.linalg.norm(z)
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    v -= np.vdot(z, v) * z  # orthogonal to z: the aligned distance is |v|
+    v *= 1.7e-10 / np.linalg.norm(v)
+    w = np.exp(0.7j) * (z + v)
+    assert _aligned_distance(z, w) == pytest.approx(1.7e-10, rel=1e-5)
+    assert _aligned_distance(z, z * (1 + 1e-12)) == pytest.approx(1e-12, rel=1e-3)
+    assert _aligned_distance(z, np.zeros(4)) == pytest.approx(1.0)
+
+
 def test_ratio_spread_at_accepted_points():
     # on accepted points with all coordinates active, the defining ratios agree
     ident = fc.linear_form(fc.SymMatrix(np.eye(3, dtype=complex)))
@@ -320,6 +471,20 @@ def test_continue_radially_linear_line(form321):
     for p in path.points:
         assert axis_distance(p.z, 1) <= 1e-8
         assert p.residual <= 1e-9
+
+
+def test_continue_radially_evaluates_form_once_per_radius(form321, monkeypatch):
+    start = fc.point_at(form321, [0.0, 0.5, 0.0])
+    single = []  # single-point evaluations: the Newton kernel evaluates stacks
+    evaluate, scale = form321.evaluate, form321.rounding_scale
+    monkeypatch.setattr(form321, "evaluate", lambda z: single.append(np.ndim(z) == 1) or evaluate(z))
+    monkeypatch.setattr(form321, "rounding_scale", lambda z: single.append("scale") or scale(z))
+    path = fc.continue_radially(form321, start, 0.1, 2.0, 15)
+    monkeypatch.undo()
+    accepted = len(path.points) - 1
+    assert single.count(True) == single.count("scale") == accepted == 15
+    for p in path.points[1:]:
+        assert p.residual == fc.contact_residual(form321, p.z) and p.mu == fc.mu_of(form321, p.z)
 
 
 def test_continue_radially_cubic_real_axis(cubic3):
