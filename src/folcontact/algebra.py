@@ -11,18 +11,24 @@ Provides the value types the rest of the library is built on:
 * ``gram_inverse``, the hermitian positive matrix ``(conj(A) A)^{-1}`` whose
   eigenvalues are ``1/sigma_j^2``.
 
-A one-form is compiled once, at construction, into a monomial table shared
-by its n coefficients: the distinct exponents E (m x n) and the coefficient
-matrix C (n x m), so that f(z) = C z^E, and a derivative table of the same
-kind for the Jacobian. ``PolyOneForm.evaluate`` and ``jacobian_form`` take
-one point (n,) or a stack (S, n) in a few numpy operations. The monomials
-are built from a table of the powers z_k^0..z_k^d of every variable, one
-factor at a time: each monomial's first variable's power is gathered, then
-its second's is gathered and multiplied in, and so on, so a linear form
-takes one gather whatever n is. A stack is taken ROW_BLOCK points at a
-time, so no intermediate exceeds ROW_BLOCK x m or the power table; the
-(S, m, n) tensor of every variable's power in every monomial is never
-built.
+A polynomial and a one-form are two views of one compiled monomial table:
+the distinct exponents E (m x n), in lexicographic order, and coefficients
+C (m x q), so that the value at z is z^E C, with q = 1 for a polynomial and
+q = n for a one-form's coefficient vector. One canonicalising constructor
+builds every table: it sorts the rows, sums duplicate rows in input order
+and drops all-zero rows, so equal objects have equal tables. One
+derivative rule, d(c z^e)/dz_k = c e_k z^(e - e_k), maps (E, C) to the
+table of the partials; it gives ``partial``, ``differential`` and the
+one-form's Jacobian table.
+
+Both views evaluate through ``_monomial_dot`` at one point (n,) or a stack
+(S, n). The monomials are built from a table of the powers z_k^0..z_k^d of
+every variable, one factor at a time: each monomial's first variable's
+power is gathered, then its second's is gathered and multiplied in, and so
+on, so a linear table takes one gather whatever n is. A stack is taken
+ROW_BLOCK points at a time, so no intermediate exceeds ROW_BLOCK x m or
+the power table; the (S, m, n) tensor of every variable's power in every
+monomial is never built.
 
 Everything here is a pure function of immutable values; arrays handed out
 are set read-only.
@@ -31,6 +37,7 @@ are set read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,89 +70,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class Polynomial:
-    """Sparse polynomial in n complex variables.
-
-    Terms are (complex coefficient, exponent multi-index); duplicates are
-    merged and zero coefficients pruned at construction.
-    """
-
-    def __init__(self, n: int, terms: Iterable[tuple[complex, Sequence[int]]]):
-        if n < 1:
-            raise DimensionMismatchError("polynomial needs n >= 1 variables")
-        self.n = int(n)
-        merged: dict[tuple[int, ...], complex] = {}
-        for coeff, exps in terms:
-            e = tuple(int(k) for k in exps)
-            if len(e) != self.n:
-                raise DimensionMismatchError(f"exponent multi-index {e} has wrong length")
-            if any(k < 0 for k in e):
-                raise ValueError(f"negative exponent in {e}")
-            merged[e] = merged.get(e, 0.0 + 0.0j) + complex(coeff)
-        items = sorted((e, c) for e, c in merged.items() if c != 0)
-        self._exps = _readonly(np.array([e for e, _ in items], dtype=np.int64).reshape(len(items), self.n))
-        self._coeffs = _readonly(np.array([c for _, c in items], dtype=complex))
-
-    @property
-    def terms(self) -> list[tuple[complex, tuple[int, ...]]]:
-        return [(complex(c), tuple(int(k) for k in e)) for c, e in zip(self._coeffs, self._exps)]
-
-    @property
-    def is_zero(self) -> bool:
-        return self._coeffs.size == 0
-
-    @property
-    def total_degree(self) -> int:
-        """Max total degree over terms; 0 for the zero polynomial."""
-        if self.is_zero:
-            return 0
-        return int(self._exps.sum(axis=1).max())
-
-    def homogeneous_degree(self) -> int | None:
-        """Common total degree of all terms, or None if mixed / zero."""
-        if self.is_zero:
-            return None
-        degs = self._exps.sum(axis=1)
-        return int(degs[0]) if np.all(degs == degs[0]) else None
-
-    def evaluate(self, z: np.ndarray) -> complex | np.ndarray:
-        """Evaluate at one point (shape (n,)) or a batch (shape (..., n))."""
-        z = np.asarray(z, dtype=complex)
-        if z.shape[-1] != self.n:
-            raise DimensionMismatchError(f"point dimension {z.shape[-1]} != {self.n}")
-        if self.is_zero:
-            return np.zeros(z.shape[:-1], dtype=complex) if z.ndim > 1 else 0j
-        monomials = np.prod(z[..., None, :] ** self._exps, axis=-1)
-        out = monomials @ self._coeffs
-        return complex(out) if z.ndim == 1 else out
-
-    def partial(self, j: int) -> "Polynomial":
-        """Partial derivative with respect to z_j."""
-        terms = []
-        for c, e in zip(self._coeffs, self._exps):
-            if e[j] > 0:
-                ne = e.copy()
-                ne[j] -= 1
-                terms.append((c * e[j], tuple(ne)))
-        return Polynomial(self.n, terms)
-
-    def differential(self) -> "PolyOneForm":
-        """The exact one-form d(self) with coefficients dself/dz_j."""
-        return PolyOneForm([self.partial(j) for j in range(self.n)])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.n == other.n
-            and self._exps.shape == other._exps.shape
-            and np.array_equal(self._exps, other._exps)
-            and np.array_equal(self._coeffs, other._coeffs)
-        )
-
-    def __repr__(self) -> str:
-        return f"Polynomial(n={self.n}, terms={self.terms!r})"
-
-
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of an integer array in lexicographic order, and the
     index of each row of a among them."""
@@ -165,7 +89,8 @@ def _power_plan(exps: np.ndarray) -> tuple:
     holds, for each monomial, the index k (d + 1) + e of the power z_k^e of
     its t-th variable (in increasing k) in the flattened power table, or
     index 0 (z_1^0 = 1) when the monomial has fewer than t + 1 variables.
-    There is at least one column, so a constant monomial gathers a 1.
+    There is at least one column, so a constant monomial gathers a 1. The
+    exponents 0..d are complex, as complex ** complex skips a cast.
     """
     m = exps.shape[0]
     d = int(exps.max(initial=0))
@@ -174,29 +99,30 @@ def _power_plan(exps: np.ndarray) -> tuple:
     slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
     columns = np.zeros((max(1, int(counts.max(initial=0))), m), dtype=np.int64)
     columns[slot, rows] = ks * (d + 1) + exps[rows, ks]
-    return np.arange(d + 1), tuple(columns)
+    return np.arange(d + 1, dtype=complex), tuple(columns)
 
 
 def _monomial_dot(z: np.ndarray, plan: tuple, coeffs: np.ndarray) -> np.ndarray:
-    """z^E @ coeffs for the monomial table E of a plan and coeffs (m x q).
+    """z^E @ coeffs for the monomial table E of a plan and coeffs (m x q) or (m,).
 
-    One point (n,) gives (q,) and a batch (..., n) gives (..., q). The
-    monomials are built ROW_BLOCK points at a time, one factor at a time
-    (see _power_plan): the powers z_k^0..z_k^d of every variable are taken
-    once, and each factor column gathers one variable's power for every
-    monomial and multiplies it in.
+    A batch (..., n) gives (..., q), and one point (n,) gives (q,); 1-D
+    coeffs drop the q axis. The monomials are built ROW_BLOCK points at a
+    time, one factor at a time (see _power_plan): the powers z_k^0..z_k^d
+    of every variable are taken once, one row of the power table per
+    (k, e) and one column per point, and each factor column gathers one
+    variable's power for every monomial and multiplies it in.
     """
     powers, columns = plan
     flat = z.reshape(-1, z.shape[-1])
-    out = np.empty((len(flat), coeffs.shape[1]), dtype=np.result_type(z, coeffs))
-    for start in range(0, len(flat), ROW_BLOCK):
-        block = flat[start : start + ROW_BLOCK]
-        table = (block[:, :, None] ** powers).reshape(len(block), -1)
-        monomials = table[:, columns[0]]
-        for column in columns[1:]:
-            monomials *= table[:, column]
-        out[start : start + ROW_BLOCK] = monomials @ coeffs
-    return out.reshape(z.shape[:-1] + (coeffs.shape[1],))
+    shape = z.shape[:-1] + coeffs.shape[1:]
+    if len(flat) > ROW_BLOCK:
+        blocks = [flat[s : s + ROW_BLOCK] for s in range(0, len(flat), ROW_BLOCK)]
+        return np.concatenate([_monomial_dot(b, plan, coeffs) for b in blocks]).reshape(shape)
+    table = np.power(flat.T[:, None, :], powers[:, None]).reshape(flat.shape[1] * len(powers), -1)
+    monomials = table[columns[0]]
+    for column in columns[1:]:
+        monomials *= table[column]
+    return (monomials.T @ coeffs).reshape(shape)
 
 
 def _check_points(z, n: int) -> np.ndarray:
@@ -206,13 +132,122 @@ def _check_points(z, n: int) -> np.ndarray:
     return z
 
 
-class PolyOneForm:
+class _MonomialTable:
+    """The compiled monomial table shared by Polynomial and PolyOneForm.
+
+    The canonical exponents E (m x n) and coefficients C (m x q) described
+    in the module docstring, with the power plan that evaluates them.
+    """
+
+    def __init__(self, n: int, exps: np.ndarray, coeffs: np.ndarray):
+        rows, index = _unique_rows(exps)
+        C = np.zeros((len(rows), coeffs.shape[1]), dtype=complex)
+        np.add.at(C, index, coeffs)  # duplicate rows summed in input order
+        keep = np.any(C != 0, axis=1)
+        self.n = n
+        self._exps = _readonly(rows[keep])
+        self._coeffs = _readonly(C[keep])
+        self._plan = _power_plan(self._exps)
+
+    @classmethod
+    def _from_table(cls, n: int, exps: np.ndarray, coeffs: np.ndarray):
+        """An instance of cls whose table is the canonical form of (exps, coeffs)."""
+        table = cls.__new__(cls)
+        _MonomialTable.__init__(table, n, exps, coeffs)
+        return table
+
+    @property
+    def is_zero(self) -> bool:
+        return self._exps.shape[0] == 0
+
+    def homogeneous_degree(self) -> int | None:
+        """Common total degree of every monomial of the table, or None if
+        mixed / zero. For a one-form: the common degree of its nonzero
+        coefficients."""
+        degs = self._exps.sum(axis=1)
+        return int(degs[0]) if degs.size and np.all(degs == degs[0]) else None
+
+    def _derivative(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table of the partials: (D, C') with C'[:, :, k] = d/dz_k of C.
+
+        d(c z^e)/dz_k = c e_k z^(e - e_k): one derivative monomial per
+        (term, variable) pair with e_k > 0. Distinct pairs with one k never
+        share a monomial, so nothing is summed; D is in lexicographic order.
+        """
+        E, C = self._exps, self._coeffs
+        i, k = np.nonzero(E)
+        D, slot = _unique_rows(E[i] - np.eye(self.n, dtype=np.int64)[k])
+        dC = np.zeros((len(D), C.shape[1], self.n), dtype=complex)
+        dC[slot, :, k] = C[i] * E[i, k][:, None]
+        return D, dC
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.n == other.n
+            and np.array_equal(self._exps, other._exps)
+            and np.array_equal(self._coeffs, other._coeffs)
+        )
+
+
+class Polynomial(_MonomialTable):
+    """Sparse polynomial in n complex variables.
+
+    Terms are (complex coefficient, exponent multi-index); duplicates are
+    merged and zero coefficients pruned at construction.
+    """
+
+    def __init__(self, n: int, terms: Iterable[tuple[complex, Sequence[int]]]):
+        if n < 1:
+            raise DimensionMismatchError("polynomial needs n >= 1 variables")
+        n = int(n)
+        coeffs, exps = [], []
+        for coeff, e in terms:
+            e = tuple(int(k) for k in e)
+            if len(e) != n:
+                raise DimensionMismatchError(f"exponent multi-index {e} has wrong length")
+            if any(k < 0 for k in e):
+                raise ValueError(f"negative exponent in {e}")
+            coeffs.append(complex(coeff))
+            exps.append(e)
+        exps = np.array(exps, dtype=np.int64).reshape(-1, n)
+        super().__init__(n, exps, np.array(coeffs, dtype=complex)[:, None])
+
+    @property
+    def terms(self) -> list[tuple[complex, tuple[int, ...]]]:
+        return [(complex(c), tuple(int(k) for k in e)) for (c,), e in zip(self._coeffs, self._exps)]
+
+    @property
+    def total_degree(self) -> int:
+        """Max total degree over terms; 0 for the zero polynomial."""
+        return int(self._exps.sum(axis=1).max(initial=0))
+
+    def evaluate(self, z: np.ndarray) -> complex | np.ndarray:
+        """Evaluate at one point (shape (n,)) or a batch (shape (..., n))."""
+        z = _check_points(z, self.n)
+        out = _monomial_dot(z, self._plan, self._coeffs[:, 0])
+        return complex(out) if z.ndim == 1 else out
+
+    def partial(self, j: int) -> "Polynomial":
+        """Partial derivative with respect to z_j."""
+        D, dC = self._derivative()
+        return Polynomial._from_table(self.n, D, dC[:, :, j])
+
+    def differential(self) -> "PolyOneForm":
+        """The exact one-form d(self) with coefficients dself/dz_j."""
+        D, dC = self._derivative()
+        return PolyOneForm._from_table(self.n, D, dC[:, 0])
+
+    def __repr__(self) -> str:
+        return f"Polynomial(n={self.n}, terms={self.terms!r})"
+
+
+class PolyOneForm(_MonomialTable):
     """Polynomial one-form sum_j f_j(z) dz_j given by n coefficient polynomials.
 
-    Compiled at construction (see the module docstring): f(z) = C z^E from
-    the monomial table E (m x n) and coefficient matrix C (n x m), and the
-    Jacobian from the derivative table D (p x n) and its coefficients
-    (p x n x n).
+    Compiled at construction (see the module docstring): f(z) = z^E C with
+    column j of C the coefficients of f_j. The Jacobian's table, from the
+    derivative rule, and the coefficient polynomials are built at first use.
     """
 
     def __init__(self, coeffs: Sequence[Polynomial]):
@@ -223,61 +258,43 @@ class PolyOneForm:
         for f in coeffs:
             if f.n != n:
                 raise DimensionMismatchError("coefficient polynomial has wrong variable count")
-        self.n = n
-        self.coeffs = tuple(coeffs)
+        exps = np.concatenate([f._exps for f in coeffs])
+        # the terms of f_j go to column j
+        C = np.concatenate([f._coeffs * (np.arange(n) == j) for j, f in enumerate(coeffs)])
+        super().__init__(n, exps, C)
 
-        exps, term = _unique_rows(np.concatenate([f._exps for f in coeffs]))
-        owner = np.repeat(np.arange(n), [f._coeffs.size for f in coeffs])
-        C = np.zeros((n, len(exps)), dtype=complex)
-        C[owner, term] = np.concatenate([f._coeffs for f in coeffs])
-        self._plan = _power_plan(exps)
-        self._coeffs_t = _readonly(C.T.copy())  # f(z) = z^E @ C^T
-        self._abs_coeffs_t = _readonly(np.abs(self._coeffs_t))
+    @cached_property
+    def coeffs(self) -> tuple[Polynomial, ...]:
+        """The coefficient polynomials f_1, ..., f_n: the columns of the table."""
+        E, C = self._exps, self._coeffs
+        return tuple(Polynomial._from_table(self.n, E, C[:, [j]]) for j in range(self.n))
 
-        # d(c z^e)/dz_k = c e_k z^(e - e_k): one derivative monomial per
-        # (term, variable) pair with e_k > 0, each carrying a column of C
-        i, k = np.nonzero(exps)
-        dexps, slot = _unique_rows(exps[i] - np.eye(n, dtype=np.int64)[k])
-        D = np.zeros((len(dexps), n, n), dtype=complex)
-        D[slot, :, k] = (C[:, i] * exps[i, k]).T
-        self._dplan = _power_plan(dexps)
-        self._dcoeffs = _readonly(D.reshape(len(dexps), n * n))
+    @cached_property
+    def _jacobian_table(self) -> tuple[tuple, np.ndarray]:
+        """(plan, coefficients (p x n^2)) of the Jacobian, entry (j, k) = df_j/dz_k."""
+        D, dC = self._derivative()
+        return _power_plan(D), _readonly(dC.reshape(len(D), self.n * self.n))
 
     @property
     def degree_info(self) -> tuple[int, ...]:
         """Total degree of each coefficient polynomial."""
         return tuple(f.total_degree for f in self.coeffs)
 
-    def homogeneous_degree(self) -> int | None:
-        """Common coefficient degree k if every f_j is homogeneous of the same
-        degree (zero coefficients allowed); None otherwise."""
-        k = None
-        for f in self.coeffs:
-            if f.is_zero:
-                continue
-            kf = f.homogeneous_degree()
-            if kf is None or (k is not None and kf != k):
-                return None
-            k = kf
-        return k
-
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         """(f_1(z), ..., f_n(z)); batched input (..., n) gives (..., n)."""
         z = _check_points(z, self.n)
-        return _monomial_dot(z, self._plan, self._coeffs_t)
+        return _monomial_dot(z, self._plan, self._coeffs)
 
     def rounding_scale(self, z: np.ndarray) -> float | np.ndarray:
-        """||(|C| |z|^E)||, per point of a batch (..., n).
+        """||(|z|^E |C|)||, per point of a batch (..., n).
 
         The size f(z) would have if no terms cancelled: f(z) is exact to a
         few rounding units of it. It is 0 for the zero form and wherever
         every term vanishes.
         """
         a = np.abs(_check_points(z, self.n))
-        return np.linalg.norm(_monomial_dot(a, self._plan, self._abs_coeffs_t), axis=-1)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyOneForm) and self.coeffs == other.coeffs
+        powers, columns = self._plan  # real powers for the real |z|
+        return np.linalg.norm(_monomial_dot(a, (powers.real, columns), np.abs(self._coeffs)), axis=-1)
 
     def __repr__(self) -> str:
         return f"PolyOneForm(n={self.n}, degrees={self.degree_info})"
@@ -295,7 +312,8 @@ def jacobian_form(form: PolyOneForm, z) -> np.ndarray:
     """
     n = form.n
     z = as_cvec(z, n) if np.ndim(z) == 1 else _check_points(z, n)
-    return _monomial_dot(z, form._dplan, form._dcoeffs).reshape(z.shape[:-1] + (n, n))
+    plan, coeffs = form._jacobian_table
+    return _monomial_dot(z, plan, coeffs).reshape(z.shape[:-1] + (n, n))
 
 
 # -----------------------------------------------------------------------------
@@ -463,30 +481,15 @@ def takagi(A: SymMatrix, gap_tol: float = GAP_TOL) -> TakagiFactors:
 
 def linear_form(A: SymMatrix) -> PolyOneForm:
     """One-form with f_j(z) = sum_i a_ij z_i, the differential of z^T A z / 2."""
-    n = A.n
-    coeffs = []
-    for j in range(n):
-        terms = []
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            terms.append((A.array[i, j], e))
-        coeffs.append(Polynomial(n, terms))
-    return PolyOneForm(coeffs)
+    return PolyOneForm._from_table(A.n, np.eye(A.n, dtype=np.int64), A.array)
 
 
 def quadratic_first_integral(A: SymMatrix) -> Polynomial:
     """f(z) = z^T A z / 2, the first integral of linear_form(A)."""
-    n = A.n
-    terms = []
-    for i in range(n):
-        for j in range(i, n):
-            e = [0] * n
-            e[i] += 1
-            e[j] += 1
-            c = A.array[i, j] * (0.5 if i == j else 1.0)
-            terms.append((c, e))
-    return Polynomial(n, terms)
+    i, j = np.triu_indices(A.n)
+    eye = np.eye(A.n, dtype=np.int64)
+    coeffs = A.array[i, j] * np.where(i == j, 0.5, 1.0)
+    return Polynomial._from_table(A.n, eye[i] + eye[j], coeffs[:, None])
 
 
 def symplectic_form(n: int) -> PolyOneForm:
@@ -496,39 +499,27 @@ def symplectic_form(n: int) -> PolyOneForm:
     """
     if n < 2 or n % 2 != 0:
         raise DimensionMismatchError("symplectic-type form needs even n >= 2")
-    coeffs = []
-    for j in range(n):
-        partner = j + 1 if j % 2 == 0 else j - 1
-        sign = 1.0 if j % 2 == 0 else -1.0
-        e = [0] * n
-        e[partner] = 1
-        coeffs.append(Polynomial(n, [(sign, e)]))
-    return PolyOneForm(coeffs)
+    j = np.arange(n)
+    C = np.zeros((n, n), dtype=complex)
+    C[j ^ 1, j] = np.where(j % 2 == 0, 1.0, -1.0)  # f_j = +-z_partner, partner = j xor 1
+    return PolyOneForm._from_table(n, np.eye(n, dtype=np.int64), C)
 
 
 def integrate_exact_form(form: PolyOneForm, tol: float = 1e-12) -> Polynomial:
     """First integral f with df = form and f(0) = 0, via radial integration.
 
     Each term c z^alpha of f_j contributes c z^{alpha+e_j} / (|alpha|+1).
-    Raises ValueError if the form is not exact (d of the result is compared
-    against the input coefficient-wise).
+    Raises ValueError if the form is not exact: the table of d of the
+    result minus the form's must vanish to tol times the largest
+    coefficient (at least 1).
     """
-    n = form.n
-    terms = []
-    for j, fj in enumerate(form.coeffs):
-        for c, e in fj.terms:
-            ne = list(e)
-            ne[j] += 1
-            terms.append((c / (sum(e) + 1), ne))
-    f = Polynomial(n, terms)
-    scale = max(
-        (abs(c) for fj in form.coeffs for c, _ in fj.terms),
-        default=1.0,
-    )
-    for j in range(n):
-        got = dict((e, c) for c, e in f.partial(j).terms)
-        want = dict((e, c) for c, e in form.coeffs[j].terms)
-        for e in set(got) | set(want):
-            if abs(got.get(e, 0j) - want.get(e, 0j)) > tol * max(scale, 1.0):
-                raise ValueError("one-form is not exact; no polynomial first integral")
+    n, E, C = form.n, form._exps, form._coeffs
+    j, i = np.nonzero(C.T)  # f_1's terms first, as in form.coeffs
+    # c / (|alpha| + 1) part by part, as a complex divided by a real
+    c = (C[i, j, None].view(float) / (E[i].sum(axis=1) + 1)[:, None]).view(complex)
+    f = Polynomial._from_table(n, E[i] + np.eye(n, dtype=np.int64)[j], c)
+    df = f.differential()
+    diff = _MonomialTable(n, np.concatenate([df._exps, E]), np.concatenate([df._coeffs, -C]))
+    if np.abs(diff._coeffs).max(initial=0.0) > tol * max(np.abs(C).max(initial=0.0), 1.0):
+        raise ValueError("one-form is not exact; no polynomial first integral")
     return f

@@ -284,17 +284,19 @@ def _newton_on_sphere(
 
     Each row is anchored at its own start. Returns the solutions scaled to
     radius r and the mask of rows that converged; a row fails when the
-    kernel fails on it, when it stagnates above 1e-6 max(1, r), or when z
-    collapses to 0.
+    kernel fails on it, when it stagnates above 1e-6 r, or when z collapses
+    to 0. The Newton target 1e-13 r and that bound are relative to r, so a
+    non-homogeneous form, which is solved at r itself, converges at any
+    radius.
     """
     n = form.n
     F0 = form.evaluate(Z0)
     nu0 = np.conj(np.sum(F0 * Z0, axis=1)) / (r * r)  # least squares for ||nu z - conj f||
     U0 = np.concatenate([Z0.real, Z0.imag, nu0.real[:, None], nu0.imag[:, None]], axis=1)
-    U, norm = _damped_newton(*_contact_system(form, r, Z0), U0, 1e-13 * max(1.0, r), max_iter)
+    U, norm = _damped_newton(*_contact_system(form, r, Z0), U0, 1e-13 * r, max_iter)
     Z = U[:, :n] + 1j * U[:, n : 2 * n]
     nz = np.linalg.norm(Z, axis=1)
-    ok = (norm <= 1e-6 * max(1.0, r)) & (nz > 0.0)
+    ok = (norm <= 1e-6 * r) & (nz > 0.0)
     Z[ok] *= (r / nz[ok])[:, None]
     return Z, ok
 
@@ -377,7 +379,7 @@ def sphere_search(
     _check_radius(r)
     if n_seeds < 1:
         raise ValueError("need at least one seed")
-    if all(f.is_zero for f in form.coeffs):
+    if form.is_zero:
         raise SingularGradientError("every coefficient of the one-form is zero")
     k = form.homogeneous_degree()
     r_solve = 1.0 if k is not None else r

@@ -125,10 +125,15 @@ def project_to_leaf(
     c: complex,
     max_iter: int = 50,
 ) -> np.ndarray:
-    """Newton-correct z onto {f = c} along the gradient conj(f).
+    """Newton-correct z onto the leaf {g = c} of the integral g along conj(f).
 
-    Iterates z += (c - f(z)) conj(f(z)) / ||f(z)||^2 down to the rounding
-    floor; raises LeafCorrectionError on divergence.
+    With f = dg the form, iterates z += (c - g(z)) conj(f(z)) / ||f(z)||^2
+    down to the rounding floor; raises LeafCorrectionError on divergence.
+
+    It stays outside the shared kernel contact._damped_newton: it solves one
+    complex equation in n unknowns by that minimum-norm step, with no line
+    search, and the kernel solves square systems; a non-square branch in
+    the kernel would be a second path through it.
     """
     z = as_cvec(z, form.n)
     target = 1e-14 * (1.0 + abs(c))

@@ -89,9 +89,10 @@ def test_jacobian_matches_finite_differences(fixture, diag321, cubic3):
             assert np.all(np.abs(fd - J[:, k]) <= 1e-5 * scale)
 
 
-def _random_form(rng: np.random.Generator, n: int, degree: int) -> fc.PolyOneForm:
-    """Up to 5 random terms per coefficient, exponents up to `degree` per
-    variable; some coefficients are the zero polynomial, some have constants."""
+def _random_terms(rng: np.random.Generator, n: int, degree: int) -> list[list]:
+    """Term lists of n coefficients: up to 5 random terms each, exponents up
+    to `degree` per variable, repeats possible; some coefficients are the
+    zero polynomial, some have constants."""
     coeffs = []
     for _ in range(n):
         terms = [
@@ -100,15 +101,35 @@ def _random_form(rng: np.random.Generator, n: int, degree: int) -> fc.PolyOneFor
         ]
         if rng.random() < 0.3:
             terms.append((complex(*rng.standard_normal(2)), [0] * n))
-        coeffs.append(fc.Polynomial(n, terms))
-    return fc.PolyOneForm(coeffs)
+        coeffs.append(terms)
+    return coeffs
+
+
+def _term_by_term(terms, Z: np.ndarray, k: int | None = None):
+    """(sum of c z^e, sum of |c z^e|) over the terms at each row of Z, or
+    the same for the partials e_k c z^(e - e_k) when k is given."""
+    value = np.zeros(len(Z), dtype=complex)
+    size = np.zeros(len(Z))
+    for c, e in terms:
+        e = [int(x) for x in e]
+        if k is not None:
+            if e[k] == 0:
+                continue
+            c, e = c * e[k], e[:k] + [e[k] - 1] + e[k + 1 :]
+        term = c * np.prod([Z[:, i] ** ei for i, ei in enumerate(e)], axis=0)
+        value += term
+        size += np.abs(term)
+    return value, size
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_batched_form_matches_per_coefficient_oracle(n):
+    # the oracle sums the input terms one by one, repeats included, so it
+    # shares no code with the compiled tables it checks
     rng = np.random.default_rng(100 + n)
     for degree in range(6):
-        form = _random_form(rng, n, degree)
+        raw = _random_terms(rng, n, degree)
+        form = fc.PolyOneForm([fc.Polynomial(n, terms) for terms in raw])
         Z = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
         Z[1, 0] = 0.0
         Z[2, :] = 0.0
@@ -116,16 +137,18 @@ def test_batched_form_matches_per_coefficient_oracle(n):
         F = form.evaluate(Z)
         J = fc.jacobian_form(form, Z)
         assert F.shape == (6, n) and J.shape == (6, n, n)
-        want_F = np.stack([f.evaluate(Z) for f in form.coeffs], axis=-1)
-        want_J = np.stack(
-            [np.stack([f.partial(k).evaluate(Z) for k in range(n)], axis=-1) for f in form.coeffs],
-            axis=-2,
-        )
-        assert np.all(np.abs(F - want_F) <= 1e-12 * np.maximum(np.abs(want_F), 1.0))
-        assert np.all(np.abs(J - want_J) <= 1e-12 * np.maximum(np.abs(want_J), 1.0))
+        for j, terms in enumerate(raw):
+            want, size = _term_by_term(terms, Z)
+            assert np.all(np.abs(F[:, j] - want) <= 1e-12 * size)
+            assert np.all(np.abs(form.coeffs[j].evaluate(Z) - want) <= 1e-12 * size)
+            for k in range(n):
+                want, size = _term_by_term(terms, Z, k)
+                assert np.all(np.abs(J[:, j, k] - want) <= 1e-12 * size)
+                assert np.all(np.abs(form.coeffs[j].partial(k).evaluate(Z) - want) <= 1e-12 * size)
         # one point gives the row of the stack
         assert np.allclose(form.evaluate(Z[4]), F[4], rtol=1e-12, atol=0)
         assert np.allclose(fc.jacobian_form(form, Z[4]), J[4], rtol=1e-12, atol=0)
+        assert form.coeffs[0].evaluate(Z[4]) == pytest.approx(F[4, 0], rel=1e-12, abs=0)
 
 
 def test_zero_form_evaluates_to_zero():
@@ -137,24 +160,24 @@ def test_zero_form_evaluates_to_zero():
 
 
 def test_batched_evaluate_never_builds_a_power_tensor():
-    # the monomials are built one factor at a time: the peak stays below the
-    # (S, m, n) complex tensor of all variable powers of every monomial
+    # the monomials of a polynomial and of a form are built one factor at a
+    # time: the peak stays below the (S, m, n) complex tensor of all
+    # variable powers of every monomial (about 150 MB for the polynomial)
     n = 8
     cubic = fc.Polynomial(
         n,
         [(1.0 + 0.5j, e) for e in itertools.product(range(4), repeat=n) if sum(e) == 3],
     )
-    form = cubic.differential()
-    m = form._coeffs_t.shape[0]  # the monomials of the form's table
     Z = np.random.default_rng(1).standard_normal((10_000, n)) + 0j
-    tracemalloc.start()
-    try:
-        form.evaluate(Z)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert m == 36  # the degree-2 monomials in 8 variables
-    assert peak < Z.shape[0] * m * n * 16
+    for table, m in ((cubic, 120), (cubic.differential(), 36)):  # degree 3 and 2 monomials
+        assert table._exps.shape[0] == m
+        tracemalloc.start()
+        try:
+            table.evaluate(Z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < Z.shape[0] * m * n * 16
 
 
 def test_integrate_exact_form_roundtrip(diag321, cubic3):

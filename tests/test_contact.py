@@ -308,6 +308,24 @@ def test_solve_on_sphere_symplectic_empty(symplectic4):
     assert search.seeds_tried == 50
 
 
+@pytest.mark.parametrize("r", [1e-10, 1e-14])
+def test_non_homogeneous_form_at_small_radius(r):
+    # d(z1^2/2 + z2^2 + z1^3/3) is solved at r itself: with a Newton target
+    # absolute in r no seed converged at these radii
+    g = fc.Polynomial(2, [(0.5, (2, 0)), (1.0, (0, 2)), (1 / 3, (3, 0))])
+    form = g.differential()
+    search = sphere_search(form, r, 20, 0)
+    assert search.seeds_converged == 20 and len(search.points) == 2
+    for p in search.points:  # the contact points lie on the two axes
+        assert abs(np.linalg.norm(p.z) - r) <= 1e-10 * r
+        assert p.residual <= 1e-12
+        assert min(axis_distance(p.z, j) for j in range(2)) <= 1e-12 * r
+    path = fc.continue_radially(form, search.points[0], r / 10, 10 * r, 8)
+    assert not path.truncated and len(path.points) == 9
+    for p in path.points:
+        assert p.residual <= 1e-12
+
+
 def test_solve_on_sphere_identity_phase_structure():
     ident = fc.linear_form(fc.SymMatrix(np.eye(3, dtype=complex)))
     points = fc.solve_on_sphere(ident, 1.0, 40, 97)

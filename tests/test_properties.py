@@ -1,4 +1,4 @@
-"""Property tests: JSON round trip, residual invariances, merge order.
+"""Property tests: JSON round trip, residual invariances, merge order, d and its integral.
 
 Hypothesis runs derandomized with few examples, so these tests are as
 deterministic and fast as the rest of the suite.
@@ -10,6 +10,7 @@ import itertools
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,23 @@ def forms(draw) -> fc.PolyOneForm:
     return fc.PolyOneForm(
         [fc.Polynomial(n, [(complex(re, im), exp) for re, im, exp in terms]) for terms in coeffs]
     )
+
+
+# lcm(1, ..., 12): with exponents up to 3 in at most 4 variables, every
+# c e_k / |e| of the radial integral of a multiple of it is an integer
+LCM = 27720
+
+
+@st.composite
+def polynomials(draw) -> fc.Polynomial:
+    """Polynomials with n = 2..4, exponents up to 3 and Gaussian-integer
+    multiples of LCM as coefficients, so that d and its integral are exact."""
+    n = draw(st.integers(2, 4))
+    term = st.tuples(
+        st.integers(-5, 5), st.integers(-5, 5), st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    )
+    terms = draw(st.lists(term, max_size=6))
+    return fc.Polynomial(n, [(LCM * complex(re, im), exp) for re, im, exp in terms])
 
 
 def _homogeneous_form(rng: np.random.Generator, n: int, k: int) -> fc.PolyOneForm:
@@ -87,6 +105,22 @@ def test_residual_is_scale_invariant_for_linear_forms(seed, n, log_modulus, arg)
     t = 10.0**log_modulus * np.exp(1j * arg)
     res = fc.contact_residual(form, z)
     assert abs(fc.contact_residual(form, t * z) - res) <= 1e-9 * (1.0 + res)
+
+
+@PROPERTY
+@given(polynomials(), st.data())
+def test_integration_inverts_the_derivative_rule(P, data):
+    constant_free = fc.Polynomial(P.n, [(c, e) for c, e in P.terms if any(e)])
+    form = P.differential()
+    assert fc.integrate_exact_form(form) == constant_free  # P - P(0)
+    # adding z_b dz_a, a != b, breaks closedness: d(f_a)/dz_b gains 1 and
+    # d(f_b)/dz_a does not, so no first integral exists
+    a, b = data.draw(st.permutations(range(P.n)))[:2]
+    unit_b = [int(k == b) for k in range(P.n)]
+    coeffs = list(form.coeffs)
+    coeffs[a] = fc.Polynomial(P.n, coeffs[a].terms + [(1.0, unit_b)])
+    with pytest.raises(ValueError, match="not exact"):
+        fc.integrate_exact_form(fc.PolyOneForm(coeffs))
 
 
 @st.composite
