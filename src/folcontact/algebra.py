@@ -193,8 +193,9 @@ class _MonomialTable:
 class Polynomial(_MonomialTable):
     """Sparse polynomial in n complex variables.
 
-    Terms are (complex coefficient, exponent multi-index); duplicates are
-    merged and zero coefficients pruned at construction.
+    Terms are (complex coefficient, exponent multi-index of integers, not
+    bools); duplicates are merged and zero coefficients pruned at
+    construction.
     """
 
     def __init__(self, n: int, terms: Iterable[tuple[complex, Sequence[int]]]):
@@ -203,6 +204,9 @@ class Polynomial(_MonomialTable):
         n = int(n)
         coeffs, exps = [], []
         for coeff, e in terms:
+            e = tuple(e)
+            if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in e):
+                raise ValueError(f"exponents must be integers, got {e!r}")
             e = tuple(int(k) for k in e)
             if len(e) != n:
                 raise DimensionMismatchError(f"exponent multi-index {e} has wrong length")

@@ -13,6 +13,11 @@ the form's rounding scale ||(|C| |z|^E)|| at z (see
 PolyOneForm.rounding_scale): a test relative to the size of the terms,
 so it holds at any |z|.
 
+`_field` is the one place where f, mu, w = z - mu conj(f) and that test are
+computed, for a point or a stack, from one form evaluation. Its callers pick
+what a singular point means: mu_of, contact_residual and point_at raise
+SingularGradientError, sphere_search drops the row.
+
 The sphere solver works on the real system in 2n+2 unknowns
 (Re z, Im z, Re mu, Im mu):
 
@@ -43,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import PolyOneForm, as_cvec, eval_form, jacobian_form
+from .algebra import PolyOneForm, as_cvec, jacobian_form
 from .errors import NonHomogeneousFormError, RadiusRangeError, SingularGradientError
 
 ACCEPT_TOL = 1e-9
@@ -103,17 +108,23 @@ def _gradient_vanishes(form: PolyOneForm, z: np.ndarray, f: np.ndarray) -> np.nd
     return np.linalg.norm(f, axis=-1) <= 1e-14 * form.rounding_scale(z)
 
 
-def _multiplier(form: PolyOneForm, z: np.ndarray, f: np.ndarray) -> complex:
-    """mu(z) from the coefficient vector f = f(z); see mu_of."""
-    if _gradient_vanishes(form, z, f):
-        raise SingularGradientError("gradient of the one-form vanishes at this point")
-    return complex(np.sum(z * f) / float(np.sum(np.abs(f) ** 2)))
+def _field(form: PolyOneForm, z: np.ndarray):
+    """(f, mu, w, singular) at one point (n,) or per row of a stack (S, n).
+
+    Where singular (_gradient_vanishes), mu and w mean nothing: the caller decides.
+    """
+    f = form.evaluate(z)
+    singular = _gradient_vanishes(form, z, f)
+    mu = np.sum(z * f, axis=-1) / np.where(singular, 1.0, np.sum(np.abs(f) ** 2, axis=-1))
+    return f, mu, z - mu[..., None] * f.conj(), singular
 
 
 def mu_of(form: PolyOneForm, z) -> complex:
     """Least-squares multiplier minimizing ||z - mu * conj(f(z))||."""
-    z = as_cvec(z, form.n)
-    return _multiplier(form, z, eval_form(form, z))
+    _, mu, _, singular = _field(form, as_cvec(z, form.n))
+    if singular:
+        raise SingularGradientError("gradient of the one-form vanishes at this point")
+    return complex(mu)
 
 
 def contact_residual(form: PolyOneForm, z) -> float:
@@ -122,17 +133,10 @@ def contact_residual(form: PolyOneForm, z) -> float:
     Vanishes exactly on the contact variety away from the origin; for linear
     forms it is invariant under z -> T z for any complex T != 0.
     """
-    return _residual_and_multiplier(form, as_cvec(z, form.n))[0]
-
-
-def _residual_and_multiplier(form: PolyOneForm, z: np.ndarray) -> tuple[float, complex]:
-    """(contact_residual, mu_of) at a point z, from one form evaluation."""
-    norm_z = np.linalg.norm(z)
-    if norm_z == 0.0:
+    z = as_cvec(z, form.n)
+    if np.linalg.norm(z) == 0.0:
         raise ValueError("contact residual is undefined at the origin")
-    f = eval_form(form, z)
-    mu = _multiplier(form, z, f)
-    return float(np.linalg.norm(z - mu * f.conj()) / norm_z), mu
+    return point_at(form, z).residual
 
 
 def sphere_seeds(n: int, count: int, rng_seed: int, radius: float = 1.0) -> np.ndarray:
@@ -389,12 +393,10 @@ def sphere_search(
     for start in range(0, n_seeds, SEED_BLOCK):
         Z, ok = _newton_on_sphere(form, seeds[start : start + SEED_BLOCK], r_solve)
         Z = Z[ok]
-        F = form.evaluate(Z)
-        regular = ~_gradient_vanishes(form, Z, F)
-        Z, F = Z[regular], F[regular]
-        mu = np.sum(Z * F, axis=1) / np.sum(np.abs(F) ** 2, axis=1)
+        _, mu, W, singular = _field(form, Z)
+        Z, mu, W = Z[~singular], mu[~singular], W[~singular]
         norm_z = np.linalg.norm(Z, axis=1)
-        res = np.linalg.norm(Z - mu[:, None] * F.conj(), axis=1) / norm_z
+        res = np.linalg.norm(W, axis=1) / norm_z
         keep = (res <= tol) & (np.abs(norm_z - r_solve) <= 1e-10 * r_solve)
         found += [
             ContactPoint(z=z, mu=complex(m), radius=r_solve, residual=float(e))
@@ -433,15 +435,16 @@ def solve_on_sphere(
 
 
 def point_at(form: PolyOneForm, z, morse_index: int | None = None) -> ContactPoint:
-    """Package a known location as a ContactPoint (residual recomputed)."""
+    """Package a known location as a ContactPoint (mu and residual recomputed)."""
     z = as_cvec(z, form.n)
-    return ContactPoint(
-        z=z,
-        mu=mu_of(form, z),
-        radius=float(np.linalg.norm(z)),
-        residual=contact_residual(form, z),
-        morse_index=morse_index,
-    )
+    _, mu, w, singular = _field(form, z)
+    if singular:
+        raise SingularGradientError("gradient of the one-form vanishes at this point")
+    radius = float(np.linalg.norm(z))
+    if radius == 0.0:
+        raise ValueError("contact residual is undefined at the origin")
+    residual = float(np.linalg.norm(w)) / radius
+    return ContactPoint(z=z, mu=complex(mu), radius=radius, residual=residual, morse_index=morse_index)
 
 
 def continue_radially(
@@ -483,10 +486,10 @@ def continue_radially(
             Z, converged = _newton_on_sphere(form, pred[None], r)
             z, ok = Z[0], bool(converged[0])
             if ok:
-                res, mu = _residual_and_multiplier(form, z)
+                q = point_at(form, z)
                 # a corrected point far from the prediction means the branch
                 # was lost (collision / non-Morse behavior), not continued
-                ok = res <= tol and _aligned_distance(z, pred) <= 0.3 * r
+                ok = q.residual <= tol and _aligned_distance(z, pred) <= 0.3 * r
             if not ok:
                 truncated = True
                 if truncation_radius is None or abs(r - start.radius) < abs(
@@ -494,7 +497,7 @@ def continue_radially(
                 ):
                     truncation_radius = float(r)
                 break
-            pts.append(ContactPoint(z=z, mu=mu, radius=float(r), residual=res))
+            pts.append(ContactPoint(z=z, mu=q.mu, radius=float(r), residual=q.residual))
             z_prev, r_prev = z, r
         return pts
 
@@ -520,6 +523,8 @@ def radial_invariance_check(
     Requires a homogeneous form (all coefficient polynomials of one total
     degree k); for such forms the contact variety is invariant under the
     radial orbits z -> z e^T with multiplier law mu -> mu conj(e^{kT}) e^{-T}.
+    The scaled points form one stack: any that is 0 or not finite raises
+    ValueError, and any singular one SingularGradientError.
     """
     if form.homogeneous_degree() is None:
         raise NonHomogeneousFormError(
@@ -527,8 +532,11 @@ def radial_invariance_check(
         )
     if not p.accepted:
         raise ValueError("point is not an accepted contact point")
-    for T in T_samples:
-        z = p.z * np.exp(complex(T))
-        if contact_residual(form, z) > tol:
-            return False
-    return True
+    Z = p.z * np.exp(np.asarray(T_samples, dtype=complex))[:, None]
+    radius = np.linalg.norm(Z, axis=1)
+    if not np.all((radius > 0.0) & (radius < np.inf)):
+        raise ValueError("a scaled point is 0 or not finite")
+    _, _, W, singular = _field(form, Z)
+    if np.any(singular):
+        raise SingularGradientError("gradient of the one-form vanishes at a scaled point")
+    return bool(np.all(np.linalg.norm(W, axis=1) / radius <= tol))

@@ -6,7 +6,10 @@ vanishes exactly on the contact variety, and under the standard
 identification of C^n with R^{2n} equals half the gradient of the squared
 distance restricted to the leaf. Flowing along -w therefore descends the
 distance on the leaf; critical points of the restricted distance are the
-contact points on that leaf.
+contact points on that leaf. f, mu, w and the singular test come from
+contact._field, the one place where they are computed: sample_field raises
+at a singular point, transversality_scan scores it 0, and the points flows
+and Hessians report take mu and the residual from their field sample.
 
 Leaves are tracked through a known polynomial first integral g with
 f = dg: the flow corrects drift by Newton steps back onto {g = c} along the
@@ -30,11 +33,8 @@ from .contact import (
     ContactPoint,
     _check_radius,
     _damped_newton,
-    _gradient_vanishes,
-    _multiplier,
+    _field,
     _real_rows,
-    contact_residual,
-    mu_of,
     sphere_seeds,
 )
 from .errors import (
@@ -105,17 +105,22 @@ def sample_field(form: PolyOneForm, z) -> FieldSample:
     z = as_cvec(z, form.n)
     if np.linalg.norm(z) == 0.0:
         raise ValueError("field sample is undefined at the origin")
-    f = form.evaluate(z)
-    grad = f.conj()
-    mu = _multiplier(form, z, f)
-    w = z - mu * grad
+    f, mu, w, singular = _field(form, z)
+    if singular:
+        raise SingularGradientError("gradient of the one-form vanishes at this point")
     return FieldSample(
         z=z,
-        grad_omega=grad,
-        mu=mu,
+        grad_omega=f.conj(),
+        mu=complex(mu),
         w=w,
         t_norm=float(np.linalg.norm(w)),
     )
+
+
+def _sampled_point(s: FieldSample, leaf_value: complex, morse_index: int | None = None):
+    """The ContactPoint at a field sample s, with mu and the residual from s."""
+    radius = float(np.linalg.norm(s.z))
+    return ContactPoint(s.z, s.mu, radius, s.t_norm / radius, leaf_value, morse_index)
 
 
 def project_to_leaf(
@@ -283,16 +288,9 @@ def flow_to_critical(
     if abs(integral.evaluate(z) - c) > LEAF_TOL * (1.0 + abs(c)):
         raise ValueError("seed is not on the leaf")
 
-    def finish(z, steps, trace, polished):
-        res = contact_residual(form, z)
+    def finish(sample, steps, trace, polished):
         return FlowResult(
-            point=ContactPoint(
-                z=z,
-                mu=mu_of(form, z),
-                radius=float(np.linalg.norm(z)),
-                residual=res,
-                leaf_value=complex(integral.evaluate(z)),
-            ),
+            point=_sampled_point(sample, complex(integral.evaluate(sample.z))),
             steps=steps,
             phi_trace=trace,
             polished=polished,
@@ -306,8 +304,8 @@ def flow_to_critical(
         if polished is not None and np.linalg.norm(polished - z) <= 0.2 * (
             1.0 + np.linalg.norm(z)
         ):
-            return finish(polished, 0, trace, True)
-        return finish(z, 0, trace, False)
+            return finish(sample_field(form, polished), 0, trace, True)
+        return finish(s, 0, trace, False)
 
     h = 0.005 * (1.0 + phi) / (s.t_norm**2 + 1e-300)
     steps = 0
@@ -320,11 +318,11 @@ def flow_to_critical(
             if polished is not None and np.linalg.norm(polished - z) <= 0.2 * (
                 1.0 + np.linalg.norm(z)
             ):
-                t_fin = sample_field(form, polished).t_norm
-                if t_fin <= tol:
-                    return finish(polished, steps, trace, True)
+                s_fin = sample_field(form, polished)
+                if s_fin.t_norm <= tol:
+                    return finish(s_fin, steps, trace, True)
         if s.t_norm <= tol:
-            return finish(z, steps, trace, False)
+            return finish(s, steps, trace, False)
 
         accepted = False
         while h >= 1e-15:
@@ -345,7 +343,7 @@ def flow_to_critical(
         if not accepted:
             raise FlowError(
                 "step size collapsed before reaching a critical point",
-                last_point=finish(z, steps, trace, False).point,
+                last_point=finish(s, steps, trace, False).point,
                 steps=steps,
             )
         z, phi = z_new, phi_new
@@ -355,10 +353,10 @@ def flow_to_critical(
         h *= 1.5
 
     if s.t_norm <= tol:
-        return finish(z, steps, trace, False)
+        return finish(s, steps, trace, False)
     raise FlowError(
         f"step limit exceeded (t_norm = {s.t_norm:.3e} after {steps} steps)",
-        last_point=finish(z, steps, trace, False).point,
+        last_point=finish(s, steps, trace, False).point,
         steps=steps,
     )
 
@@ -420,14 +418,7 @@ def leaf_hessian(
 
     eigenvalues = np.linalg.eigvalsh(M)
     negative_count = int(np.sum(eigenvalues < -eig_tol))
-    point = ContactPoint(
-        z=p,
-        mu=s.mu,
-        radius=float(np.linalg.norm(p)),
-        residual=contact_residual(form, p),
-        leaf_value=val,
-        morse_index=negative_count,
-    )
+    point = _sampled_point(s, val, negative_count)
     return HessianReport(
         matrix=M, eigenvalues=eigenvalues, negative_count=negative_count, point=point
     )
@@ -450,12 +441,7 @@ def transversality_scan(
         raise ValueError("need at least one sample")
     r_sample = 1.0 if form.homogeneous_degree() is not None else r
     z = sphere_seeds(form.n, n_samples, rng_seed, r_sample)
-    f = form.evaluate(z)
-    denom = np.sum(np.abs(f) ** 2, axis=1)
-    singular = _gradient_vanishes(form, z, f)
-    denom_safe = np.where(singular, 1.0, denom)
-    mu = np.sum(z * f, axis=1) / denom_safe
-    w = z - mu[:, None] * f.conj()
+    _, _, w, singular = _field(form, z)
     scores = np.linalg.norm(w, axis=1) / r_sample
     scores[singular] = 0.0
     order = np.argsort(scores, kind="stable")[: min(n_worst, n_samples)]

@@ -34,6 +34,22 @@ def test_polynomial_rejects_bad_terms():
         fc.Polynomial(2, [(1.0, (-1, 0))])
 
 
+@pytest.mark.parametrize(
+    "exp",
+    [(1.5, 0), (1.0, 0), (True, 0), (0, np.True_), ("1", 0)],
+    ids=["float", "integral-float", "bool", "numpy-bool", "str"],
+)
+def test_polynomial_refuses_exponents_that_are_not_integers(exp):
+    # int() would turn each of these into an integer exponent and merge terms
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        fc.Polynomial(2, [(1.0, exp), (2.0, (1, 0))])
+
+
+def test_polynomial_accepts_numpy_integer_exponents():
+    p = fc.Polynomial(2, [(1.0, np.array([1, 0])), (2.0, (np.int32(1), np.uint8(0)))])
+    assert p.terms == [(3.0 + 0j, (1, 0))]
+
+
 def test_polynomial_partial_and_differential():
     f = fc.Polynomial(3, [(1.0, (3, 0, 0)), (2.0, (1, 1, 1))])
     fx = f.partial(0)

@@ -549,6 +549,20 @@ def test_radial_invariance_examples(form321, cubic3):
         fc.radial_invariance_check(mixed, pt, [1.0], 1e-9)
 
 
+def test_radial_invariance_raises_at_a_singular_scaled_point(cubic3):
+    # f = 3 z^2 is homogeneous, so it vanishes on the orbit of a contact point
+    # only by underflow: at |z| ~ 1e-100, |f|^2 and the rounding scale's
+    # square round to 0, so the gradient vanishes to rounding there
+    form = cubic3.differential()
+    p = fc.point_at(form, [0.8, 0.0, 0.0])
+    assert fc.radial_invariance_check(form, p, [0.5, 1j], 1e-9)
+    for T_samples in ([0.5, -230.0], [-230.0, 0.5]):
+        with pytest.raises(SingularGradientError):
+            fc.radial_invariance_check(form, p, T_samples, 1e-9)
+    with pytest.raises(ValueError):  # e^T underflows: the scaled point is 0
+        fc.radial_invariance_check(form, p, [0.5, -800.0], 1e-9)
+
+
 def test_radial_invariance_property_on_solved_points(cubic3):
     form = cubic3.differential()
     grid = [0.5, 1j, 1 + 1j, 1j * np.pi / 4]

@@ -37,6 +37,29 @@ def test_sample_field_evaluates_form_once(form321, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("report", ["point_at", "leaf_hessian", "flow_to_critical"])
+def test_reported_point_evaluates_form_once(report, form321, integral321, monkeypatch):
+    # mu and the residual of the reported point come from one field sample;
+    # the flow starts at a critical point and its polish is switched off, so
+    # it reports the seed, sampled once to test for criticality
+    z = (0.6 + 0.3j) * np.array([0.0, 1.0, 0.0])
+    chart = fc.make_chart(integral321, z, form=form321)
+    run = {
+        "point_at": lambda: fc.point_at(form321, z),
+        "leaf_hessian": lambda: fc.leaf_hessian(chart, z).point,
+        "flow_to_critical": lambda: fc.flow_to_critical(chart, z).point,
+    }[report]
+    monkeypatch.setattr(leaf, "_polish_on_leaf", lambda chart, z0: None)
+    calls = []
+    evaluate = form321.evaluate
+    monkeypatch.setattr(form321, "evaluate", lambda z: calls.append(1) or evaluate(z))
+    p = run()
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert np.array_equal(p.z, z)
+    assert p.mu == fc.mu_of(form321, z) and p.residual == fc.contact_residual(form321, z)
+
+
 def test_sample_field_symplectic(symplectic4):
     rng = np.random.default_rng(12)
     z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -370,6 +393,9 @@ def test_scan_singular_mask_agrees_with_mu_of(monkeypatch):
                 fc.mu_of(form, z)
                 singular.append(False)
                 assert score > 0.0
+                # the score is t_norm / r and the residual t_norm / |z|, r = 1
+                residual = fc.contact_residual(form, z)
+                assert score == pytest.approx(residual * np.linalg.norm(z), rel=1e-15, abs=0.0)
             except SingularGradientError:
                 singular.append(True)
                 assert score == 0.0
