@@ -14,9 +14,10 @@ Provides the value types the rest of the library is built on:
 A polynomial and a one-form are two views of one compiled monomial table:
 the distinct exponents E (m x n), in lexicographic order, and coefficients
 C (m x q), so that the value at z is z^E C, with q = 1 for a polynomial and
-q = n for a one-form's coefficient vector. One canonicalising constructor
-builds every table: it sorts the rows, sums duplicate rows in input order
-and drops all-zero rows, so equal objects have equal tables. One
+q = n for a one-form's coefficient vector. One canonicalising function
+(``_canonical``) builds the table of every polynomial and one-form: it
+sorts the rows, sums duplicate rows in input order and drops all-zero
+rows, so equal objects have equal tables. One
 derivative rule, d(c z^e)/dz_k = c e_k z^(e - e_k), maps (E, C) to the
 table of the partials; it gives ``partial``, ``differential`` and the
 one-form's Jacobian table.
@@ -29,6 +30,16 @@ on, so a linear table takes one gather whatever n is. A stack is taken
 ROW_BLOCK points at a time, so no intermediate exceeds ROW_BLOCK x m or
 the power table; the (S, m, n) tensor of every variable's power in every
 monomial is never built.
+
+The same build gives a table's rounding scale ||(|z^E| |C|)||, the size
+its values would have if no terms cancelled: the abs of the monomials
+already built, times |C|, so the scale costs no second pass over the
+points. ``PolyOneForm.evaluate_scaled`` returns f and its scale together.
+The leaf code compiles a first integral g and its form f = dg side by
+side into one table [g | f] of n + 1 columns (``_side_by_side``). One
+build of it at a point (``_build``) gives g and f and keeps its
+monomials, so the scale of f (``_scale``) is taken from them only where
+a caller needs it.
 
 Everything here is a pure function of immutable values; arrays handed out
 are set read-only.
@@ -82,6 +93,16 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[first], index
 
 
+def _canonical(exps: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical form of a table: its distinct rows in lexicographic
+    order, duplicate rows summed in input order, all-zero rows dropped."""
+    rows, index = _unique_rows(exps)
+    C = np.zeros((len(rows), coeffs.shape[1]), dtype=complex)
+    np.add.at(C, index, coeffs)
+    keep = np.any(C != 0, axis=1)
+    return rows[keep], C[keep]
+
+
 def _power_plan(exps: np.ndarray) -> tuple:
     """How _monomial_dot builds the monomials of a table exps (m x n).
 
@@ -102,27 +123,50 @@ def _power_plan(exps: np.ndarray) -> tuple:
     return np.arange(d + 1, dtype=complex), tuple(columns)
 
 
-def _monomial_dot(z: np.ndarray, plan: tuple, coeffs: np.ndarray) -> np.ndarray:
-    """z^E @ coeffs for the monomial table E of a plan and coeffs (m x q) or (m,).
+def _monomials(flat: np.ndarray, plan: tuple) -> np.ndarray:
+    """The monomials z^E (m x S) of a plan's table at the points of flat (S x n).
 
-    A batch (..., n) gives (..., q), and one point (n,) gives (q,); 1-D
-    coeffs drop the q axis. The monomials are built ROW_BLOCK points at a
-    time, one factor at a time (see _power_plan): the powers z_k^0..z_k^d
+    Built one factor at a time (see _power_plan): the powers z_k^0..z_k^d
     of every variable are taken once, one row of the power table per
     (k, e) and one column per point, and each factor column gathers one
     variable's power for every monomial and multiplies it in.
     """
     powers, columns = plan
-    flat = z.reshape(-1, z.shape[-1])
-    shape = z.shape[:-1] + coeffs.shape[1:]
-    if len(flat) > ROW_BLOCK:
-        blocks = [flat[s : s + ROW_BLOCK] for s in range(0, len(flat), ROW_BLOCK)]
-        return np.concatenate([_monomial_dot(b, plan, coeffs) for b in blocks]).reshape(shape)
     table = np.power(flat.T[:, None, :], powers[:, None]).reshape(flat.shape[1] * len(powers), -1)
     monomials = table[columns[0]]
     for column in columns[1:]:
         monomials *= table[column]
-    return (monomials.T @ coeffs).reshape(shape)
+    return monomials
+
+
+def _rounding_scale(monomials: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """||(|z^E| @ bound)|| per point, from the monomials z^E (m x S) of a build."""
+    sizes = np.abs(monomials).T @ bound
+    return np.sqrt(np.add.reduce(sizes * sizes, axis=-1))
+
+
+def _monomial_dot(z: np.ndarray, plan: tuple, coeffs: np.ndarray, bound: np.ndarray | None = None):
+    """z^E @ coeffs for the monomial table E of a plan and coeffs (m x q) or (m,).
+
+    A batch (..., n) gives (..., q), and one point (n,) gives (q,); 1-D
+    coeffs drop the q axis. The monomials are built ROW_BLOCK points at a
+    time. With a non-negative bound (m x p) it returns (values, scale):
+    the scale ||(|z^E| @ bound)|| per point, (...) or a scalar, from the
+    same monomials.
+    """
+    flat = z.reshape(-1, z.shape[-1])
+    shape = z.shape[:-1] + coeffs.shape[1:]
+    if len(flat) > ROW_BLOCK:
+        parts = [_monomial_dot(flat[s : s + ROW_BLOCK], plan, coeffs, bound) for s in range(0, len(flat), ROW_BLOCK)]
+        if bound is None:
+            return np.concatenate(parts).reshape(shape)
+        values, scales = zip(*parts)
+        return np.concatenate(values).reshape(shape), np.concatenate(scales).reshape(z.shape[:-1])
+    monomials = _monomials(flat, plan)
+    values = (monomials.T @ coeffs).reshape(shape)
+    if bound is None:
+        return values
+    return values, _rounding_scale(monomials, bound).reshape(z.shape[:-1])[()]
 
 
 def _check_points(z, n: int) -> np.ndarray:
@@ -135,25 +179,43 @@ def _check_points(z, n: int) -> np.ndarray:
 class _MonomialTable:
     """The compiled monomial table shared by Polynomial and PolyOneForm.
 
-    The canonical exponents E (m x n) and coefficients C (m x q) described
-    in the module docstring, with the power plan that evaluates them.
+    The exponents E (m x n) and coefficients C (m x q) described in the
+    module docstring, with the power plan that evaluates them. The rows are
+    kept as given: every polynomial and one-form passes them through
+    _canonical first, and only _side_by_side, whose table is only
+    evaluated, does not.
     """
 
     def __init__(self, n: int, exps: np.ndarray, coeffs: np.ndarray):
-        rows, index = _unique_rows(exps)
-        C = np.zeros((len(rows), coeffs.shape[1]), dtype=complex)
-        np.add.at(C, index, coeffs)  # duplicate rows summed in input order
-        keep = np.any(C != 0, axis=1)
         self.n = n
-        self._exps = _readonly(rows[keep])
-        self._coeffs = _readonly(C[keep])
+        self._exps = _readonly(exps)
+        self._coeffs = _readonly(coeffs)
         self._plan = _power_plan(self._exps)
+
+    @cached_property
+    def _abs_coeffs(self) -> np.ndarray:
+        return _readonly(np.abs(self._coeffs))
+
+    def _dot(self, z):
+        """z^E C at one point (n,) or a stack (..., n)."""
+        return _monomial_dot(_check_points(z, self.n), self._plan, self._coeffs)
+
+    def _build(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(z^E C, z^E) at one point z (n,): the values and the monomials of
+        their one build, from which _scale takes a rounding scale later."""
+        monomials = _monomials(z[None], self._plan)
+        return (monomials.T @ self._coeffs)[0], monomials
+
+    def _scale(self, monomials: np.ndarray, first: int = 0) -> float:
+        """||(|z^E| |C[:, first:]|)||, the rounding scale of the columns
+        from first on, from the monomials of a _build."""
+        return float(_rounding_scale(monomials, self._abs_coeffs[:, first:])[0])
 
     @classmethod
     def _from_table(cls, n: int, exps: np.ndarray, coeffs: np.ndarray):
         """An instance of cls whose table is the canonical form of (exps, coeffs)."""
         table = cls.__new__(cls)
-        _MonomialTable.__init__(table, n, exps, coeffs)
+        _MonomialTable.__init__(table, n, *_canonical(exps, coeffs))
         return table
 
     @property
@@ -215,7 +277,7 @@ class Polynomial(_MonomialTable):
             coeffs.append(complex(coeff))
             exps.append(e)
         exps = np.array(exps, dtype=np.int64).reshape(-1, n)
-        super().__init__(n, exps, np.array(coeffs, dtype=complex)[:, None])
+        super().__init__(n, *_canonical(exps, np.array(coeffs, dtype=complex)[:, None]))
 
     @property
     def terms(self) -> list[tuple[complex, tuple[int, ...]]]:
@@ -265,7 +327,7 @@ class PolyOneForm(_MonomialTable):
         exps = np.concatenate([f._exps for f in coeffs])
         # the terms of f_j go to column j
         C = np.concatenate([f._coeffs * (np.arange(n) == j) for j, f in enumerate(coeffs)])
-        super().__init__(n, exps, C)
+        super().__init__(n, *_canonical(exps, C))
 
     @cached_property
     def coeffs(self) -> tuple[Polynomial, ...]:
@@ -286,22 +348,34 @@ class PolyOneForm(_MonomialTable):
 
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         """(f_1(z), ..., f_n(z)); batched input (..., n) gives (..., n)."""
-        z = _check_points(z, self.n)
-        return _monomial_dot(z, self._plan, self._coeffs)
+        return self._dot(z)
 
-    def rounding_scale(self, z: np.ndarray) -> float | np.ndarray:
-        """||(|z|^E |C|)||, per point of a batch (..., n).
+    def evaluate_scaled(self, z: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+        """(f(z), ||(|z^E| |C|)||) at one point or per point of a batch (..., n).
 
-        The size f(z) would have if no terms cancelled: f(z) is exact to a
-        few rounding units of it. It is 0 for the zero form and wherever
-        every term vanishes.
+        The scale is the size f(z) would have if no terms cancelled: f(z) is
+        exact to a few rounding units of it. It is 0 for the zero form and
+        wherever every term vanishes. Both come from one monomial build.
         """
-        a = np.abs(_check_points(z, self.n))
-        powers, columns = self._plan  # real powers for the real |z|
-        return np.linalg.norm(_monomial_dot(a, (powers.real, columns), np.abs(self._coeffs)), axis=-1)
+        return _monomial_dot(_check_points(z, self.n), self._plan, self._coeffs, self._abs_coeffs)
 
     def __repr__(self) -> str:
         return f"PolyOneForm(n={self.n}, degrees={self.degree_info})"
+
+
+def _side_by_side(g: Polynomial, form: PolyOneForm) -> _MonomialTable:
+    """The table [g | f] of a polynomial g and a one-form f, for evaluation only.
+
+    Column 0 is g and columns 1..n are f. The rows of the two tables are
+    stacked, not merged, so compiling it costs only the power plan; a
+    monomial that both share is built twice.
+    """
+    if g.n != form.n:
+        raise DimensionMismatchError(f"polynomial in {g.n} variables, one-form in {form.n}")
+    C = np.zeros((len(g._exps) + len(form._exps), form.n + 1), dtype=complex)
+    C[: len(g._exps), :1] = g._coeffs
+    C[len(g._exps) :, 1:] = form._coeffs
+    return _MonomialTable(form.n, np.concatenate([g._exps, form._exps]), C)
 
 
 def eval_form(form: PolyOneForm, z) -> np.ndarray:
@@ -523,7 +597,7 @@ def integrate_exact_form(form: PolyOneForm, tol: float = 1e-12) -> Polynomial:
     c = (C[i, j, None].view(float) / (E[i].sum(axis=1) + 1)[:, None]).view(complex)
     f = Polynomial._from_table(n, E[i] + np.eye(n, dtype=np.int64)[j], c)
     df = f.differential()
-    diff = _MonomialTable(n, np.concatenate([df._exps, E]), np.concatenate([df._coeffs, -C]))
-    if np.abs(diff._coeffs).max(initial=0.0) > tol * max(np.abs(C).max(initial=0.0), 1.0):
+    _, diff = _canonical(np.concatenate([df._exps, E]), np.concatenate([df._coeffs, -C]))
+    if np.abs(diff).max(initial=0.0) > tol * max(np.abs(C).max(initial=0.0), 1.0):
         raise ValueError("one-form is not exact; no polynomial first integral")
     return f

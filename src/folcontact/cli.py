@@ -64,6 +64,20 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return value
+
+
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=TOOL,
@@ -82,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--samples", type=int, default=10000, help="scan sample count (default 10000)"
         )
         p.add_argument(
-            "--tol", type=_finite, default=None, help="acceptance tolerance (module default)"
+            "--tol", type=_positive, default=None, help="acceptance tolerance, > 0 (module default)"
         )
         p.add_argument("--rng-seed", type=int, default=0, help="random generator key (default 0)")
         p.add_argument("--c-re", type=_finite, default=None, help="leaf value, real part")
@@ -102,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=20)
     p = add("leaf-flow", "distance flow on a leaf to a critical point (input: {form, seed})")
     p.add_argument("--direction", choices=("descend", "ascend"), default="descend")
-    p.add_argument("--max-steps", type=int, default=2000)
+    p.add_argument("--max-steps", type=_non_negative, default=2000)
     add("leaf-hessian", "restricted Hessian at a critical point (input: {form, point})")
     add("scan", "transversality scan of a one-form over a sphere")
     p = add("index-pugh", "even-sphere Morse boundary-index identity", needs_input=False)

@@ -9,13 +9,15 @@ its least-squares formula
 
 so the residual ||z - mu conj(f)|| / |z| is independent of any solver state.
 It is undefined where f(z) is zero to rounding, ||f(z)|| <= 1e-14 times
-the form's rounding scale ||(|C| |z|^E)|| at z (see
-PolyOneForm.rounding_scale): a test relative to the size of the terms,
+the form's rounding scale ||(|z^E| |C|)|| at z (see
+PolyOneForm.evaluate_scaled): a test relative to the size of the terms,
 so it holds at any |z|.
 
-`_field` is the one place where f, mu, w = z - mu conj(f) and that test are
-computed, for a point or a stack, from one form evaluation. Its callers pick
-what a singular point means: mu_of, contact_residual and point_at raise
+`_field` is the one place where mu, w = z - mu conj(f) and that test are
+computed, for a point or a stack, from f and its rounding scale, which
+one monomial build gives together (PolyOneForm.evaluate_scaled here, the
+leaf chart's [g | f] table in leaf.py). Its callers pick what a singular
+point means: mu_of, contact_residual and point_at raise
 SingularGradientError, sphere_search drops the row.
 
 The sphere solver works on the real system in 2n+2 unknowns
@@ -103,25 +105,29 @@ def form_id(form: PolyOneForm) -> str:
     return digest[:12]
 
 
-def _gradient_vanishes(form: PolyOneForm, z: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Where f = f(z) is zero to rounding, per point of a batch (..., n)."""
-    return np.linalg.norm(f, axis=-1) <= 1e-14 * form.rounding_scale(z)
+def _field(z: np.ndarray, f: np.ndarray, scale):
+    """(mu, w, singular) at one point (n,) or per row of a stack (S, n).
 
-
-def _field(form: PolyOneForm, z: np.ndarray):
-    """(f, mu, w, singular) at one point (n,) or per row of a stack (S, n).
-
-    Where singular (_gradient_vanishes), mu and w mean nothing: the caller decides.
+    From f = f(z) and its rounding scale. singular is where f is zero to
+    rounding, ||f|| <= 1e-14 scale; there mu and w mean nothing, and the
+    caller decides.
     """
-    f = form.evaluate(z)
-    singular = _gradient_vanishes(form, z, f)
-    mu = np.sum(z * f, axis=-1) / np.where(singular, 1.0, np.sum(np.abs(f) ** 2, axis=-1))
-    return f, mu, z - mu[..., None] * f.conj(), singular
+    sq = np.sum(np.abs(f) ** 2, axis=-1)
+    singular = np.sqrt(sq) <= 1e-14 * scale
+    mu = np.sum(z * f, axis=-1) / np.where(singular, 1.0, sq)
+    return mu, z - mu[..., None] * f.conj(), singular
+
+
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not positive (NaN too): no point could meet it."""
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
 
 
 def mu_of(form: PolyOneForm, z) -> complex:
     """Least-squares multiplier minimizing ||z - mu * conj(f(z))||."""
-    _, mu, _, singular = _field(form, as_cvec(z, form.n))
+    z = as_cvec(z, form.n)
+    mu, _, singular = _field(z, *form.evaluate_scaled(z))
     if singular:
         raise SingularGradientError("gradient of the one-form vanishes at this point")
     return complex(mu)
@@ -381,6 +387,7 @@ def sphere_search(
     how far r is from 1.
     """
     _check_radius(r)
+    _check_tol(tol)
     if n_seeds < 1:
         raise ValueError("need at least one seed")
     if form.is_zero:
@@ -393,7 +400,7 @@ def sphere_search(
     for start in range(0, n_seeds, SEED_BLOCK):
         Z, ok = _newton_on_sphere(form, seeds[start : start + SEED_BLOCK], r_solve)
         Z = Z[ok]
-        _, mu, W, singular = _field(form, Z)
+        mu, W, singular = _field(Z, *form.evaluate_scaled(Z))
         Z, mu, W = Z[~singular], mu[~singular], W[~singular]
         norm_z = np.linalg.norm(Z, axis=1)
         res = np.linalg.norm(W, axis=1) / norm_z
@@ -437,7 +444,7 @@ def solve_on_sphere(
 def point_at(form: PolyOneForm, z, morse_index: int | None = None) -> ContactPoint:
     """Package a known location as a ContactPoint (mu and residual recomputed)."""
     z = as_cvec(z, form.n)
-    _, mu, w, singular = _field(form, z)
+    mu, w, singular = _field(z, *form.evaluate_scaled(z))
     if singular:
         raise SingularGradientError("gradient of the one-form vanishes at this point")
     radius = float(np.linalg.norm(z))
@@ -466,6 +473,7 @@ def continue_radially(
         raise ValueError("need 0 < r_min < start.radius < r_max")
     if steps < 2:
         raise ValueError("need at least two continuation steps")
+    _check_tol(tol)
     if not start.accepted:
         raise ValueError("start point is not an accepted contact point")
 
@@ -536,7 +544,7 @@ def radial_invariance_check(
     radius = np.linalg.norm(Z, axis=1)
     if not np.all((radius > 0.0) & (radius < np.inf)):
         raise ValueError("a scaled point is 0 or not finite")
-    _, _, W, singular = _field(form, Z)
+    _, W, singular = _field(Z, *form.evaluate_scaled(Z))
     if np.any(singular):
         raise SingularGradientError("gradient of the one-form vanishes at a scaled point")
     return bool(np.all(np.linalg.norm(W, axis=1) / radius <= tol))

@@ -6,16 +6,25 @@ vanishes exactly on the contact variety, and under the standard
 identification of C^n with R^{2n} equals half the gradient of the squared
 distance restricted to the leaf. Flowing along -w therefore descends the
 distance on the leaf; critical points of the restricted distance are the
-contact points on that leaf. f, mu, w and the singular test come from
+contact points on that leaf. mu, w and the singular test come from
 contact._field, the one place where they are computed: sample_field raises
 at a singular point, transversality_scan scores it 0, and the points flows
 and Hessians report take mu and the residual from their field sample.
 
 Leaves are tracked through a known polynomial first integral g with
-f = dg: the flow corrects drift by Newton steps back onto {g = c} along the
-gradient, and the restricted Hessian at a critical point is computed
-exactly from f, D^2 g and the multiplier, in an orthonormal basis of the
-tangent space ker(f^T) of the leaf.
+f = dg. A LeafChart compiles g and f side by side into one monomial table
+[g | f] of n + 1 columns (see algebra), once per (integral, form): the
+chart of a nearby leaf (index_persistence) shares it. Every point the leaf
+code visits is built once, and that build gives g and f (_evaluate): each
+iterate of the correction onto {g = c}, the make_chart checks, the
+leaf_hessian precheck, the point a flow reports and each residual of the
+leaf polish. A field sample takes the rounding scale of f from the
+monomials of its point's build (_chart_sample), and the correction hands
+back its last build, so the field samples of a flow step, at its midpoint
+and its new point, cost no evaluation. The flow corrects drift by Newton
+steps back onto {g = c} along the gradient, and the restricted Hessian at
+a critical point is computed exactly from f, D^2 g and the multiplier, in
+an orthonormal basis of the tangent space ker(f^T) of the leaf.
 
 Hessian scale convention: reports contain half the Hessian of the squared
 distance, which makes the eigenvalues dimensionless (the quadratic-integral
@@ -24,14 +33,15 @@ closed form is then exactly {1 +- sigma_i/sigma_j}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import Polynomial, PolyOneForm, as_cvec, jacobian_form
+from .algebra import Polynomial, PolyOneForm, _MonomialTable, _side_by_side, as_cvec, jacobian_form
 from .contact import (
     ContactPoint,
     _check_radius,
+    _check_tol,
     _damped_newton,
     _field,
     _real_rows,
@@ -64,14 +74,24 @@ class FieldSample:
 class LeafChart:
     """The leaf {g = c} of a first integral g, with the one-form f = dg.
 
-    Flows, the leaf polish and the restricted Hessian all move on the leaf
-    through g and f; make_chart checks that the leaf is regular where it
-    is created.
+    `table` is g and f compiled side by side into one monomial table
+    [g | f] (n + 1 columns; algebra._side_by_side): one build of it at a
+    point gives g and f, and the rounding scale of f from the same
+    monomials. It is compiled when a chart is made without one, and
+    replace(chart, c=...) shares it, which is how index_persistence moves
+    to a nearby leaf. Flows, the leaf polish and the restricted Hessian all
+    move on the leaf through it; make_chart checks that the leaf is regular
+    where it is created.
     """
 
     integral: Polynomial
     form: PolyOneForm
     c: complex
+    table: _MonomialTable | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.table is None:
+            self.table = _side_by_side(self.integral, self.form)
 
 
 @dataclass
@@ -100,27 +120,67 @@ class FlowResult:
     polished: bool = False
 
 
+def _sample(z: np.ndarray, f: np.ndarray, scale) -> FieldSample:
+    """The field sample at z from f = f(z) and its rounding scale: no evaluation."""
+    if np.vdot(z, z).real == 0.0:
+        raise ValueError("field sample is undefined at the origin")
+    mu, w, singular = _field(z, f, scale)
+    if singular:
+        raise SingularGradientError("gradient of the one-form vanishes at this point")
+    return FieldSample(z=z, grad_omega=f.conj(), mu=complex(mu), w=w, t_norm=float(np.linalg.norm(w)))
+
+
 def sample_field(form: PolyOneForm, z) -> FieldSample:
     """Projected field sample at z; t_norm is the transversality measure."""
     z = as_cvec(z, form.n)
-    if np.linalg.norm(z) == 0.0:
-        raise ValueError("field sample is undefined at the origin")
-    f, mu, w, singular = _field(form, z)
-    if singular:
-        raise SingularGradientError("gradient of the one-form vanishes at this point")
-    return FieldSample(
-        z=z,
-        grad_omega=f.conj(),
-        mu=complex(mu),
-        w=w,
-        t_norm=float(np.linalg.norm(w)),
-    )
+    return _sample(z, *form.evaluate_scaled(z))
+
+
+def _evaluate(chart: LeafChart, z: np.ndarray):
+    """(g(z), f(z), monomials) at one point: one build of chart.table."""
+    values, monomials = chart.table._build(z)
+    return values[0], values[1:], monomials
+
+
+def _chart_sample(chart: LeafChart, z: np.ndarray, evaluation) -> FieldSample:
+    """The field sample at z from its evaluation: the rounding scale of f
+    comes from the monomials of that build, not from another one."""
+    _, f, monomials = evaluation
+    return _sample(z, f, chart.table._scale(monomials, 1))
 
 
 def _sampled_point(s: FieldSample, leaf_value: complex, morse_index: int | None = None):
     """The ContactPoint at a field sample s, with mu and the residual from s."""
     radius = float(np.linalg.norm(s.z))
     return ContactPoint(s.z, s.mu, radius, s.t_norm / radius, leaf_value, morse_index)
+
+
+def _project(chart: LeafChart, z: np.ndarray, max_iter: int = 50):
+    """(z on the chart's leaf, its evaluation (g, f, monomials)): see project_to_leaf.
+
+    Each iterate is one _evaluate, and the last one is handed back, so a
+    caller gets the field at the corrected point without evaluating it.
+    """
+    c = chart.c
+    target = 1e-14 * (1.0 + abs(c))
+    accept = 1e-12 * (1.0 + abs(c))
+    best_err = np.inf
+    for k in range(max_iter + 1):
+        evaluation = _evaluate(chart, z)
+        g, f, _ = evaluation
+        err = abs(g - c)
+        # on the leaf, or stagnated at the rounding floor (or out of iterates) near it
+        if err <= target or (err <= accept and (err >= best_err or k == max_iter)):
+            return z, evaluation
+        if k == max_iter:
+            raise LeafCorrectionError(f"leaf correction did not converge (|f - c| = {err:.3e})")
+        best_err = min(best_err, err)
+        denom = np.vdot(f, f).real
+        if denom <= 1e-28 * (1.0 + np.sqrt(np.vdot(z, z).real)) ** 2:
+            raise LeafCorrectionError("gradient vanished during leaf correction")
+        z = z + (c - g) / denom * f.conj()
+        if not np.isfinite(z).all():
+            raise LeafCorrectionError("leaf correction diverged")
 
 
 def project_to_leaf(
@@ -134,6 +194,9 @@ def project_to_leaf(
 
     With f = dg the form, iterates z += (c - g(z)) conj(f(z)) / ||f(z)||^2
     down to the rounding floor; raises LeafCorrectionError on divergence.
+    Each iterate gets g and f from one build of the chart table [g | f];
+    this function compiles that table, and the leaf code, which has a
+    chart, runs the same loop (_project) on the chart's own table.
 
     It stays outside the shared kernel contact._damped_newton: it solves one
     complex equation in n unknowns by that minimum-norm step, with no line
@@ -141,30 +204,7 @@ def project_to_leaf(
     the kernel would be a second path through it.
     """
     z = as_cvec(z, form.n)
-    target = 1e-14 * (1.0 + abs(c))
-    accept = 1e-12 * (1.0 + abs(c))
-    best_err = np.inf
-    for _ in range(max_iter):
-        val = integral.evaluate(z)
-        err = abs(val - c)
-        if err <= target:
-            return z
-        if err >= best_err and err <= accept:
-            return z  # stagnated at the rounding floor, still on the leaf
-        best_err = min(best_err, err)
-        f = form.evaluate(z)
-        denom = float(np.sum(np.abs(f) ** 2))
-        if denom <= 1e-28 * (1.0 + np.linalg.norm(z)) ** 2:
-            raise LeafCorrectionError("gradient vanished during leaf correction")
-        z = z + (c - val) / denom * f.conj()
-        if not np.all(np.isfinite(z.view(float))):
-            raise LeafCorrectionError("leaf correction diverged")
-    val = integral.evaluate(z)
-    if abs(val - c) <= accept:
-        return z
-    raise LeafCorrectionError(
-        f"leaf correction did not converge (|f - c| = {abs(val - c):.3e})"
-    )
+    return _project(LeafChart(integral, form, complex(c)), z, max_iter)[0]
 
 
 def homogeneous_leaf_scale(integral: Polynomial, z, c: complex) -> np.ndarray:
@@ -173,10 +213,22 @@ def homogeneous_leaf_scale(integral: Polynomial, z, c: complex) -> np.ndarray:
     k = integral.homogeneous_degree()
     if k is None:
         raise ValueError("integral is not homogeneous")
+    if k == 0:
+        raise ValueError("integral is constant: its leaves cannot be reached by scaling")
     val = integral.evaluate(z)
     if abs(val) <= 1e-14 * (1.0 + abs(c)):
         raise LeafCorrectionError("seed lies on the zero cone of the integral")
     return z * (c / val) ** (1.0 / k)
+
+
+def _check_base(chart: LeafChart, base: np.ndarray, g: complex, f: np.ndarray) -> None:
+    """make_chart's checks at base, from its evaluation g = g(base), f = f(base)."""
+    if abs(g - chart.c) > LEAF_TOL * (1.0 + abs(chart.c)):
+        raise ValueError(
+            f"base is not on the leaf (|f(base) - c| = {abs(g - chart.c):.3e})"
+        )
+    if np.max(np.abs(f)) < 1e-10 * (1.0 + np.linalg.norm(base)):
+        raise ChartError("all form coefficients vanish at the base point")
 
 
 def make_chart(
@@ -187,22 +239,18 @@ def make_chart(
 ) -> LeafChart:
     """The leaf of `integral` through (or prescribed by c near) base.
 
-    Raises ValueError if base is off the prescribed leaf and ChartError if
-    every coefficient of the form vanishes there.
+    Compiles the chart's [g | f] table and checks base from one build of
+    it. Raises ValueError if base is off the prescribed leaf and ChartError
+    if every coefficient of the form vanishes there.
     """
     if form is None:
         form = integral.differential()
     base = as_cvec(base, form.n)
-    val = integral.evaluate(base)
     if c is None:
-        c = val
-    elif abs(val - c) > LEAF_TOL * (1.0 + abs(c)):
-        raise ValueError(
-            f"base is not on the leaf (|f(base) - c| = {abs(val - c):.3e})"
-        )
-    if np.max(np.abs(form.evaluate(base))) < 1e-10 * (1.0 + np.linalg.norm(base)):
-        raise ChartError("all form coefficients vanish at the base point")
-    return LeafChart(integral=integral, form=form, c=complex(c))
+        c = integral.evaluate(base)  # the leaf through base
+    chart = LeafChart(integral=integral, form=form, c=complex(c))
+    _check_base(chart, base, *_evaluate(chart, base)[:2])
+    return chart
 
 
 def _leaf_system(chart: LeafChart):
@@ -210,17 +258,19 @@ def _leaf_system(chart: LeafChart):
 
     Square real system in (Re z, Im z, Re mu, Im mu) for each row of a
     stack U: z - mu conj(f(z)) = 0 plus the real and imaginary parts of
-    f(z) - c = 0. The leaf constraint replaces the sphere and phase rows of
-    the sphere solver, as the leaf meets each phase orbit discretely. The
-    system has no per-row data, so the callbacks ignore the kernel's rows.
+    g(z) - c = 0, with g and f from one build of the chart table. The leaf
+    constraint replaces the sphere and phase rows of the sphere solver, as
+    the leaf meets each phase orbit discretely. The system has no per-row
+    data, so the callbacks ignore the kernel's rows.
     """
-    form, integral, c = chart.form, chart.integral, chart.c
+    form, table, c = chart.form, chart.table, chart.c
     n = form.n
 
     def residual(U: np.ndarray, rows: np.ndarray) -> np.ndarray:
         Z = U[:, :n] + 1j * U[:, n : 2 * n]
-        G = Z - (U[:, 2 * n] + 1j * U[:, 2 * n + 1])[:, None] * form.evaluate(Z).conj()
-        L = integral.evaluate(Z) - c
+        V = table._dot(Z)
+        G = Z - (U[:, 2 * n] + 1j * U[:, 2 * n + 1])[:, None] * V[:, 1:].conj()
+        L = V[:, 0] - c
         return np.concatenate([G.real, G.imag, L.real[:, None], L.imag[:, None]], axis=1)
 
     def jacobian(U: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -232,7 +282,7 @@ def _leaf_system(chart: LeafChart):
             -mu[:, None, None] * jacobian_form(form, Z).conj(),
             -F.conj(),
         )
-        # d(f - c) = sum_k f_k dz_k: holomorphic, free of the multiplier
+        # d(g - c) = sum_k f_k dz_k: holomorphic, free of the multiplier
         leaf = _real_rows(F[:, None, :], np.zeros((len(U), 1, n)), np.zeros((len(U), 1)))
         return np.concatenate([G, leaf], axis=1)
 
@@ -240,24 +290,21 @@ def _leaf_system(chart: LeafChart):
 
 
 def _polish_on_leaf(
-    chart: LeafChart, z0: np.ndarray, max_iter: int = 40
+    chart: LeafChart, s: FieldSample, max_iter: int = 40
 ) -> np.ndarray | None:
-    """Newton on (z - mu conj(f) = 0, f(z) - c = 0); None on failure.
+    """Newton on (z - mu conj(f) = 0, g(z) - c = 0) from the sample s; None on failure.
 
-    Runs the damped-Newton kernel shared with the sphere solver on a stack
-    of one (contact._damped_newton: one Jacobian per step, residuals only at
-    line-search trial points) and, unlike that solver, succeeds only when
-    the residual norm reaches its target 1e-13 (1 + |c| + |z0|).
+    Starts at s.z with the multiplier s.mu, so it evaluates nothing to
+    start. Runs the damped-Newton kernel shared with the sphere solver on a
+    stack of one (contact._damped_newton: one Jacobian per step, residuals
+    only at line-search trial points) and, unlike that solver, succeeds
+    only when the residual norm reaches its target 1e-13 (1 + |c| + |z0|).
     """
-    form, c = chart.form, chart.c
-    n = form.n
-    f0 = form.evaluate(z0)
-    d0 = float(np.sum(np.abs(f0) ** 2))
-    if d0 <= 1e-28:
+    z0, n = s.z, chart.form.n
+    if float(np.sum(np.abs(s.grad_omega) ** 2)) <= 1e-28:
         return None
-    mu = complex(np.sum(z0 * f0) / d0)
-    u0 = np.concatenate([z0.real, z0.imag, [mu.real, mu.imag]])
-    target = 1e-13 * (1.0 + abs(c) + np.linalg.norm(z0))
+    u0 = np.concatenate([z0.real, z0.imag, [s.mu.real, s.mu.imag]])
+    target = 1e-13 * (1.0 + abs(chart.c) + np.linalg.norm(z0))
     U, norm = _damped_newton(*_leaf_system(chart), u0[None], target, max_iter)
     if not norm[0] <= target:
         return None
@@ -278,34 +325,50 @@ def flow_to_critical(
     strictly monotone across accepted steps. Once t_norm is small the flow
     hands over to a Newton polish on the leaf-constrained contact system
     (so near-critical seeds, including saddle seeds, return immediately).
+    The field samples of a step, at its midpoint and its new point, come
+    from the evaluations the leaf corrections end with. tol must be
+    positive and max_steps non-negative (ValueError).
     """
     if direction not in ("descend", "ascend"):
         raise ValueError("direction must be 'descend' or 'ascend'")
+    _check_tol(tol)
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     sgn = -1.0 if direction == "descend" else 1.0
-    integral, form, c = chart.integral, chart.form, chart.c
+    c = chart.c
 
-    z = as_cvec(z0, form.n)
-    if abs(integral.evaluate(z) - c) > LEAF_TOL * (1.0 + abs(c)):
+    z = as_cvec(z0, chart.form.n)
+    evaluation = _evaluate(chart, z)
+    g = evaluation[0]
+    if abs(g - c) > LEAF_TOL * (1.0 + abs(c)):
         raise ValueError("seed is not on the leaf")
 
-    def finish(sample, steps, trace, polished):
+    def finish(sample, g, steps, trace, polished):
         return FlowResult(
-            point=_sampled_point(sample, complex(integral.evaluate(sample.z))),
+            point=_sampled_point(sample, complex(g)),
             steps=steps,
             phi_trace=trace,
             polished=polished,
         )
 
+    def polish(sample):
+        """(field sample, g) at the polished point near sample.z, or None."""
+        z_pol = _polish_on_leaf(chart, sample)
+        if z_pol is None or not np.linalg.norm(z_pol - sample.z) <= 0.2 * (
+            1.0 + np.linalg.norm(sample.z)
+        ):
+            return None
+        evaluation = _evaluate(chart, z_pol)
+        return _chart_sample(chart, z_pol, evaluation), evaluation[0]
+
     phi = float(np.sum(np.abs(z) ** 2))
     trace = [phi]
-    s = sample_field(form, z)
+    s = _chart_sample(chart, z, evaluation)
     if s.t_norm <= tol:
-        polished = _polish_on_leaf(chart, z)
-        if polished is not None and np.linalg.norm(polished - z) <= 0.2 * (
-            1.0 + np.linalg.norm(z)
-        ):
-            return finish(sample_field(form, polished), 0, trace, True)
-        return finish(s, 0, trace, False)
+        polished = polish(s)
+        if polished is not None:
+            return finish(*polished, 0, trace, True)
+        return finish(s, g, 0, trace, False)
 
     h = 0.005 * (1.0 + phi) / (s.t_norm**2 + 1e-300)
     steps = 0
@@ -314,22 +377,18 @@ def flow_to_critical(
         switch = max(tol, 1e-3 * (1.0 + np.sqrt(phi)))
         if s.t_norm <= switch and s.t_norm < 0.3 * last_polish_t:
             last_polish_t = s.t_norm
-            polished = _polish_on_leaf(chart, z)
-            if polished is not None and np.linalg.norm(polished - z) <= 0.2 * (
-                1.0 + np.linalg.norm(z)
-            ):
-                s_fin = sample_field(form, polished)
-                if s_fin.t_norm <= tol:
-                    return finish(s_fin, steps, trace, True)
+            polished = polish(s)
+            if polished is not None and polished[0].t_norm <= tol:
+                return finish(*polished, steps, trace, True)
         if s.t_norm <= tol:
-            return finish(s, steps, trace, False)
+            return finish(s, g, steps, trace, False)
 
         accepted = False
         while h >= 1e-15:
             try:
-                z_mid = project_to_leaf(integral, form, z + sgn * 0.5 * h * s.w, c)
-                w_mid = sample_field(form, z_mid).w
-                z_new = project_to_leaf(integral, form, z + sgn * h * w_mid, c)
+                z_mid, evaluation = _project(chart, z + sgn * 0.5 * h * s.w)
+                w_mid = _chart_sample(chart, z_mid, evaluation).w
+                z_new, evaluation = _project(chart, z + sgn * h * w_mid)
             except (LeafCorrectionError, SingularGradientError):
                 h *= 0.5
                 continue
@@ -343,20 +402,20 @@ def flow_to_critical(
         if not accepted:
             raise FlowError(
                 "step size collapsed before reaching a critical point",
-                last_point=finish(s, steps, trace, False).point,
+                last_point=finish(s, g, steps, trace, False).point,
                 steps=steps,
             )
         z, phi = z_new, phi_new
         trace.append(phi)
         steps += 1
-        s = sample_field(form, z)
+        g, s = evaluation[0], _chart_sample(chart, z, evaluation)
         h *= 1.5
 
     if s.t_norm <= tol:
-        return finish(s, steps, trace, False)
+        return finish(s, g, steps, trace, False)
     raise FlowError(
         f"step limit exceeded (t_norm = {s.t_norm:.3e} after {steps} steps)",
-        last_point=finish(s, steps, trace, False).point,
+        last_point=finish(s, g, steps, trace, False).point,
         steps=steps,
     )
 
@@ -397,12 +456,13 @@ def leaf_hessian(
     real matrix is I - [[Re S, -Im S], [-Im S, -Re S]], with (Re xi_a,
     Im xi_a) interleaved, and its eigenvalues are 1 +- (Takagi values of S).
     """
-    form, integral, c = chart.form, chart.integral, chart.c
+    form, c = chart.form, chart.c
     p = as_cvec(p, form.n)
-    val = complex(integral.evaluate(p))
-    if abs(val - c) > LEAF_TOL * (1.0 + abs(c)):
+    evaluation = _evaluate(chart, p)
+    g = evaluation[0]
+    if abs(g - c) > LEAF_TOL * (1.0 + abs(c)):
         raise ValueError("point is not on the chart leaf")
-    s = sample_field(form, p)
+    s = _chart_sample(chart, p, evaluation)
     if s.t_norm > crit_tol:
         raise ValueError(f"point is not critical (t_norm = {s.t_norm:.3e})")
 
@@ -418,7 +478,7 @@ def leaf_hessian(
 
     eigenvalues = np.linalg.eigvalsh(M)
     negative_count = int(np.sum(eigenvalues < -eig_tol))
-    point = _sampled_point(s, val, negative_count)
+    point = _sampled_point(s, complex(g), negative_count)
     return HessianReport(
         matrix=M, eigenvalues=eigenvalues, negative_count=negative_count, point=point
     )
@@ -441,7 +501,7 @@ def transversality_scan(
         raise ValueError("need at least one sample")
     r_sample = 1.0 if form.homogeneous_degree() is not None else r
     z = sphere_seeds(form.n, n_samples, rng_seed, r_sample)
-    _, _, w, singular = _field(form, z)
+    _, w, singular = _field(z, *form.evaluate_scaled(z))
     scores = np.linalg.norm(w, axis=1) / r_sample
     scores[singular] = 0.0
     order = np.argsort(scores, kind="stable")[: min(n_worst, n_samples)]
@@ -460,6 +520,8 @@ def index_persistence(
     The seed is p transported onto the new leaf along the gradient, then
     flowed to a critical point there; True iff that point stays within the
     persistence radius 10 sqrt(|dc|) (1 + |p|) and its Morse index matches.
+    The new leaf's chart shares the chart's [g | f] table, and make_chart's
+    checks at the seed use the evaluation its leaf correction ends with.
     A False is a report, not an error: degenerate (non-Morse) points may
     legitimately fail.
     """
@@ -468,10 +530,10 @@ def index_persistence(
     dc = complex(dc)
     if abs(dc) > 0.1 * abs(chart.c):
         raise ValueError("|dc| must be at most 0.1 |c|")
-    c_new = chart.c + dc
+    chart_new = replace(chart, c=chart.c + dc)
     try:
-        seed = project_to_leaf(chart.integral, chart.form, p.z, c_new)
-        chart_new = make_chart(chart.integral, seed, c_new, form=chart.form)
+        seed, evaluation = _project(chart_new, as_cvec(p.z, chart.form.n))
+        _check_base(chart_new, seed, *evaluation[:2])
         result = flow_to_critical(chart_new, seed, "descend", tol=flow_tol)
         report = leaf_hessian(chart_new, result.point.z)
     except (FlowError, ChartError, ValueError):

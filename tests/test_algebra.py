@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import folcontact as fc
+from folcontact.algebra import _side_by_side
 from folcontact.errors import DimensionMismatchError, SingularMatrixError
 
 from conftest import random_symmetric
@@ -172,7 +173,64 @@ def test_zero_form_evaluates_to_zero():
     Z = np.ones((4, 3), dtype=complex)
     assert np.array_equal(zero.evaluate(Z), np.zeros((4, 3)))
     assert np.array_equal(fc.jacobian_form(zero, Z), np.zeros((4, 3, 3)))
-    assert np.array_equal(zero.rounding_scale(Z), np.zeros(4))
+    assert np.array_equal(zero.evaluate_scaled(Z)[1], np.zeros(4))
+
+
+def _term_sizes(table, Z: np.ndarray) -> np.ndarray:
+    """|z|^E |C| from real powers of |z|: per column, the sum of the terms' sizes."""
+    powers = np.prod(np.abs(Z)[..., None, :] ** table._exps, axis=-1)
+    return powers @ np.abs(table._coeffs)
+
+
+def _close(got, want, size, rel: float) -> bool:
+    return bool(np.all(np.abs(got - want) <= rel * size))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_fused_evaluation_agrees_with_separate_passes(n):
+    # one monomial build gives g, f = dg and the rounding scale of f; the
+    # integral has a constant term, and g free of z_n gives f a zero column
+    rng = np.random.default_rng(300 + n)
+    for degree, free in ((2, False), (3, False), (4, True)):
+        terms = [
+            (complex(*rng.standard_normal(2)), rng.multinomial(degree, np.ones(n) / n))
+            for _ in range(6)
+        ]
+        terms.append((complex(*rng.standard_normal(2)), [0] * n))
+        if free:
+            terms = [(c, list(e[:-1]) + [0]) for c, e in terms]
+        integral = fc.Polynomial(n, terms)
+        form = integral.differential()
+        table = _side_by_side(integral, form)
+        for rows in (None, 0, 1, 7, 1500):
+            shape = (n,) if rows is None else (rows, n)
+            Z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            values = table._dot(Z)
+            f, scale = form.evaluate_scaled(Z)
+            assert values.shape == shape[:-1] + (n + 1,) and np.shape(scale) == shape[:-1]
+            # values to 1e-15 of the size of their terms, as summation
+            # order may differ; the scale to 1e-14 of the separate pass
+            assert _close(values[..., 0], integral.evaluate(Z), _term_sizes(integral, Z)[..., 0], 1e-15)
+            sizes = _term_sizes(form, Z)
+            assert _close(values[..., 1:], form.evaluate(Z), sizes, 1e-15)
+            assert np.array_equal(f, form.evaluate(Z))
+            old = np.linalg.norm(sizes, axis=-1)  # the separate rounding-scale pass
+            assert _close(scale, old, old, 1e-14)
+            if free:
+                assert np.all(values[..., n] == 0)
+            for z in Z.reshape(-1, n)[:7]:
+                # a point's build keeps its monomials, and the scale of f comes from them
+                got, monomials = table._build(z)
+                want = np.concatenate([[integral.evaluate(z)], form.evaluate(z)])
+                size = np.concatenate([_term_sizes(integral, z), _term_sizes(form, z)])
+                assert _close(got, want, size, 1e-15)
+                old = np.linalg.norm(size[1:])
+                assert _close(table._scale(monomials, 1), old, old, 1e-14)
+
+
+def test_side_by_side_refuses_different_variable_counts(form321):
+    with pytest.raises(DimensionMismatchError):
+        _side_by_side(fc.Polynomial(2, [(1.0, (1, 1))]), form321)
 
 
 def test_batched_evaluate_never_builds_a_power_tensor():

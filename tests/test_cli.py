@@ -309,6 +309,23 @@ def test_exit_2_on_non_finite_option(symplectic_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, input_file, option, value",
+    [
+        ("contact-solve", "symplectic_file", "--tol", "-1"),
+        ("contact-solve", "symplectic_file", "--tol", "0"),
+        ("leaf-flow", "flow_file", "--tol", "0"),
+        ("leaf-flow", "flow_file", "--max-steps", "-5"),
+        ("contact-trace", "trace_file", "--tol", "-1"),
+    ],
+)
+def test_exit_2_on_bad_tolerance_or_step_limit(command, input_file, option, value, request):
+    # these used to print an empty result, run the flow, or blame the input
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--input", request.getfixturevalue(input_file), option, value])
+    assert exc.value.code == 2
+
+
 def test_exit_3_on_zero_form(tmp_path):
     path = tmp_path / "zero.json"
     path.write_text(json.dumps({"n": 2, "coeffs": [[], []]}))

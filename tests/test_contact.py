@@ -494,13 +494,14 @@ def test_continue_radially_linear_line(form321):
 def test_continue_radially_evaluates_form_once_per_radius(form321, monkeypatch):
     start = fc.point_at(form321, [0.0, 0.5, 0.0])
     single = []  # single-point evaluations: the Newton kernel evaluates stacks
-    evaluate, scale = form321.evaluate, form321.rounding_scale
+    evaluate, scaled = form321.evaluate, form321.evaluate_scaled
     monkeypatch.setattr(form321, "evaluate", lambda z: single.append(np.ndim(z) == 1) or evaluate(z))
-    monkeypatch.setattr(form321, "rounding_scale", lambda z: single.append("scale") or scale(z))
+    monkeypatch.setattr(form321, "evaluate_scaled", lambda z: single.append("scaled") or scaled(z))
     path = fc.continue_radially(form321, start, 0.1, 2.0, 15)
     monkeypatch.undo()
     accepted = len(path.points) - 1
-    assert single.count(True) == single.count("scale") == accepted == 15
+    # f and the rounding scale of each accepted point come from one build
+    assert single.count(True) == 0 and single.count("scaled") == accepted == 15
     for p in path.points[1:]:
         assert p.residual == fc.contact_residual(form321, p.z) and p.mu == fc.mu_of(form321, p.z)
 
@@ -528,6 +529,16 @@ def test_continue_radially_validates_bounds(form321):
     start = fc.point_at(form321, [0.5, 0.0, 0.0])
     with pytest.raises(ValueError):
         fc.continue_radially(form321, start, 0.6, 2.0, 10)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_solvers_refuse_a_tolerance_that_is_not_positive(form321, tol):
+    # no point could pass it: an empty answer would look like a clean result
+    with pytest.raises(ValueError, match="tolerance"):
+        fc.sphere_search(form321, 1.0, 5, 0, tol)
+    start = fc.point_at(form321, [0.5, 0.0, 0.0])
+    with pytest.raises(ValueError, match="tolerance"):
+        fc.continue_radially(form321, start, 0.1, 2.0, 10, tol)
 
 
 def test_radial_invariance_examples(form321, cubic3):

@@ -7,7 +7,7 @@ import pytest
 
 import folcontact as fc
 from folcontact.contact import sphere_seeds
-from folcontact import leaf
+from folcontact import algebra, leaf
 from folcontact.errors import ChartError, FlowError, SingularGradientError
 from folcontact.leaf import _leaf_system, _tangent_basis, homogeneous_leaf_scale
 
@@ -29,19 +29,34 @@ def test_sample_field_on_contact_line(form321):
     assert s.t_norm <= 1e-15
 
 
-def test_sample_field_evaluates_form_once(form321, monkeypatch):
+def _count_evaluations(monkeypatch, *tables) -> list:
+    """Record the name of every evaluation of the given forms and integrals
+    (evaluate, evaluate_scaled) and chart tables (_build at a point, _dot
+    for a stack); evaluate_scaled gives values and rounding scale from one
+    build, and _build keeps the monomials the scale is taken from."""
     calls = []
-    evaluate = form321.evaluate
-    monkeypatch.setattr(form321, "evaluate", lambda z: calls.append(1) or evaluate(z))
+    for table in tables:
+        names = [name for name in ("evaluate", "evaluate_scaled") if hasattr(table, name)]
+        for name in names or ["_build", "_dot"]:
+            method = getattr(table, name)
+            wrapper = lambda *a, _n=name, _m=method: calls.append(_n) or _m(*a)
+            monkeypatch.setattr(table, name, wrapper)
+    return calls
+
+
+def test_sample_field_evaluates_form_once(form321, monkeypatch):
+    calls = _count_evaluations(monkeypatch, form321)
     fc.sample_field(form321, [0.4 + 0.1j, 0.5, 0.6 - 0.2j])
-    assert len(calls) == 1
+    assert calls == ["evaluate_scaled"]
 
 
 @pytest.mark.parametrize("report", ["point_at", "leaf_hessian", "flow_to_critical"])
 def test_reported_point_evaluates_form_once(report, form321, integral321, monkeypatch):
     # mu and the residual of the reported point come from one field sample;
     # the flow starts at a critical point and its polish is switched off, so
-    # it reports the seed, sampled once to test for criticality
+    # it reports the seed, sampled once to test for criticality. point_at
+    # evaluates the form once; leaf_hessian and the flow evaluate the chart's
+    # [g | f] table once, and neither the form nor the integral on its own
     z = (0.6 + 0.3j) * np.array([0.0, 1.0, 0.0])
     chart = fc.make_chart(integral321, z, form=form321)
     run = {
@@ -50,11 +65,9 @@ def test_reported_point_evaluates_form_once(report, form321, integral321, monkey
         "flow_to_critical": lambda: fc.flow_to_critical(chart, z).point,
     }[report]
     monkeypatch.setattr(leaf, "_polish_on_leaf", lambda chart, z0: None)
-    calls = []
-    evaluate = form321.evaluate
-    monkeypatch.setattr(form321, "evaluate", lambda z: calls.append(1) or evaluate(z))
+    calls = _count_evaluations(monkeypatch, form321, integral321, chart.table)
     p = run()
-    assert len(calls) == 1
+    assert calls == (["evaluate_scaled"] if report == "point_at" else ["_build"])
     monkeypatch.undo()
     assert np.array_equal(p.z, z)
     assert p.mu == fc.mu_of(form321, z) and p.residual == fc.contact_residual(form321, z)
@@ -175,6 +188,66 @@ def test_flow_ascend_reports_or_diagnoses(form321, integral321):
         chart2 = fc.make_chart(integral321, res.point.z, 1.0, form=form321)
         report = fc.leaf_hessian(chart2, res.point.z)
         assert report.negative_count >= 1
+
+
+def _record_builds(monkeypatch) -> list:
+    """Record the point of every monomial build (each is of one point here)."""
+    points = []
+    build = algebra._monomials
+    monkeypatch.setattr(algebra, "_monomials", lambda z, plan: points.append(z[0].copy()) or build(z, plan))
+    monkeypatch.setattr(leaf, "jacobian_form", None)  # no Jacobian may be evaluated
+    return points
+
+
+def test_projection_iterate_is_one_evaluation(form321, integral321, monkeypatch):
+    # each Newton iterate z -> z + (c - g) conj(f) / |f|^2 takes g and f from
+    # one build of the [g | f] table, and the point it returns was built last
+    z0 = np.array([0.7 + 0.2j, 0.5 - 0.1j, 0.3 + 0.4j])
+    points = _record_builds(monkeypatch)
+    z = fc.project_to_leaf(integral321, form321, z0, 1.0)
+    monkeypatch.undo()
+    assert len(points) >= 3 and np.array_equal(points[0], z0) and np.array_equal(points[-1], z)
+    for a, b in zip(points, points[1:]):
+        f = form321.evaluate(a)
+        step = (1.0 - integral321.evaluate(a)) / np.sum(np.abs(f) ** 2) * f.conj()
+        assert np.allclose(b, a + step, rtol=1e-15, atol=0)
+
+
+def test_flow_step_samples_cost_no_evaluation(form321, integral321, monkeypatch):
+    # with the polish off, every build is the seed's or a projection
+    # iterate's: the field samples at z_mid and z_new reuse the evaluation
+    # their projection ends with, so no point is built twice
+    z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
+    chart = fc.make_chart(integral321, z0, 1.0, form=form321)
+    monkeypatch.setattr(leaf, "_polish_on_leaf", lambda chart, s: None)
+    points = _record_builds(monkeypatch)
+    with pytest.raises(FlowError) as exc:
+        fc.flow_to_critical(chart, z0, max_steps=6)
+    monkeypatch.undo()
+    assert exc.value.steps == 6 and np.array_equal(points[0], z0)
+    assert len(points) >= 1 + 2 * 6  # the seed, then z_mid and z_new of each step
+    assert len({p.tobytes() for p in points}) == len(points)
+
+
+def test_index_persistence_shares_the_chart_table(form321, integral321, monkeypatch):
+    p = np.array([0, 1.0, 0], dtype=complex)
+    chart = fc.make_chart(integral321, p, 1.0, form=form321)
+    report = fc.leaf_hessian(chart, p)
+    monkeypatch.setattr(leaf, "_side_by_side", None)  # compiling a table would fail
+    assert fc.index_persistence(chart, report.point, 0.01)
+
+
+@pytest.mark.parametrize("tol, max_steps", [(0.0, 10), (-1e-8, 10), (float("nan"), 10), (1e-8, -5)])
+def test_flow_refuses_bad_tolerance_and_step_limit(form321, integral321, tol, max_steps):
+    p = np.array([np.sqrt(2.0 / 3.0), 0, 0], dtype=complex)
+    chart = fc.make_chart(integral321, p, 1.0, form=form321)
+    with pytest.raises(ValueError):
+        fc.flow_to_critical(chart, p, tol=tol, max_steps=max_steps)
+
+
+def test_homogeneous_leaf_scale_refuses_a_constant_integral():
+    with pytest.raises(ValueError, match="constant"):
+        homogeneous_leaf_scale(fc.Polynomial(3, [(2.0, (0, 0, 0))]), [1.0, 0.5, 0.0], 1.0)
 
 
 def test_flow_rejects_off_leaf_seed(form321, integral321):
