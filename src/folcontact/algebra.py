@@ -180,7 +180,8 @@ class _MonomialTable:
     """The compiled monomial table shared by Polynomial and PolyOneForm.
 
     The exponents E (m x n) and coefficients C (m x q) described in the
-    module docstring, with the power plan that evaluates them. The rows are
+    module docstring, with the power plan that evaluates them, compiled at
+    the first evaluation. The rows are
     kept as given: every polynomial and one-form passes them through
     _canonical first, and only _side_by_side, whose table is only
     evaluated, does not.
@@ -190,7 +191,13 @@ class _MonomialTable:
         self.n = n
         self._exps = _readonly(exps)
         self._coeffs = _readonly(coeffs)
-        self._plan = _power_plan(self._exps)
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """The power plan of the table, compiled at its first evaluation:
+        tables that are only read (form_id's coefficient polynomials, the
+        differential integrate_exact_form checks, partials) never build one."""
+        return _power_plan(self._exps)
 
     @cached_property
     def _abs_coeffs(self) -> np.ndarray:
@@ -311,9 +318,10 @@ class Polynomial(_MonomialTable):
 class PolyOneForm(_MonomialTable):
     """Polynomial one-form sum_j f_j(z) dz_j given by n coefficient polynomials.
 
-    Compiled at construction (see the module docstring): f(z) = z^E C with
-    column j of C the coefficients of f_j. The Jacobian's table, from the
-    derivative rule, and the coefficient polynomials are built at first use.
+    Its table is built at construction (see the module docstring): f(z) =
+    z^E C with column j of C the coefficients of f_j. The power plan, the
+    Jacobian's table, from the derivative rule, and the coefficient
+    polynomials are built at first use.
     """
 
     def __init__(self, coeffs: Sequence[Polynomial]):

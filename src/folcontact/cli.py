@@ -213,7 +213,10 @@ def _dispatch(args) -> tuple[dict[str, Any], dict[str, Any]]:
 
     if args.command == "contact-trace":
         form, start_vec = _wrapped_input(_load_json(args.input), "start", args.input)
-        start = point_at(form, start_vec)
+        try:
+            start = point_at(form, start_vec)
+        except ValueError as exc:  # the origin
+            raise InputFormatError(f"{args.input}.start: {exc}") from exc
         if start.residual > tol:
             raise InputFormatError(
                 f"{args.input}: start is not a contact point (residual {start.residual:.3e})"

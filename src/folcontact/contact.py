@@ -34,7 +34,15 @@ sequence, line search and stopping rule, and a row that fails drops out
 alone. It builds the Jacobians once per Newton step, at the iterates the
 step starts from, and its line search evaluates only residuals: Armijo
 backtracking whose trial steps 2^-h are tried in doubling chunks of h,
-one residual call per chunk, so a step makes at most five calls.
+one residual call per chunk, so a step makes at most five calls. The
+chunks, with their steps and Armijo factors, are a table built once at
+import from NEWTON_MAX_HALVINGS, and a step gathers only the rows still
+searching. The systems' callbacks (here and in leaf.py) write each
+residual and Jacobian block into one array allocated per call, the real
+Jacobian rows of a complex block by the one rule `_real_rows`, with no
+concatenation; their constants are built once per system. Every entry
+is the value whole-block concatenation gives (a zero may differ in sign),
+so the Newton iterates do not depend on how the arrays are assembled.
 `sphere_search` hands it the seeds in blocks of SEED_BLOCK rows, so memory
 does not grow with the seed count; `continue_radially` and the leaf polish
 in leaf.py call it with a stack of one. The points found are merged into
@@ -139,9 +147,6 @@ def contact_residual(form: PolyOneForm, z) -> float:
     Vanishes exactly on the contact variety away from the origin; for linear
     forms it is invariant under z -> T z for any complex T != 0.
     """
-    z = as_cvec(z, form.n)
-    if np.linalg.norm(z) == 0.0:
-        raise ValueError("contact residual is undefined at the origin")
     return point_at(form, z).residual
 
 
@@ -172,16 +177,29 @@ def _check_radius(r: float) -> None:
         raise RadiusRangeError(f"radius {r:.3g} is out of range: its square is {what}")
 
 
-def _real_rows(dz: np.ndarray, dzbar: np.ndarray, dlam: np.ndarray) -> np.ndarray:
-    """Real Jacobian rows (Re G; Im G) of a complex block G(z, conj z, lam).
+def _real_rows(out: np.ndarray, dz, dzbar, dlam) -> None:
+    """Write the real Jacobian rows (Re G; Im G) of a complex block G(z, conj z, lam) into out.
 
     From the Wirtinger blocks dG/dz, dG/dconj(z) (S x m x n) and dG/dlam
-    (S x m) of a G holomorphic in lam, for each row of a stack of S points,
-    in the columns (Re z, Im z, Re lam, Im lam).
+    (S x m) of a G holomorphic in lam, for each row of a stack of S points;
+    out is the (S x 2m x 2n+2) slice of a preallocated Jacobian that holds
+    the rows, in the columns (Re z, Im z, Re lam, Im lam). With s = dz +
+    dzbar and d = dz - dzbar they are [[Re s, -Im d, Re dlam, -Im dlam],
+    [Im s, Re d, Im dlam, Re dlam]], each block written by one real
+    operation on the parts of dz and dzbar, with no complex s or d formed.
+    A block that is zero may be given as 0, and dz may be one (m x n)
+    block shared by the stack.
     """
-    dlam = dlam[..., None]
-    block = np.concatenate([dz + dzbar, 1j * (dz - dzbar), dlam, 1j * dlam], axis=-1)
-    return np.concatenate([block.real, block.imag], axis=-2)
+    m, n = out.shape[-2] // 2, (out.shape[-1] - 2) // 2
+    re, im = out[..., :m, :], out[..., m:, :]
+    np.add(np.real(dz), np.real(dzbar), out=re[..., :n])
+    np.subtract(np.imag(dzbar), np.imag(dz), out=re[..., n : 2 * n])
+    np.add(np.imag(dz), np.imag(dzbar), out=im[..., :n])
+    np.subtract(np.real(dz), np.real(dzbar), out=im[..., n : 2 * n])
+    re[..., 2 * n] = np.real(dlam)
+    np.negative(np.imag(dlam), out=re[..., 2 * n + 1])
+    im[..., 2 * n] = np.imag(dlam)
+    im[..., 2 * n + 1] = np.real(dlam)
 
 
 def _contact_system(form: PolyOneForm, r: float, anchors: np.ndarray):
@@ -194,26 +212,38 @@ def _contact_system(form: PolyOneForm, r: float, anchors: np.ndarray):
     branches (the nu-column is z, of norm r, whereas the mu-column conj(f)
     collapses on branches with small coefficient norm and starves their
     Newton basins). residual(U, rows) is (S, 2n+2) and jacobian(U, rows)
-    is (S, 2n+2, 2n+2) for the stack rows `rows` held in U.
+    is (S, 2n+2, 2n+2) for the stack rows `rows` held in U; each is
+    written into one array allocated per call, block by block, and the
+    constants r^2, the conjugated anchors, their Jacobian rows and the
+    identity are built once here.
     """
     n = form.n
+    r2 = r * r
+    anchors_conj = anchors.conj()
+    phase_rows = np.concatenate([-anchors.imag, anchors.real], axis=1)
+    eye = np.eye(n)
 
     def residual(U: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        out = np.empty(U.shape)
         Z = U[:, :n] + 1j * U[:, n : 2 * n]
-        G = (U[:, 2 * n] + 1j * U[:, 2 * n + 1])[:, None] * Z - form.evaluate(Z).conj()
-        sphere = np.sum(np.abs(Z) ** 2, axis=1) - r * r
-        phase = np.imag(np.sum(Z * anchors[rows].conj(), axis=1))
-        return np.concatenate([G.real, G.imag, sphere[:, None], phase[:, None]], axis=1)
+        nuZ = (U[:, 2 * n] + 1j * U[:, 2 * n + 1])[:, None] * Z
+        F = form.evaluate(Z)
+        # Re and Im of nu z - conj(f)
+        np.subtract(nuZ.real, F.real, out=out[:, :n])
+        np.add(nuZ.imag, F.imag, out=out[:, n : 2 * n])
+        np.subtract(np.add.reduce(np.abs(Z) ** 2, axis=1), r2, out=out[:, 2 * n])
+        out[:, 2 * n + 1] = np.add.reduce(Z * anchors_conj[rows], axis=1).imag
+        return out
 
     def jacobian(U: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        J = np.empty(U.shape + U.shape[-1:])
         Z = U[:, :n] + 1j * U[:, n : 2 * n]
         nu = U[:, 2 * n] + 1j * U[:, 2 * n + 1]
-        G = _real_rows(nu[:, None, None] * np.eye(n), -jacobian_form(form, Z).conj(), Z)
-        zeros = np.zeros((len(U), 2))
-        anchor = anchors[rows]
-        sphere = np.concatenate([2.0 * Z.real, 2.0 * Z.imag, zeros], axis=1)
-        phase = np.concatenate([-anchor.imag, anchor.real, zeros], axis=1)
-        return np.concatenate([G, sphere[:, None], phase[:, None]], axis=1)
+        _real_rows(J[:, : 2 * n], nu[:, None, None] * eye, -jacobian_form(form, Z).conj(), Z)
+        np.multiply(U[:, : 2 * n], 2.0, out=J[:, 2 * n, : 2 * n])  # the sphere row
+        J[:, 2 * n + 1, : 2 * n] = phase_rows[rows]
+        J[:, 2 * n :, 2 * n :] = 0.0
+        return J
 
     return residual, jacobian
 
@@ -232,6 +262,29 @@ def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
         return dU
 
 
+def _chunk_table(max_halvings: int) -> tuple:
+    """The line search's chunks h = 0 | 1-2 | 3-6 | ... up to max_halvings.
+
+    One (t, 1 - 1e-4 t) per chunk: its trial steps t = 2^-h as a column and
+    the Armijo factors they must reach.
+    """
+    chunks, lo = [], 0
+    while lo <= max_halvings:
+        t = 0.5 ** np.arange(lo, min(2 * lo, max_halvings) + 1)
+        chunks.append((t[:, None], 1.0 - 1e-4 * t))
+        lo += len(t)
+    return tuple(chunks)
+
+
+_LINE_SEARCH_CHUNKS = _chunk_table(NEWTON_MAX_HALVINGS)
+
+
+def _norms(F: np.ndarray) -> np.ndarray:
+    """||F|| per row of a real F: the bits of np.linalg.norm(F, axis=1), which
+    computes the same sum of squares, without its Python overhead."""
+    return np.sqrt(np.add.reduce(F * F, axis=1))
+
+
 def _damped_newton(residual, jacobian, U0: np.ndarray, target: float, max_iter: int):
     """Damped Newton on residual(U) = 0 from each row of U0; (U, ||F(U)||).
 
@@ -240,47 +293,57 @@ def _damped_newton(residual, jacobian, U0: np.ndarray, target: float, max_iter: 
     Jacobians once, at the iterates it starts from, and takes for each row
     the first step t = 2^-h, h = 0..NEWTON_MAX_HALVINGS, with
     ||F(u + t du)|| < (1 - 1e-4 t) ||F(u)|| (Armijo backtracking). The trial
-    steps are tried in doubling chunks, h = 0 | 1-2 | 3-6 | 7-14 | 15-30,
-    each one residual call over the rows still searching: at most five
-    calls per step, and a row that needs k halvings evaluates at most
+    steps are tried in the doubling chunks of _LINE_SEARCH_CHUNKS,
+    h = 0 | 1-2 | 3-6 | 7-14 | 15-30, built once with their Armijo factors;
+    each chunk is one residual call over the rows still searching: at most
+    five calls per step, and a row that needs k halvings evaluates at most
     2k + 1 trial points (trying all 31 at once would evaluate several
     times the rows). The row takes the first passing h of its chunk, the
-    very step a one-halving-at-a-time search would take. A row fails, and
-    comes back with norm inf, on a singular or non-finite step, or when no
-    h passes; the other rows go on. The callbacks take (U, rows): the
-    iterates of the stack rows `rows`.
+    very step a one-halving-at-a-time search would take, gathered with the
+    other accepted rows through one flat index into the chunk's trials. A
+    row fails, and comes back with norm inf, on a singular or non-finite
+    step, or when no h passes; the other rows go on. The callbacks take
+    (U, rows): the iterates of the stack rows `rows`.
     """
     U = np.array(U0, dtype=float)
     F = residual(U, np.arange(len(U)))
-    norm = np.linalg.norm(F, axis=1)
+    norm = _norms(F)
     live = np.ones(len(U), dtype=bool)
     for _ in range(max_iter):
         live &= ~(norm <= target)  # a NaN start iterates, and fails on its step
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
-        dU = _newton_steps(jacobian(U[rows], rows), F[rows])
-        finite = np.all(np.isfinite(dU), axis=1)
-        norm[rows[~finite]] = np.inf
-        live[rows[~finite]] = False
-        rows, dU = rows[finite], dU[finite]
-        lo = 0  # the chunk h = lo..hi
-        while rows.size and lo <= NEWTON_MAX_HALVINGS:
-            hi = min(2 * lo, NEWTON_MAX_HALVINGS)
-            t = 0.5 ** np.arange(lo, hi + 1)
-            U_trial = U[rows, None] + t[:, None] * dU[:, None]  # (rows, chunk, 2n+2)
-            F_trial = residual(U_trial.reshape(-1, U.shape[1]), np.repeat(rows, len(t)))
-            F_trial = F_trial.reshape(len(rows), len(t), -1)
-            norm_trial = np.linalg.norm(F_trial, axis=2)
-            passes = norm_trial < (1.0 - 1e-4 * t) * norm[rows, None]
+        U_rows = U[rows]  # the searching rows keep these iterates until they accept
+        dU = _newton_steps(jacobian(U_rows, rows), F[rows])
+        finite = np.isfinite(dU).all(axis=1)
+        if not finite.all():
+            norm[rows[~finite]] = np.inf
+            live[rows[~finite]] = False
+            rows, U_rows, dU = rows[finite], U_rows[finite], dU[finite]
+            if rows.size == 0:
+                continue
+        norm_rows = norm[rows, None]
+        for t, armijo in _LINE_SEARCH_CHUNKS:
+            k = len(t)
+            U_trial = (U_rows[:, None] + t * dU[:, None]).reshape(-1, U.shape[1])
+            F_trial = residual(U_trial, np.repeat(rows, k))
+            norm_trial = _norms(F_trial)
+            passes = norm_trial.reshape(-1, k) < armijo * norm_rows
             ok = passes.any(axis=1)
-            h = np.argmax(passes[ok], axis=1)  # the first passing step of each row
-            at = rows[ok]
-            U[at], F[at], norm[at] = U_trial[ok, h], F_trial[ok, h], norm_trial[ok, h]
-            rows, dU = rows[~ok], dU[~ok]
-            lo = hi + 1
-        norm[rows] = np.inf  # no productive step left
-        live[rows] = False
+            hit = np.flatnonzero(ok)
+            if hit.size == 0:
+                continue
+            take = hit * k + passes[hit].argmax(axis=1)  # the first passing step of each row
+            at = rows[hit]
+            U[at], F[at], norm[at] = U_trial[take], F_trial[take], norm_trial[take]
+            if hit.size == rows.size:
+                break
+            search = ~ok
+            rows, U_rows, dU, norm_rows = rows[search], U_rows[search], dU[search], norm_rows[search]
+        else:  # no productive step left
+            norm[rows] = np.inf
+            live[rows] = False
     return U, norm
 
 
@@ -442,14 +505,18 @@ def solve_on_sphere(
 
 
 def point_at(form: PolyOneForm, z, morse_index: int | None = None) -> ContactPoint:
-    """Package a known location as a ContactPoint (mu and residual recomputed)."""
+    """Package a known location as a ContactPoint (mu and residual recomputed).
+
+    The origin is refused first, with ValueError, whatever the form: a form
+    with f(0) = 0 would otherwise report a singular gradient there.
+    """
     z = as_cvec(z, form.n)
-    mu, w, singular = _field(z, *form.evaluate_scaled(z))
-    if singular:
-        raise SingularGradientError("gradient of the one-form vanishes at this point")
     radius = float(np.linalg.norm(z))
     if radius == 0.0:
         raise ValueError("contact residual is undefined at the origin")
+    mu, w, singular = _field(z, *form.evaluate_scaled(z))
+    if singular:
+        raise SingularGradientError("gradient of the one-form vanishes at this point")
     residual = float(np.linalg.norm(w)) / radius
     return ContactPoint(z=z, mu=complex(mu), radius=radius, residual=residual, morse_index=morse_index)
 

@@ -260,31 +260,34 @@ def _leaf_system(chart: LeafChart):
     stack U: z - mu conj(f(z)) = 0 plus the real and imaginary parts of
     g(z) - c = 0, with g and f from one build of the chart table. The leaf
     constraint replaces the sphere and phase rows of the sphere solver, as
-    the leaf meets each phase orbit discretely. The system has no per-row
-    data, so the callbacks ignore the kernel's rows.
+    the leaf meets each phase orbit discretely. Each callback writes its
+    blocks into one array allocated per call (the Jacobian's through
+    contact._real_rows), and the identity is built once here. The system
+    has no per-row data, so the callbacks ignore the kernel's rows.
     """
     form, table, c = chart.form, chart.table, chart.c
     n = form.n
+    eye = np.eye(n)
 
     def residual(U: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        out = np.empty(U.shape)
         Z = U[:, :n] + 1j * U[:, n : 2 * n]
         V = table._dot(Z)
         G = Z - (U[:, 2 * n] + 1j * U[:, 2 * n + 1])[:, None] * V[:, 1:].conj()
+        out[:, :n], out[:, n : 2 * n] = G.real, G.imag
         L = V[:, 0] - c
-        return np.concatenate([G.real, G.imag, L.real[:, None], L.imag[:, None]], axis=1)
+        out[:, 2 * n], out[:, 2 * n + 1] = L.real, L.imag
+        return out
 
     def jacobian(U: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        J = np.empty(U.shape + U.shape[-1:])
         Z = U[:, :n] + 1j * U[:, n : 2 * n]
         mu = U[:, 2 * n] + 1j * U[:, 2 * n + 1]
         F = form.evaluate(Z)
-        G = _real_rows(
-            np.broadcast_to(np.eye(n), (len(U), n, n)),
-            -mu[:, None, None] * jacobian_form(form, Z).conj(),
-            -F.conj(),
-        )
+        _real_rows(J[:, : 2 * n], eye, -mu[:, None, None] * jacobian_form(form, Z).conj(), -F.conj())
         # d(g - c) = sum_k f_k dz_k: holomorphic, free of the multiplier
-        leaf = _real_rows(F[:, None, :], np.zeros((len(U), 1, n)), np.zeros((len(U), 1)))
-        return np.concatenate([G, leaf], axis=1)
+        _real_rows(J[:, 2 * n :], F[:, None, :], 0.0, 0.0)
+        return J
 
     return residual, jacobian
 

@@ -96,3 +96,17 @@ def line_distance(z: np.ndarray, direction: np.ndarray) -> float:
     """Distance of z from the complex line spanned by a unit direction."""
     proj = np.sum(z * direction.conj()) * direction
     return float(np.linalg.norm(z - proj))
+
+
+def real_rows_by_concatenation(dz, dzbar, dlam):
+    """The real rows (Re G; Im G) assembled as complex blocks and concatenated."""
+    dlam = dlam[..., None]
+    block = np.concatenate([dz + dzbar, 1j * (dz - dzbar), dlam, 1j * dlam], axis=-1)
+    return np.concatenate([block.real, block.imag], axis=-2)
+
+
+def random_exact_form(rng: np.random.Generator, n: int, degree: int) -> fc.PolyOneForm:
+    """d of a power sum of z_j^degree plus n random monomials of that degree."""
+    terms = [(complex(*rng.standard_normal(2)), rng.multinomial(degree, np.ones(n) / n)) for _ in range(n)]
+    terms += [(2.0, degree * np.eye(n, dtype=np.int64)[j]) for j in range(n)]
+    return fc.Polynomial(n, terms).differential()

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import folcontact as fc
+from folcontact import algebra
 from folcontact.algebra import _side_by_side
+from folcontact.contact import form_id
 from folcontact.errors import DimensionMismatchError, SingularMatrixError
 
 from conftest import random_symmetric
@@ -260,6 +262,30 @@ def test_integrate_exact_form_roundtrip(diag321, cubic3):
         rebuilt = fc.integrate_exact_form(form)
         z = np.array([0.3, -0.8 + 0.2j, 1.4j])
         assert rebuilt.evaluate(z) == pytest.approx(integral.evaluate(z))
+
+
+def test_power_plans_are_compiled_at_first_evaluation(monkeypatch, cubic3):
+    # form_id reads the coefficient polynomials and integrate_exact_form the
+    # table of d of its result: neither evaluates, so neither compiles a plan
+    compiled = []
+    power_plan = algebra._power_plan
+    monkeypatch.setattr(algebra, "_power_plan", lambda exps: compiled.append(exps) or power_plan(exps))
+    mixed = fc.Polynomial(3, cubic3.terms + [(0.5 - 2j, (1, 1, 1)), (3j, (0, 2, 1))])
+    form = mixed.differential()
+    z = np.array([0.3, -0.8 + 0.2j, 1.4j])
+    form_id(form)
+    rebuilt = fc.integrate_exact_form(form)
+    partial = mixed.partial(1)
+    assert compiled == []
+    f = form.evaluate(z)
+    assert len(compiled) == 1 and np.array_equal(compiled[0], form._exps)
+    form.evaluate(z)
+    assert len(compiled) == 1  # one plan per table
+    # the same values as from a plan compiled up front
+    assert np.array_equal(f, algebra._monomial_dot(z, power_plan(form._exps), form._coeffs))
+    assert partial.evaluate(z) == pytest.approx(f[1], rel=1e-15)
+    assert rebuilt.evaluate(z) == pytest.approx(mixed.evaluate(z), rel=1e-15)
+    assert len(compiled) == 4  # the form's, the partial's, rebuilt's and mixed's
 
 
 def test_integrate_rejects_non_exact():

@@ -245,6 +245,23 @@ def test_exit_2_on_bad_trace_start(tmp_path, form321):
     assert "not a contact point" in err
 
 
+def test_exit_2_on_trace_start_at_the_origin(tmp_path, cubic3):
+    # f(0) = 0 for a homogeneous form: the origin is bad input, not a
+    # numerical failure, and the message names the start
+    path = tmp_path / "origin.json"
+    path.write_text(
+        json.dumps(
+            {
+                "form": form_to_json(cubic3.differential()),
+                "start": cvec_to_json(np.zeros(3, dtype=complex)),
+            }
+        )
+    )
+    code, out, err = run_cli(["contact-trace", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert f"{path}.start" in err and "origin" in err
+
+
 def test_exit_3_on_singular_matrix(tmp_path):
     A = fc.SymMatrix(np.diag([1.0, 1.0, 0.0]).astype(complex))
     path = tmp_path / "singular.json"

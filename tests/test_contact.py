@@ -20,7 +20,7 @@ from folcontact.contact import (
 )
 from folcontact.errors import NonHomogeneousFormError, SingularGradientError
 
-from conftest import axis_distance, random_morse
+from conftest import axis_distance, random_exact_form, random_morse, real_rows_by_concatenation
 
 
 def test_mu_examples(form321):
@@ -107,6 +107,54 @@ def test_contact_system_jacobian_matches_finite_differences(form321, cubic3):
             e[k] = h
             fd = (residual(U + e, rows) - residual(U - e, rows)) / (2 * h)
             assert np.all(np.abs(fd - J[:, :, k]) <= 1e-5 * (1.0 + np.abs(J[:, :, k])))
+
+
+def _contact_system_by_concatenation(form, r, anchors, U, rows):
+    """(residual, jacobian) of the contact system from whole blocks, concatenated."""
+    n = form.n
+    Z = U[:, :n] + 1j * U[:, n : 2 * n]
+    nu = U[:, 2 * n] + 1j * U[:, 2 * n + 1]
+    G = nu[:, None] * Z - form.evaluate(Z).conj()
+    sphere = np.sum(np.abs(Z) ** 2, axis=1) - r * r
+    phase = np.imag(np.sum(Z * anchors[rows].conj(), axis=1))
+    F = np.concatenate([G.real, G.imag, sphere[:, None], phase[:, None]], axis=1)
+    G = real_rows_by_concatenation(nu[:, None, None] * np.eye(n), -fc.jacobian_form(form, Z).conj(), Z)
+    zeros = np.zeros((len(U), 2))
+    sphere = np.concatenate([2.0 * Z.real, 2.0 * Z.imag, zeros], axis=1)
+    phase = np.concatenate([-anchors[rows].imag, anchors[rows].real, zeros], axis=1)
+    J = np.concatenate([G, sphere[:, None], phase[:, None]], axis=1)
+    return F, J
+
+
+def test_real_rows_match_the_concatenated_blocks():
+    rng = np.random.default_rng(21)
+    S, m, n = 5, 3, 4
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    dz, dzbar, dlam = cplx(S, m, n), cplx(S, m, n), cplx(S, m)
+    out = np.full((S, 2 * m, 2 * n + 2), np.nan)
+    contact._real_rows(out, dz, dzbar, dlam)
+    assert np.array_equal(out, real_rows_by_concatenation(dz, dzbar, dlam))
+    # zero blocks given as 0, and one dz block shared by the stack
+    contact._real_rows(out, dz[0], 0.0, 0.0)
+    assert np.array_equal(out, real_rows_by_concatenation(np.broadcast_to(dz[0], dz.shape), 0 * dz, 0 * dlam))
+
+
+@pytest.mark.parametrize("S", [1, 3, 64])
+def test_contact_system_matches_the_concatenated_blocks(S, form321, cubic3):
+    rng = np.random.default_rng(22 + S)
+    for form in (form321, cubic3.differential(), random_exact_form(rng, 8, 4)):
+        n = form.n
+        anchors = rng.standard_normal((64, n)) + 1j * rng.standard_normal((64, n))
+        r = 1.3
+        residual, jacobian = _contact_system(form, r, anchors)
+        rows = rng.choice(64, size=S, replace=False)
+        U = rng.standard_normal((S, 2 * n + 2))
+        F, J = _contact_system_by_concatenation(form, r, anchors, U, rows)
+        assert np.array_equal(residual(U, rows), F)
+        assert np.array_equal(jacobian(U, rows), J)
 
 
 def test_damped_newton_builds_jacobian_once_per_step():
@@ -269,6 +317,16 @@ def test_point_at_tiny_point_is_not_singular():
     form = fc.linear_form(fc.SymMatrix(np.diag([1.0, 2.0])))
     p = fc.point_at(form, [1e-20, 0.0])
     assert p.residual == 0.0 and p.mu == 1.0
+
+
+def test_point_at_refuses_the_origin_before_its_gradient_test(form321, cubic3):
+    # f(0) = 0 for these homogeneous forms, so the singular-gradient test
+    # would fire at the origin: the origin is refused first, as bad input
+    for form in (form321, cubic3.differential()):
+        for refuse in (fc.point_at, fc.contact_residual):
+            with pytest.raises(ValueError, match="origin") as exc:
+                refuse(form, [0.0, 0.0, 0.0])
+            assert not isinstance(exc.value, SingularGradientError)
 
 
 def test_singular_gradient_at_origin_zero_form_and_cancelling_terms(form321):

@@ -11,7 +11,7 @@ from folcontact import algebra, leaf
 from folcontact.errors import ChartError, FlowError, SingularGradientError
 from folcontact.leaf import _leaf_system, _tangent_basis, homogeneous_leaf_scale
 
-from conftest import axis_distance, random_morse
+from conftest import axis_distance, random_exact_form, random_morse, real_rows_by_concatenation
 
 
 def _on_leaf_seed(integral, form, raw, c):
@@ -116,6 +116,37 @@ def test_leaf_system_jacobian_matches_finite_differences(form321, integral321, c
             e[k] = h
             fd = (residual(U + e, rows) - residual(U - e, rows)) / (2 * h)
             assert np.all(np.abs(fd - J[:, :, k]) <= 1e-5 * (1.0 + np.abs(J[:, :, k])))
+
+
+def _leaf_system_by_concatenation(chart, U):
+    """(residual, jacobian) of the leaf system from whole blocks, concatenated."""
+    form, n = chart.form, chart.form.n
+    Z = U[:, :n] + 1j * U[:, n : 2 * n]
+    mu = U[:, 2 * n] + 1j * U[:, 2 * n + 1]
+    V = chart.table._dot(Z)
+    G = Z - mu[:, None] * V[:, 1:].conj()
+    L = V[:, 0] - chart.c
+    R = np.concatenate([G.real, G.imag, L.real[:, None], L.imag[:, None]], axis=1)
+    F = form.evaluate(Z)
+    G = real_rows_by_concatenation(
+        np.broadcast_to(np.eye(n), (len(U), n, n)), -mu[:, None, None] * fc.jacobian_form(form, Z).conj(), -F.conj()
+    )
+    leaf_row = real_rows_by_concatenation(F[:, None, :], np.zeros((len(U), 1, n)), np.zeros((len(U), 1)))
+    return R, np.concatenate([G, leaf_row], axis=1)
+
+
+@pytest.mark.parametrize("S", [1, 3, 64])
+def test_leaf_system_matches_the_concatenated_blocks(S, form321, integral321, cubic3):
+    rng = np.random.default_rng(40 + S)
+    exact8 = random_exact_form(rng, 8, 4)
+    for integral, form in ((integral321, form321), (cubic3, cubic3.differential()), (fc.integrate_exact_form(exact8), exact8)):
+        n = form.n
+        chart = leaf.LeafChart(integral, form, complex(*rng.standard_normal(2)))
+        residual, jacobian = _leaf_system(chart)
+        U = rng.standard_normal((S, 2 * n + 2))
+        R, J = _leaf_system_by_concatenation(chart, U)
+        assert np.array_equal(residual(U, np.arange(S)), R)
+        assert np.array_equal(jacobian(U, np.arange(S)), J)
 
 
 def test_gradient_identity_in_chart(diag321, form321, integral321):
