@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import folcontact as fc
+from folcontact.contact import ACCEPT_TOL
 from folcontact.index import circle_samples
+from folcontact.leaf import DEFAULT_FLOW_TOL
 from folcontact.jsonio import cvec_to_json, form_to_json, matrix_to_json
 
 from conftest import load_schema, run_cli
@@ -90,6 +92,81 @@ def _check(argv, report_schema):
     report = json.loads(out)
     jsonschema.validate(report, report_schema)
     return report
+
+
+# Each command's arguments, input files named by their fixtures, and the
+# keys its report's config echoes besides "command" and "output".
+COMMANDS = {
+    "linear-analyze": (["--input", "matrix_file"], {"input"}),
+    "linear-morseify": (["--input", "matrix_file"], {"input", "eps"}),
+    "contact-solve": (
+        ["--input", "symplectic_file", "--seeds", "5"],
+        {"input", "radius", "seeds", "tol", "rng_seed"},
+    ),
+    "contact-trace": (
+        ["--input", "trace_file", "--steps", "4"],
+        {"input", "tol", "r_min", "r_max", "steps"},
+    ),
+    "leaf-flow": (["--input", "flow_file"], {"input", "c", "tol", "direction", "max_steps"}),
+    "leaf-hessian": (["--input", "hessian_file"], {"input", "c"}),
+    "scan": (
+        ["--input", "symplectic_file", "--samples", "200"],
+        {"input", "radius", "samples", "rng_seed"},
+    ),
+    "index-pugh": (["--n", "2", "--i", "0"], {"n", "i"}),
+    "index-audit": (["--input", "audit_file"], {"input"}),
+}
+
+
+def _argv(command, request):
+    args, _ = COMMANDS[command]
+    return [command] + [request.getfixturevalue(a) if a.endswith("_file") else a for a in args]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_config_echoes_exactly_the_options_read(command, request, report_schema):
+    report = _check(_argv(command, request), report_schema)
+    assert set(report["config"]) == COMMANDS[command][1] | {"command", "output"}
+    assert report["config"]["command"] == command
+
+
+@pytest.mark.parametrize(
+    "command, tol", [("contact-solve", ACCEPT_TOL), ("contact-trace", ACCEPT_TOL),
+                     ("leaf-flow", DEFAULT_FLOW_TOL)]
+)
+def test_config_echoes_the_commands_own_default_tolerance(command, tol, request, report_schema):
+    assert _check(_argv(command, request), report_schema)["config"]["tol"] == tol
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("index-pugh", "--radius", "2"),
+        ("linear-analyze", "--seeds", "5"),
+        ("leaf-hessian", "--tol", "1e-3"),
+        ("scan", "--seeds", "3"),
+        ("contact-solve", "--samples", "5"),
+    ],
+)
+def test_exit_2_on_an_option_the_command_does_not_read(command, option, value, request):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(_argv(command, request) + [option, value])
+    assert exc.value.code == 2
+
+
+def test_schema_rejects_config_keys_outside_the_commands_row(request, report_schema):
+    pugh = _check(_argv("index-pugh", request), report_schema)
+    pugh["config"]["radius"] = 1.0
+    solve = _check(_argv("contact-solve", request), report_schema)
+    del solve["config"]["seeds"]
+    for report in (pugh, solve):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, report_schema)
+
+
+@pytest.mark.parametrize("name", ["report.json", "form.json", "matrix.json"])
+def test_published_schemas_are_valid_draft_2020_12(name):
+    jsonschema.Draft202012Validator.check_schema(load_schema(name))
 
 
 def test_input_fixtures_match_published_schemas(matrix_file, symplectic_file):
@@ -262,6 +339,20 @@ def test_exit_2_on_trace_start_at_the_origin(tmp_path, cubic3):
     assert f"{path}.start" in err and "origin" in err
 
 
+@pytest.mark.parametrize("c_option", [[], ["--c-re", "1"]])
+@pytest.mark.parametrize("command, key", [("leaf-flow", "seed"), ("leaf-hessian", "point")])
+def test_exit_2_on_leaf_seed_at_the_origin(tmp_path, form321, command, key, c_option):
+    # the origin is on no sphere: bad input naming the vector, as for a trace
+    # start, not a numerical failure of the projection onto the leaf
+    path = tmp_path / "origin.json"
+    path.write_text(
+        json.dumps({"form": form_to_json(form321), key: cvec_to_json(np.zeros(3, dtype=complex))})
+    )
+    code, out, err = run_cli([command, "--input", str(path), *c_option])
+    assert code == 2 and out == ""
+    assert f"{path}.{key}" in err and "origin" in err
+
+
 def test_exit_3_on_singular_matrix(tmp_path):
     A = fc.SymMatrix(np.diag([1.0, 1.0, 0.0]).astype(complex))
     path = tmp_path / "singular.json"
@@ -416,12 +507,19 @@ def test_argparse_rejects_unknown_command():
     assert exc.value.code == 2
 
 
-def test_byte_identical_reports(matrix_file, symplectic_file, flow_file):
+def test_byte_identical_reports(
+    matrix_file, symplectic_file, flow_file, trace_file, hessian_file, audit_file
+):
     for argv in (
         ["linear-analyze", "--input", matrix_file],
+        ["linear-morseify", "--input", matrix_file, "--eps", "1e-3"],
         ["contact-solve", "--input", symplectic_file, "--seeds", "25", "--rng-seed", "9"],
+        ["contact-trace", "--input", trace_file, "--steps", "6"],
         ["scan", "--input", symplectic_file, "--samples", "300", "--rng-seed", "4"],
         ["leaf-flow", "--input", flow_file, "--c-re", "1"],
+        ["leaf-hessian", "--input", hessian_file],
+        ["index-pugh", "--n", "6", "--i", "3"],
+        ["index-audit", "--input", audit_file],
     ):
         runs = [run_cli(argv) for _ in range(3)]
         assert all(code == 0 for code, _, _ in runs)
