@@ -64,12 +64,12 @@ COND_CAP = 1e12
 ROW_BLOCK = 1024
 
 
-def as_cvec(values, n: int | None = None) -> np.ndarray:
+def as_cvec(values, n: int) -> np.ndarray:
     """Validate and convert to a complex point of C^n (n >= 2, finite)."""
     z = np.asarray(values, dtype=complex)
     if z.ndim != 1 or z.size < 2:
         raise DimensionMismatchError(f"expected a vector of dimension >= 2, got shape {z.shape}")
-    if n is not None and z.size != n:
+    if z.size != n:
         raise DimensionMismatchError(f"expected dimension {n}, got {z.size}")
     if not np.all(np.isfinite(z.view(float))):
         raise ValueError("vector has non-finite components")
@@ -512,7 +512,7 @@ def _fix_column_signs(U: np.ndarray) -> np.ndarray:
     return U
 
 
-def takagi(A: SymMatrix, gap_tol: float = GAP_TOL) -> TakagiFactors:
+def takagi(A: SymMatrix) -> TakagiFactors:
     """Takagi factorization of a complex symmetric matrix.
 
     Route: one real symmetric eigendecomposition of the 2n x 2n realification
@@ -525,8 +525,9 @@ def takagi(A: SymMatrix, gap_tol: float = GAP_TOL) -> TakagiFactors:
     mixing inside a degenerate sigma eigenspace stays a valid Takagi basis,
     so accuracy does not degrade for close sigma values (unlike the
     conj(A) A route, where eigenvector mixing between near-equal sigma
-    destroys the per-column phase relation). Columns for sigma = 0 are
-    conjugated null vectors of A from an SVD.
+    destroys the per-column phase relation). Columns for sigma at most
+    GAP_TOL sigma_max count as sigma = 0 and are conjugated null vectors
+    of A from an SVD.
     """
     M0 = A.array
     n = A.n
@@ -537,7 +538,7 @@ def takagi(A: SymMatrix, gap_tol: float = GAP_TOL) -> TakagiFactors:
     U = V[:n, idx] + 1j * V[n:, idx]
 
     smax = sigma[0] if sigma[0] > 0 else 1.0
-    zero = sigma <= gap_tol * smax
+    zero = sigma <= GAP_TOL * smax
     if np.any(zero):
         # zero block: top-half eigenvectors of T may be complex-dependent
         # there (the kernel is closed under multiplication by i); take
@@ -591,12 +592,12 @@ def symplectic_form(n: int) -> PolyOneForm:
     return PolyOneForm._from_table(n, np.eye(n, dtype=np.int64), C)
 
 
-def integrate_exact_form(form: PolyOneForm, tol: float = 1e-12) -> Polynomial:
+def integrate_exact_form(form: PolyOneForm) -> Polynomial:
     """First integral f with df = form and f(0) = 0, via radial integration.
 
     Each term c z^alpha of f_j contributes c z^{alpha+e_j} / (|alpha|+1).
     Raises ValueError if the form is not exact: the table of d of the
-    result minus the form's must vanish to tol times the largest
+    result minus the form's must vanish to 1e-12 times the largest
     coefficient (at least 1).
     """
     n, E, C = form.n, form._exps, form._coeffs
@@ -606,6 +607,6 @@ def integrate_exact_form(form: PolyOneForm, tol: float = 1e-12) -> Polynomial:
     f = Polynomial._from_table(n, E[i] + np.eye(n, dtype=np.int64)[j], c)
     df = f.differential()
     _, diff = _canonical(np.concatenate([df._exps, E]), np.concatenate([df._coeffs, -C]))
-    if np.abs(diff).max(initial=0.0) > tol * max(np.abs(C).max(initial=0.0), 1.0):
+    if np.abs(diff).max(initial=0.0) > 1e-12 * max(np.abs(C).max(initial=0.0), 1.0):
         raise ValueError("one-form is not exact; no polynomial first integral")
     return f

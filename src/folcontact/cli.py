@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name: str, run, *parents, tol: float | None = None):
         """The subcommand `name`, run by `run` (its docstring is the help)."""
         p = sub.add_parser(name, help=run.__doc__, parents=[*parents, output])
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, parser=p)
         if tol is not None:
             p.add_argument(
                 "--tol", type=_positive, default=tol, help=f"tolerance, > 0 (default {tol:g})"
@@ -319,9 +319,11 @@ def _pretty(report: dict[str, Any]) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    run = args.run
-    del args.run  # the rest of the namespace is the report's config
+    args, extra = _build_parser().parse_known_args(argv)
+    run, parser = args.run, args.parser
+    del args.run, args.parser  # the rest of the namespace is the report's config
+    if extra:  # an option the subcommand does not take: show the subcommand's usage
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         result = run(args)
     except (InputFormatError, ValueError) as exc:

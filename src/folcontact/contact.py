@@ -18,7 +18,8 @@ computed, for a point or a stack, from f and its rounding scale, which
 one monomial build gives together (PolyOneForm.evaluate_scaled here, the
 leaf chart's [g | f] table in leaf.py). Its callers pick what a singular
 point means: mu_of, contact_residual and point_at raise
-SingularGradientError, sphere_search drops the row.
+SingularGradientError, sphere_search drops the row, and continue_radially
+truncates the path there.
 
 The sphere solver works on the real system in 2n+2 unknowns
 (Re z, Im z, Re mu, Im mu):
@@ -79,10 +80,6 @@ class ContactPoint:
     residual: float
     leaf_value: complex | None = None
     morse_index: int | None = None
-
-    @property
-    def accepted(self) -> bool:
-        return self.residual <= ACCEPT_TOL
 
 
 @dataclass
@@ -347,18 +344,13 @@ def _damped_newton(residual, jacobian, U0: np.ndarray, target: float, max_iter: 
     return U, norm
 
 
-def _newton_on_sphere(
-    form: PolyOneForm,
-    Z0: np.ndarray,
-    r: float,
-    max_iter: int = NEWTON_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray]:
+def _newton_on_sphere(form: PolyOneForm, Z0: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on the contact system at fixed radius from each row of Z0.
 
-    Each row is anchored at its own start. Returns the solutions scaled to
-    radius r and the mask of rows that converged; a row fails when the
-    kernel fails on it, when it stagnates above 1e-6 r, or when z collapses
-    to 0. The Newton target 1e-13 r and that bound are relative to r, so a
+    Each row is anchored at its own start and runs at most NEWTON_MAX_ITER
+    steps. Returns the solutions scaled to radius r and the mask of rows
+    that converged; a row fails when the kernel fails on it, when it
+    stagnates above 1e-6 r, or when z collapses to 0. The Newton target 1e-13 r and that bound are relative to r, so a
     non-homogeneous form, which is solved at r itself, converges at any
     radius.
     """
@@ -366,7 +358,7 @@ def _newton_on_sphere(
     F0 = form.evaluate(Z0)
     nu0 = np.conj(np.sum(F0 * Z0, axis=1)) / (r * r)  # least squares for ||nu z - conj f||
     U0 = np.concatenate([Z0.real, Z0.imag, nu0.real[:, None], nu0.imag[:, None]], axis=1)
-    U, norm = _damped_newton(*_contact_system(form, r, Z0), U0, 1e-13 * r, max_iter)
+    U, norm = _damped_newton(*_contact_system(form, r, Z0), U0, 1e-13 * r, NEWTON_MAX_ITER)
     Z = U[:, :n] + 1j * U[:, n : 2 * n]
     nz = np.linalg.norm(Z, axis=1)
     ok = (norm <= 1e-6 * r) & (nz > 0.0)
@@ -498,8 +490,9 @@ def solve_on_sphere(
     """Contact points on the radius-r sphere found from n_seeds random starts.
 
     Deterministic for fixed rng_seed; phase-orbit duplicates are merged; an
-    empty list is a valid outcome (transverse sphere). Diverged seeds are
-    dropped (see sphere_search for the counts).
+    empty list means that no contact point was found from these seeds, not
+    that the sphere is transverse. Diverged seeds are dropped (see
+    sphere_search for the counts).
     """
     return sphere_search(form, r, n_seeds, rng_seed, tol).points
 
@@ -531,18 +524,21 @@ def continue_radially(
 ) -> ContactPath:
     """Trace the contact cone through `start` over a radius grid.
 
-    Predictor scales the previous point radially; corrector re-solves the
-    contact system at the fixed target radius anchored at the prediction.
-    Corrector failure (or a jump to a different branch) truncates the path
-    in that direction and sets the truncated flag.
+    The start must be a contact point to tol (residual <= tol), as every
+    point of the path is. Predictor scales the previous point radially;
+    corrector re-solves the contact system at the fixed target radius
+    anchored at the prediction. Corrector failure (no convergence, a
+    singular gradient, a residual above tol, or a jump to a different
+    branch) truncates the path in that direction and sets the truncated
+    flag.
     """
     if not (0 < r_min < start.radius < r_max):
         raise ValueError("need 0 < r_min < start.radius < r_max")
     if steps < 2:
         raise ValueError("need at least two continuation steps")
     _check_tol(tol)
-    if not start.accepted:
-        raise ValueError("start point is not an accepted contact point")
+    if not start.residual <= tol:
+        raise ValueError(f"start point is not a contact point to tol (residual {start.residual:.3e})")
 
     grid = np.geomspace(r_min, r_max, steps)
     below = sorted([r for r in grid if r < start.radius], reverse=True)
@@ -561,10 +557,11 @@ def continue_radially(
             Z, converged = _newton_on_sphere(form, pred[None], r)
             z, ok = Z[0], bool(converged[0])
             if ok:
-                q = point_at(form, z)
+                mu, w, singular = _field(z, *form.evaluate_scaled(z))
+                residual = float(np.linalg.norm(w)) / float(np.linalg.norm(z))
                 # a corrected point far from the prediction means the branch
                 # was lost (collision / non-Morse behavior), not continued
-                ok = q.residual <= tol and _aligned_distance(z, pred) <= 0.3 * r
+                ok = not singular and residual <= tol and _aligned_distance(z, pred) <= 0.3 * r
             if not ok:
                 truncated = True
                 if truncation_radius is None or abs(r - start.radius) < abs(
@@ -572,7 +569,7 @@ def continue_radially(
                 ):
                     truncation_radius = float(r)
                 break
-            pts.append(ContactPoint(z=z, mu=q.mu, radius=float(r), residual=q.residual))
+            pts.append(ContactPoint(z=z, mu=complex(mu), radius=float(r), residual=residual))
             z_prev, r_prev = z, r
         return pts
 
@@ -598,15 +595,16 @@ def radial_invariance_check(
     Requires a homogeneous form (all coefficient polynomials of one total
     degree k); for such forms the contact variety is invariant under the
     radial orbits z -> z e^T with multiplier law mu -> mu conj(e^{kT}) e^{-T}.
-    The scaled points form one stack: any that is 0 or not finite raises
-    ValueError, and any singular one SingularGradientError.
+    p itself must be a contact point to tol (residual <= tol), else
+    ValueError. The scaled points form one stack: any that is 0 or not
+    finite raises ValueError, and any singular one SingularGradientError.
     """
     if form.homogeneous_degree() is None:
         raise NonHomogeneousFormError(
             "radial invariance is defined for homogeneous one-forms only"
         )
-    if not p.accepted:
-        raise ValueError("point is not an accepted contact point")
+    if not p.residual <= tol:
+        raise ValueError(f"point is not a contact point to tol (residual {p.residual:.3e})")
     Z = p.z * np.exp(np.asarray(T_samples, dtype=complex))[:, None]
     radius = np.linalg.norm(Z, axis=1)
     if not np.all((radius > 0.0) & (radius < np.inf)):

@@ -189,17 +189,16 @@ def disc_tangency_audit(boundary_samples) -> IndexReport:
     )
 
 
-def circle_samples(field, m: int, radius: float = 1.0, center=(0.0, 0.0)):
-    """Sampled (point, field value, outward normal) triples on a circle.
+def circle_samples(field, m: int):
+    """Sampled (point, field value, outward normal) triples on the unit circle.
 
     `field` maps an (x, y) array to an (Fx, Fy) array. Convenience producer
-    for audits and fixtures; counterclockwise order.
+    for audits and fixtures; counterclockwise order. On the unit circle
+    each point is its own outward normal.
     """
-    cx, cy = center
     out = []
     for k in range(m):
         t = 2.0 * np.pi * k / m
-        nrm = np.array([np.cos(t), np.sin(t)])
-        p = np.array([cx, cy]) + radius * nrm
-        out.append((p, np.asarray(field(p), dtype=float), nrm))
+        p = np.array([np.cos(t), np.sin(t)])
+        out.append((p, np.asarray(field(p), dtype=float), p.copy()))
     return out

@@ -155,13 +155,13 @@ def _sampled_point(s: FieldSample, leaf_value: complex, morse_index: int | None 
     return ContactPoint(s.z, s.mu, radius, s.t_norm / radius, leaf_value, morse_index)
 
 
-def _project(chart: LeafChart, z: np.ndarray, max_iter: int = 50):
+def _project(chart: LeafChart, z: np.ndarray):
     """(z on the chart's leaf, its evaluation (g, f, monomials)): see project_to_leaf.
 
     Each iterate is one _evaluate, and the last one is handed back, so a
     caller gets the field at the corrected point without evaluating it.
     """
-    c = chart.c
+    c, max_iter = chart.c, 50
     target = 1e-14 * (1.0 + abs(c))
     accept = 1e-12 * (1.0 + abs(c))
     best_err = np.inf
@@ -183,20 +183,15 @@ def _project(chart: LeafChart, z: np.ndarray, max_iter: int = 50):
             raise LeafCorrectionError("leaf correction diverged")
 
 
-def project_to_leaf(
-    integral: Polynomial,
-    form: PolyOneForm,
-    z,
-    c: complex,
-    max_iter: int = 50,
-) -> np.ndarray:
+def project_to_leaf(integral: Polynomial, form: PolyOneForm, z, c: complex) -> np.ndarray:
     """Newton-correct z onto the leaf {g = c} of the integral g along conj(f).
 
     With f = dg the form, iterates z += (c - g(z)) conj(f(z)) / ||f(z)||^2
-    down to the rounding floor; raises LeafCorrectionError on divergence.
-    Each iterate gets g and f from one build of the chart table [g | f];
-    this function compiles that table, and the leaf code, which has a
-    chart, runs the same loop (_project) on the chart's own table.
+    down to the rounding floor, at most 50 times; raises
+    LeafCorrectionError on divergence. Each iterate gets g and f from one
+    build of the chart table [g | f]; this function compiles that table,
+    and the leaf code, which has a chart, runs the same loop (_project) on
+    the chart's own table.
 
     It stays outside the shared kernel contact._damped_newton: it solves one
     complex equation in n unknowns by that minimum-norm step, with no line
@@ -204,7 +199,7 @@ def project_to_leaf(
     the kernel would be a second path through it.
     """
     z = as_cvec(z, form.n)
-    return _project(LeafChart(integral, form, complex(c)), z, max_iter)[0]
+    return _project(LeafChart(integral, form, complex(c)), z)[0]
 
 
 def homogeneous_leaf_scale(integral: Polynomial, z, c: complex) -> np.ndarray:
@@ -221,12 +216,16 @@ def homogeneous_leaf_scale(integral: Polynomial, z, c: complex) -> np.ndarray:
     return z * (c / val) ** (1.0 / k)
 
 
+def _check_on_leaf(chart: LeafChart, g: complex, what: str) -> None:
+    """Refuse, with ValueError, the base, seed or point `what` at which the
+    integral is g when |g - c| > LEAF_TOL (1 + |c|) for the chart's c."""
+    if abs(g - chart.c) > LEAF_TOL * (1.0 + abs(chart.c)):
+        raise ValueError(f"{what} is not on the leaf (|g({what}) - c| = {abs(g - chart.c):.3e})")
+
+
 def _check_base(chart: LeafChart, base: np.ndarray, g: complex, f: np.ndarray) -> None:
     """make_chart's checks at base, from its evaluation g = g(base), f = f(base)."""
-    if abs(g - chart.c) > LEAF_TOL * (1.0 + abs(chart.c)):
-        raise ValueError(
-            f"base is not on the leaf (|f(base) - c| = {abs(g - chart.c):.3e})"
-        )
+    _check_on_leaf(chart, g, "base")
     if np.max(np.abs(f)) < 1e-10 * (1.0 + np.linalg.norm(base)):
         raise ChartError("all form coefficients vanish at the base point")
 
@@ -292,23 +291,22 @@ def _leaf_system(chart: LeafChart):
     return residual, jacobian
 
 
-def _polish_on_leaf(
-    chart: LeafChart, s: FieldSample, max_iter: int = 40
-) -> np.ndarray | None:
+def _polish_on_leaf(chart: LeafChart, s: FieldSample) -> np.ndarray | None:
     """Newton on (z - mu conj(f) = 0, g(z) - c = 0) from the sample s; None on failure.
 
     Starts at s.z with the multiplier s.mu, so it evaluates nothing to
     start. Runs the damped-Newton kernel shared with the sphere solver on a
-    stack of one (contact._damped_newton: one Jacobian per step, residuals
-    only at line-search trial points) and, unlike that solver, succeeds
-    only when the residual norm reaches its target 1e-13 (1 + |c| + |z0|).
+    stack of one for at most 40 steps (contact._damped_newton: one Jacobian
+    per step, residuals only at line-search trial points) and, unlike that
+    solver, succeeds only when the residual norm reaches its target
+    1e-13 (1 + |c| + |z0|).
     """
     z0, n = s.z, chart.form.n
     if float(np.sum(np.abs(s.grad_omega) ** 2)) <= 1e-28:
         return None
     u0 = np.concatenate([z0.real, z0.imag, [s.mu.real, s.mu.imag]])
     target = 1e-13 * (1.0 + abs(chart.c) + np.linalg.norm(z0))
-    U, norm = _damped_newton(*_leaf_system(chart), u0[None], target, max_iter)
+    U, norm = _damped_newton(*_leaf_system(chart), u0[None], target, 40)
     if not norm[0] <= target:
         return None
     return U[0, :n] + 1j * U[0, n : 2 * n]
@@ -343,8 +341,7 @@ def flow_to_critical(
     z = as_cvec(z0, chart.form.n)
     evaluation = _evaluate(chart, z)
     g = evaluation[0]
-    if abs(g - c) > LEAF_TOL * (1.0 + abs(c)):
-        raise ValueError("seed is not on the leaf")
+    _check_on_leaf(chart, g, "seed")
 
     def finish(sample, g, steps, trace, polished):
         return FlowResult(
@@ -442,13 +439,12 @@ def _tangent_basis(f: np.ndarray) -> np.ndarray:
     return Q * (d / np.abs(d))
 
 
-def leaf_hessian(
-    chart: LeafChart,
-    p,
-    crit_tol: float = 1e-6,
-    eig_tol: float = EIG_TOL,
-) -> HessianReport:
+def leaf_hessian(chart: LeafChart, p) -> HessianReport:
     """Exact restricted Hessian (half squared distance) at a critical point p.
+
+    p must be on the chart's leaf (see _check_on_leaf) and critical, with
+    t_norm at most 1e-6, else ValueError. An eigenvalue below -EIG_TOL
+    counts as negative.
 
     A leaf curve z(t) = p + t v + t^2 a / 2 with f = dg(p) has f^T v = 0 and
     f^T a = -v^T H v, where H = D^2 g(p) (the Jacobian of the form). As
@@ -459,14 +455,13 @@ def leaf_hessian(
     real matrix is I - [[Re S, -Im S], [-Im S, -Re S]], with (Re xi_a,
     Im xi_a) interleaved, and its eigenvalues are 1 +- (Takagi values of S).
     """
-    form, c = chart.form, chart.c
+    form = chart.form
     p = as_cvec(p, form.n)
     evaluation = _evaluate(chart, p)
     g = evaluation[0]
-    if abs(g - c) > LEAF_TOL * (1.0 + abs(c)):
-        raise ValueError("point is not on the chart leaf")
+    _check_on_leaf(chart, g, "point")
     s = _chart_sample(chart, p, evaluation)
-    if s.t_norm > crit_tol:
+    if s.t_norm > 1e-6:
         raise ValueError(f"point is not critical (t_norm = {s.t_norm:.3e})")
 
     Q = _tangent_basis(s.grad_omega.conj())
@@ -480,7 +475,7 @@ def leaf_hessian(
     )
 
     eigenvalues = np.linalg.eigvalsh(M)
-    negative_count = int(np.sum(eigenvalues < -eig_tol))
+    negative_count = int(np.sum(eigenvalues < -EIG_TOL))
     point = _sampled_point(s, complex(g), negative_count)
     return HessianReport(
         matrix=M, eigenvalues=eigenvalues, negative_count=negative_count, point=point
@@ -488,9 +483,9 @@ def leaf_hessian(
 
 
 def transversality_scan(
-    form: PolyOneForm, r: float, n_samples: int, rng_seed: int, n_worst: int = 10
+    form: PolyOneForm, r: float, n_samples: int, rng_seed: int
 ) -> tuple[float, list[tuple[float, np.ndarray]]]:
-    """Minimum of t_norm/|z| over random sphere samples, with worst points.
+    """Minimum of t_norm/|z| over random sphere samples, with the 10 worst points.
 
     Samples share the seed stream with the contact solver, so larger sample
     counts extend (and their minima refine) smaller ones. Sample points where
@@ -507,22 +502,18 @@ def transversality_scan(
     _, w, singular = _field(z, *form.evaluate_scaled(z))
     scores = np.linalg.norm(w, axis=1) / r_sample
     scores[singular] = 0.0
-    order = np.argsort(scores, kind="stable")[: min(n_worst, n_samples)]
+    order = np.argsort(scores, kind="stable")[:10]
     worst = [(float(scores[i]), z[i] * (r / r_sample)) for i in order]
     return float(scores.min()), worst
 
 
-def index_persistence(
-    chart: LeafChart,
-    p: ContactPoint,
-    dc: complex,
-    flow_tol: float = DEFAULT_FLOW_TOL,
-) -> bool:
+def index_persistence(chart: LeafChart, p: ContactPoint, dc: complex) -> bool:
     """Does the critical point survive on the nearby leaf c + dc, same index?
 
     The seed is p transported onto the new leaf along the gradient, then
-    flowed to a critical point there; True iff that point stays within the
-    persistence radius 10 sqrt(|dc|) (1 + |p|) and its Morse index matches.
+    flowed to a critical point there at flow_to_critical's default tol;
+    True iff that point stays within the persistence radius
+    10 sqrt(|dc|) (1 + |p|) and its Morse index matches.
     The new leaf's chart shares the chart's [g | f] table, and make_chart's
     checks at the seed use the evaluation its leaf correction ends with.
     A False is a report, not an error: degenerate (non-Morse) points may
@@ -537,7 +528,7 @@ def index_persistence(
     try:
         seed, evaluation = _project(chart_new, as_cvec(p.z, chart.form.n))
         _check_base(chart_new, seed, *evaluation[:2])
-        result = flow_to_critical(chart_new, seed, "descend", tol=flow_tol)
+        result = flow_to_critical(chart_new, seed, "descend")
         report = leaf_hessian(chart_new, result.point.z)
     except (FlowError, ChartError, ValueError):
         return False

@@ -30,8 +30,6 @@ from .algebra import (
 from .contact import ACCEPT_TOL, ContactPoint, contact_residual, mu_of
 from .errors import NotMorseError
 
-LINE_RESIDUAL_TOL = 1e-9
-
 
 @dataclass
 class ContactLine:
@@ -62,7 +60,6 @@ class MorseVerdict:
     is_morse: bool
     sigma: list[float]  # descending
     min_gap: float
-    gap_tol: float
 
 
 def _canonical_direction(w: np.ndarray) -> np.ndarray:
@@ -88,30 +85,31 @@ def hessian_eigenvalues_closed_form(sigma, line_index: int) -> np.ndarray:
     return np.sort(np.concatenate([1.0 + ratios, 1.0 - ratios]))
 
 
-def verdict_from_takagi(tk: TakagiFactors, gap_tol: float = GAP_TOL) -> MorseVerdict:
+def verdict_from_takagi(tk: TakagiFactors) -> MorseVerdict:
+    """Morse iff every two Takagi values differ by more than GAP_TOL sigma_max."""
     sigma = np.asarray(tk.sigma, dtype=float)
     gaps = np.abs(sigma[:, None] - sigma[None, :])
     min_gap = float(np.min(gaps[~np.eye(len(sigma), dtype=bool)]))
     smax = float(sigma[0]) if sigma[0] > 0 else 1.0
     return MorseVerdict(
-        is_morse=bool(min_gap > gap_tol * smax),
+        is_morse=bool(min_gap > GAP_TOL * smax),
         sigma=[float(s) for s in sigma],
         min_gap=min_gap,
-        gap_tol=gap_tol,
     )
 
 
-def analyze(A: SymMatrix, gap_tol: float = GAP_TOL) -> tuple[MorseVerdict, ContactLineSet]:
+def analyze(A: SymMatrix) -> tuple[MorseVerdict, ContactLineSet]:
     """Morse verdict and validated contact-line candidates of A.
 
     Every reported direction is checked against the contact residual at
-    radius 1; the eigen route supplies candidates only. When A is of Morse
-    type the lines also carry their Morse indices (see morse_indices).
+    radius 1, and kept when it is at most ACCEPT_TOL; the eigen route
+    supplies candidates only. When A is of Morse type the lines also carry
+    their Morse indices (see morse_indices).
     Raises SingularMatrixError for singular A.
     """
     _require_invertible(A)
     tk = takagi(A)
-    verdict = verdict_from_takagi(tk, gap_tol)
+    verdict = verdict_from_takagi(tk)
     form = linear_form(A)
     lines: list[ContactLine] = []
     rejected: list[ContactLine] = []
@@ -123,7 +121,7 @@ def analyze(A: SymMatrix, gap_tol: float = GAP_TOL) -> tuple[MorseVerdict, Conta
         line = ContactLine(
             direction=w, sigma=float(s), mu_modulus=float(1.0 / s), residual=res
         )
-        (lines if res <= LINE_RESIDUAL_TOL else rejected).append(line)
+        (lines if res <= ACCEPT_TOL else rejected).append(line)
     if verdict.is_morse:
         # closed-form index, cross-checked against the descending sigma order
         sigma = np.array([line.sigma for line in lines])

@@ -15,6 +15,8 @@ from folcontact.index import circle_samples
 from folcontact.leaf import DEFAULT_FLOW_TOL
 from folcontact.jsonio import cvec_to_json, form_to_json, matrix_to_json
 
+from folcontact.cli import main as cli_main
+
 from conftest import load_schema, run_cli
 
 
@@ -148,10 +150,13 @@ def test_config_echoes_the_commands_own_default_tolerance(command, tol, request,
         ("contact-solve", "--samples", "5"),
     ],
 )
-def test_exit_2_on_an_option_the_command_does_not_read(command, option, value, request):
+def test_exit_2_on_an_option_the_command_does_not_read(command, option, value, request, capsys):
     with pytest.raises(SystemExit) as exc:
-        run_cli(_argv(command, request) + [option, value])
+        cli_main(_argv(command, request) + [option, value])
     assert exc.value.code == 2
+    err = capsys.readouterr().err  # the subcommand's usage, not the list of commands
+    assert f"usage: folcontact {command}" in err
+    assert f"unrecognized arguments: {option} {value}" in err
 
 
 def test_schema_rejects_config_keys_outside_the_commands_row(request, report_schema):
@@ -320,6 +325,32 @@ def test_exit_2_on_bad_trace_start(tmp_path, form321):
     code, _, err = run_cli(["contact-trace", "--input", str(path)])
     assert code == 2
     assert "not a contact point" in err
+
+
+def test_contact_trace_start_judged_by_the_commands_tol(tmp_path, form321, report_schema):
+    # residual 5e-9: above the default 1e-9, within --tol 1e-6
+    path = tmp_path / "near.json"
+    start = cvec_to_json(np.array([1e-8, 1.0, 0.0]))
+    path.write_text(json.dumps({"form": form_to_json(form321), "start": start}))
+    report = _check(["contact-trace", "--input", str(path), "--tol", "1e-6", "--steps", "4"], report_schema)
+    assert report["result"]["truncated"] is False and len(report["result"]["points"]) == 5
+
+
+def test_contact_trace_truncates_at_a_singular_grid_point(tmp_path, report_schema):
+    # d((z1^2 + z2^2)/2 - z1^3/3): the real-axis branch from (0.7, 0) meets
+    # the singular point (1, 0), f = 0, at the grid radius 1
+    form = fc.PolyOneForm(
+        [fc.Polynomial(2, [(1.0, (1, 0)), (-1.0, (2, 0))]), fc.Polynomial(2, [(1.0, (0, 1))])]
+    )
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({"form": form_to_json(form), "start": cvec_to_json(np.array([0.7, 0.0]))}))
+    report = _check(
+        ["contact-trace", "--input", str(path), "--r-min", "0.5", "--r-max", "2", "--steps", "3"],
+        report_schema,
+    )
+    result = report["result"]
+    assert result["truncated"] is True and result["truncation_radius"] == 1.0
+    assert [p["radius"] for p in result["points"]] == [0.5, 0.7]
 
 
 def test_exit_2_on_trace_start_at_the_origin(tmp_path, cubic3):

@@ -599,6 +599,34 @@ def test_solvers_refuse_a_tolerance_that_is_not_positive(form321, tol):
         fc.continue_radially(form321, start, 0.1, 2.0, 10, tol)
 
 
+def test_start_point_is_judged_by_the_callers_tol(form321):
+    # residual 5e-9: above ACCEPT_TOL, within 1e-6; every path point meets tol
+    start = fc.point_at(form321, [1e-8, 1.0, 0.0])
+    assert start.residual == pytest.approx(5e-9)
+    path = fc.continue_radially(form321, start, 0.1, 2.0, 6, tol=1e-6)
+    assert not path.truncated and all(p.residual <= 1e-6 for p in path.points)
+    assert fc.radial_invariance_check(form321, start, [0.5, 1j], 1e-6)
+    # residual 5e-10: within ACCEPT_TOL, above 1e-10
+    start = fc.point_at(form321, [1e-9, 1.0, 0.0])
+    assert start.residual == pytest.approx(5e-10)
+    with pytest.raises(ValueError, match="not a contact point"):
+        fc.continue_radially(form321, start, 0.1, 2.0, 6, tol=1e-10)
+    with pytest.raises(ValueError, match="not a contact point"):
+        fc.radial_invariance_check(form321, start, [0.5, 1j], 1e-10)
+
+
+def test_continue_radially_truncates_at_a_singular_grid_point():
+    # d((z1^2 + z2^2)/2 - z1^3/3) is singular at (1, 0), where the real-axis
+    # branch from (0.7, 0) meets the grid radius 1: a corrector failure
+    form = fc.PolyOneForm(
+        [fc.Polynomial(2, [(1.0, (1, 0)), (-1.0, (2, 0))]), fc.Polynomial(2, [(1.0, (0, 1))])]
+    )
+    start = fc.point_at(form, [0.7, 0.0])
+    path = fc.continue_radially(form, start, 0.5, 2.0, 3)
+    assert path.truncated and path.truncation_radius == 1.0
+    assert [p.radius for p in path.points] == [0.5, 0.7]
+
+
 def test_radial_invariance_examples(form321, cubic3):
     p = fc.point_at(form321, [0.7, 0.0, 0.0])
     assert fc.radial_invariance_check(form321, p, [1.0, 1j, 1 + 1j], 1e-9)

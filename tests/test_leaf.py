@@ -490,7 +490,7 @@ def test_scan_singular_mask_agrees_with_mu_of(monkeypatch):
     points = np.array([[1.0, 0.0], [1.0 + 1e-10, 1.0], [1.0, 1j]], dtype=complex)
     monkeypatch.setattr(leaf, "sphere_seeds", lambda n, count, seed, r: points[:count])
     for form, want_singular in ((step, [True, False, True]), (tiny, [False, False, False])):
-        _, worst = fc.transversality_scan(form, 1.0, 3, 0, n_worst=3)
+        _, worst = fc.transversality_scan(form, 1.0, 3, 0)
         singular = []
         for score, z in sorted(worst, key=lambda sz: points.tolist().index(sz[1].tolist())):
             try:
