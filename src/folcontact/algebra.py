@@ -11,35 +11,37 @@ Provides the value types the rest of the library is built on:
 * ``gram_inverse``, the hermitian positive matrix ``(conj(A) A)^{-1}`` whose
   eigenvalues are ``1/sigma_j^2``.
 
-A polynomial and a one-form are two views of one compiled monomial table:
-the distinct exponents E (m x n), in lexicographic order, and coefficients
-C (m x q), so that the value at z is z^E C, with q = 1 for a polynomial and
-q = n for a one-form's coefficient vector. One canonicalising function
-(``_canonical``) builds the table of every polynomial and one-form: it
-sorts the rows, sums duplicate rows in input order and drops all-zero
-rows, so equal objects have equal tables. One
-derivative rule, d(c z^e)/dz_k = c e_k z^(e - e_k), maps (E, C) to the
-table of the partials; it gives ``partial``, ``differential`` and the
-one-form's Jacobian table.
+A polynomial, a one-form and a one-form's Jacobian are views of one
+compiled monomial table (``_MonomialTable``): the distinct exponents E
+(m x n), in lexicographic order, and coefficients C (m x q), so that the
+value at z is z^E C, with q = 1 for a polynomial, q = n for a one-form's
+coefficient vector and q = n^2 for its Jacobian. One canonicalising
+function (``_canonical``) builds the table of every polynomial and
+one-form: it sorts the rows, sums duplicate rows in input order and drops
+all-zero rows, so equal objects have equal tables. One derivative rule,
+d(c z^e)/dz_k = c e_k z^(e - e_k), maps (E, C) to the table of the
+partials; it gives ``partial``, ``differential`` and the one-form's
+Jacobian table.
 
-Both views evaluate through ``_monomial_dot`` at one point (n,) or a stack
-(S, n). The monomials are built from a table of the powers z_k^0..z_k^d of
-every variable, one factor at a time: each monomial's first variable's
-power is gathered, then its second's is gathered and multiplied in, and so
-on, so a linear table takes one gather whatever n is. A stack is taken
-ROW_BLOCK points at a time, so no intermediate exceeds ROW_BLOCK x m or
-the power table; the (S, m, n) tensor of every variable's power in every
-monomial is never built.
+Every evaluation is a method of the table. ``_build`` builds the
+monomials of at most ROW_BLOCK points, from a table of the powers
+z_k^0..z_k^d of every variable, one factor at a time: each monomial's
+first variable's power is gathered, then its second's is gathered and
+multiplied in, and so on, so a linear table takes one gather whatever n
+is. It returns the values and the monomials. ``_dot`` evaluates one point
+(n,) or a stack (..., n), ROW_BLOCK points per build, so no intermediate
+exceeds ROW_BLOCK x m or the power table; the (S, m, n) tensor of every
+variable's power in every monomial is never built.
 
-The same build gives a table's rounding scale ||(|z^E| |C|)||, the size
-its values would have if no terms cancelled: the abs of the monomials
-already built, times |C|, so the scale costs no second pass over the
-points. ``PolyOneForm.evaluate_scaled`` returns f and its scale together.
-The leaf code compiles a first integral g and its form f = dg side by
-side into one table [g | f] of n + 1 columns (``_side_by_side``). One
-build of it at a point (``_build``) gives g and f and keeps its
-monomials, so the scale of f (``_scale``) is taken from them only where
-a caller needs it.
+The same build gives a table's rounding scale ||(|z^E| |C|)|| per point
+(``_scale``), the size its values would have if no terms cancelled: the
+abs of the monomials already built, times |C|, so the scale costs no
+second pass over the points. ``_dot(z, scaled=True)``, which
+``PolyOneForm.evaluate_scaled`` is, returns the values and their scale
+together. The leaf code compiles a first integral g and its form f = dg
+side by side into one table [g | f] of n + 1 columns (``_side_by_side``).
+One ``_build`` of it at a point gives g and f and keeps its monomials, so
+the scale of f is taken from them only where a caller needs it.
 
 Everything here is a pure function of immutable values; arrays handed out
 are set read-only.
@@ -104,7 +106,7 @@ def _canonical(exps: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _power_plan(exps: np.ndarray) -> tuple:
-    """How _monomial_dot builds the monomials of a table exps (m x n).
+    """How _MonomialTable._build builds the monomials of a table exps (m x n).
 
     (0..d, factor columns): d is the largest exponent, and factor column t
     holds, for each monomial, the index k (d + 1) + e of the power z_k^e of
@@ -139,36 +141,6 @@ def _monomials(flat: np.ndarray, plan: tuple) -> np.ndarray:
     return monomials
 
 
-def _rounding_scale(monomials: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """||(|z^E| @ bound)|| per point, from the monomials z^E (m x S) of a build."""
-    sizes = np.abs(monomials).T @ bound
-    return np.sqrt(np.add.reduce(sizes * sizes, axis=-1))
-
-
-def _monomial_dot(z: np.ndarray, plan: tuple, coeffs: np.ndarray, bound: np.ndarray | None = None):
-    """z^E @ coeffs for the monomial table E of a plan and coeffs (m x q) or (m,).
-
-    A batch (..., n) gives (..., q), and one point (n,) gives (q,); 1-D
-    coeffs drop the q axis. The monomials are built ROW_BLOCK points at a
-    time. With a non-negative bound (m x p) it returns (values, scale):
-    the scale ||(|z^E| @ bound)|| per point, (...) or a scalar, from the
-    same monomials.
-    """
-    flat = z.reshape(-1, z.shape[-1])
-    shape = z.shape[:-1] + coeffs.shape[1:]
-    if len(flat) > ROW_BLOCK:
-        parts = [_monomial_dot(flat[s : s + ROW_BLOCK], plan, coeffs, bound) for s in range(0, len(flat), ROW_BLOCK)]
-        if bound is None:
-            return np.concatenate(parts).reshape(shape)
-        values, scales = zip(*parts)
-        return np.concatenate(values).reshape(shape), np.concatenate(scales).reshape(z.shape[:-1])
-    monomials = _monomials(flat, plan)
-    values = (monomials.T @ coeffs).reshape(shape)
-    if bound is None:
-        return values
-    return values, _rounding_scale(monomials, bound).reshape(z.shape[:-1])[()]
-
-
 def _check_points(z, n: int) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if z.shape[-1] != n:
@@ -177,14 +149,14 @@ def _check_points(z, n: int) -> np.ndarray:
 
 
 class _MonomialTable:
-    """The compiled monomial table shared by Polynomial and PolyOneForm.
+    """The compiled monomial table of a polynomial, a one-form or a Jacobian.
 
     The exponents E (m x n) and coefficients C (m x q) described in the
     module docstring, with the power plan that evaluates them, compiled at
-    the first evaluation. The rows are
-    kept as given: every polynomial and one-form passes them through
-    _canonical first, and only _side_by_side, whose table is only
-    evaluated, does not.
+    the first evaluation. The rows are kept as given: every polynomial and
+    one-form passes them through _canonical first; the two tables that are
+    only evaluated do not: _side_by_side's, and a one-form's Jacobian,
+    whose rows the derivative rule already gives distinct and sorted.
     """
 
     def __init__(self, n: int, exps: np.ndarray, coeffs: np.ndarray):
@@ -203,20 +175,40 @@ class _MonomialTable:
     def _abs_coeffs(self) -> np.ndarray:
         return _readonly(np.abs(self._coeffs))
 
-    def _dot(self, z):
-        """z^E C at one point (n,) or a stack (..., n)."""
-        return _monomial_dot(_check_points(z, self.n), self._plan, self._coeffs)
+    def _build(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values flat^E C (S x q), monomials flat^E (m x S)) at S <= ROW_BLOCK
+        points flat (S x n): one build, whose monomials _scale can reuse."""
+        monomials = _monomials(flat, self._plan)
+        return monomials.T @ self._coeffs, monomials
 
-    def _build(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(z^E C, z^E) at one point z (n,): the values and the monomials of
-        their one build, from which _scale takes a rounding scale later."""
-        monomials = _monomials(z[None], self._plan)
-        return (monomials.T @ self._coeffs)[0], monomials
+    def _scale(self, monomials: np.ndarray, first: int = 0) -> np.ndarray:
+        """||(|z^E| |C[:, first:]|)|| per point, the rounding scale of the
+        columns from first on, from the monomials (m x S) of a _build."""
+        sizes = np.abs(monomials).T @ self._abs_coeffs[:, first:]
+        return np.sqrt(np.add.reduce(sizes * sizes, axis=-1))
 
-    def _scale(self, monomials: np.ndarray, first: int = 0) -> float:
-        """||(|z^E| |C[:, first:]|)||, the rounding scale of the columns
-        from first on, from the monomials of a _build."""
-        return float(_rounding_scale(monomials, self._abs_coeffs[:, first:])[0])
+    def _dot(self, z, scaled: bool = False):
+        """z^E C at one point (n,), giving (q,), or a stack (..., n), giving (..., q).
+
+        A stack is built ROW_BLOCK points at a time; one of at most
+        ROW_BLOCK points is one _build, with no copy. scaled=True returns
+        (values, scale), the scale of every column per point ((...) or a
+        scalar) from the same monomials.
+        """
+        z = _check_points(z, self.n)
+        flat = z.reshape(-1, self.n)
+        if len(flat) <= ROW_BLOCK:
+            values, monomials = self._build(flat)
+            scale = self._scale(monomials) if scaled else None
+        else:
+            values = np.empty((len(flat), self._coeffs.shape[1]), dtype=complex)
+            scale = np.empty(len(flat))
+            for s in range(0, len(flat), ROW_BLOCK):
+                values[s : s + ROW_BLOCK], monomials = self._build(flat[s : s + ROW_BLOCK])
+                if scaled:
+                    scale[s : s + ROW_BLOCK] = self._scale(monomials)
+        values = values.reshape(z.shape[:-1] + values.shape[-1:])
+        return (values, scale.reshape(z.shape[:-1])[()]) if scaled else values
 
     @classmethod
     def _from_table(cls, n: int, exps: np.ndarray, coeffs: np.ndarray):
@@ -297,9 +289,8 @@ class Polynomial(_MonomialTable):
 
     def evaluate(self, z: np.ndarray) -> complex | np.ndarray:
         """Evaluate at one point (shape (n,)) or a batch (shape (..., n))."""
-        z = _check_points(z, self.n)
-        out = _monomial_dot(z, self._plan, self._coeffs[:, 0])
-        return complex(out) if z.ndim == 1 else out
+        out = self._dot(z)[..., 0]
+        return complex(out) if out.ndim == 0 else out
 
     def partial(self, j: int) -> "Polynomial":
         """Partial derivative with respect to z_j."""
@@ -344,10 +335,11 @@ class PolyOneForm(_MonomialTable):
         return tuple(Polynomial._from_table(self.n, E, C[:, [j]]) for j in range(self.n))
 
     @cached_property
-    def _jacobian_table(self) -> tuple[tuple, np.ndarray]:
-        """(plan, coefficients (p x n^2)) of the Jacobian, entry (j, k) = df_j/dz_k."""
+    def _jacobian(self) -> _MonomialTable:
+        """The Jacobian's table, from the derivative rule: n^2 columns,
+        column j n + k the coefficients of df_j/dz_k."""
         D, dC = self._derivative()
-        return _power_plan(D), _readonly(dC.reshape(len(D), self.n * self.n))
+        return _MonomialTable(self.n, D, dC.reshape(len(D), self.n * self.n))
 
     @property
     def degree_info(self) -> tuple[int, ...]:
@@ -365,7 +357,7 @@ class PolyOneForm(_MonomialTable):
         exact to a few rounding units of it. It is 0 for the zero form and
         wherever every term vanishes. Both come from one monomial build.
         """
-        return _monomial_dot(_check_points(z, self.n), self._plan, self._coeffs, self._abs_coeffs)
+        return self._dot(z, scaled=True)
 
     def __repr__(self) -> str:
         return f"PolyOneForm(n={self.n}, degrees={self.degree_info})"
@@ -397,9 +389,8 @@ def jacobian_form(form: PolyOneForm, z) -> np.ndarray:
     z is one point (n,), giving (n, n), or a stack (S, n), giving (S, n, n).
     """
     n = form.n
-    z = as_cvec(z, n) if np.ndim(z) == 1 else _check_points(z, n)
-    plan, coeffs = form._jacobian_table
-    return _monomial_dot(z, plan, coeffs).reshape(z.shape[:-1] + (n, n))
+    values = form._jacobian._dot(as_cvec(z, n) if np.ndim(z) == 1 else z)
+    return values.reshape(values.shape[:-1] + (n, n))
 
 
 # -----------------------------------------------------------------------------

@@ -529,11 +529,16 @@ def continue_radially(
     corrector re-solves the contact system at the fixed target radius
     anchored at the prediction. Corrector failure (no convergence, a
     singular gradient, a residual above tol, or a jump to a different
-    branch) truncates the path in that direction and sets the truncated
-    flag.
+    branch) truncates the path in that direction; truncation_radius is the
+    failing radius nearest the start, and truncated says there is one.
+    Both directions run one loop, from the start outwards. r_min and r_max
+    must square to normal finite doubles (RadiusRangeError, as for
+    sphere_search): the radii of the grid between them then do too.
     """
     if not (0 < r_min < start.radius < r_max):
         raise ValueError("need 0 < r_min < start.radius < r_max")
+    _check_radius(r_min)
+    _check_radius(r_max)
     if steps < 2:
         raise ValueError("need at least two continuation steps")
     _check_tol(tol)
@@ -541,17 +546,9 @@ def continue_radially(
         raise ValueError(f"start point is not a contact point to tol (residual {start.residual:.3e})")
 
     grid = np.geomspace(r_min, r_max, steps)
-    below = sorted([r for r in grid if r < start.radius], reverse=True)
-    above = sorted([r for r in grid if r > start.radius])
-
-    truncated = False
-    truncation_radius: float | None = None
-
-    def walk(radii: list[float]) -> list[ContactPoint]:
-        nonlocal truncated, truncation_radius
-        pts: list[ContactPoint] = []
-        z_prev = start.z
-        r_prev = start.radius
+    sides, failed = [], []  # each direction's points, from the start out, and its failing radius
+    for radii in (grid[grid < start.radius][::-1], grid[grid > start.radius]):
+        pts, z_prev, r_prev = [], start.z, start.radius
         for r in radii:
             pred = z_prev * (r / r_prev)
             Z, converged = _newton_on_sphere(form, pred[None], r)
@@ -563,23 +560,17 @@ def continue_radially(
                 # was lost (collision / non-Morse behavior), not continued
                 ok = not singular and residual <= tol and _aligned_distance(z, pred) <= 0.3 * r
             if not ok:
-                truncated = True
-                if truncation_radius is None or abs(r - start.radius) < abs(
-                    truncation_radius - start.radius
-                ):
-                    truncation_radius = float(r)
+                failed.append(float(r))
                 break
             pts.append(ContactPoint(z=z, mu=complex(mu), radius=float(r), residual=residual))
             z_prev, r_prev = z, r
-        return pts
-
-    down = walk(below)
-    up = walk(above)
-    points = list(reversed(down)) + [start] + up
+        sides.append(pts)
+    down, up = sides
+    truncation_radius = min(failed, key=lambda r: abs(r - start.radius), default=None)
     return ContactPath(
-        points=points,
+        points=down[::-1] + [start] + up,
         form_id=form_id(form),
-        truncated=truncated,
+        truncated=truncation_radius is not None,
         truncation_radius=truncation_radius,
     )
 

@@ -138,15 +138,15 @@ def sample_field(form: PolyOneForm, z) -> FieldSample:
 
 def _evaluate(chart: LeafChart, z: np.ndarray):
     """(g(z), f(z), monomials) at one point: one build of chart.table."""
-    values, monomials = chart.table._build(z)
-    return values[0], values[1:], monomials
+    values, monomials = chart.table._build(z[None])
+    return values[0, 0], values[0, 1:], monomials
 
 
 def _chart_sample(chart: LeafChart, z: np.ndarray, evaluation) -> FieldSample:
     """The field sample at z from its evaluation: the rounding scale of f
     comes from the monomials of that build, not from another one."""
     _, f, monomials = evaluation
-    return _sample(z, f, chart.table._scale(monomials, 1))
+    return _sample(z, f, chart.table._scale(monomials, 1)[0])
 
 
 def _sampled_point(s: FieldSample, leaf_value: complex, morse_index: int | None = None):
@@ -291,15 +291,17 @@ def _leaf_system(chart: LeafChart):
     return residual, jacobian
 
 
-def _polish_on_leaf(chart: LeafChart, s: FieldSample) -> np.ndarray | None:
-    """Newton on (z - mu conj(f) = 0, g(z) - c = 0) from the sample s; None on failure.
+def _polish_on_leaf(chart: LeafChart, s: FieldSample):
+    """(field sample, g) at the point Newton polishes s to, or None on failure.
 
-    Starts at s.z with the multiplier s.mu, so it evaluates nothing to
-    start. Runs the damped-Newton kernel shared with the sphere solver on a
-    stack of one for at most 40 steps (contact._damped_newton: one Jacobian
-    per step, residuals only at line-search trial points) and, unlike that
-    solver, succeeds only when the residual norm reaches its target
-    1e-13 (1 + |c| + |z0|).
+    Newton on (z - mu conj(f) = 0, g(z) - c = 0), started at s.z with the
+    multiplier s.mu, so it evaluates nothing to start. Runs the
+    damped-Newton kernel shared with the sphere solver on a stack of one for
+    at most 40 steps (contact._damped_newton: one Jacobian per step,
+    residuals only at line-search trial points) and, unlike that solver,
+    succeeds only when the residual norm reaches its target
+    1e-13 (1 + |c| + |z0|) at a point within 0.2 (1 + |z0|) of z0 = s.z.
+    The sample and g come from one build of the chart table there.
     """
     z0, n = s.z, chart.form.n
     if float(np.sum(np.abs(s.grad_omega) ** 2)) <= 1e-28:
@@ -307,9 +309,11 @@ def _polish_on_leaf(chart: LeafChart, s: FieldSample) -> np.ndarray | None:
     u0 = np.concatenate([z0.real, z0.imag, [s.mu.real, s.mu.imag]])
     target = 1e-13 * (1.0 + abs(chart.c) + np.linalg.norm(z0))
     U, norm = _damped_newton(*_leaf_system(chart), u0[None], target, 40)
-    if not norm[0] <= target:
+    z = U[0, :n] + 1j * U[0, n : 2 * n]
+    if not (norm[0] <= target and np.linalg.norm(z - z0) <= 0.2 * (1.0 + np.linalg.norm(z0))):
         return None
-    return U[0, :n] + 1j * U[0, n : 2 * n]
+    evaluation = _evaluate(chart, z)
+    return _chart_sample(chart, z, evaluation), complex(evaluation[0])
 
 
 def flow_to_critical(
@@ -323,12 +327,24 @@ def flow_to_critical(
 
     Adaptive explicit midpoint on dz/ds = -w (descend) or +w (ascend), each
     accepted step Newton-corrected back onto the leaf, with phi = |z|^2
-    strictly monotone across accepted steps. Once t_norm is small the flow
-    hands over to a Newton polish on the leaf-constrained contact system
-    (so near-critical seeds, including saddle seeds, return immediately).
-    The field samples of a step, at its midpoint and its new point, come
-    from the evaluations the leaf corrections end with. tol must be
-    positive and max_steps non-negative (ValueError).
+    strictly monotone across accepted steps. The field samples of a step,
+    at its midpoint and its new point, come from the evaluations the leaf
+    corrections end with. tol must be positive and max_steps non-negative
+    (ValueError).
+
+    One loop, whose top, before each step and after the last, tests for its
+    exits in this order:
+
+    * polished: t_norm is within the polish switch max(tol, 1e-3 (1 + |z|))
+      and below 0.3 times that of the last polish tried, and a Newton
+      polish on the leaf-constrained contact system lands within tol (so
+      near-critical seeds, saddle seeds included, return at once);
+    * critical: t_norm <= tol, returned unpolished;
+    * step limit: max_steps steps taken, FlowError.
+
+    The fourth exit is inside a step: FlowError when its size collapses
+    below 1e-15 with no accepted step. Both FlowErrors carry the last point
+    and the step count.
     """
     if direction not in ("descend", "ascend"):
         raise ValueError("direction must be 'descend' or 'ascend'")
@@ -336,55 +352,40 @@ def flow_to_critical(
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     sgn = -1.0 if direction == "descend" else 1.0
-    c = chart.c
 
     z = as_cvec(z0, chart.form.n)
     evaluation = _evaluate(chart, z)
-    g = evaluation[0]
+    g = complex(evaluation[0])
     _check_on_leaf(chart, g, "seed")
-
-    def finish(sample, g, steps, trace, polished):
-        return FlowResult(
-            point=_sampled_point(sample, complex(g)),
-            steps=steps,
-            phi_trace=trace,
-            polished=polished,
-        )
-
-    def polish(sample):
-        """(field sample, g) at the polished point near sample.z, or None."""
-        z_pol = _polish_on_leaf(chart, sample)
-        if z_pol is None or not np.linalg.norm(z_pol - sample.z) <= 0.2 * (
-            1.0 + np.linalg.norm(sample.z)
-        ):
-            return None
-        evaluation = _evaluate(chart, z_pol)
-        return _chart_sample(chart, z_pol, evaluation), evaluation[0]
-
     phi = float(np.sum(np.abs(z) ** 2))
     trace = [phi]
     s = _chart_sample(chart, z, evaluation)
-    if s.t_norm <= tol:
-        polished = polish(s)
-        if polished is not None:
-            return finish(*polished, 0, trace, True)
-        return finish(s, g, 0, trace, False)
-
     h = 0.005 * (1.0 + phi) / (s.t_norm**2 + 1e-300)
-    steps = 0
     last_polish_t = np.inf
-    for _ in range(max_steps):
+    steps = 0
+    while True:
         switch = max(tol, 1e-3 * (1.0 + np.sqrt(phi)))
         if s.t_norm <= switch and s.t_norm < 0.3 * last_polish_t:
             last_polish_t = s.t_norm
-            polished = polish(s)
+            polished = _polish_on_leaf(chart, s)
             if polished is not None and polished[0].t_norm <= tol:
-                return finish(*polished, steps, trace, True)
+                return FlowResult(_sampled_point(*polished), steps, trace, polished=True)
         if s.t_norm <= tol:
-            return finish(s, g, steps, trace, False)
+            return FlowResult(_sampled_point(s, g), steps, trace)
+        if steps >= max_steps:
+            raise FlowError(
+                f"step limit exceeded (t_norm = {s.t_norm:.3e} after {steps} steps)",
+                last_point=_sampled_point(s, g),
+                steps=steps,
+            )
 
-        accepted = False
-        while h >= 1e-15:
+        while True:
+            if not h >= 1e-15:
+                raise FlowError(
+                    "step size collapsed before reaching a critical point",
+                    last_point=_sampled_point(s, g),
+                    steps=steps,
+                )
             try:
                 z_mid, evaluation = _project(chart, z + sgn * 0.5 * h * s.w)
                 w_mid = _chart_sample(chart, z_mid, evaluation).w
@@ -396,28 +397,13 @@ def flow_to_critical(
             dphi = phi_new - phi
             monotone = dphi < 0 if sgn < 0 else dphi > 0
             if monotone and abs(dphi) <= 0.25 * (1.0 + phi):
-                accepted = True
                 break
             h *= 0.5
-        if not accepted:
-            raise FlowError(
-                "step size collapsed before reaching a critical point",
-                last_point=finish(s, g, steps, trace, False).point,
-                steps=steps,
-            )
         z, phi = z_new, phi_new
         trace.append(phi)
         steps += 1
-        g, s = evaluation[0], _chart_sample(chart, z, evaluation)
+        g, s = complex(evaluation[0]), _chart_sample(chart, z, evaluation)
         h *= 1.5
-
-    if s.t_norm <= tol:
-        return finish(s, g, steps, trace, False)
-    raise FlowError(
-        f"step limit exceeded (t_norm = {s.t_norm:.3e} after {steps} steps)",
-        last_point=finish(s, g, steps, trace, False).point,
-        steps=steps,
-    )
 
 
 def _tangent_basis(f: np.ndarray) -> np.ndarray:

@@ -108,6 +108,23 @@ def test_jacobian_matches_finite_differences(fixture, diag321, cubic3):
             assert np.all(np.abs(fd - J[:, k]) <= 1e-5 * scale)
 
 
+def test_jacobian_of_a_stack_beyond_row_block_is_built_block_by_block(cubic3):
+    # no caller stacks more than 64 rows today: the blocked path is pinned
+    # here. It gives the bits of its ROW_BLOCK-row blocks evaluated alone;
+    # a single row takes BLAS's matrix-vector path, so it agrees to rounding
+    form = fc.Polynomial(3, cubic3.terms + [(0.5 - 2j, (1, 1, 1)), (3j, (0, 2, 2))]).differential()
+    rng = np.random.default_rng(21)
+    Z = rng.standard_normal((1500, 3)) + 1j * rng.standard_normal((1500, 3))
+    J = fc.jacobian_form(form, Z)
+    assert J.shape == (1500, 3, 3) and len(Z) > algebra.ROW_BLOCK
+    blocks = [fc.jacobian_form(form, Z[s : s + algebra.ROW_BLOCK]) for s in range(0, len(Z), algebra.ROW_BLOCK)]
+    assert np.array_equal(J, np.concatenate(blocks))
+    assert np.array_equal(J.reshape(30, 50, 3, 3), fc.jacobian_form(form, Z.reshape(30, 50, 3)))
+    for z, Jz in zip(Z, J):
+        one = fc.jacobian_form(form, z)
+        assert np.abs(one - Jz).max() <= 1e-15 * (1.0 + np.abs(Jz).max())
+
+
 def _random_terms(rng: np.random.Generator, n: int, degree: int) -> list[list]:
     """Term lists of n coefficients: up to 5 random terms each, exponents up
     to `degree` per variable, repeats possible; some coefficients are the
@@ -222,12 +239,12 @@ def test_fused_evaluation_agrees_with_separate_passes(n):
                 assert np.all(values[..., n] == 0)
             for z in Z.reshape(-1, n)[:7]:
                 # a point's build keeps its monomials, and the scale of f comes from them
-                got, monomials = table._build(z)
+                got, monomials = table._build(z[None])
                 want = np.concatenate([[integral.evaluate(z)], form.evaluate(z)])
                 size = np.concatenate([_term_sizes(integral, z), _term_sizes(form, z)])
-                assert _close(got, want, size, 1e-15)
+                assert _close(got[0], want, size, 1e-15)
                 old = np.linalg.norm(size[1:])
-                assert _close(table._scale(monomials, 1), old, old, 1e-14)
+                assert _close(table._scale(monomials, 1)[0], old, old, 1e-14)
 
 
 def test_side_by_side_refuses_different_variable_counts(form321):
@@ -282,7 +299,7 @@ def test_power_plans_are_compiled_at_first_evaluation(monkeypatch, cubic3):
     form.evaluate(z)
     assert len(compiled) == 1  # one plan per table
     # the same values as from a plan compiled up front
-    assert np.array_equal(f, algebra._monomial_dot(z, power_plan(form._exps), form._coeffs))
+    assert np.array_equal(f, (algebra._monomials(z[None], power_plan(form._exps)).T @ form._coeffs)[0])
     assert partial.evaluate(z) == pytest.approx(f[1], rel=1e-15)
     assert rebuilt.evaluate(z) == pytest.approx(mixed.evaluate(z), rel=1e-15)
     assert len(compiled) == 4  # the form's, the partial's, rebuilt's and mixed's

@@ -353,6 +353,16 @@ def test_contact_trace_truncates_at_a_singular_grid_point(tmp_path, report_schem
     assert [p["radius"] for p in result["points"]] == [0.5, 0.7]
 
 
+def test_contact_trace_over_the_full_radius_range(tmp_path, form321, report_schema):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"form": form_to_json(form321), "start": cvec_to_json(np.array([1.0, 0.0, 0.0]))}))
+    argv = ["contact-trace", "--input", str(path), "--r-min", "1e-150", "--r-max", "1e150", "--steps", "21"]
+    result = _check(argv, report_schema)["result"]
+    assert result["truncated"] is False and result["truncation_radius"] is None
+    radii = [p["radius"] for p in result["points"]]
+    assert radii[0] == 1e-150 and radii[-1] == 1e150 and radii == sorted(radii)
+
+
 def test_exit_2_on_trace_start_at_the_origin(tmp_path, cubic3):
     # f(0) = 0 for a homogeneous form: the origin is bad input, not a
     # numerical failure, and the message names the start
@@ -528,6 +538,16 @@ def test_radius_far_from_one_keeps_the_unit_answer(diag12_file, report_schema):
 @pytest.mark.parametrize("command", ["contact-solve", "scan"])
 def test_exit_3_on_radius_out_of_range(diag12_file, command, radius):
     code, out, err = run_cli([command, "--input", diag12_file, "--radius", radius])
+    assert code == 3 and out == ""
+    assert f"radius {float(radius):.3g} is out of range" in err
+
+
+@pytest.mark.parametrize("option, radius", [("--r-min", "1e-170"), ("--r-max", "1e200")])
+def test_exit_3_on_trace_radius_out_of_range(tmp_path, form321, option, radius):
+    # the trace from (1, 0, 0) would lose its line to overflow, not truncate
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"form": form_to_json(form321), "start": cvec_to_json(np.array([1.0, 0.0, 0.0]))}))
+    code, out, err = run_cli(["contact-trace", "--input", str(path), option, radius])
     assert code == 3 and out == ""
     assert f"radius {float(radius):.3g} is out of range" in err
 

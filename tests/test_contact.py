@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from folcontact.contact import (
     sphere_search,
     sphere_seeds,
 )
-from folcontact.errors import NonHomogeneousFormError, SingularGradientError
+from folcontact.errors import NonHomogeneousFormError, RadiusRangeError, SingularGradientError
 
 from conftest import axis_distance, random_exact_form, random_morse, real_rows_by_concatenation
 
@@ -625,6 +626,50 @@ def test_continue_radially_truncates_at_a_singular_grid_point():
     path = fc.continue_radially(form, start, 0.5, 2.0, 3)
     assert path.truncated and path.truncation_radius == 1.0
     assert [p.radius for p in path.points] == [0.5, 0.7]
+
+
+@pytest.mark.parametrize("window", [(0.2, 1.2), (0.4, 0.6), (0.15, 0.6)])
+def test_continue_radially_keeps_the_points_inside_a_corrector_window(window, form321, monkeypatch):
+    # the corrector fails outside [lo, hi]: both directions truncate at
+    # their first failing radius, the path keeps exactly the radii inside,
+    # and truncation_radius is the failing radius nearest the start (below
+    # it for the first two windows, above it for the third)
+    lo, hi = window
+    newton = contact._newton_on_sphere
+
+    def windowed(form, Z0, r):
+        Z, ok = newton(form, Z0, r)
+        return Z, ok & (lo <= r <= hi)
+
+    monkeypatch.setattr(contact, "_newton_on_sphere", windowed)
+    start = fc.point_at(form321, [0.0, 0.5, 0.0])
+    grid = np.geomspace(0.1, 2.0, 15)
+    path = fc.continue_radially(form321, start, 0.1, 2.0, 15)
+    inside = grid[(lo <= grid) & (grid <= hi)]
+    outside = grid[(grid < lo) | (grid > hi)]
+    assert outside.min() < 0.5 < outside.max()  # both directions truncate
+    assert path.truncated and path.truncation_radius == float(outside[np.argmin(np.abs(outside - 0.5))])
+    assert [p.radius for p in path.points] == sorted([float(r) for r in inside] + [0.5])
+
+
+@pytest.mark.parametrize("r_min, r_max, bad", [(1e-170, 2.0, 1e-170), (0.1, 1e200, 1e200)])
+def test_continue_radially_refuses_radii_out_of_range(form321, r_min, r_max, bad):
+    # their squares are not normal doubles: the trace would lose its line
+    # to overflow and read as truncated
+    start = fc.point_at(form321, [1.0, 0.0, 0.0])
+    with pytest.raises(RadiusRangeError, match=re.escape(f"radius {bad:.3g} is out of range")):
+        fc.continue_radially(form321, start, r_min, r_max, 20)
+
+
+def test_continue_radially_over_the_full_radius_range(form321):
+    start = fc.point_at(form321, [1.0, 0.0, 0.0])
+    grid = np.geomspace(1e-150, 1e150, 21)
+    path = fc.continue_radially(form321, start, 1e-150, 1e150, 21)
+    assert not path.truncated and path.truncation_radius is None
+    assert len(path.points) == 1 + np.count_nonzero(grid != 1.0)
+    assert path.points[0].radius == 1e-150 and path.points[-1].radius == 1e150
+    for p in path.points:
+        assert p.residual <= 1e-9 and axis_distance(p.z, 0) <= 1e-9 * p.radius
 
 
 def test_radial_invariance_examples(form321, cubic3):

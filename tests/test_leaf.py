@@ -8,7 +8,7 @@ import pytest
 import folcontact as fc
 from folcontact.contact import sphere_seeds
 from folcontact import algebra, leaf
-from folcontact.errors import ChartError, FlowError, SingularGradientError
+from folcontact.errors import ChartError, FlowError, LeafCorrectionError, SingularGradientError
 from folcontact.leaf import _leaf_system, _tangent_basis, homogeneous_leaf_scale
 
 from conftest import axis_distance, random_exact_form, random_morse, real_rows_by_concatenation
@@ -199,7 +199,7 @@ def test_flow_already_critical_returns_immediately(form321, integral321):
     p = np.array([np.sqrt(2.0 / 3.0), 0.0, 0.0], dtype=complex)
     chart = fc.make_chart(integral321, p, 1.0, form=form321)
     res = fc.flow_to_critical(chart, p, "descend")
-    assert res.steps == 0
+    assert res.steps == 0 and res.polished is True and res.phi_trace == [2.0 / 3.0]
     assert np.linalg.norm(res.point.z - p) <= 1e-9
 
 
@@ -219,6 +219,28 @@ def test_flow_ascend_reports_or_diagnoses(form321, integral321):
         chart2 = fc.make_chart(integral321, res.point.z, 1.0, form=form321)
         report = fc.leaf_hessian(chart2, res.point.z)
         assert report.negative_count >= 1
+
+
+def test_flow_with_no_steps_allowed_raises_at_the_seed(form321, integral321):
+    z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
+    chart = fc.make_chart(integral321, z0, 1.0, form=form321)
+    assert fc.sample_field(form321, z0).t_norm > 1e-3 * (1.0 + np.linalg.norm(z0))  # outside the polish switch
+    with pytest.raises(FlowError, match="step limit exceeded") as exc:
+        fc.flow_to_critical(chart, z0, max_steps=0)
+    assert exc.value.steps == 0 and np.array_equal(exc.value.last_point.z, z0)
+
+
+def test_flow_whose_corrections_all_fail_reports_a_collapsed_step(form321, integral321, monkeypatch):
+    z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
+    chart = fc.make_chart(integral321, z0, 1.0, form=form321)
+
+    def fail(chart, z):
+        raise LeafCorrectionError("leaf correction diverged")
+
+    monkeypatch.setattr(leaf, "_project", fail)
+    with pytest.raises(FlowError, match="step size collapsed") as exc:
+        fc.flow_to_critical(chart, z0)
+    assert exc.value.steps == 0 and np.array_equal(exc.value.last_point.z, z0)
 
 
 def _record_builds(monkeypatch) -> list:
