@@ -167,7 +167,7 @@ class _MonomialTable:
     @cached_property
     def _plan(self) -> tuple:
         """The power plan of the table, compiled at its first evaluation:
-        tables that are only read (form_id's coefficient polynomials, the
+        tables that are only read (a form's coefficient polynomials, the
         differential integrate_exact_form checks, partials) never build one."""
         return _power_plan(self._exps)
 

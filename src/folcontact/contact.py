@@ -45,10 +45,14 @@ concatenation; their constants are built once per system. Every entry
 is the value whole-block concatenation gives (a zero may differ in sign),
 so the Newton iterates do not depend on how the arrays are assembled.
 `sphere_search` hands it the seeds in blocks of SEED_BLOCK rows, so memory
-does not grow with the seed count; `continue_radially` and the leaf polish
-in leaf.py call it with a stack of one. The points found are merged into
-phase orbits from Gram products in blocks of SEED_BLOCK rows against all
-m points, so the merge needs O(SEED_BLOCK m) memory, never m^2.
+does not grow with the seed count; `continue_radially`, for a form that is
+not homogeneous, and the leaf polish in leaf.py call it with a stack of
+one. A homogeneous form needs no solve on a radial trace: its contact set
+is a real cone, so `continue_radially` scales the start to every radius of
+the grid and checks the points of each direction in one stack. The points
+sphere_search finds are merged into phase orbits from Gram products in
+blocks of SEED_BLOCK rows against all m points, so the merge needs
+O(SEED_BLOCK m) memory, never m^2.
 """
 
 from __future__ import annotations
@@ -102,10 +106,13 @@ class SphereSearch:
 
 
 def form_id(form: PolyOneForm) -> str:
-    """Stable short identifier of a form (hash of its canonical term list)."""
-    payload = [
-        [[c.real, c.imag, list(e)] for c, e in f.terms] for f in form.coeffs
-    ]
+    """Stable short identifier of a form (hash of its canonical term list).
+
+    The terms of f_j are the nonzero rows of column j of the form's table,
+    in the order of its exponents.
+    """
+    E, C = form._exps.tolist(), form._coeffs.T.tolist()
+    payload = [[[c.real, c.imag, e] for c, e in zip(column, E) if c != 0] for column in C]
     digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
     return digest[:12]
 
@@ -514,6 +521,55 @@ def point_at(form: PolyOneForm, z, morse_index: int | None = None) -> ContactPoi
     return ContactPoint(z=z, mu=complex(mu), radius=radius, residual=residual, morse_index=morse_index)
 
 
+def _corrected_side(form: PolyOneForm, start: ContactPoint, radii: np.ndarray, tol: float):
+    """One direction of a radial trace by predictor and corrector: (points, failing radius or None).
+
+    The predictor scales the previous point to the next radius; the
+    corrector re-solves the contact system there, anchored at the
+    prediction. The first radius where it fails ends the direction.
+    """
+    pts, z_prev, r_prev = [], start.z, start.radius
+    for r in radii:
+        pred = z_prev * (r / r_prev)
+        Z, converged = _newton_on_sphere(form, pred[None], r)
+        z, ok = Z[0], bool(converged[0])
+        if ok:
+            mu, w, singular = _field(z, *form.evaluate_scaled(z))
+            residual = float(np.linalg.norm(w)) / float(np.linalg.norm(z))
+            # a corrected point far from the prediction means the branch
+            # was lost (collision / non-Morse behavior), not continued
+            ok = not singular and residual <= tol and _aligned_distance(z, pred) <= 0.3 * r
+        if not ok:
+            return pts, float(r)
+        pts.append(ContactPoint(z=z, mu=complex(mu), radius=float(r), residual=residual))
+        z_prev, r_prev = z, r
+    return pts, None
+
+
+def _scaled_side(form: PolyOneForm, start: ContactPoint, radii: np.ndarray, tol: float):
+    """One direction of a homogeneous form's radial trace: (points, failing radius or None).
+
+    The contact set of a homogeneous form is a real cone, so its point at
+    radius r is start.z r / start.radius. The points of all radii are
+    checked in one stack: a point fails where the gradient is singular,
+    where the residual exceeds tol, or where f or its rounding scale
+    leaves the double range (overflow gives a non-finite scale), and the
+    direction keeps the points before its first failing radius.
+    """
+    Z = start.z * (radii / start.radius)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # out-of-range points fail below
+        F, scale = form.evaluate_scaled(Z)
+        mu, W, singular = _field(Z, F, scale)
+        residual = np.linalg.norm(W, axis=1) / np.linalg.norm(Z, axis=1)
+    ok = np.isfinite(scale) & ~singular & (residual <= tol)
+    stop = len(radii) if ok.all() else int(np.argmin(ok))  # the first failing radius
+    pts = [
+        ContactPoint(z=z, mu=complex(m), radius=float(r), residual=float(e))
+        for z, m, r, e in zip(Z[:stop], mu[:stop], radii[:stop], residual[:stop])
+    ]
+    return pts, (float(radii[stop]) if stop < len(radii) else None)
+
+
 def continue_radially(
     form: PolyOneForm,
     start: ContactPoint,
@@ -525,15 +581,24 @@ def continue_radially(
     """Trace the contact cone through `start` over a radius grid.
 
     The start must be a contact point to tol (residual <= tol), as every
-    point of the path is. Predictor scales the previous point radially;
-    corrector re-solves the contact system at the fixed target radius
-    anchored at the prediction. Corrector failure (no convergence, a
-    singular gradient, a residual above tol, or a jump to a different
-    branch) truncates the path in that direction; truncation_radius is the
-    failing radius nearest the start, and truncated says there is one.
-    Both directions run one loop, from the start outwards. r_min and r_max
-    must square to normal finite doubles (RadiusRangeError, as for
-    sphere_search): the radii of the grid between them then do too.
+    point of the path is. Both directions run from the start outwards, and
+    each ends at its first failing radius. truncation_radius is the failing
+    radius nearest the start, and truncated says there is one.
+
+    * A homogeneous form's contact set is a real cone, so its point at
+      radius r is the start scaled, start.z r / start.radius. Each
+      direction's points are checked in one stack (one evaluate_scaled); a
+      radius fails on a singular gradient (as where f underflows), a
+      residual above tol, or an f or rounding scale out of the double
+      range.
+    * Any other form is traced by predictor and corrector: the predictor
+      scales the previous point radially, and the corrector re-solves the
+      contact system at the target radius, anchored at the prediction. A
+      radius fails on no convergence, a singular gradient, a residual
+      above tol, or a jump to a different branch.
+
+    r_min and r_max must square to normal finite doubles (RadiusRangeError,
+    as for sphere_search): the radii of the grid between them then do too.
     """
     if not (0 < r_min < start.radius < r_max):
         raise ValueError("need 0 < r_min < start.radius < r_max")
@@ -546,25 +611,13 @@ def continue_radially(
         raise ValueError(f"start point is not a contact point to tol (residual {start.residual:.3e})")
 
     grid = np.geomspace(r_min, r_max, steps)
+    side = _corrected_side if form.homogeneous_degree() is None else _scaled_side
     sides, failed = [], []  # each direction's points, from the start out, and its failing radius
     for radii in (grid[grid < start.radius][::-1], grid[grid > start.radius]):
-        pts, z_prev, r_prev = [], start.z, start.radius
-        for r in radii:
-            pred = z_prev * (r / r_prev)
-            Z, converged = _newton_on_sphere(form, pred[None], r)
-            z, ok = Z[0], bool(converged[0])
-            if ok:
-                mu, w, singular = _field(z, *form.evaluate_scaled(z))
-                residual = float(np.linalg.norm(w)) / float(np.linalg.norm(z))
-                # a corrected point far from the prediction means the branch
-                # was lost (collision / non-Morse behavior), not continued
-                ok = not singular and residual <= tol and _aligned_distance(z, pred) <= 0.3 * r
-            if not ok:
-                failed.append(float(r))
-                break
-            pts.append(ContactPoint(z=z, mu=complex(mu), radius=float(r), residual=residual))
-            z_prev, r_prev = z, r
+        pts, r_failed = side(form, start, radii, tol)
         sides.append(pts)
+        if r_failed is not None:
+            failed.append(r_failed)
     down, up = sides
     truncation_radius = min(failed, key=lambda r: abs(r - start.radius), default=None)
     return ContactPath(

@@ -16,15 +16,17 @@ f = dg. A LeafChart compiles g and f side by side into one monomial table
 [g | f] of n + 1 columns (see algebra), once per (integral, form): the
 chart of a nearby leaf (index_persistence) shares it. Every point the leaf
 code visits is built once, and that build gives g and f (_evaluate): each
-iterate of the correction onto {g = c}, the make_chart checks, the
-leaf_hessian precheck, the point a flow reports and each residual of the
-leaf polish. A field sample takes the rounding scale of f from the
-monomials of its point's build (_chart_sample), and the correction hands
-back its last build, so the field samples of a flow step, at its midpoint
-and its new point, cost no evaluation. The flow corrects drift by Newton
-steps back onto {g = c} along the gradient, and the restricted Hessian at
-a critical point is computed exactly from f, D^2 g and the multiplier, in
-an orthonormal basis of the tangent space ker(f^T) of the leaf.
+iterate of the correction onto {g = c}, the midpoint of a flow step, the
+make_chart checks, the leaf_hessian precheck, the point a flow reports and
+each residual of the leaf polish. A field sample takes the rounding scale
+of f from the monomials of its point's build (_chart_sample), and the
+correction hands back its last build. A flow step samples its midpoint off
+the leaf, by one evaluation at the unprojected midpoint, and corrects only
+its result, whose field sample then costs no evaluation. The flow corrects
+drift by Newton steps back onto {g = c} along the gradient, and the
+restricted Hessian at a critical point is computed exactly from f, D^2 g
+and the multiplier, in an orthonormal basis of the tangent space ker(f^T)
+of the leaf.
 
 Hessian scale convention: reports contain half the Hessian of the squared
 distance, which makes the eigenvalues dimensionless (the quadratic-integral
@@ -325,12 +327,13 @@ def flow_to_critical(
 ) -> FlowResult:
     """Flow the projected field on the leaf to a critical point.
 
-    Adaptive explicit midpoint on dz/ds = -w (descend) or +w (ascend), each
-    accepted step Newton-corrected back onto the leaf, with phi = |z|^2
-    strictly monotone across accepted steps. The field samples of a step,
-    at its midpoint and its new point, come from the evaluations the leaf
-    corrections end with. tol must be positive and max_steps non-negative
-    (ValueError).
+    Adaptive explicit midpoint on dz/ds = -w (descend) or +w (ascend), with
+    phi = |z|^2 strictly monotone across accepted steps. Only the result of
+    a step is Newton-corrected back onto the leaf (a standard projection
+    method): the midpoint sample is one evaluation at the unprojected
+    midpoint z +- h w / 2, off the leaf, and the sample at the new point
+    comes from the evaluation its leaf correction ends with. tol must be
+    positive and max_steps non-negative (ValueError).
 
     One loop, whose top, before each step and after the last, tests for its
     exits in this order:
@@ -387,8 +390,8 @@ def flow_to_critical(
                     steps=steps,
                 )
             try:
-                z_mid, evaluation = _project(chart, z + sgn * 0.5 * h * s.w)
-                w_mid = _chart_sample(chart, z_mid, evaluation).w
+                z_mid = z + sgn * 0.5 * h * s.w  # off the leaf: only the step's result is projected
+                w_mid = _chart_sample(chart, z_mid, _evaluate(chart, z_mid)).w
                 z_new, evaluation = _project(chart, z + sgn * h * w_mid)
             except (LeafCorrectionError, SingularGradientError):
                 h *= 0.5

@@ -550,19 +550,52 @@ def test_continue_radially_linear_line(form321):
         assert p.residual <= 1e-9
 
 
-def test_continue_radially_evaluates_form_once_per_radius(form321, monkeypatch):
-    start = fc.point_at(form321, [0.0, 0.5, 0.0])
-    single = []  # single-point evaluations: the Newton kernel evaluates stacks
-    evaluate, scaled = form321.evaluate, form321.evaluate_scaled
-    monkeypatch.setattr(form321, "evaluate", lambda z: single.append(np.ndim(z) == 1) or evaluate(z))
-    monkeypatch.setattr(form321, "evaluate_scaled", lambda z: single.append("scaled") or scaled(z))
-    path = fc.continue_radially(form321, start, 0.1, 2.0, 15)
+def _mixed_form() -> fc.PolyOneForm:
+    """d(z1^2/2 + z2^2 + z1^3/3): not homogeneous, so traced by the corrector."""
+    return fc.Polynomial(2, [(0.5, (2, 0)), (1.0, (0, 2)), (1 / 3, (3, 0))]).differential()
+
+
+def _record_evaluations(form, monkeypatch) -> list:
+    """Record each evaluation of form: True/False for evaluate of one point
+    or a stack, ("scaled", ndim) for evaluate_scaled."""
+    calls = []
+    evaluate, scaled = form.evaluate, form.evaluate_scaled
+    monkeypatch.setattr(form, "evaluate", lambda z: calls.append(np.ndim(z) == 1) or evaluate(z))
+    monkeypatch.setattr(form, "evaluate_scaled", lambda z: calls.append(("scaled", np.ndim(z))) or scaled(z))
+    return calls
+
+
+def test_continue_radially_evaluates_form_once_per_radius(monkeypatch):
+    # the corrector's Newton kernel evaluates stacks; f and the rounding
+    # scale of each accepted point come from one build of that point
+    form = _mixed_form()
+    start = fc.point_at(form, [0.0, 0.5])
+    calls = _record_evaluations(form, monkeypatch)
+    path = fc.continue_radially(form, start, 0.1, 2.0, 15)
     monkeypatch.undo()
     accepted = len(path.points) - 1
-    # f and the rounding scale of each accepted point come from one build
-    assert single.count(True) == 0 and single.count("scaled") == accepted == 15
+    assert calls.count(True) == 0 and calls.count(("scaled", 1)) == accepted == 15
     for p in path.points[1:]:
-        assert p.residual == fc.contact_residual(form321, p.z) and p.mu == fc.mu_of(form321, p.z)
+        assert p.residual == fc.contact_residual(form, p.z) and p.mu == fc.mu_of(form, p.z)
+
+
+def test_continue_radially_scales_a_homogeneous_start(form321, monkeypatch):
+    # the contact set of a homogeneous form is a cone: no radius is solved,
+    # and each direction's points are checked by one stacked evaluation
+    start = sphere_search(form321, 1.0, 20, 0).points[0]
+    newton_calls = []
+    monkeypatch.setattr(contact, "_newton_on_sphere", lambda *args: newton_calls.append(args))
+    calls = _record_evaluations(form321, monkeypatch)
+    path = fc.continue_radially(form321, start, 0.1, 2.0, 15)
+    monkeypatch.undo()
+    assert newton_calls == [] and calls == [("scaled", 2)] * 2
+    assert not path.truncated and len(path.points) == 16
+    for p in path.points:
+        assert np.array_equal(p.z, start.z * (p.radius / start.radius))
+        # a stacked product may differ from a one-row product in the last
+        # bit; the residual is relative to |z| already
+        assert p.mu == pytest.approx(fc.mu_of(form321, p.z), rel=1e-14, abs=0)
+        assert abs(p.residual - fc.contact_residual(form321, p.z)) <= 1e-14
 
 
 def test_continue_radially_cubic_real_axis(cubic3):
@@ -629,7 +662,7 @@ def test_continue_radially_truncates_at_a_singular_grid_point():
 
 
 @pytest.mark.parametrize("window", [(0.2, 1.2), (0.4, 0.6), (0.15, 0.6)])
-def test_continue_radially_keeps_the_points_inside_a_corrector_window(window, form321, monkeypatch):
+def test_continue_radially_keeps_the_points_inside_a_corrector_window(window, monkeypatch):
     # the corrector fails outside [lo, hi]: both directions truncate at
     # their first failing radius, the path keeps exactly the radii inside,
     # and truncation_radius is the failing radius nearest the start (below
@@ -642,9 +675,10 @@ def test_continue_radially_keeps_the_points_inside_a_corrector_window(window, fo
         return Z, ok & (lo <= r <= hi)
 
     monkeypatch.setattr(contact, "_newton_on_sphere", windowed)
-    start = fc.point_at(form321, [0.0, 0.5, 0.0])
+    form = _mixed_form()
+    start = fc.point_at(form, [0.0, 0.5])
     grid = np.geomspace(0.1, 2.0, 15)
-    path = fc.continue_radially(form321, start, 0.1, 2.0, 15)
+    path = fc.continue_radially(form, start, 0.1, 2.0, 15)
     inside = grid[(lo <= grid) & (grid <= hi)]
     outside = grid[(grid < lo) | (grid > hi)]
     assert outside.min() < 0.5 < outside.max()  # both directions truncate
@@ -670,6 +704,53 @@ def test_continue_radially_over_the_full_radius_range(form321):
     assert path.points[0].radius == 1e-150 and path.points[-1].radius == 1e150
     for p in path.points:
         assert p.residual <= 1e-9 and axis_distance(p.z, 0) <= 1e-9 * p.radius
+
+
+def test_continue_radially_from_a_search_start_over_the_full_radius_range(form321):
+    # a generic-phase start: the per-radius corrector lost this line at 1e15
+    start = sphere_search(form321, 1.0, 20, 0).points[0]
+    path = fc.continue_radially(form321, start, 1e-150, 1e150, 21)
+    assert not path.truncated and len(path.points) == 21
+    for p in path.points:
+        assert p.residual <= 1e-9 and fc.contact_residual(form321, p.z) <= 1e-9
+        assert _aligned_distance(p.z / p.radius, start.z / start.radius) <= 1e-14
+
+
+def test_continue_radially_degree_four_form_is_untruncated():
+    # f of degree 4: the corrector's absolute rounding floor r^4 eps passed
+    # its target 1e-13 r near r = 7 and truncated this trace at 7.2
+    form = random_exact_form(np.random.default_rng(0), 2, 5)
+    assert form.homogeneous_degree() == 4
+    start = sphere_search(form, 1.0, 20, 0).points[1]
+    path = fc.continue_radially(form, start, 0.1, 10.0, 15)
+    assert not path.truncated and len(path.points) == 15
+    assert path.points[0].radius == 0.1 and path.points[-1].radius == 10.0
+    for p in path.points:
+        assert p.residual <= 1e-9 and fc.contact_residual(form, p.z) <= 1e-12
+
+
+@pytest.mark.parametrize("r_min, r_max, r_fail", [(1e-150, 1e150, 1e-90), (1e-100, 1e100, 1e-80)])
+def test_continue_radially_truncates_the_cubic_where_f_underflows(cubic3, r_min, r_max, r_fail):
+    # f = 3 z^2: at r_fail |f|^2 is below the normal doubles (the gradient is
+    # singular to rounding, or the residual is rounding noise); above the
+    # start |f|^2 overflows at 1 / r_fail, farther away. Warnings are errors
+    # here, so no overflow may warn
+    form = cubic3.differential()
+    start = sphere_search(form, 1.0, 20, 0).points[0]
+    path = fc.continue_radially(form, start, r_min, r_max, 21)
+    assert path.truncated and path.truncation_radius == r_fail
+    f = form.evaluate(start.z * r_fail)
+    assert np.sum(np.abs(f) ** 2) < np.finfo(float).tiny
+    grid = np.geomspace(r_min, r_max, 21)
+    kept = grid[(grid > r_fail) & (grid < 1.0 / r_fail) & (grid != 1.0)]
+    assert [p.radius for p in path.points] == sorted([float(r) for r in kept] + [1.0])
+
+
+def test_form_id_is_pinned(form321, cubic3):
+    # the ids reports carry: the hash of each coefficient's terms in order
+    assert contact.form_id(form321) == "cc1c9b2e8357"
+    assert contact.form_id(cubic3.differential()) == "cd6bb6b02f3c"
+    assert contact.form_id(fc.symplectic_form(4)) == "fa80f88c1af1"
 
 
 def test_radial_invariance_examples(form321, cubic3):

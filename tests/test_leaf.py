@@ -267,9 +267,10 @@ def test_projection_iterate_is_one_evaluation(form321, integral321, monkeypatch)
 
 
 def test_flow_step_samples_cost_no_evaluation(form321, integral321, monkeypatch):
-    # with the polish off, every build is the seed's or a projection
-    # iterate's: the field samples at z_mid and z_new reuse the evaluation
-    # their projection ends with, so no point is built twice
+    # with the polish off, every build is the seed's, a step's midpoint's or
+    # a projection iterate's: the sample at z_mid is that build's, the one
+    # at z_new reuses the evaluation its projection ends with, so no point
+    # is built twice
     z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
     chart = fc.make_chart(integral321, z0, 1.0, form=form321)
     monkeypatch.setattr(leaf, "_polish_on_leaf", lambda chart, s: None)
@@ -280,6 +281,38 @@ def test_flow_step_samples_cost_no_evaluation(form321, integral321, monkeypatch)
     assert exc.value.steps == 6 and np.array_equal(points[0], z0)
     assert len(points) >= 1 + 2 * 6  # the seed, then z_mid and z_new of each step
     assert len({p.tobytes() for p in points}) == len(points)
+
+
+def test_flow_projects_once_per_step_attempt(form321, integral321, monkeypatch):
+    # only a step's result is corrected onto the leaf: its midpoint sample is
+    # one evaluation off the leaf, outside any projection
+    z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
+    chart = fc.make_chart(integral321, z0, 1.0, form=form321)
+    calls, depth = [], [0]
+    project, evaluate = leaf._project, leaf._evaluate
+
+    def counted_project(chart, z):
+        calls.append("project")
+        depth[0] += 1
+        try:
+            return project(chart, z)
+        finally:
+            depth[0] -= 1
+
+    def counted_evaluate(chart, z):
+        if depth[0] == 0:
+            calls.append("evaluate")
+        return evaluate(chart, z)
+
+    monkeypatch.setattr(leaf, "_polish_on_leaf", lambda chart, s: None)
+    monkeypatch.setattr(leaf, "_project", counted_project)
+    monkeypatch.setattr(leaf, "_evaluate", counted_evaluate)
+    with pytest.raises(FlowError) as exc:
+        fc.flow_to_critical(chart, z0, max_steps=6)
+    monkeypatch.undo()
+    attempts = (len(calls) - 1) // 2  # after the seed's evaluation
+    assert exc.value.steps == 6 and attempts >= 6
+    assert calls == ["evaluate"] + ["evaluate", "project"] * attempts
 
 
 def test_index_persistence_shares_the_chart_table(form321, integral321, monkeypatch):
