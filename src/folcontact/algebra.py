@@ -251,6 +251,28 @@ class _MonomialTable:
         )
 
 
+def _exponent(e, n: int) -> tuple[int, ...]:
+    """A term's exponent multi-index as n ints, checked (ValueError).
+
+    Each entry is an integer (not a bool), non-negative and at most
+    max(int64) // n - 2, so that the table's int64 arithmetic cannot
+    overflow: no total degree, nor any flat power index k (d + 1) + e of
+    _power_plan, even for a first integral one degree higher, exceeds it.
+    """
+    e = tuple(e)
+    if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in e):
+        raise ValueError(f"exponents must be integers, got {e!r}")
+    e = tuple(int(k) for k in e)
+    if len(e) != n:
+        raise DimensionMismatchError(f"exponent multi-index {e} has wrong length")
+    if any(k < 0 for k in e):
+        raise ValueError(f"negative exponent in {e}")
+    bound = np.iinfo(np.int64).max // n - 2
+    if any(k > bound for k in e):
+        raise ValueError(f"exponent in {e} exceeds {bound}, the largest an int64 table holds at n = {n}")
+    return e
+
+
 class Polynomial(_MonomialTable):
     """Sparse polynomial in n complex variables.
 
@@ -265,16 +287,8 @@ class Polynomial(_MonomialTable):
         n = int(n)
         coeffs, exps = [], []
         for coeff, e in terms:
-            e = tuple(e)
-            if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in e):
-                raise ValueError(f"exponents must be integers, got {e!r}")
-            e = tuple(int(k) for k in e)
-            if len(e) != n:
-                raise DimensionMismatchError(f"exponent multi-index {e} has wrong length")
-            if any(k < 0 for k in e):
-                raise ValueError(f"negative exponent in {e}")
+            exps.append(_exponent(e, n))
             coeffs.append(complex(coeff))
-            exps.append(e)
         exps = np.array(exps, dtype=np.int64).reshape(-1, n)
         super().__init__(n, *_canonical(exps, np.array(coeffs, dtype=complex)[:, None]))
 

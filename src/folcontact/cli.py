@@ -8,7 +8,10 @@ root) and emit a machine-readable report on stdout:
 Each subcommand takes only the options it reads, and the config block
 echoes each of those, defaults included, plus the leaf value c a leaf
 command used (in place of --c-re and --c-im), so a report identifies its
-run exactly. Exit codes: 0 success, 2 input error
+run exactly. linear-analyze, contact-solve, contact-trace, leaf-hessian and
+index-audit report their library result objects, and leaf-flow its point,
+through jsonio.to_json, so each result key is a field name and a field
+that is None is absent. Exit codes: 0 success, 2 input error
 (non-finite numbers included), 3 numerical failure, which covers a result
 that is not finite: reports are strict JSON, without NaN or Infinity. All
 diagnostics go to stderr.
@@ -44,7 +47,7 @@ from .jsonio import (
     form_from_json,
     matrix_from_json,
     matrix_to_json,
-    point_to_json,
+    to_json,
 )
 from .leaf import (
     DEFAULT_FLOW_TOL,
@@ -183,21 +186,7 @@ def _leaf_setup(args, key: str):
 def _linear_analyze(args) -> dict[str, Any]:
     """Morse verdict and contact lines of a symmetric matrix."""
     verdict, lineset = analyze(matrix_from_json(_load_json(args.input), args.input))
-    return {
-        "is_morse": verdict.is_morse,
-        "sigma": verdict.sigma,
-        "min_gap": verdict.min_gap,
-        "lines": [
-            {
-                "direction": cvec_to_json(line.direction),
-                "sigma": line.sigma,
-                "mu_modulus": line.mu_modulus,
-                "morse_index": line.morse_index,
-                "residual": line.residual,
-            }
-            for line in lineset.lines
-        ],
-    }
+    return {**to_json(verdict), "lines": to_json(lineset.lines)}
 
 
 def _linear_morseify(args) -> dict[str, Any]:
@@ -211,12 +200,7 @@ def _linear_morseify(args) -> dict[str, Any]:
 def _contact_solve(args) -> dict[str, Any]:
     """Contact points of a one-form on a sphere."""
     form = form_from_json(_load_json(args.input), args.input)
-    search = sphere_search(form, args.radius, args.seeds, args.rng_seed, args.tol)
-    return {
-        "points": [point_to_json(p) for p in search.points],
-        "seeds_tried": search.seeds_tried,
-        "seeds_converged": search.seeds_converged,
-    }
+    return to_json(sphere_search(form, args.radius, args.seeds, args.rng_seed, args.tol))
 
 
 def _contact_trace(args) -> dict[str, Any]:
@@ -230,13 +214,7 @@ def _contact_trace(args) -> dict[str, Any]:
         raise InputFormatError(
             f"{args.input}: start is not a contact point (residual {start.residual:.3e})"
         )
-    path = continue_radially(form, start, args.r_min, args.r_max, args.steps, args.tol)
-    return {
-        "form_id": path.form_id,
-        "points": [point_to_json(p) for p in path.points],
-        "truncated": path.truncated,
-        "truncation_radius": path.truncation_radius,
-    }
+    return to_json(continue_radially(form, start, args.r_min, args.r_max, args.steps, args.tol))
 
 
 def _leaf_flow(args) -> dict[str, Any]:
@@ -244,7 +222,7 @@ def _leaf_flow(args) -> dict[str, Any]:
     chart, seed = _leaf_setup(args, "seed")
     flow = flow_to_critical(chart, seed, args.direction, tol=args.tol, max_steps=args.max_steps)
     return {
-        "point": point_to_json(flow.point),
+        "point": to_json(flow.point),
         "steps": flow.steps,
         "polished": flow.polished,
         "phi_initial": flow.phi_trace[0],
@@ -254,13 +232,7 @@ def _leaf_flow(args) -> dict[str, Any]:
 
 def _leaf_hessian(args) -> dict[str, Any]:
     """Restricted Hessian at a critical point (input: {form, point})."""
-    report = leaf_hessian(*_leaf_setup(args, "point"))
-    return {
-        "matrix": [[float(v) for v in row] for row in report.matrix],
-        "eigenvalues": [float(v) for v in report.eigenvalues],
-        "negative_count": report.negative_count,
-        "point": point_to_json(report.point),
-    }
+    return to_json(leaf_hessian(*_leaf_setup(args, "point")))
 
 
 def _scan(args) -> dict[str, Any]:
@@ -281,16 +253,8 @@ def _index_pugh(args) -> dict[str, Any]:
 
 def _index_audit(args) -> dict[str, Any]:
     """Boundary tangency audit of a planar field (input: sample list)."""
-    report = disc_tangency_audit(boundary_samples_from_json(_load_json(args.input), args.input))
-    return {
-        "interior_tangencies": report.interior_tangencies,
-        "exterior_tangencies": report.exterior_tangencies,
-        "index": report.index,
-        "winding": report.winding,
-        "consistent": report.consistent,
-        "under_sampled": report.under_sampled,
-        "chi_terms": [[name, value] for name, value in report.chi_terms],
-    }
+    samples = boundary_samples_from_json(_load_json(args.input), args.input)
+    return to_json(disc_tangency_audit(samples))
 
 
 def _pretty(report: dict[str, Any]) -> str:

@@ -2,7 +2,10 @@
 
 Complex numbers are {"re": .., "im": ..} objects everywhere; matrices and
 one-forms follow the canonical on-disk shapes consumed by the CLI (see
-schemas/ in the repository root). Parse errors raise InputFormatError with
+schemas/ in the repository root). A library result becomes report JSON by
+one rule, to_json: a dataclass is an object of its fields with the None
+ones left out, so a field reaches a report by being a field and an unset
+one stays absent. Parse errors raise InputFormatError with
 the offending path for exit-code-2 handling; that includes non-finite
 numbers (the NaN and Infinity literals Python's json module accepts, and
 literals too large for a float).
@@ -10,13 +13,13 @@ literals too large for a float).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Any
 
 import numpy as np
 
-from .algebra import Polynomial, PolyOneForm, SymMatrix
-from .contact import ContactPoint
+from .algebra import Polynomial, PolyOneForm, SymMatrix, _exponent
 
 
 class InputFormatError(ValueError):
@@ -38,6 +41,26 @@ def _is_finite_number(v: Any) -> bool:
 def complex_to_json(v: complex) -> dict[str, float]:
     v = complex(v)
     return {"re": v.real, "im": v.imag}
+
+
+def to_json(obj: Any) -> Any:
+    """Report JSON of a library result.
+
+    A dataclass becomes an object of its fields, a field that is None left
+    out; a complex number, Python or numpy, becomes {"re", "im"}; an array,
+    list or tuple becomes a list, element by element; a numpy scalar
+    becomes its Python value; anything else is kept as it is.
+    """
+    if dataclasses.is_dataclass(obj):
+        fields = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+        return {name: to_json(v) for name, v in fields if v is not None}
+    if isinstance(obj, (complex, np.complexfloating)):
+        return complex_to_json(obj)
+    if isinstance(obj, (np.ndarray, list, tuple)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
 
 
 def complex_from_json(obj: Any, where: str = "value") -> complex:
@@ -115,34 +138,16 @@ def form_from_json(obj: Any, where: str = "form") -> PolyOneForm:
             _expect(isinstance(term, dict), tw, "expected a term object")
             _expect(set(term) == {"re", "im", "exp"}, tw, "required keys: re, im, exp")
             c = complex_from_json({"re": term["re"], "im": term["im"]}, tw)
-            exp = term["exp"]
-            _expect(
-                isinstance(exp, list)
-                and len(exp) == n
-                and all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exp),
-                tw,
-                f"exp must be {n} non-negative integers",
-            )
-            parsed.append((c, exp))
+            _expect(isinstance(term["exp"], list), tw, f"exp must be a list of {n} integers")
+            try:
+                parsed.append((c, _exponent(term["exp"], n)))
+            except ValueError as exc:
+                raise InputFormatError(f"{tw}: {exc}") from exc
         try:
             polys.append(Polynomial(n, parsed))
         except ValueError as exc:
             raise InputFormatError(f"{where}.coeffs[{j}]: {exc}") from exc
     return PolyOneForm(polys)
-
-
-def point_to_json(p: ContactPoint) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "z": cvec_to_json(p.z),
-        "mu": complex_to_json(p.mu),
-        "radius": p.radius,
-        "residual": p.residual,
-    }
-    if p.leaf_value is not None:
-        out["leaf_value"] = complex_to_json(p.leaf_value)
-    if p.morse_index is not None:
-        out["morse_index"] = p.morse_index
-    return out
 
 
 def boundary_samples_from_json(obj: Any, where: str = "samples"):

@@ -27,7 +27,7 @@ from .algebra import (
     linear_form,
     takagi,
 )
-from .contact import ACCEPT_TOL, ContactPoint, contact_residual, mu_of
+from .contact import ACCEPT_TOL, ContactPoint, contact_residual, point_at
 from .errors import NotMorseError
 
 
@@ -194,16 +194,4 @@ def unit_sphere_tangencies(A: SymMatrix) -> list[ContactPoint]:
     """
     _, lineset = analyze(A)
     form = linear_form(A)
-    out = []
-    for line in lineset.lines:
-        w = line.direction
-        out.append(
-            ContactPoint(
-                z=w,
-                mu=mu_of(form, w),
-                radius=1.0,
-                residual=line.residual,
-                morse_index=line.morse_index,
-            )
-        )
-    return out
+    return [point_at(form, line.direction, line.morse_index) for line in lineset.lines]

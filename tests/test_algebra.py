@@ -48,6 +48,22 @@ def test_polynomial_refuses_exponents_that_are_not_integers(exp):
         fc.Polynomial(2, [(1.0, exp), (2.0, (1, 0))])
 
 
+@pytest.mark.parametrize("exponent", [10**30, 2**63 - 1, 2**62 - 1], ids=["1e30", "2^63-1", "2^62-1"])
+def test_polynomial_refuses_exponents_beyond_the_table(exponent):
+    # ValueError, never OverflowError: the int64 table and its power plan
+    # cannot index such a power (the largest exponent at n = 2 is 2^62 - 3)
+    with pytest.raises(ValueError, match="exceeds"):
+        fc.Polynomial(2, [(1.0, (exponent, 0))])
+
+
+def test_polynomial_accepts_the_largest_exponent_and_integrates_it():
+    bound = np.iinfo(np.int64).max // 3 - 2
+    p = fc.Polynomial(3, [(1.0, (bound, bound, bound))])
+    assert p.total_degree == 3 * bound
+    g = fc.integrate_exact_form(fc.Polynomial(3, [(1.0, (bound, 0, 0))]).differential())
+    assert g.terms == [(1.0 + 0j, (bound, 0, 0))]
+
+
 def test_polynomial_accepts_numpy_integer_exponents():
     p = fc.Polynomial(2, [(1.0, np.array([1, 0])), (2.0, (np.int32(1), np.uint8(0)))])
     assert p.terms == [(3.0 + 0j, (1, 0))]

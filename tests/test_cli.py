@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 
 import folcontact as fc
-from folcontact.contact import ACCEPT_TOL
-from folcontact.index import circle_samples
-from folcontact.leaf import DEFAULT_FLOW_TOL
-from folcontact.jsonio import cvec_to_json, form_to_json, matrix_to_json
+from folcontact.contact import ACCEPT_TOL, ContactPath, ContactPoint, SphereSearch
+from folcontact.index import IndexReport, circle_samples
+from folcontact.leaf import DEFAULT_FLOW_TOL, HessianReport
+from folcontact.jsonio import cvec_to_json, form_to_json, matrix_to_json, to_json
+from folcontact.linear import ContactLine, MorseVerdict
 
 from folcontact.cli import main as cli_main
 
@@ -172,6 +174,74 @@ def test_schema_rejects_config_keys_outside_the_commands_row(request, report_sch
 @pytest.mark.parametrize("name", ["report.json", "form.json", "matrix.json"])
 def test_published_schemas_are_valid_draft_2020_12(name):
     jsonschema.Draft202012Validator.check_schema(load_schema(name))
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_serialised_dataclasses_have_exactly_their_schema_properties(report_schema):
+    # a result field reaches a report by being a field (jsonio.to_json), so
+    # one the closed schema does not list must fail here, not in a report
+    results = {
+        rule["if"]["properties"]["command"]["const"]: rule["then"]["properties"]["result"]
+        for rule in report_schema["allOf"]
+    }
+    analyze = results["linear-analyze"]
+    for block, names in [
+        (analyze, _field_names(MorseVerdict) | {"lines"}),
+        (analyze["properties"]["lines"]["items"], _field_names(ContactLine)),
+        (results["contact-solve"], _field_names(SphereSearch)),
+        (results["contact-trace"], _field_names(ContactPath)),
+        (results["leaf-hessian"], _field_names(HessianReport)),
+        (results["index-audit"], _field_names(IndexReport)),
+        (report_schema["$defs"]["point"], _field_names(ContactPoint)),
+    ]:
+        assert block["additionalProperties"] is False
+        assert set(block["properties"]) == names
+        assert set(block["required"]) <= names
+
+
+def test_to_json_omits_none_fields_and_gives_plain_python_values():
+    @dataclasses.dataclass
+    class Inner:
+        value: object
+        unset: object = None
+
+    @dataclasses.dataclass
+    class Outer:
+        flag: object
+        count: object
+        size: object
+        z: object
+        pairs: object
+        matrix: object
+        inner: object
+        unset: object = None
+
+    out = to_json(
+        Outer(
+            flag=np.bool_(True),
+            count=np.int64(3),
+            size=np.float64(0.5),
+            z=np.array([1 + 2j, 3j]),
+            pairs=(("a", np.int64(1)), ("b", 2)),
+            matrix=np.array([[1.0, 2.0], [3.0, 4.0]]),
+            inner=Inner(value=[np.complex128(1j), 1 - 1j]),
+        )
+    )
+    assert out == {
+        "flag": True,
+        "count": 3,
+        "size": 0.5,
+        "z": [{"re": 1.0, "im": 2.0}, {"re": 0.0, "im": 3.0}],
+        "pairs": [["a", 1], ["b", 2]],
+        "matrix": [[1.0, 2.0], [3.0, 4.0]],
+        "inner": {"value": [{"re": 0.0, "im": 1.0}, {"re": 1.0, "im": -1.0}]},
+    }
+    assert (type(out["flag"]), type(out["count"]), type(out["size"])) == (bool, int, float)
+    assert type(out["pairs"][0][1]) is int and type(out["matrix"][0][0]) is float
+    assert type(out["z"][0]["re"]) is float
 
 
 def test_input_fixtures_match_published_schemas(matrix_file, symplectic_file):
@@ -358,7 +428,7 @@ def test_contact_trace_over_the_full_radius_range(tmp_path, form321, report_sche
     path.write_text(json.dumps({"form": form_to_json(form321), "start": cvec_to_json(np.array([1.0, 0.0, 0.0]))}))
     argv = ["contact-trace", "--input", str(path), "--r-min", "1e-150", "--r-max", "1e150", "--steps", "21"]
     result = _check(argv, report_schema)["result"]
-    assert result["truncated"] is False and result["truncation_radius"] is None
+    assert result["truncated"] is False and "truncation_radius" not in result
     radii = [p["radius"] for p in result["points"]]
     assert radii[0] == 1e-150 and radii[-1] == 1e150 and radii == sorted(radii)
 
@@ -429,6 +499,16 @@ def test_exit_2_on_non_finite_form_coefficient(tmp_path, literal):
         assert code == 2
         assert out == ""
         assert f"{path}.coeffs[0][0]" in err
+
+
+@pytest.mark.parametrize("exponent", [10**30, 2**63 - 1], ids=["1e30", "2^63-1"])
+def test_exit_2_on_exponent_beyond_the_table(tmp_path, exponent):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 2, "coeffs": [[{"re": 1, "im": 0, "exp": [exponent, 0]}], []]}))
+    code, out, err = run_cli(["contact-solve", "--input", str(path)])
+    assert code == 2
+    assert out == ""
+    assert f"{path}.coeffs[0][0]: exponent" in err
 
 
 def test_exit_2_on_non_finite_matrix_entry(tmp_path):

@@ -121,6 +121,20 @@ def test_unit_sphere_tangencies_random_morse():
         assert all(p.residual <= 1e-9 for p in points)
 
 
+def test_unit_sphere_tangencies_are_the_lines_packaged_as_points():
+    rng = np.random.default_rng(56)
+    for n in (3, 5):
+        A = random_morse(rng, n)
+        form = fc.linear_form(A)
+        _, lineset = fc.analyze(A)
+        for p, line in zip(fc.unit_sphere_tangencies(A), lineset.lines, strict=True):
+            assert np.array_equal(p.z, line.direction)
+            assert p.mu == fc.mu_of(form, line.direction)
+            assert p.residual == line.residual
+            assert p.morse_index == line.morse_index
+            assert p.radius == pytest.approx(1.0, abs=1e-15)
+
+
 def test_unit_sphere_tangencies_identity(identity3):
     points = fc.unit_sphere_tangencies(identity3)
     assert len(points) >= 3
