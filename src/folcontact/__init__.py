@@ -4,18 +4,26 @@ Core surfaces:
 
 * :mod:`folcontact.algebra` — polynomials, one-forms, symmetric/hermitian
   matrices, Takagi factorization, ``gram_inverse``.
-* :mod:`folcontact.contact` — contact residuals, sphere-constrained Newton
-  search, radial continuation, homogeneous radial invariance.
-* :mod:`folcontact.linear` — Morse verdicts, contact lines, Morse indices,
+* :mod:`folcontact.contact` — contact points and residuals
+  (``point_at``), the sphere-constrained Newton search
+  (``sphere_search``), radial continuation, homogeneous radial invariance.
+* :mod:`folcontact.linear` — ``analyze``: the Morse verdict and the
+  contact lines, with their Morse indices when the matrix is Morse;
   Morse-ifying perturbations, unit-sphere tangency witnesses.
 * :mod:`folcontact.leaf` — projected gradient field, leaf-restricted
   distance flows, restricted Hessians, transversality scans, persistence.
 * :mod:`folcontact.index` — exact Euler/index identities and the disc
   boundary-tangency auditor.
+* :mod:`folcontact.errors` — the exception hierarchy.
+* :mod:`folcontact.jsonio` — JSON readers and writers of the CLI's inputs
+  and reports.
 * :mod:`folcontact.cli` — the ``folcontact`` command.
+
+The package re-exports, in ``__all__``, the public names of all but
+``jsonio`` and ``cli``.
 """
 
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -26,7 +34,6 @@ from .algebra import (
     PolyOneForm,
     SymMatrix,
     TakagiFactors,
-    eval_form,
     gram_inverse,
     integrate_exact_form,
     jacobian_form,
@@ -42,10 +49,8 @@ from .contact import (
     SphereSearch,
     contact_residual,
     continue_radially,
-    mu_of,
     point_at,
     radial_invariance_check,
-    solve_on_sphere,
     sphere_search,
 )
 from .errors import (
@@ -56,7 +61,6 @@ from .errors import (
     FolContactError,
     LeafCorrectionError,
     NonHomogeneousFormError,
-    NotMorseError,
     RadiusRangeError,
     SingularGradientError,
     SingularMatrixError,
@@ -88,9 +92,9 @@ from .linear import (
     MorseVerdict,
     analyze,
     hessian_eigenvalues_closed_form,
-    morse_indices,
     morseify,
     unit_sphere_tangencies,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules the imports bind
+__all__ = [k for k, v in globals().items() if not (k.startswith("_") or isinstance(v, _ModuleType))]

@@ -20,8 +20,7 @@ function (``_canonical``) builds the table of every polynomial and
 one-form: it sorts the rows, sums duplicate rows in input order and drops
 all-zero rows, so equal objects have equal tables. One derivative rule,
 d(c z^e)/dz_k = c e_k z^(e - e_k), maps (E, C) to the table of the
-partials; it gives ``partial``, ``differential`` and the one-form's
-Jacobian table.
+partials; it gives ``differential`` and the one-form's Jacobian table.
 
 Every evaluation is a method of the table. ``_build`` builds the
 monomials of at most ROW_BLOCK points, from a table of the powers
@@ -168,7 +167,7 @@ class _MonomialTable:
     def _plan(self) -> tuple:
         """The power plan of the table, compiled at its first evaluation:
         tables that are only read (a form's coefficient polynomials, the
-        differential integrate_exact_form checks, partials) never build one."""
+        differential integrate_exact_form checks) never build one."""
         return _power_plan(self._exps)
 
     @cached_property
@@ -306,11 +305,6 @@ class Polynomial(_MonomialTable):
         out = self._dot(z)[..., 0]
         return complex(out) if out.ndim == 0 else out
 
-    def partial(self, j: int) -> "Polynomial":
-        """Partial derivative with respect to z_j."""
-        D, dC = self._derivative()
-        return Polynomial._from_table(self.n, D, dC[:, :, j])
-
     def differential(self) -> "PolyOneForm":
         """The exact one-form d(self) with coefficients dself/dz_j."""
         D, dC = self._derivative()
@@ -355,11 +349,6 @@ class PolyOneForm(_MonomialTable):
         D, dC = self._derivative()
         return _MonomialTable(self.n, D, dC.reshape(len(D), self.n * self.n))
 
-    @property
-    def degree_info(self) -> tuple[int, ...]:
-        """Total degree of each coefficient polynomial."""
-        return tuple(f.total_degree for f in self.coeffs)
-
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         """(f_1(z), ..., f_n(z)); batched input (..., n) gives (..., n)."""
         return self._dot(z)
@@ -374,7 +363,7 @@ class PolyOneForm(_MonomialTable):
         return self._dot(z, scaled=True)
 
     def __repr__(self) -> str:
-        return f"PolyOneForm(n={self.n}, degrees={self.degree_info})"
+        return f"PolyOneForm(n={self.n}, degrees={tuple(f.total_degree for f in self.coeffs)})"
 
 
 def _side_by_side(g: Polynomial, form: PolyOneForm) -> _MonomialTable:
@@ -390,11 +379,6 @@ def _side_by_side(g: Polynomial, form: PolyOneForm) -> _MonomialTable:
     C[: len(g._exps), :1] = g._coeffs
     C[len(g._exps) :, 1:] = form._coeffs
     return _MonomialTable(form.n, np.concatenate([g._exps, form._exps]), C)
-
-
-def eval_form(form: PolyOneForm, z) -> np.ndarray:
-    """Coefficient vector (f_1(z),...,f_n(z)); conjugate it for the gradient field."""
-    return form.evaluate(as_cvec(z, form.n))
 
 
 def jacobian_form(form: PolyOneForm, z) -> np.ndarray:

@@ -17,7 +17,7 @@ so it holds at any |z|.
 computed, for a point or a stack, from f and its rounding scale, which
 one monomial build gives together (PolyOneForm.evaluate_scaled here, the
 leaf chart's [g | f] table in leaf.py). Its callers pick what a singular
-point means: mu_of, contact_residual and point_at raise
+point means: point_at, and contact_residual through it, raise
 SingularGradientError, sphere_search drops the row, and continue_radially
 truncates the path there.
 
@@ -134,15 +134,6 @@ def _check_tol(tol: float) -> None:
     """Refuse a tolerance that is not positive (NaN too): no point could meet it."""
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-
-
-def mu_of(form: PolyOneForm, z) -> complex:
-    """Least-squares multiplier minimizing ||z - mu * conj(f(z))||."""
-    z = as_cvec(z, form.n)
-    mu, _, singular = _field(z, *form.evaluate_scaled(z))
-    if singular:
-        raise SingularGradientError("gradient of the one-form vanishes at this point")
-    return complex(mu)
 
 
 def contact_residual(form: PolyOneForm, z) -> float:
@@ -443,10 +434,15 @@ def sphere_search(
 ) -> SphereSearch:
     """Multi-seed contact solve on the radius-r sphere, with diagnostics.
 
+    Deterministic for fixed rng_seed; phase-orbit duplicates are merged.
+    Empty points mean that no contact point was found from these seeds,
+    not that the sphere is transverse.
+
     The contact set of a homogeneous form of degree k is a cone, and mu
     scales by t^(1-k) along it: such forms are solved on the unit sphere
     and the points scaled to radius r, so the answer does not depend on
-    how far r is from 1.
+    how far r is from 1. An r at which the scale r^(1-k) or a scaled mu
+    is not a normal finite double raises RadiusRangeError.
     """
     _check_radius(r)
     _check_tol(tol)
@@ -477,44 +473,34 @@ def sphere_search(
         try:
             mu_scale = r ** (1 - k)
         except OverflowError:
-            raise RadiusRangeError(
-                f"radius {r:.3g} is out of range: mu scales by r^{1 - k}, which is non-finite"
-            ) from None
+            mu_scale = np.inf
+        mus = [mu_scale * p.mu for p in out.points]
+        if not all(np.finfo(float).tiny <= abs(mu) < np.inf for mu in [mu_scale, *mus]):
+            raise RadiusRangeError(f"radius {r:.3g} is out of range: r^{1 - k} mu is not a normal double")
         out.points = [
-            ContactPoint(z=r * p.z, mu=mu_scale * p.mu, radius=r, residual=p.residual)
-            for p in out.points
+            ContactPoint(z=r * p.z, mu=mu, radius=r, residual=p.residual)
+            for p, mu in zip(out.points, mus)
         ]
     return out
-
-
-def solve_on_sphere(
-    form: PolyOneForm,
-    r: float,
-    n_seeds: int,
-    rng_seed: int,
-    tol: float = ACCEPT_TOL,
-) -> list[ContactPoint]:
-    """Contact points on the radius-r sphere found from n_seeds random starts.
-
-    Deterministic for fixed rng_seed; phase-orbit duplicates are merged; an
-    empty list means that no contact point was found from these seeds, not
-    that the sphere is transverse. Diverged seeds are dropped (see
-    sphere_search for the counts).
-    """
-    return sphere_search(form, r, n_seeds, rng_seed, tol).points
 
 
 def point_at(form: PolyOneForm, z, morse_index: int | None = None) -> ContactPoint:
     """Package a known location as a ContactPoint (mu and residual recomputed).
 
     The origin is refused first, with ValueError, whatever the form: a form
-    with f(0) = 0 would otherwise report a singular gradient there.
+    with f(0) = 0 would otherwise report a singular gradient there. A point
+    where f or its rounding scale overflows raises RadiusRangeError, and a
+    singular one SingularGradientError.
     """
     z = as_cvec(z, form.n)
     radius = float(np.linalg.norm(z))
     if radius == 0.0:
         raise ValueError("contact residual is undefined at the origin")
-    mu, w, singular = _field(z, *form.evaluate_scaled(z))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing f is refused below
+        f, scale = form.evaluate_scaled(z)
+    if not np.isfinite(scale):
+        raise RadiusRangeError(f"point of norm {radius:.3g} is out of range: f's rounding scale is non-finite")
+    mu, w, singular = _field(z, f, scale)
     if singular:
         raise SingularGradientError("gradient of the one-form vanishes at this point")
     residual = float(np.linalg.norm(w)) / radius

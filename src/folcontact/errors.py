@@ -3,8 +3,7 @@
 Two families matter to callers (and to the CLI exit codes):
 
 * ``ValueError`` subclasses signal bad inputs or violated preconditions
-  (wrong dimensions, non-homogeneous form where homogeneity is required,
-  asking for Morse indices of a non-Morse matrix).
+  (wrong dimensions, non-homogeneous form where homogeneity is required).
 * plain ``FolContactError`` subclasses signal numerical failure on valid
   input (singular matrices, Newton divergence, flow stalls).
 """
@@ -24,10 +23,6 @@ class NonHomogeneousFormError(FolContactError, ValueError):
     """Operation requires a homogeneous one-form."""
 
 
-class NotMorseError(FolContactError, ValueError):
-    """Operation requires a Morse-type coefficient matrix."""
-
-
 class SingularMatrixError(FolContactError):
     """Matrix is singular (or too ill-conditioned) for the requested analysis."""
 
@@ -37,7 +32,12 @@ class SingularGradientError(FolContactError):
 
 
 class RadiusRangeError(FolContactError):
-    """The sphere radius squares outside the normal double-precision range."""
+    """A result leaves the normal double-precision range at this radius.
+
+    Raised where the sphere radius squares outside it, where a homogeneous
+    form's multiplier, scaled by r^(1-k) to the radius, falls outside it,
+    and where f or its rounding scale overflows at a point.
+    """
 
 
 class ConvergenceError(FolContactError):
@@ -53,7 +53,6 @@ class FlowError(ConvergenceError):
 
     def __init__(self, reason: str, last_point=None, steps: int = 0):
         super().__init__(reason)
-        self.reason = reason
         self.last_point = last_point
         self.steps = steps
 

@@ -188,17 +188,3 @@ def disc_tangency_audit(boundary_samples) -> IndexReport:
         under_sampled=under_sampled,
     )
 
-
-def circle_samples(field, m: int):
-    """Sampled (point, field value, outward normal) triples on the unit circle.
-
-    `field` maps an (x, y) array to an (Fx, Fy) array. Convenience producer
-    for audits and fixtures; counterclockwise order. On the unit circle
-    each point is its own outward normal.
-    """
-    out = []
-    for k in range(m):
-        t = 2.0 * np.pi * k / m
-        p = np.array([np.cos(t), np.sin(t)])
-        out.append((p, np.asarray(field(p), dtype=float), p.copy()))
-    return out

@@ -204,20 +204,6 @@ def project_to_leaf(integral: Polynomial, form: PolyOneForm, z, c: complex) -> n
     return _project(LeafChart(integral, form, complex(c)), z)[0]
 
 
-def homogeneous_leaf_scale(integral: Polynomial, z, c: complex) -> np.ndarray:
-    """Scale z onto {f = c} for a homogeneous integral: z * (c/f(z))^(1/k)."""
-    z = as_cvec(z, integral.n)
-    k = integral.homogeneous_degree()
-    if k is None:
-        raise ValueError("integral is not homogeneous")
-    if k == 0:
-        raise ValueError("integral is constant: its leaves cannot be reached by scaling")
-    val = integral.evaluate(z)
-    if abs(val) <= 1e-14 * (1.0 + abs(c)):
-        raise LeafCorrectionError("seed lies on the zero cone of the integral")
-    return z * (c / val) ** (1.0 / k)
-
-
 def _check_on_leaf(chart: LeafChart, g: complex, what: str) -> None:
     """Refuse, with ValueError, the base, seed or point `what` at which the
     integral is g when |g - c| > LEAF_TOL (1 + |c|) for the chart's c."""

@@ -28,7 +28,6 @@ from .algebra import (
     takagi,
 )
 from .contact import ACCEPT_TOL, ContactPoint, contact_residual, point_at
-from .errors import NotMorseError
 
 
 @dataclass
@@ -51,7 +50,6 @@ class ContactLineSet:
     """
 
     lines: list[ContactLine]
-    source: SymMatrix
     rejected: list[ContactLine]
 
 
@@ -104,7 +102,8 @@ def analyze(A: SymMatrix) -> tuple[MorseVerdict, ContactLineSet]:
     Every reported direction is checked against the contact residual at
     radius 1, and kept when it is at most ACCEPT_TOL; the eigen route
     supplies candidates only. When A is of Morse type the lines also carry
-    their Morse indices (see morse_indices).
+    their Morse indices: line j (descending sigma) has index j, the
+    negative count of its closed-form leaf-Hessian eigenvalues.
     Raises SingularMatrixError for singular A.
     """
     _require_invertible(A)
@@ -132,22 +131,7 @@ def analyze(A: SymMatrix) -> tuple[MorseVerdict, ContactLineSet]:
                     f"closed-form negative count {negatives} disagrees with line order {j}"
                 )
             line.morse_index = negatives
-    return verdict, ContactLineSet(lines=lines, source=A, rejected=rejected)
-
-
-def morse_indices(A: SymMatrix) -> ContactLineSet:
-    """Contact lines with Morse indices filled; requires a Morse matrix.
-
-    The index of line j (descending sigma) is the negative count of the
-    closed-form leaf-Hessian eigenvalues, which analyze fills for every
-    Morse matrix; NotMorseError otherwise.
-    """
-    verdict, lineset = analyze(A)
-    if not verdict.is_morse:
-        raise NotMorseError(
-            f"matrix is not of Morse type (min sigma gap {verdict.min_gap:.3e})"
-        )
-    return lineset
+    return verdict, ContactLineSet(lines=lines, rejected=rejected)
 
 
 def morseify(A: SymMatrix, eps: float) -> SymMatrix:

@@ -98,11 +98,37 @@ def line_distance(z: np.ndarray, direction: np.ndarray) -> float:
     return float(np.linalg.norm(z - proj))
 
 
+def homogeneous_leaf_scale(integral: fc.Polynomial, z, c: complex) -> np.ndarray:
+    """z scaled onto the leaf {g = c} of a homogeneous g of degree k: z (c / g(z))^(1/k)."""
+    z = np.asarray(z, dtype=complex)
+    return z * (c / integral.evaluate(z)) ** (1.0 / integral.homogeneous_degree())
+
+
+def circle_samples(field, m: int):
+    """Sampled (point, field value, outward normal) triples on the unit circle.
+
+    `field` maps an (x, y) array to an (Fx, Fy) array; counterclockwise
+    order. On the unit circle each point is its own outward normal.
+    """
+    out = []
+    for k in range(m):
+        t = 2.0 * np.pi * k / m
+        p = np.array([np.cos(t), np.sin(t)])
+        out.append((p, np.asarray(field(p), dtype=float), p.copy()))
+    return out
+
+
 def real_rows_by_concatenation(dz, dzbar, dlam):
     """The real rows (Re G; Im G) assembled as complex blocks and concatenated."""
     dlam = dlam[..., None]
     block = np.concatenate([dz + dzbar, 1j * (dz - dzbar), dlam, 1j * dlam], axis=-1)
     return np.concatenate([block.real, block.imag], axis=-2)
+
+
+def degree_five_form() -> fc.PolyOneForm:
+    """d(z1^6 + z2^6 + z1^3 z2^3 / 2): homogeneous of degree k = 5, so mu
+    scales by r^-4 along its contact cone, which holds both axes."""
+    return fc.Polynomial(2, [(1.0, (6, 0)), (1.0, (0, 6)), (0.5, (3, 3))]).differential()
 
 
 def random_exact_form(rng: np.random.Generator, n: int, degree: int) -> fc.PolyOneForm:

@@ -14,12 +14,12 @@ import numpy as np
 
 import folcontact as fc
 from folcontact.contact import sphere_seeds, sphere_search
-from folcontact.index import circle_samples
 from folcontact.jsonio import cvec_to_json, form_to_json, matrix_to_json
-from folcontact.leaf import homogeneous_leaf_scale
 
 from conftest import (
     axis_distance,
+    circle_samples,
+    homogeneous_leaf_scale,
     line_distance,
     random_morse,
     random_symmetric,
@@ -48,9 +48,8 @@ def test_criterion_01_linear_fixture_diag321():
     with criterion(1, "diag(3,2,1): Morse, axes, indices (0,1,2), Hessians, <1s") as st:
         t0 = time.perf_counter()
         A = _diag321()
-        verdict, _ = fc.analyze(A)
+        verdict, lineset = fc.analyze(A)
         assert verdict.is_morse
-        lineset = fc.morse_indices(A)
         assert [line.morse_index for line in lineset.lines] == [0, 1, 2]
         for j, line in enumerate(lineset.lines):
             axis = np.zeros(3, dtype=complex)
@@ -122,7 +121,7 @@ def test_criterion_04_oracle_equivalence():
             A = random_morse(rng, n)
             _, lineset = fc.analyze(A)
             form = fc.linear_form(A)
-            points = fc.solve_on_sphere(form, 1.0, 50, int(rng.integers(2**31)))
+            points = sphere_search(form, 1.0, 50, int(rng.integers(2**31))).points
             recovered = set()
             for p in points:
                 dists = [line_distance(p.z, line.direction) for line in lineset.lines]
@@ -193,7 +192,7 @@ def test_criterion_08_homogeneous_radial_invariance():
     with criterion(8, "cubic d(z1^3+z2^3+z3^3): all solved points radial-invariant at 1e-9") as st:
         cubic = fc.Polynomial(3, [(1.0, (3, 0, 0)), (1.0, (0, 3, 0)), (1.0, (0, 0, 3))])
         form = cubic.differential()
-        points = fc.solve_on_sphere(form, 1.0, 50, 577215)
+        points = sphere_search(form, 1.0, 50, 577215).points
         assert len(points) >= 1
         grid = [0.5, 1j, 1 + 1j, 1j * np.pi / 4]
         for p in points:

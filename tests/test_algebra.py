@@ -71,26 +71,27 @@ def test_polynomial_accepts_numpy_integer_exponents():
 
 def test_polynomial_partial_and_differential():
     f = fc.Polynomial(3, [(1.0, (3, 0, 0)), (2.0, (1, 1, 1))])
-    fx = f.partial(0)
-    z = np.array([1.0 + 1j, 2.0, -1.0], dtype=complex)
-    assert fx.evaluate(z) == pytest.approx(3 * (1 + 1j) ** 2 + 2 * 2 * (-1))
     form = f.differential()
     assert form.n == 3
+    fx = form.coeffs[0]  # the partial with respect to z_1
+    z = np.array([1.0 + 1j, 2.0, -1.0], dtype=complex)
+    assert fx.evaluate(z) == pytest.approx(3 * (1 + 1j) ** 2 + 2 * 2 * (-1))
+    assert fx == fc.Polynomial(3, [(3.0, (2, 0, 0)), (2.0, (0, 1, 1))])
     assert np.allclose(form.evaluate(z)[0], fx.evaluate(z))
 
 
 def test_eval_form_examples(diag321, form321, cubic3):
     # linear diagonal form at (1,1,1): coefficients are the diagonal
-    assert np.allclose(fc.eval_form(form321, [1, 1, 1]), [3, 2, 1])
+    assert np.allclose(form321.evaluate([1, 1, 1]), [3, 2, 1])
     # differential of a cubic power sum at a basis point
-    assert np.allclose(fc.eval_form(cubic3.differential(), [1, 0, 0]), [3, 0, 0])
+    assert np.allclose(cubic3.differential().evaluate([1, 0, 0]), [3, 0, 0])
     # pairwise-rotation form by direct substitution
-    assert np.allclose(fc.eval_form(fc.symplectic_form(4), [1, 2, 3, 4]), [2, -1, 4, -3])
+    assert np.allclose(fc.symplectic_form(4).evaluate([1, 2, 3, 4]), [2, -1, 4, -3])
 
 
 def test_eval_form_dimension_mismatch(form321):
     with pytest.raises(DimensionMismatchError):
-        fc.eval_form(form321, [1, 2])
+        form321.evaluate([1, 2])
 
 
 def test_jacobian_form_closed_forms(diag321, form321):
@@ -119,7 +120,7 @@ def test_jacobian_matches_finite_differences(fixture, diag321, cubic3):
         for k in range(form.n):
             e = np.zeros(form.n, dtype=complex)
             e[k] = h
-            fd = (fc.eval_form(form, z + e) - fc.eval_form(form, z - e)) / (2 * h)
+            fd = (form.evaluate(z + e) - form.evaluate(z - e)) / (2 * h)
             scale = np.abs(J[:, k]) + 1.0
             assert np.all(np.abs(fd - J[:, k]) <= 1e-5 * scale)
 
@@ -196,7 +197,8 @@ def test_batched_form_matches_per_coefficient_oracle(n):
             for k in range(n):
                 want, size = _term_by_term(terms, Z, k)
                 assert np.all(np.abs(J[:, j, k] - want) <= 1e-12 * size)
-                assert np.all(np.abs(form.coeffs[j].partial(k).evaluate(Z) - want) <= 1e-12 * size)
+                partial = form.coeffs[j].differential().coeffs[k]
+                assert np.all(np.abs(partial.evaluate(Z) - want) <= 1e-12 * size)
         # one point gives the row of the stack
         assert np.allclose(form.evaluate(Z[4]), F[4], rtol=1e-12, atol=0)
         assert np.allclose(fc.jacobian_form(form, Z[4]), J[4], rtol=1e-12, atol=0)
@@ -299,7 +301,8 @@ def test_integrate_exact_form_roundtrip(diag321, cubic3):
 
 def test_power_plans_are_compiled_at_first_evaluation(monkeypatch, cubic3):
     # form_id reads the coefficient polynomials and integrate_exact_form the
-    # table of d of its result: neither evaluates, so neither compiles a plan
+    # table of d of its result: neither evaluates, so neither compiles a plan,
+    # nor does building a coefficient polynomial, here the partial d mixed/dz_2
     compiled = []
     power_plan = algebra._power_plan
     monkeypatch.setattr(algebra, "_power_plan", lambda exps: compiled.append(exps) or power_plan(exps))
@@ -308,7 +311,7 @@ def test_power_plans_are_compiled_at_first_evaluation(monkeypatch, cubic3):
     z = np.array([0.3, -0.8 + 0.2j, 1.4j])
     form_id(form)
     rebuilt = fc.integrate_exact_form(form)
-    partial = mixed.partial(1)
+    partial = form.coeffs[1]
     assert compiled == []
     f = form.evaluate(z)
     assert len(compiled) == 1 and np.array_equal(compiled[0], form._exps)

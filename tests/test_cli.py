@@ -12,14 +12,14 @@ import pytest
 
 import folcontact as fc
 from folcontact.contact import ACCEPT_TOL, ContactPath, ContactPoint, SphereSearch
-from folcontact.index import IndexReport, circle_samples
+from folcontact.index import IndexReport
 from folcontact.leaf import DEFAULT_FLOW_TOL, HessianReport
 from folcontact.jsonio import cvec_to_json, form_to_json, matrix_to_json, to_json
 from folcontact.linear import ContactLine, MorseVerdict
 
 from folcontact.cli import main as cli_main
 
-from conftest import load_schema, run_cli
+from conftest import circle_samples, degree_five_form, load_schema, run_cli
 
 
 @pytest.fixture
@@ -607,6 +607,26 @@ def test_exit_3_on_radius_out_of_range(diag12_file, command, radius):
     assert code == 3 and out == ""
     what = "below the normal double range" if float(radius) < 1.0 else "non-finite"
     assert f"radius {float(radius):.3g} is out of range: its square is {what}" in err
+
+
+@pytest.mark.parametrize("radius", ["1e-80", "1e80", "1e100"])
+def test_exit_3_where_scaled_mu_leaves_the_normal_doubles(tmp_path, radius):
+    # mu scales by r^-4: at 1e100 every point's mu read 0, at 1e80 subnormal
+    path = tmp_path / "deg5.json"
+    path.write_text(json.dumps(form_to_json(degree_five_form())))
+    code, out, err = run_cli(["contact-solve", "--input", str(path), "--radius", radius])
+    assert code == 3 and out == ""
+    assert f"radius {float(radius):.3g} is out of range: r^-4 mu is not a normal double" in err
+
+
+def test_exit_3_on_a_trace_start_where_f_overflows(tmp_path):
+    # (1e100, 0) is a contact point, where f overflows: not an input error
+    path = tmp_path / "trace.json"
+    start = cvec_to_json(np.array([1e100, 0.0]))
+    path.write_text(json.dumps({"form": form_to_json(degree_five_form()), "start": start}))
+    code, out, err = run_cli(["contact-trace", "--input", str(path), "--r-min", "1e99", "--r-max", "1e101"])
+    assert code == 3 and out == ""
+    assert "point of norm 1e+100 is out of range: f's rounding scale is non-finite" in err
 
 
 @pytest.mark.parametrize("option, radius", [("--r-min", "1e-170"), ("--r-max", "1e200")])

@@ -21,13 +21,19 @@ from folcontact.contact import (
 )
 from folcontact.errors import NonHomogeneousFormError, RadiusRangeError, SingularGradientError
 
-from conftest import axis_distance, random_exact_form, random_morse, real_rows_by_concatenation
+from conftest import (
+    axis_distance,
+    degree_five_form,
+    random_exact_form,
+    random_morse,
+    real_rows_by_concatenation,
+)
 
 
 def test_mu_examples(form321):
     ident = fc.linear_form(fc.SymMatrix(np.eye(3, dtype=complex)))
-    assert fc.mu_of(ident, [1, 0, 0]) == pytest.approx(1.0)
-    assert fc.mu_of(form321, [0, 1, 0]) == pytest.approx(0.5)
+    assert fc.point_at(ident, [1, 0, 0]).mu == pytest.approx(1.0)
+    assert fc.point_at(form321, [0, 1, 0]).mu == pytest.approx(0.5)
 
 
 def test_mu_symplectic_identically_zero(symplectic4):
@@ -43,7 +49,7 @@ def test_mu_symplectic_identically_zero(symplectic4):
     rng = np.random.default_rng(3)
     for _ in range(100):
         z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert abs(fc.mu_of(symplectic4, z)) <= 1e-14
+        assert abs(fc.point_at(symplectic4, z).mu) <= 1e-14
 
 
 def test_mu_singular_gradient():
@@ -52,7 +58,7 @@ def test_mu_singular_gradient():
         2, [(1 / 3, (3, 0)), (1 / 3, (0, 3)), (-0.5, (2, 0)), (-0.5, (0, 2))]
     )
     with pytest.raises(SingularGradientError):
-        fc.mu_of(f.differential(), [1.0, 1.0])
+        fc.point_at(f.differential(), [1.0, 1.0])
 
 
 def test_residual_examples(form321, symplectic4):
@@ -67,7 +73,7 @@ def test_residual_examples(form321, symplectic4):
     res = fc.contact_residual(form321, z)
     assert res >= 0.1
     # independent least-squares oracle for min_mu ||z - mu conj(f)||
-    fbar = fc.eval_form(form321, z).conj()
+    fbar = form321.evaluate(z).conj()
     Areal = np.stack([np.concatenate([fbar.real, fbar.imag]),
                       np.concatenate([-fbar.imag, fbar.real])], axis=1)
     b = np.concatenate([z.real, z.imag])
@@ -331,11 +337,12 @@ def test_point_at_refuses_the_origin_before_its_gradient_test(form321, cubic3):
 
 
 def test_singular_gradient_at_origin_zero_form_and_cancelling_terms(form321):
-    with pytest.raises(SingularGradientError):
-        fc.mu_of(form321, [0.0, 0.0, 0.0])
+    # the singular test fires at the origin, which point_at refuses first
+    origin = np.zeros(3, dtype=complex)
+    assert contact._field(origin, *form321.evaluate_scaled(origin))[2]
     zero = fc.PolyOneForm([fc.Polynomial(2, []), fc.Polynomial(2, [])])
     with pytest.raises(SingularGradientError):
-        fc.mu_of(zero, [1.0, 0.5])
+        fc.point_at(zero, [1.0, 0.5])
     # (z1 - 1) dz1 + 0 dz2: the terms cancel exactly at (1, 0) but not at
     # (1 + 1e-10, 0), where f = (1e-10, 0) is far above their rounding
     step = fc.PolyOneForm([fc.Polynomial(2, [(1.0, (1, 0)), (-1.0, (0, 0))]), fc.Polynomial(2, [])])
@@ -345,6 +352,34 @@ def test_singular_gradient_at_origin_zero_form_and_cancelling_terms(form321):
     assert p.residual <= 1e-15
 
 
+def test_sphere_search_scales_mu_within_the_normal_doubles():
+    form = degree_five_form()
+    unit = sphere_search(form, 1.0, 20, 0)
+    assert len(unit.points) == 8
+    for r in (1e-70, 1e70):
+        search = sphere_search(form, r, 20, 0)
+        assert [p.mu for p in search.points] == [r**-4 * p.mu for p in unit.points]
+        assert all(np.finfo(float).tiny <= abs(p.mu) < np.inf for p in search.points)
+
+
+@pytest.mark.parametrize("r", [1e-80, 1e77, 1e80, 1e100])
+def test_sphere_search_refuses_a_radius_where_scaled_mu_leaves_the_normal_doubles(r):
+    # r^-4 mu overflows at 1e-80; at 1e77 and 1e80 it is subnormal, at 1e100 zero
+    with pytest.raises(RadiusRangeError, match=re.escape(f"radius {r:.3g} is out of range: r^-4 mu")):
+        sphere_search(degree_five_form(), r, 20, 0)
+
+
+@pytest.mark.parametrize("x", [1e50, 1e100])
+def test_point_at_refuses_a_point_where_f_overflows(x):
+    # the z1 axis is contact (f2 = 0 there), but the rounding scale of f,
+    # whose f1 = 6 z1^5, is not finite; warnings are errors here
+    form = degree_five_form()
+    for refuse in (fc.point_at, fc.contact_residual):
+        with pytest.raises(RadiusRangeError, match="rounding scale is non-finite"):
+            refuse(form, [x, 0.0])
+    assert fc.point_at(form, [1e30, 0.0]).residual <= 1e-15
+
+
 def test_sphere_search_rejects_zero_form():
     zero = fc.PolyOneForm([fc.Polynomial(2, []), fc.Polynomial(2, [])])
     with pytest.raises(SingularGradientError):
@@ -352,7 +387,7 @@ def test_sphere_search_rejects_zero_form():
 
 
 def test_solve_on_sphere_diag(form321):
-    points = fc.solve_on_sphere(form321, 1.0, 50, 1234)
+    points = sphere_search(form321, 1.0, 50, 1234).points
     assert len(points) >= 1
     for p in points:
         assert p.residual <= 1e-9
@@ -387,7 +422,7 @@ def test_non_homogeneous_form_at_small_radius(r):
 
 def test_solve_on_sphere_identity_phase_structure():
     ident = fc.linear_form(fc.SymMatrix(np.eye(3, dtype=complex)))
-    points = fc.solve_on_sphere(ident, 1.0, 40, 97)
+    points = sphere_search(ident, 1.0, 40, 97).points
     assert points
     for p in points:
         args = [np.angle(v) for v in p.z if abs(v) > 1e-8]
@@ -397,8 +432,8 @@ def test_solve_on_sphere_identity_phase_structure():
 
 
 def test_solver_determinism(form321):
-    a = fc.solve_on_sphere(form321, 1.0, 30, 55)
-    b = fc.solve_on_sphere(form321, 1.0, 30, 55)
+    a = sphere_search(form321, 1.0, 30, 55).points
+    b = sphere_search(form321, 1.0, 30, 55).points
     assert len(a) == len(b)
     for p, q in zip(a, b):
         assert np.array_equal(p.z, q.z)
@@ -412,7 +447,7 @@ def test_seed_stream_is_prefix_stable():
 
 
 def test_merge_is_order_independent(form321):
-    points = fc.solve_on_sphere(form321, 1.0, 30, 3)
+    points = sphere_search(form321, 1.0, 30, 3).points
     # rebuild unmerged phase copies and shuffle
     raw = []
     for k, p in enumerate(points):
@@ -421,7 +456,7 @@ def test_merge_is_order_independent(form321):
             raw.append(
                 fc.ContactPoint(
                     z=z,
-                    mu=fc.mu_of(form321, z),
+                    mu=fc.point_at(form321, z).mu,
                     radius=p.radius,
                     residual=fc.contact_residual(form321, z),
                 )
@@ -525,12 +560,12 @@ def test_ratio_spread_at_accepted_points():
     # on accepted points with all coordinates active, the defining ratios agree
     ident = fc.linear_form(fc.SymMatrix(np.eye(3, dtype=complex)))
     tol = 1e-9
-    points = fc.solve_on_sphere(ident, 1.0, 60, 11, tol=tol)
+    points = sphere_search(ident, 1.0, 60, 11, tol=tol).points
     checked = 0
     for p in points:
         if np.min(np.abs(p.z)) < 0.2:
             continue
-        ratios = fc.eval_form(ident, p.z) / p.z.conj()
+        ratios = ident.evaluate(p.z) / p.z.conj()
         scale = float(np.max(np.abs(ratios)))
         spread = float(np.max(np.abs(ratios[:, None] - ratios[None, :])))
         assert spread <= 10 * tol * scale
@@ -576,7 +611,7 @@ def test_continue_radially_evaluates_form_once_per_radius(monkeypatch):
     accepted = len(path.points) - 1
     assert calls.count(True) == 0 and calls.count(("scaled", 1)) == accepted == 15
     for p in path.points[1:]:
-        assert p.residual == fc.contact_residual(form, p.z) and p.mu == fc.mu_of(form, p.z)
+        assert p.residual == fc.contact_residual(form, p.z) and p.mu == fc.point_at(form, p.z).mu
 
 
 def test_continue_radially_scales_a_homogeneous_start(form321, monkeypatch):
@@ -594,7 +629,7 @@ def test_continue_radially_scales_a_homogeneous_start(form321, monkeypatch):
         assert np.array_equal(p.z, start.z * (p.radius / start.radius))
         # a stacked product may differ from a one-row product in the last
         # bit; the residual is relative to |z| already
-        assert p.mu == pytest.approx(fc.mu_of(form321, p.z), rel=1e-14, abs=0)
+        assert p.mu == pytest.approx(fc.point_at(form321, p.z).mu, rel=1e-14, abs=0)
         assert abs(p.residual - fc.contact_residual(form321, p.z)) <= 1e-14
 
 
@@ -789,7 +824,7 @@ def test_radial_invariance_raises_at_a_singular_scaled_point(cubic3):
 def test_radial_invariance_property_on_solved_points(cubic3):
     form = cubic3.differential()
     grid = [0.5, 1j, 1 + 1j, 1j * np.pi / 4]
-    for p in fc.solve_on_sphere(form, 1.0, 30, 2718):
+    for p in sphere_search(form, 1.0, 30, 2718).points:
         assert fc.radial_invariance_check(form, p, grid, 1e-9)
 
 
@@ -799,7 +834,7 @@ def test_oracle_equivalence_small(form321):
         A = random_morse(rng, 3)
         _, lineset = fc.analyze(A)
         form = fc.linear_form(A)
-        pts = fc.solve_on_sphere(form, 1.0, 50, int(rng.integers(0, 2**31)))
+        pts = sphere_search(form, 1.0, 50, int(rng.integers(0, 2**31))).points
         for p in pts:
             d = min(
                 np.linalg.norm(p.z - np.sum(p.z * l.direction.conj()) * l.direction)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import folcontact as fc
-from folcontact.index import circle_samples
+
+from conftest import circle_samples
 
 
 def test_euler_sphere():

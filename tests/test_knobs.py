@@ -15,7 +15,6 @@ PUBLIC_DEFAULTS = {
     "cli.main(argv)",
     "contact.sphere_seeds(radius)",
     "contact.sphere_search(tol)",
-    "contact.solve_on_sphere(tol)",
     "contact.point_at(morse_index)",
     "contact.continue_radially(tol)",
     "jsonio.complex_from_json(where)",

@@ -9,9 +9,15 @@ import folcontact as fc
 from folcontact.contact import sphere_seeds
 from folcontact import algebra, leaf
 from folcontact.errors import ChartError, FlowError, LeafCorrectionError, SingularGradientError
-from folcontact.leaf import _leaf_system, _tangent_basis, homogeneous_leaf_scale
+from folcontact.leaf import _leaf_system, _tangent_basis
 
-from conftest import axis_distance, random_exact_form, random_morse, real_rows_by_concatenation
+from conftest import (
+    axis_distance,
+    homogeneous_leaf_scale,
+    random_exact_form,
+    random_morse,
+    real_rows_by_concatenation,
+)
 
 
 def _on_leaf_seed(integral, form, raw, c):
@@ -70,7 +76,8 @@ def test_reported_point_evaluates_form_once(report, form321, integral321, monkey
     assert calls == (["evaluate_scaled"] if report == "point_at" else ["_build"])
     monkeypatch.undo()
     assert np.array_equal(p.z, z)
-    assert p.mu == fc.mu_of(form321, z) and p.residual == fc.contact_residual(form321, z)
+    q = fc.point_at(form321, z)
+    assert p.mu == q.mu and p.residual == q.residual == fc.contact_residual(form321, z)
 
 
 def test_sample_field_symplectic(symplectic4):
@@ -157,7 +164,7 @@ def test_gradient_identity_in_chart(diag321, form321, integral321):
     while checked < 100:
         raw = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         z = _on_leaf_seed(integral321, form321, raw, 1.0)
-        f = fc.eval_form(form321, z)
+        f = form321.evaluate(z)
         k = int(np.argmax(np.abs(f)))
         s = fc.sample_field(form321, z)
         for j in range(3):
@@ -331,11 +338,6 @@ def test_flow_refuses_bad_tolerance_and_step_limit(form321, integral321, tol, ma
         fc.flow_to_critical(chart, p, tol=tol, max_steps=max_steps)
 
 
-def test_homogeneous_leaf_scale_refuses_a_constant_integral():
-    with pytest.raises(ValueError, match="constant"):
-        homogeneous_leaf_scale(fc.Polynomial(3, [(2.0, (0, 0, 0))]), [1.0, 0.5, 0.0], 1.0)
-
-
 def test_flow_rejects_off_leaf_seed(form321, integral321):
     chart = fc.make_chart(
         integral321, np.array([np.sqrt(2.0 / 3.0), 0, 0], dtype=complex), 1.0, form=form321
@@ -464,9 +466,9 @@ def test_leaf_hessian_matches_finite_differences_of_distance(cubic3):
     for integral, form, p in cases:
         chart = fc.make_chart(integral, p, form=form)
         report = fc.leaf_hessian(chart, p)
-        Q = _tangent_basis(fc.eval_form(form, p))
+        Q = _tangent_basis(form.evaluate(p))
         assert np.allclose(Q.conj().T @ Q, np.eye(form.n - 1), atol=1e-14)
-        assert np.allclose(fc.eval_form(form, p) @ Q, 0.0, atol=1e-14)
+        assert np.allclose(form.evaluate(p) @ Q, 0.0, atol=1e-14)
 
         def phi(z):
             return 0.5 * float(np.sum(np.abs(z) ** 2))
@@ -538,7 +540,7 @@ def test_scan_deterministic(form321):
 
 
 def test_scan_singular_mask_agrees_with_mu_of(monkeypatch):
-    # samples score 0 exactly where mu_of finds the gradient zero to rounding;
+    # samples score 0 exactly where point_at finds the gradient zero to rounding;
     # a form whose terms are all tiny is not singular anywhere but at 0
     step = fc.PolyOneForm([fc.Polynomial(2, [(1.0, (1, 0)), (-1.0, (0, 0))]), fc.Polynomial(2, [])])
     tiny = fc.linear_form(fc.SymMatrix(1e-20 * np.array([[1.0, 1.0], [1.0, 0.0]])))
@@ -549,7 +551,7 @@ def test_scan_singular_mask_agrees_with_mu_of(monkeypatch):
         singular = []
         for score, z in sorted(worst, key=lambda sz: points.tolist().index(sz[1].tolist())):
             try:
-                fc.mu_of(form, z)
+                fc.point_at(form, z)
                 singular.append(False)
                 assert score > 0.0
                 # the score is t_norm / r and the residual t_norm / |z|, r = 1

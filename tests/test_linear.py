@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import folcontact as fc
-from folcontact.errors import NotMorseError, SingularMatrixError
+from folcontact.errors import SingularMatrixError
 
 from conftest import axis_distance, line_distance, random_morse, random_symmetric
 
@@ -46,7 +46,8 @@ def test_analyze_rejects_singular():
 
 
 def test_morse_indices_diag(diag321):
-    lineset = fc.morse_indices(diag321)
+    verdict, lineset = fc.analyze(diag321)
+    assert verdict.is_morse
     assert [line.morse_index for line in lineset.lines] == [0, 1, 2]
 
 
@@ -58,11 +59,6 @@ def test_closed_form_hessian_eigenvalues():
     assert np.allclose(np.sort(line3), sorted([1 + 3, 1 - 3, 1 + 2, 1 - 2]))
     assert int(np.sum(line1 < 0)) == 0
     assert int(np.sum(line3 < 0)) == 2
-
-
-def test_morse_indices_rejects_degenerate(identity3):
-    with pytest.raises(NotMorseError):
-        fc.morse_indices(identity3)
 
 
 def test_morseify_identity(identity3):
@@ -129,7 +125,7 @@ def test_unit_sphere_tangencies_are_the_lines_packaged_as_points():
         _, lineset = fc.analyze(A)
         for p, line in zip(fc.unit_sphere_tangencies(A), lineset.lines, strict=True):
             assert np.array_equal(p.z, line.direction)
-            assert p.mu == fc.mu_of(form, line.direction)
+            assert p.mu == fc.point_at(form, line.direction).mu
             assert p.residual == line.residual
             assert p.morse_index == line.morse_index
             assert p.radius == pytest.approx(1.0, abs=1e-15)
@@ -170,7 +166,8 @@ def test_index_agreement_with_numeric_hessian():
     for n in (3, 4):
         for _ in range(3):
             A = random_morse(rng, n)
-            lineset = fc.morse_indices(A)
+            verdict, lineset = fc.analyze(A)
+            assert verdict.is_morse
             integral = fc.quadratic_first_integral(A)
             form = fc.linear_form(A)
             for line in lineset.lines:
@@ -185,6 +182,6 @@ def test_solver_outputs_lie_on_lines():
     for _ in range(5):
         A = random_morse(rng, 3)
         _, lineset = fc.analyze(A)
-        pts = fc.solve_on_sphere(fc.linear_form(A), 1.0, 40, int(rng.integers(2**31)))
+        pts = fc.sphere_search(fc.linear_form(A), 1.0, 40, int(rng.integers(2**31))).points
         for p in pts:
             assert min(line_distance(p.z, l.direction) for l in lineset.lines) <= 1e-6
