@@ -15,8 +15,8 @@ Core surfaces:
 * :mod:`folcontact.index` — exact Euler/index identities and the disc
   boundary-tangency auditor.
 * :mod:`folcontact.errors` — the exception hierarchy.
-* :mod:`folcontact.jsonio` — JSON readers and writers of the CLI's inputs
-  and reports.
+* :mod:`folcontact.jsonio` — JSON readers of the CLI's inputs, and
+  ``to_json``, which writes every value of its reports.
 * :mod:`folcontact.cli` — the ``folcontact`` command.
 
 The package re-exports, in ``__all__``, the public names of all but

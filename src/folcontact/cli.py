@@ -1,20 +1,21 @@
 """Command-line front end.
 
 Subcommands consume the canonical JSON inputs (see schemas/ in the repo
-root) and emit a machine-readable report on stdout:
+root) and write one report format, JSON, on stdout:
 
     {"tool": ..., "version": ..., "command": ..., "config": {...}, "result": {...}}
 
 Each subcommand takes only the options it reads, and the config block
 echoes each of those, defaults included, plus the leaf value c a leaf
 command used (in place of --c-re and --c-im), so a report identifies its
-run exactly. linear-analyze, contact-solve, contact-trace, leaf-hessian and
-index-audit report their library result objects, and leaf-flow its point,
-through jsonio.to_json, so each result key is a field name and a field
-that is None is absent. Exit codes: 0 success, 2 input error
-(non-finite numbers included), 3 numerical failure, which covers a result
-that is not finite: reports are strict JSON, without NaN or Infinity. All
-diagnostics go to stderr.
+run exactly. Every value in a report is written by jsonio.to_json:
+linear-analyze, contact-solve, contact-trace, leaf-hessian and index-audit
+report their library result objects, and leaf-flow its point, so each
+result key is a field name and a field that is None is absent. Exit codes:
+0 success, 2 input error (non-finite numbers, input that is not UTF-8 and
+JSON nested too deeply to parse included), 3 numerical failure, which
+covers a result that is not finite: reports are strict JSON, without NaN
+or Infinity. All diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -41,12 +42,9 @@ from .index import disc_tangency_audit, morse_sphere_identity
 from .jsonio import (
     InputFormatError,
     boundary_samples_from_json,
-    complex_to_json,
     cvec_from_json,
-    cvec_to_json,
     form_from_json,
     matrix_from_json,
-    matrix_to_json,
     to_json,
 )
 from .leaf import (
@@ -92,10 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each option shared by several subcommands is declared once, in a parent
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument(
-        "--output", choices=("json", "pretty"), default="json", help="report format"
-    )
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--input", required=True, help="path to the input JSON file")
     sphere = argparse.ArgumentParser(add_help=False)
@@ -107,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, run, *parents, tol: float | None = None):
         """The subcommand `name`, run by `run` (its docstring is the help)."""
-        p = sub.add_parser(name, help=run.__doc__, parents=[*parents, output])
+        p = sub.add_parser(name, help=run.__doc__, parents=parents)
         p.set_defaults(run=run, parser=p)
         if tol is not None:
             p.add_argument(
@@ -143,7 +137,7 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InputFormatError(f"{path}: malformed JSON ({exc})") from exc
 
 
@@ -173,7 +167,7 @@ def _leaf_setup(args, key: str):
     else:
         c = complex(args.c_re or 0.0, args.c_im or 0.0)
     del args.c_re, args.c_im
-    args.c = complex_to_json(c)
+    args.c = to_json(c)
     vec = project_to_leaf(integral, form, vec, c)
     return make_chart(integral, vec, c, form=form), vec
 
@@ -194,7 +188,8 @@ def _linear_morseify(args) -> dict[str, Any]:
     A = matrix_from_json(_load_json(args.input), args.input)
     out = morseify(A, args.eps)
     dist = float(np.linalg.norm(out.array - A.array))
-    return {"matrix": matrix_to_json(out), "frobenius_distance": dist, "changed": dist > 0.0}
+    matrix = {"n": out.n, "entries": to_json(out.array)}
+    return {"matrix": matrix, "frobenius_distance": dist, "changed": dist > 0.0}
 
 
 def _contact_solve(args) -> dict[str, Any]:
@@ -241,7 +236,7 @@ def _scan(args) -> dict[str, Any]:
     min_score, worst = transversality_scan(form, args.radius, args.samples, args.rng_seed)
     return {
         "min_score": min_score,
-        "worst": [{"score": s, "z": cvec_to_json(z)} for s, z in worst],
+        "worst": [{"score": s, "z": to_json(z)} for s, z in worst],
     }
 
 
@@ -255,31 +250,6 @@ def _index_audit(args) -> dict[str, Any]:
     """Boundary tangency audit of a planar field (input: sample list)."""
     samples = boundary_samples_from_json(_load_json(args.input), args.input)
     return to_json(disc_tangency_audit(samples))
-
-
-def _pretty(report: dict[str, Any]) -> str:
-    lines = [f"{TOOL} {report['version']} — {report['command']}"]
-
-    def walk(obj, indent: int):
-        pad = "  " * indent
-        if isinstance(obj, dict):
-            for key in sorted(obj):
-                val = obj[key]
-                if isinstance(val, (dict, list)):
-                    lines.append(f"{pad}{key}:")
-                    walk(val, indent + 1)
-                else:
-                    lines.append(f"{pad}{key}: {val}")
-        elif isinstance(obj, list):
-            for k, val in enumerate(obj):
-                if isinstance(val, (dict, list)):
-                    lines.append(f"{pad}[{k}]")
-                    walk(val, indent + 1)
-                else:
-                    lines.append(f"{pad}[{k}] {val}")
-
-    walk(report["result"], 1)
-    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
@@ -309,7 +279,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"{TOOL}: numerical failure: non-finite report value ({exc})", file=sys.stderr)
         return 3
-    sys.stdout.write(text if args.output == "json" else _pretty(report))
+    sys.stdout.write(text)
     return 0
 
 

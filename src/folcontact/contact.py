@@ -145,7 +145,7 @@ def contact_residual(form: PolyOneForm, z) -> float:
     return point_at(form, z).residual
 
 
-def sphere_seeds(n: int, count: int, rng_seed: int, radius: float = 1.0) -> np.ndarray:
+def sphere_seeds(n: int, count: int, rng_seed: int, radius: float) -> np.ndarray:
     """count points uniform on the radius-r sphere of C^n.
 
     Uses the counter-based Philox generator so the stream is reproducible

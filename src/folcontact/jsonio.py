@@ -1,14 +1,15 @@
-"""JSON wire formats.
+"""JSON wire formats: the readers of the CLI's inputs, and to_json.
 
 Complex numbers are {"re": .., "im": ..} objects everywhere; matrices and
 one-forms follow the canonical on-disk shapes consumed by the CLI (see
-schemas/ in the repository root). A library result becomes report JSON by
+schemas/ in the repository root). Every value in a report is written by
 one rule, to_json: a dataclass is an object of its fields with the None
 ones left out, so a field reaches a report by being a field and an unset
-one stays absent. Parse errors raise InputFormatError with
-the offending path for exit-code-2 handling; that includes non-finite
-numbers (the NaN and Infinity literals Python's json module accepts, and
-literals too large for a float).
+one stays absent. Each reader takes the JSON path of its input, and a
+parse error raises InputFormatError naming that path, for exit-code-2
+handling; that includes non-finite numbers (the NaN and Infinity
+literals Python's json module accepts, and literals too large for a
+float).
 """
 
 from __future__ import annotations
@@ -38,11 +39,6 @@ def _is_finite_number(v: Any) -> bool:
         return False
 
 
-def complex_to_json(v: complex) -> dict[str, float]:
-    v = complex(v)
-    return {"re": v.real, "im": v.imag}
-
-
 def to_json(obj: Any) -> Any:
     """Report JSON of a library result.
 
@@ -55,7 +51,7 @@ def to_json(obj: Any) -> Any:
         fields = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
         return {name: to_json(v) for name, v in fields if v is not None}
     if isinstance(obj, (complex, np.complexfloating)):
-        return complex_to_json(obj)
+        return {"re": float(obj.real), "im": float(obj.imag)}
     if isinstance(obj, (np.ndarray, list, tuple)):
         return [to_json(v) for v in obj]
     if isinstance(obj, np.generic):
@@ -63,7 +59,7 @@ def to_json(obj: Any) -> Any:
     return obj
 
 
-def complex_from_json(obj: Any, where: str = "value") -> complex:
+def complex_from_json(obj: Any, where: str) -> complex:
     _expect(isinstance(obj, dict), where, f"expected {{re, im}} object, got {type(obj).__name__}")
     _expect(set(obj) == {"re", "im"}, where, f"expected keys re/im, got {sorted(obj)}")
     re, im = obj["re"], obj["im"]
@@ -72,28 +68,15 @@ def complex_from_json(obj: Any, where: str = "value") -> complex:
     return complex(re, im)
 
 
-def cvec_to_json(z: np.ndarray) -> list[dict[str, float]]:
-    return [complex_to_json(v) for v in np.asarray(z, dtype=complex)]
-
-
-def cvec_from_json(obj: Any, where: str = "vector", n: int | None = None) -> np.ndarray:
+def cvec_from_json(obj: Any, where: str, n: int) -> np.ndarray:
     _expect(isinstance(obj, list), where, "expected a list of complex entries")
-    _expect(len(obj) >= 2, where, "need at least two components")
-    if n is not None:
-        _expect(len(obj) == n, where, f"expected {n} components, got {len(obj)}")
+    _expect(len(obj) == n, where, f"expected {n} components, got {len(obj)}")
     return np.array(
         [complex_from_json(v, f"{where}[{k}]") for k, v in enumerate(obj)], dtype=complex
     )
 
 
-def matrix_to_json(A: SymMatrix) -> dict[str, Any]:
-    return {
-        "n": A.n,
-        "entries": [[complex_to_json(v) for v in row] for row in A.array],
-    }
-
-
-def matrix_from_json(obj: Any, where: str = "matrix") -> SymMatrix:
+def matrix_from_json(obj: Any, where: str) -> SymMatrix:
     _expect(isinstance(obj, dict), where, "expected an object")
     _expect("n" in obj and "entries" in obj, where, "required keys: n, entries")
     n = obj["n"]
@@ -112,17 +95,7 @@ def matrix_from_json(obj: Any, where: str = "matrix") -> SymMatrix:
         raise InputFormatError(f"{where}: {exc}") from exc
 
 
-def form_to_json(form: PolyOneForm) -> dict[str, Any]:
-    return {
-        "n": form.n,
-        "coeffs": [
-            [{"re": c.real, "im": c.imag, "exp": list(e)} for c, e in f.terms]
-            for f in form.coeffs
-        ],
-    }
-
-
-def form_from_json(obj: Any, where: str = "form") -> PolyOneForm:
+def form_from_json(obj: Any, where: str) -> PolyOneForm:
     _expect(isinstance(obj, dict), where, "expected an object")
     _expect("n" in obj and "coeffs" in obj, where, "required keys: n, coeffs")
     n = obj["n"]
@@ -150,7 +123,7 @@ def form_from_json(obj: Any, where: str = "form") -> PolyOneForm:
     return PolyOneForm(polys)
 
 
-def boundary_samples_from_json(obj: Any, where: str = "samples"):
+def boundary_samples_from_json(obj: Any, where: str):
     _expect(isinstance(obj, list) and len(obj) >= 3, where, "expected a list of >= 3 samples")
     out = []
     for k, item in enumerate(obj):

@@ -56,6 +56,17 @@ def cubic3() -> fc.Polynomial:
     return fc.Polynomial(3, [(1.0, (3, 0, 0)), (1.0, (0, 3, 0)), (1.0, (0, 0, 3))])
 
 
+def form_to_json(form: fc.PolyOneForm) -> dict:
+    """The input JSON of a one-form, in the shape of schemas/form.json."""
+    return {
+        "n": form.n,
+        "coeffs": [
+            [{"re": c.real, "im": c.imag, "exp": list(e)} for c, e in f.terms]
+            for f in form.coeffs
+        ],
+    }
+
+
 def load_schema(name: str) -> dict:
     with open(SCHEMA_DIR / name, "r", encoding="utf-8") as fh:
         return json.load(fh)

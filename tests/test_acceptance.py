@@ -14,11 +14,12 @@ import numpy as np
 
 import folcontact as fc
 from folcontact.contact import sphere_seeds, sphere_search
-from folcontact.jsonio import cvec_to_json, form_to_json, matrix_to_json
+from folcontact.jsonio import to_json
 
 from conftest import (
     axis_distance,
     circle_samples,
+    form_to_json,
     homogeneous_leaf_scale,
     line_distance,
     random_morse,
@@ -141,7 +142,7 @@ def test_criterion_04_oracle_equivalence():
 def test_criterion_05_transversality_positive_control():
     with criterion(5, "symplectic C^4: residual == 1 at 1e4 sphere points, empty solve") as st:
         form = fc.symplectic_form(4)
-        z = sphere_seeds(4, 10_000, 424242)
+        z = sphere_seeds(4, 10_000, 424242, 1.0)
         for row in z:
             assert abs(fc.contact_residual(form, row) - 1.0) <= 1e-12
         search = sphere_search(form, 1.0, 50, 31415)
@@ -155,7 +156,7 @@ def test_criterion_06_flow_convergence():
         A = _diag321()
         form = fc.linear_form(A)
         integral = fc.quadratic_first_integral(A)
-        raw_seeds = sphere_seeds(3, 20, 161803)
+        raw_seeds = sphere_seeds(3, 20, 161803, 1.0)
         for raw in raw_seeds:
             z0 = homogeneous_leaf_scale(integral, raw, 1.0)
             z0 = fc.project_to_leaf(integral, form, z0, 1.0)
@@ -265,7 +266,7 @@ def test_criterion_11_cli_determinism(tmp_path):
     with criterion(11, "repeated CLI runs with fixed rng_seed are byte-identical") as st:
         A = _diag321()
         m_path = tmp_path / "m.json"
-        m_path.write_text(json.dumps(matrix_to_json(A)))
+        m_path.write_text(json.dumps({"n": A.n, "entries": to_json(A.array)}))
         f_path = tmp_path / "f.json"
         f_path.write_text(json.dumps(form_to_json(fc.linear_form(A))))
         flow_path = tmp_path / "flow.json"
@@ -273,7 +274,7 @@ def test_criterion_11_cli_determinism(tmp_path):
             json.dumps(
                 {
                     "form": form_to_json(fc.linear_form(A)),
-                    "seed": cvec_to_json(np.array([0.4 + 0.1j, 0.5, 0.6 - 0.3j])),
+                    "seed": to_json(np.array([0.4 + 0.1j, 0.5, 0.6 - 0.3j])),
                 }
             )
         )

@@ -14,12 +14,12 @@ import folcontact as fc
 from folcontact.contact import ACCEPT_TOL, ContactPath, ContactPoint, SphereSearch
 from folcontact.index import IndexReport
 from folcontact.leaf import DEFAULT_FLOW_TOL, HessianReport
-from folcontact.jsonio import cvec_to_json, form_to_json, matrix_to_json, to_json
+from folcontact.jsonio import to_json
 from folcontact.linear import ContactLine, MorseVerdict
 
 from folcontact.cli import main as cli_main
 
-from conftest import circle_samples, degree_five_form, load_schema, run_cli
+from conftest import circle_samples, degree_five_form, form_to_json, load_schema, run_cli
 
 
 @pytest.fixture
@@ -30,7 +30,7 @@ def report_schema():
 @pytest.fixture
 def matrix_file(tmp_path, diag321):
     path = tmp_path / "diag321.json"
-    path.write_text(json.dumps(matrix_to_json(diag321)))
+    path.write_text(json.dumps({"n": diag321.n, "entries": to_json(diag321.array)}))
     return str(path)
 
 
@@ -54,7 +54,7 @@ def flow_file(tmp_path, form321):
     seed = np.array([0.4 + 0.1j, 0.5 - 0.2j, 0.6 + 0.3j])
     path = tmp_path / "flow.json"
     path.write_text(
-        json.dumps({"form": form_to_json(form321), "seed": cvec_to_json(seed)})
+        json.dumps({"form": form_to_json(form321), "seed": to_json(seed)})
     )
     return str(path)
 
@@ -64,7 +64,7 @@ def hessian_file(tmp_path, form321):
     point = np.array([np.sqrt(2.0 / 3.0), 0.0, 0.0], dtype=complex)
     path = tmp_path / "hess.json"
     path.write_text(
-        json.dumps({"form": form_to_json(form321), "point": cvec_to_json(point)})
+        json.dumps({"form": form_to_json(form321), "point": to_json(point)})
     )
     return str(path)
 
@@ -74,7 +74,7 @@ def trace_file(tmp_path, form321):
     start = np.array([0.5, 0.0, 0.0], dtype=complex)
     path = tmp_path / "trace.json"
     path.write_text(
-        json.dumps({"form": form_to_json(form321), "start": cvec_to_json(start)})
+        json.dumps({"form": form_to_json(form321), "start": to_json(start)})
     )
     return str(path)
 
@@ -99,7 +99,7 @@ def _check(argv, report_schema):
 
 
 # Each command's arguments, input files named by their fixtures, and the
-# keys its report's config echoes besides "command" and "output".
+# keys its report's config echoes besides "command".
 COMMANDS = {
     "linear-analyze": (["--input", "matrix_file"], {"input"}),
     "linear-morseify": (["--input", "matrix_file"], {"input", "eps"}),
@@ -130,7 +130,7 @@ def _argv(command, request):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_config_echoes_exactly_the_options_read(command, request, report_schema):
     report = _check(_argv(command, request), report_schema)
-    assert set(report["config"]) == COMMANDS[command][1] | {"command", "output"}
+    assert set(report["config"]) == COMMANDS[command][1] | {"command"}
     assert report["config"]["command"] == command
 
 
@@ -150,6 +150,7 @@ def test_config_echoes_the_commands_own_default_tolerance(command, tol, request,
         ("leaf-hessian", "--tol", "1e-3"),
         ("scan", "--seeds", "3"),
         ("contact-solve", "--samples", "5"),
+        ("linear-analyze", "--output", "json"),  # a report is JSON, always
     ],
 )
 def test_exit_2_on_an_option_the_command_does_not_read(command, option, value, request, capsys):
@@ -261,7 +262,7 @@ def test_linear_analyze_report(matrix_file, report_schema):
 
 def test_linear_morseify_report(tmp_path, identity3, report_schema):
     path = tmp_path / "identity.json"
-    path.write_text(json.dumps(matrix_to_json(identity3)))
+    path.write_text(json.dumps({"n": identity3.n, "entries": to_json(identity3.array)}))
     report = _check(
         ["linear-morseify", "--input", str(path), "--eps", "1e-3"], report_schema
     )
@@ -338,14 +339,6 @@ def test_index_audit(audit_file, report_schema):
     assert result["consistent"] is True
 
 
-def test_pretty_output(matrix_file):
-    code, out, err = run_cli(["linear-analyze", "--input", matrix_file, "--output", "pretty"])
-    assert code == 0
-    assert "is_morse" in out
-    with pytest.raises(json.JSONDecodeError):
-        json.loads(out)
-
-
 def test_exit_2_on_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -353,6 +346,23 @@ def test_exit_2_on_malformed_json(tmp_path):
     assert code == 2
     assert out == ""
     assert "input error" in err
+
+
+def test_exit_2_on_json_nested_too_deeply(tmp_path):
+    # deep enough to exhaust the parser's recursion guard on every Python version
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(["index-audit", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert f"input error: {path}: malformed JSON" in err
+
+
+def test_exit_2_on_input_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 2, "entries": "\xe9"}')  # a Latin-1 e-acute
+    code, out, err = run_cli(["linear-analyze", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert f"input error: {path}: malformed JSON" in err
 
 
 def test_exit_2_on_schema_violation(tmp_path):
@@ -388,7 +398,7 @@ def test_exit_2_on_bad_trace_start(tmp_path, form321):
         json.dumps(
             {
                 "form": form_to_json(form321),
-                "start": cvec_to_json(np.array([0.5, 0.5, 0.0])),
+                "start": to_json(np.array([0.5, 0.5, 0.0], dtype=complex)),
             }
         )
     )
@@ -400,7 +410,7 @@ def test_exit_2_on_bad_trace_start(tmp_path, form321):
 def test_contact_trace_start_judged_by_the_commands_tol(tmp_path, form321, report_schema):
     # residual 5e-9: above the default 1e-9, within --tol 1e-6
     path = tmp_path / "near.json"
-    start = cvec_to_json(np.array([1e-8, 1.0, 0.0]))
+    start = to_json(np.array([1e-8, 1.0, 0.0], dtype=complex))
     path.write_text(json.dumps({"form": form_to_json(form321), "start": start}))
     report = _check(["contact-trace", "--input", str(path), "--tol", "1e-6", "--steps", "4"], report_schema)
     assert report["result"]["truncated"] is False and len(report["result"]["points"]) == 5
@@ -413,7 +423,7 @@ def test_contact_trace_truncates_at_a_singular_grid_point(tmp_path, report_schem
         [fc.Polynomial(2, [(1.0, (1, 0)), (-1.0, (2, 0))]), fc.Polynomial(2, [(1.0, (0, 1))])]
     )
     path = tmp_path / "singular.json"
-    path.write_text(json.dumps({"form": form_to_json(form), "start": cvec_to_json(np.array([0.7, 0.0]))}))
+    path.write_text(json.dumps({"form": form_to_json(form), "start": to_json(np.array([0.7, 0.0], dtype=complex))}))
     report = _check(
         ["contact-trace", "--input", str(path), "--r-min", "0.5", "--r-max", "2", "--steps", "3"],
         report_schema,
@@ -425,7 +435,7 @@ def test_contact_trace_truncates_at_a_singular_grid_point(tmp_path, report_schem
 
 def test_contact_trace_over_the_full_radius_range(tmp_path, form321, report_schema):
     path = tmp_path / "trace.json"
-    path.write_text(json.dumps({"form": form_to_json(form321), "start": cvec_to_json(np.array([1.0, 0.0, 0.0]))}))
+    path.write_text(json.dumps({"form": form_to_json(form321), "start": to_json(np.array([1.0, 0.0, 0.0], dtype=complex))}))
     argv = ["contact-trace", "--input", str(path), "--r-min", "1e-150", "--r-max", "1e150", "--steps", "21"]
     result = _check(argv, report_schema)["result"]
     assert result["truncated"] is False and "truncation_radius" not in result
@@ -441,7 +451,7 @@ def test_exit_2_on_trace_start_at_the_origin(tmp_path, cubic3):
         json.dumps(
             {
                 "form": form_to_json(cubic3.differential()),
-                "start": cvec_to_json(np.zeros(3, dtype=complex)),
+                "start": to_json(np.zeros(3, dtype=complex)),
             }
         )
     )
@@ -457,7 +467,7 @@ def test_exit_2_on_leaf_seed_at_the_origin(tmp_path, form321, command, key, c_op
     # start, not a numerical failure of the projection onto the leaf
     path = tmp_path / "origin.json"
     path.write_text(
-        json.dumps({"form": form_to_json(form321), key: cvec_to_json(np.zeros(3, dtype=complex))})
+        json.dumps({"form": form_to_json(form321), key: to_json(np.zeros(3, dtype=complex))})
     )
     code, out, err = run_cli([command, "--input", str(path), *c_option])
     assert code == 2 and out == ""
@@ -467,7 +477,7 @@ def test_exit_2_on_leaf_seed_at_the_origin(tmp_path, form321, command, key, c_op
 def test_exit_3_on_singular_matrix(tmp_path):
     A = fc.SymMatrix(np.diag([1.0, 1.0, 0.0]).astype(complex))
     path = tmp_path / "singular.json"
-    path.write_text(json.dumps(matrix_to_json(A)))
+    path.write_text(json.dumps({"n": A.n, "entries": to_json(A.array)}))
     code, _, err = run_cli(["linear-analyze", "--input", str(path)])
     assert code == 3
     assert "numerical failure" in err
@@ -479,7 +489,7 @@ def test_exit_2_on_non_exact_leaf_form(tmp_path):
     path = tmp_path / "nonexact.json"
     path.write_text(
         json.dumps(
-            {"form": form_to_json(form), "seed": cvec_to_json(np.array([1.0, 1.0]))}
+            {"form": form_to_json(form), "seed": to_json(np.array([1.0, 1.0], dtype=complex))}
         )
     )
     code, _, err = run_cli(["leaf-flow", "--input", str(path)])
@@ -571,14 +581,10 @@ def test_exit_3_on_non_finite_report(tmp_path):
                              {"re": 1.0, "im": 0.0, "exp": [0, 1]}],
                             [{"re": 1.0, "im": 0.0, "exp": [1, 0]}]]}
     ))
-    for output in ("json", "pretty"):
-        with np.errstate(all="ignore"):
-            code, out, err = run_cli(
-                ["scan", "--input", str(path), "--radius", "1e150", "--samples", "20",
-                 "--output", output]
-            )
-        assert code == 3 and out == ""
-        assert "non-finite report value" in err
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(["scan", "--input", str(path), "--radius", "1e150", "--samples", "20"])
+    assert code == 3 and out == ""
+    assert "non-finite report value" in err
 
 
 def test_radius_far_from_one_keeps_the_unit_answer(diag12_file, report_schema):
@@ -601,9 +607,9 @@ def test_radius_far_from_one_keeps_the_unit_answer(diag12_file, report_schema):
 
 
 @pytest.mark.parametrize("radius", ["1e-170", "1e200"])
-@pytest.mark.parametrize("command", ["contact-solve", "scan", "scan --output pretty"])
+@pytest.mark.parametrize("command", ["contact-solve", "scan"])
 def test_exit_3_on_radius_out_of_range(diag12_file, command, radius):
-    code, out, err = run_cli([*command.split(), "--input", diag12_file, "--radius", radius])
+    code, out, err = run_cli([command, "--input", diag12_file, "--radius", radius])
     assert code == 3 and out == ""
     what = "below the normal double range" if float(radius) < 1.0 else "non-finite"
     assert f"radius {float(radius):.3g} is out of range: its square is {what}" in err
@@ -622,7 +628,7 @@ def test_exit_3_where_scaled_mu_leaves_the_normal_doubles(tmp_path, radius):
 def test_exit_3_on_a_trace_start_where_f_overflows(tmp_path):
     # (1e100, 0) is a contact point, where f overflows: not an input error
     path = tmp_path / "trace.json"
-    start = cvec_to_json(np.array([1e100, 0.0]))
+    start = to_json(np.array([1e100, 0.0], dtype=complex))
     path.write_text(json.dumps({"form": form_to_json(degree_five_form()), "start": start}))
     code, out, err = run_cli(["contact-trace", "--input", str(path), "--r-min", "1e99", "--r-max", "1e101"])
     assert code == 3 and out == ""
@@ -633,7 +639,7 @@ def test_exit_3_on_a_trace_start_where_f_overflows(tmp_path):
 def test_exit_3_on_trace_radius_out_of_range(tmp_path, form321, option, radius):
     # the trace from (1, 0, 0) would lose its line to overflow, not truncate
     path = tmp_path / "trace.json"
-    path.write_text(json.dumps({"form": form_to_json(form321), "start": cvec_to_json(np.array([1.0, 0.0, 0.0]))}))
+    path.write_text(json.dumps({"form": form_to_json(form321), "start": to_json(np.array([1.0, 0.0, 0.0], dtype=complex))}))
     code, out, err = run_cli(["contact-trace", "--input", str(path), option, radius])
     assert code == 3 and out == ""
     assert f"radius {float(radius):.3g} is out of range" in err

@@ -292,7 +292,7 @@ def test_chunked_backtracking_matches_one_halving_at_a_time():
 
 def test_stacked_rows_match_rows_solved_alone(cubic3):
     for form in (fc.linear_form(random_morse(np.random.default_rng(2), 4)), cubic3.differential()):
-        seeds = sphere_seeds(form.n, 12, 5)
+        seeds = sphere_seeds(form.n, 12, 5, 1.0)
         Z, ok = _newton_on_sphere(form, seeds, 1.0)
         assert ok.sum() >= 6
         for s in range(len(seeds)):
@@ -441,8 +441,8 @@ def test_solver_determinism(form321):
 
 
 def test_seed_stream_is_prefix_stable():
-    small = sphere_seeds(3, 10, 42)
-    large = sphere_seeds(3, 100, 42)
+    small = sphere_seeds(3, 10, 42, 1.0)
+    large = sphere_seeds(3, 100, 42, 1.0)
     assert np.array_equal(small, large[:10])
 
 

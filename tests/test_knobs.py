@@ -13,16 +13,9 @@ SRC = Path(folcontact.__file__).resolve().parent
 # this list, made where it is reviewed; a knob no caller sets is a constant.
 PUBLIC_DEFAULTS = {
     "cli.main(argv)",
-    "contact.sphere_seeds(radius)",
     "contact.sphere_search(tol)",
     "contact.point_at(morse_index)",
     "contact.continue_radially(tol)",
-    "jsonio.complex_from_json(where)",
-    "jsonio.cvec_from_json(where)",
-    "jsonio.cvec_from_json(n)",
-    "jsonio.matrix_from_json(where)",
-    "jsonio.form_from_json(where)",
-    "jsonio.boundary_samples_from_json(where)",
     "leaf.make_chart(c)",
     "leaf.make_chart(form)",
     "leaf.flow_to_critical(direction)",

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 import folcontact as fc
 from folcontact.contact import _merge_points
-from folcontact.jsonio import form_from_json, form_to_json
+from folcontact.jsonio import cvec_from_json, form_from_json, matrix_from_json, to_json
+
+from conftest import form_to_json
 
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -67,10 +69,20 @@ def _point(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 @PROPERTY
-@given(forms())
-def test_form_json_round_trip(form):
+@given(forms(), st.data())
+def test_form_json_round_trip(form, data):
     text = json.dumps(form_to_json(form), allow_nan=False)
-    assert form_from_json(json.loads(text)) == form
+    assert form_from_json(json.loads(text), "form") == form
+    # a vector and a symmetric matrix of the form's dimension, both from one
+    # draw of n x n entries, written by to_json
+    n = form.n
+    entries = st.lists(st.builds(complex, coefficient, coefficient), min_size=n * n, max_size=n * n)
+    M = np.array(data.draw(entries)).reshape(n, n)
+    z, A = M[0], fc.SymMatrix(M + M.T)
+    text = json.dumps(to_json(z), allow_nan=False)
+    assert np.array_equal(cvec_from_json(json.loads(text), "vector", n), z)
+    text = json.dumps({"n": n, "entries": to_json(A.array)}, allow_nan=False)
+    assert np.array_equal(matrix_from_json(json.loads(text), "matrix").array, A.array)
 
 
 @PROPERTY
