@@ -15,7 +15,9 @@ result key is a field name and a field that is None is absent. Exit codes:
 0 success, 2 input error (non-finite numbers, input that is not UTF-8 and
 JSON nested too deeply to parse included), 3 numerical failure, which
 covers a result that is not finite: reports are strict JSON, without NaN
-or Infinity. All diagnostics go to stderr.
+or Infinity. Every input object is read by one key rule (jsonio._fields):
+it must have exactly its keys, and an unknown, a missing or a repeated
+key is an input error. All diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import FolContactError
 from .index import disc_tangency_audit, morse_sphere_identity
 from .jsonio import (
     InputFormatError,
+    _fields,
     boundary_samples_from_json,
     cvec_from_json,
     form_from_json,
@@ -131,22 +134,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """The object of pairs; a key given twice is ambiguous input (ValueError)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(key for key in obj if keys.count(key) > 1)!r}")
+    return obj
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError included
         raise InputFormatError(f"{path}: malformed JSON ({exc})") from exc
 
 
 def _wrapped_input(obj: Any, key: str, where: str):
-    if not isinstance(obj, dict) or "form" not in obj or key not in obj:
-        raise InputFormatError(f"{where}: expected an object with keys 'form' and '{key}'")
-    form = form_from_json(obj["form"], f"{where}.form")
-    vec = cvec_from_json(obj[key], f"{where}.{key}", n=form.n)
-    return form, vec
+    form, vec = _fields(obj, where, ("form", key))
+    form = form_from_json(form, f"{where}.form")
+    return form, cvec_from_json(vec, f"{where}.{key}", n=form.n)
 
 
 def _leaf_setup(args, key: str):

@@ -460,9 +460,8 @@ def sphere_search(
         Z = Z[ok]
         mu, W, singular = _field(Z, *form.evaluate_scaled(Z))
         Z, mu, W = Z[~singular], mu[~singular], W[~singular]
-        norm_z = np.linalg.norm(Z, axis=1)
-        res = np.linalg.norm(W, axis=1) / norm_z
-        keep = (res <= tol) & (np.abs(norm_z - r_solve) <= 1e-10 * r_solve)
+        res = np.linalg.norm(W, axis=1) / np.linalg.norm(Z, axis=1)
+        keep = res <= tol
         found += [
             ContactPoint(z=z, mu=complex(m), radius=r_solve, residual=float(e))
             for z, m, e in zip(Z[keep], mu[keep], res[keep])

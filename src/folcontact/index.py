@@ -93,19 +93,12 @@ class IndexReport:
     under_sampled: bool = False
 
 
-def _as_samples(boundary_samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    pts, fields, normals = [], [], []
-    for item in boundary_samples:
-        p, fval, nrm = item
-        pts.append(np.asarray(p, dtype=float))
-        fields.append(np.asarray(fval, dtype=float))
-        normals.append(np.asarray(nrm, dtype=float))
-    P = np.stack(pts)
-    X = np.stack(fields)
-    N = np.stack(normals)
-    if P.shape[1] != 2 or X.shape != P.shape or N.shape != P.shape:
+def _as_samples(boundary_samples) -> np.ndarray:
+    """The points, fields and normals (3, m, 2) of (point, field, normal) triples."""
+    S = np.asarray(list(boundary_samples), dtype=float)
+    if S.ndim != 3 or S.shape[1:] != (3, 2):
         raise ValueError("samples must be planar (point, field, normal) triples")
-    return P, X, N
+    return S.transpose(1, 0, 2)
 
 
 def disc_tangency_audit(boundary_samples) -> IndexReport:

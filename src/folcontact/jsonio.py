@@ -9,7 +9,8 @@ one stays absent. Each reader takes the JSON path of its input, and a
 parse error raises InputFormatError naming that path, for exit-code-2
 handling; that includes non-finite numbers (the NaN and Infinity
 literals Python's json module accepts, and literals too large for a
-float).
+float). One key rule reads every input object, _fields: it must have
+exactly its keys, so an unknown key is an error as a missing one is.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import Polynomial, PolyOneForm, SymMatrix, _exponent
+from .algebra import PolyOneForm, SymMatrix, _exponent
 
 
 class InputFormatError(ValueError):
@@ -59,13 +60,26 @@ def to_json(obj: Any) -> Any:
     return obj
 
 
-def complex_from_json(obj: Any, where: str) -> complex:
-    _expect(isinstance(obj, dict), where, f"expected {{re, im}} object, got {type(obj).__name__}")
-    _expect(set(obj) == {"re", "im"}, where, f"expected keys re/im, got {sorted(obj)}")
-    re, im = obj["re"], obj["im"]
+def _fields(obj: Any, where: str, keys: tuple[str, ...]) -> list[Any]:
+    """The values of keys, in that order, of an object with exactly those keys.
+
+    The one key rule of every input object: a missing or an unknown key is
+    an InputFormatError naming where, the keys expected and the keys given.
+    """
+    if isinstance(obj, dict) and set(obj) == set(keys):
+        return [obj[key] for key in keys]
+    given = f"keys {sorted(obj)}" if isinstance(obj, dict) else f"a {type(obj).__name__}"
+    raise InputFormatError(f"{where}: expected an object with keys {', '.join(keys)}, got {given}")
+
+
+def _complex(re: Any, im: Any, where: str) -> complex:
     _expect(_is_finite_number(re), where, "re must be a finite number")
     _expect(_is_finite_number(im), where, "im must be a finite number")
     return complex(re, im)
+
+
+def complex_from_json(obj: Any, where: str) -> complex:
+    return _complex(*_fields(obj, where, ("re", "im")), where)
 
 
 def cvec_from_json(obj: Any, where: str, n: int) -> np.ndarray:
@@ -77,18 +91,10 @@ def cvec_from_json(obj: Any, where: str, n: int) -> np.ndarray:
 
 
 def matrix_from_json(obj: Any, where: str) -> SymMatrix:
-    _expect(isinstance(obj, dict), where, "expected an object")
-    _expect("n" in obj and "entries" in obj, where, "required keys: n, entries")
-    n = obj["n"]
+    n, entries = _fields(obj, where, ("n", "entries"))
     _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 2, where, "n must be an integer >= 2")
-    entries = obj["entries"]
     _expect(isinstance(entries, list) and len(entries) == n, where, f"entries must be {n} rows")
-    rows = []
-    for i, row in enumerate(entries):
-        _expect(
-            isinstance(row, list) and len(row) == n, f"{where}.entries[{i}]", f"must have {n} entries"
-        )
-        rows.append([complex_from_json(v, f"{where}.entries[{i}][{j}]") for j, v in enumerate(row)])
+    rows = [cvec_from_json(row, f"{where}.entries[{i}]", n) for i, row in enumerate(entries)]
     try:
         return SymMatrix(rows)
     except ValueError as exc:
@@ -96,52 +102,39 @@ def matrix_from_json(obj: Any, where: str) -> SymMatrix:
 
 
 def form_from_json(obj: Any, where: str) -> PolyOneForm:
-    _expect(isinstance(obj, dict), where, "expected an object")
-    _expect("n" in obj and "coeffs" in obj, where, "required keys: n, coeffs")
-    n = obj["n"]
+    """The one-form of obj, its table built once from every term's exponent,
+    column and coefficient (duplicates summed, zeros dropped)."""
+    n, coeffs = _fields(obj, where, ("n", "coeffs"))
     _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 2, where, "n must be an integer >= 2")
-    coeffs = obj["coeffs"]
     _expect(isinstance(coeffs, list) and len(coeffs) == n, where, f"coeffs must be {n} term lists")
-    polys = []
+    exps, columns, values = [], [], []
     for j, terms in enumerate(coeffs):
         _expect(isinstance(terms, list), f"{where}.coeffs[{j}]", "must be a list of terms")
-        parsed = []
         for k, term in enumerate(terms):
             tw = f"{where}.coeffs[{j}][{k}]"
-            _expect(isinstance(term, dict), tw, "expected a term object")
-            _expect(set(term) == {"re", "im", "exp"}, tw, "required keys: re, im, exp")
-            c = complex_from_json({"re": term["re"], "im": term["im"]}, tw)
-            _expect(isinstance(term["exp"], list), tw, f"exp must be a list of {n} integers")
+            re, im, exp = _fields(term, tw, ("re", "im", "exp"))
+            values.append(_complex(re, im, tw))
+            _expect(isinstance(exp, list), tw, f"exp must be a list of {n} integers")
             try:
-                parsed.append((c, _exponent(term["exp"], n)))
+                exps.append(_exponent(exp, n))
             except ValueError as exc:
                 raise InputFormatError(f"{tw}: {exc}") from exc
-        try:
-            polys.append(Polynomial(n, parsed))
-        except ValueError as exc:
-            raise InputFormatError(f"{where}.coeffs[{j}]: {exc}") from exc
-    return PolyOneForm(polys)
+            columns.append(j)
+    C = np.zeros((len(values), n), dtype=complex)
+    C[np.arange(len(values)), columns] = values
+    return PolyOneForm._from_table(n, np.array(exps, dtype=np.int64).reshape(-1, n), C)
 
 
-def boundary_samples_from_json(obj: Any, where: str):
+def boundary_samples_from_json(obj: Any, where: str) -> np.ndarray:
+    """The samples as one (m, 3, 2) array of (point, field, normal) rows."""
     _expect(isinstance(obj, list) and len(obj) >= 3, where, "expected a list of >= 3 samples")
-    out = []
+    keys = ("point", "field", "normal")
+    samples = []
     for k, item in enumerate(obj):
         iw = f"{where}[{k}]"
-        _expect(isinstance(item, dict), iw, "expected an object")
-        _expect(
-            set(item) == {"point", "field", "normal"}, iw, "required keys: point, field, normal"
-        )
-        vals = []
-        for key in ("point", "field", "normal"):
-            v = item[key]
-            _expect(
-                isinstance(v, list)
-                and len(v) == 2
-                and all(_is_finite_number(x) for x in v),
-                f"{iw}.{key}",
-                "must be [x, y] finite numbers",
-            )
-            vals.append([float(v[0]), float(v[1])])
-        out.append(tuple(np.array(v) for v in vals))
-    return out
+        triple = _fields(item, iw, keys)
+        for key, v in zip(keys, triple):
+            planar = isinstance(v, list) and len(v) == 2 and all(_is_finite_number(x) for x in v)
+            _expect(planar, f"{iw}.{key}", "must be [x, y] finite numbers")
+        samples.append(triple)
+    return np.array(samples, dtype=float)

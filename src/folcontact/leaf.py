@@ -53,6 +53,7 @@ from .errors import (
     ChartError,
     FlowError,
     LeafCorrectionError,
+    RadiusRangeError,
     SingularGradientError,
 )
 
@@ -467,14 +468,19 @@ def transversality_scan(
     the gradient vanishes score 0 (a singular point on the sphere is maximal
     non-transversality). The score of a homogeneous form is scale-free, so
     such forms are sampled on the unit sphere and the worst points scaled
-    to radius r.
+    to radius r. A radius where f's rounding scale overflows at a sample
+    raises RadiusRangeError, as point_at does.
     """
     _check_radius(r)
     if n_samples < 1:
         raise ValueError("need at least one sample")
     r_sample = 1.0 if form.homogeneous_degree() is not None else r
     z = sphere_seeds(form.n, n_samples, rng_seed, r_sample)
-    _, w, singular = _field(z, *form.evaluate_scaled(z))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing f is refused below
+        f, scale = form.evaluate_scaled(z)
+    if not np.all(np.isfinite(scale)):
+        raise RadiusRangeError(f"radius {r:.3g} is out of range: f's rounding scale is non-finite")
+    _, w, singular = _field(z, f, scale)
     scores = np.linalg.norm(w, axis=1) / r_sample
     scores[singular] = 0.0
     order = np.argsort(scores, kind="stable")[:10]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import folcontact as fc
+from folcontact import cli
 from folcontact.contact import ACCEPT_TOL, ContactPath, ContactPoint, SphereSearch
 from folcontact.index import IndexReport
 from folcontact.leaf import DEFAULT_FLOW_TOL, HessianReport
@@ -248,6 +250,22 @@ def test_to_json_omits_none_fields_and_gives_plain_python_values():
 def test_input_fixtures_match_published_schemas(matrix_file, symplectic_file):
     jsonschema.validate(json.loads(Path(matrix_file).read_text()), load_schema("matrix.json"))
     jsonschema.validate(json.loads(Path(symplectic_file).read_text()), load_schema("form.json"))
+
+
+def test_every_input_the_commands_read_matches_the_published_schemas(request, monkeypatch):
+    read = []
+
+    def recording(reader, schema):
+        return lambda obj, where: read.append((obj, schema)) or reader(obj, where)
+
+    monkeypatch.setattr(cli, "form_from_json", recording(cli.form_from_json, "form.json"))
+    monkeypatch.setattr(cli, "matrix_from_json", recording(cli.matrix_from_json, "matrix.json"))
+    for command in COMMANDS:
+        code, _, err = run_cli(_argv(command, request))
+        assert code == 0, err
+    assert {schema for _, schema in read} == {"form.json", "matrix.json"}
+    for obj, schema in read:
+        jsonschema.validate(obj, load_schema(schema))
 
 
 def test_linear_analyze_report(matrix_file, report_schema):
@@ -542,6 +560,52 @@ def test_exit_2_on_non_finite_audit_sample(tmp_path, audit_file):
     assert f"{path}[3].field" in err
 
 
+# (input fixture, JSON path of an object in it, edit): "extra" adds an unknown
+# key, "repeat" gives the object's first key twice, any other edit drops that key
+READER_MUTATIONS = {
+    "matrix-unknown": ("linear-analyze", "matrix_file", [], "extra"),
+    "matrix-entry-unknown": ("linear-analyze", "matrix_file", ["entries", 0, 1], "extra"),
+    "form-unknown": ("contact-solve", "symplectic_file", [], "extra"),
+    "term-unknown": ("scan", "symplectic_file", ["coeffs", 0, 0], "extra"),
+    "wrapped-unknown": ("contact-trace", "trace_file", [], "extra"),
+    "wrapped-form-unknown": ("leaf-flow", "flow_file", ["form"], "extra"),
+    "vector-entry-unknown": ("leaf-hessian", "hessian_file", ["point", 2], "extra"),
+    "sample-unknown": ("index-audit", "audit_file", [2], "extra"),
+    "matrix-missing": ("linear-morseify", "matrix_file", [], "entries"),
+    "term-missing": ("contact-solve", "symplectic_file", ["coeffs", 1, 0], "exp"),
+    "wrapped-missing": ("leaf-hessian", "hessian_file", [], "point"),
+    "sample-missing": ("index-audit", "audit_file", [5], "normal"),
+    "matrix-repeated": ("linear-analyze", "matrix_file", [], "repeat"),
+    "term-repeated": ("contact-solve", "symplectic_file", ["coeffs", 0, 0], "repeat"),
+}
+
+
+@pytest.mark.parametrize("mutation", READER_MUTATIONS)
+def test_exit_2_on_an_unknown_missing_or_repeated_key(mutation, request, tmp_path):
+    command, fixture, at, edit = READER_MUTATIONS[mutation]
+    obj = json.loads(Path(request.getfixturevalue(fixture)).read_text())
+    target = obj
+    for step in at:
+        target = target[step]
+    first = next(iter(target))
+    if edit == "extra":
+        target["extra"] = 0
+    elif edit == "repeat":  # the same value again, which a last-one-wins reader accepts
+        target["repeated"] = target[first]
+    else:
+        del target[edit]
+    path = tmp_path / "mutated.json"
+    # json.dumps writes each key once: the copy is renamed in the text
+    path.write_text(json.dumps(obj).replace('"repeated"', json.dumps(first)))
+    code, out, err = run_cli([command, "--input", str(path)])
+    assert code == 2 and out == ""
+    if edit == "repeat":
+        assert f"input error: {path}: malformed JSON (repeated key " in err
+    else:
+        where = "".join(f".{step}" if isinstance(step, str) else f"[{step}]" for step in at)
+        assert f"input error: {path}{where}: expected an object with keys " in err
+
+
 def test_exit_2_on_non_finite_option(symplectic_file):
     with pytest.raises(SystemExit) as exc:
         run_cli(["scan", "--input", symplectic_file, "--radius", "nan"])
@@ -581,10 +645,29 @@ def test_exit_3_on_non_finite_report(tmp_path):
                              {"re": 1.0, "im": 0.0, "exp": [0, 1]}],
                             [{"re": 1.0, "im": 0.0, "exp": [1, 0]}]]}
     ))
-    with np.errstate(all="ignore"):
-        code, out, err = run_cli(["scan", "--input", str(path), "--radius", "1e150", "--samples", "20"])
+    code, out, err = run_cli(["scan", "--input", str(path), "--radius", "1e150", "--samples", "20"])
+    assert code == 3 and out == ""
+    assert "out of range" in err
+
+
+def test_exit_3_on_a_non_finite_report_value(monkeypatch):
+    monkeypatch.setattr(cli, "morse_sphere_identity", lambda n, i: (float("nan"), 1, False))
+    code, out, err = run_cli(["index-pugh", "--n", "2", "--i", "0"])
     assert code == 3 and out == ""
     assert "non-finite report value" in err
+
+
+def test_exit_3_on_a_scan_radius_where_f_overflows(tmp_path):
+    # d(z1^6 + z2^6 + z1^3 z2^3/2 + z1^2/2 + z2^2) is not homogeneous, so it
+    # is sampled at r itself, where its rounding scale overflows
+    integral = [(1.0, (6, 0)), (1.0, (0, 6)), (0.5, (3, 3)), (0.5, (2, 0)), (1.0, (0, 2))]
+    path = tmp_path / "deg5.json"
+    path.write_text(json.dumps(form_to_json(fc.Polynomial(2, integral).differential())))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["scan", "--input", str(path), "--radius", "1e40", "--samples", "200"])
+    assert code == 3 and out == "" and caught == []
+    assert "radius 1e+40 is out of range" in err
 
 
 def test_radius_far_from_one_keeps_the_unit_answer(diag12_file, report_schema):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import folcontact as fc
+from folcontact import linear
 from folcontact.errors import SingularMatrixError
 
 from conftest import axis_distance, line_distance, random_morse, random_symmetric
@@ -38,6 +41,42 @@ def test_analyze_perturbed_identity():
     A = fc.SymMatrix(np.diag([1 + e for e in eps]))
     verdict, _ = fc.analyze(A)
     assert verdict.is_morse
+
+
+def _ill_conditioned(sigma_min: float) -> fc.SymMatrix:
+    """U diag(1, 0.5, sigma_min) U^T, U unitary: condition number 1/sigma_min."""
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    return fc.SymMatrix(U @ np.diag([1.0, 0.5, sigma_min]) @ U.T)
+
+
+@pytest.mark.parametrize("sigma_min", [1e-7, 1e-8])
+def test_analyze_keeps_the_lines_of_an_ill_conditioned_matrix(sigma_min):
+    # the sigma_min line has residual ~ eps sigma_max/sigma_min, above 1e-9
+    verdict, lineset = fc.analyze(_ill_conditioned(sigma_min))
+    assert verdict.is_morse and not lineset.rejected
+    assert [line.morse_index for line in lineset.lines] == [0, 1, 2]
+    assert lineset.lines[2].residual > fc.ACCEPT_TOL
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_analyze_rejects_a_direction_off_its_line(j, monkeypatch):
+    takagi = linear.takagi
+
+    def rotated(A):
+        tk = takagi(A)
+        U = tk.U.copy()
+        U[:, j] = np.cos(1e-3) * tk.U[:, j] + np.sin(1e-3) * tk.U[:, (j + 1) % 3]
+        return replace(tk, U=U)
+
+    A = _ill_conditioned(1e-7)
+    sigma = takagi(A).sigma
+    monkeypatch.setattr(linear, "takagi", rotated)
+    _, lineset = fc.analyze(A)
+    assert [line.sigma for line in lineset.rejected] == [sigma[j]]
+    kept = [k for k in range(3) if k != j]
+    assert [line.sigma for line in lineset.lines] == [sigma[k] for k in kept]
+    assert [line.morse_index for line in lineset.lines] == kept  # the sigma rank among all lines
 
 
 def test_analyze_rejects_singular():
