@@ -50,16 +50,19 @@ not homogeneous, and the leaf polish in leaf.py call it with a stack of
 one. A homogeneous form needs no solve on a radial trace: its contact set
 is a real cone, so `continue_radially` scales the start to every radius of
 the grid and checks the points of each direction in one stack. The points
-sphere_search finds are merged into phase orbits from Gram products in
-blocks of SEED_BLOCK rows against all m points, so the merge needs
-O(SEED_BLOCK m) memory, never m^2.
+sphere_search finds stay arrays (z, mu and residual per row) from the
+Newton solve to the report: `_merge_points` merges the rows into phase
+orbits from Gram products in blocks of SEED_BLOCK rows against all m
+rows, so the merge needs O(SEED_BLOCK m) memory, never m^2, and returns
+the row index of one point per orbit. Only those rows become
+ContactPoints.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,17 +95,17 @@ class ContactPath:
 
     points: list[ContactPoint]
     form_id: str
-    truncated: bool = False
-    truncation_radius: float | None = None
+    truncated: bool
+    truncation_radius: float | None
 
 
 @dataclass
 class SphereSearch:
     """Result of a multi-seed sphere solve, with seed diagnostics."""
 
-    points: list[ContactPoint] = field(default_factory=list)
-    seeds_tried: int = 0
-    seeds_converged: int = 0
+    points: list[ContactPoint]
+    seeds_tried: int
+    seeds_converged: int
 
 
 def form_id(form: PolyOneForm) -> str:
@@ -376,14 +379,8 @@ def _aligned_distance(z: np.ndarray, w: np.ndarray) -> float:
     return float(np.linalg.norm(z - phase * w))
 
 
-def _point_sort_key(p: ContactPoint):
-    """(Re z, Im z) rounded to 9 places, ties broken by the exact values."""
-    x = np.concatenate([p.z.real, p.z.imag])
-    return tuple(np.round(x, 9)), tuple(x)
-
-
-def _merge_points(points: list[ContactPoint], dedup_tol: float) -> list[ContactPoint]:
-    """Merge phase-orbit duplicates; order-independent.
+def _merge_points(Z: np.ndarray, dedup_tol: float) -> np.ndarray:
+    """Row indices of one point per phase orbit of the (m, n) points Z, in report order.
 
     Two points are joined when their phase-aligned distance is below
     dedup_tol, and every connected component of that graph is one orbit.
@@ -393,14 +390,14 @@ def _merge_points(points: list[ContactPoint], dedup_tol: float) -> list[ContactP
     of about eps r^2, far below tol^2 = 1e-12 r^2 at the tolerance
     sphere_search uses. The components are found by min-label propagation
     with pointer jumping, recomputing the blocks each round, until no label
-    changes. Each component is represented by its least point in
-    _point_sort_key order, not by its least residual: residuals near 1e-16
-    are rounding noise and would let rounding pick the phase.
+    changes. The rows are ordered by (Re z, Im z) rounded to 9 places, ties
+    broken by the exact values and then by row (one stable lexsort), and
+    each component is represented by its first row in that order, not by
+    its least residual: residuals near 1e-16 are rounding noise and would
+    let rounding pick the phase. The result does not depend on the order of
+    the rows, only on which rows they are.
     """
-    if not points:
-        return []
-    m = len(points)
-    Z = np.array([p.z for p in points])
+    m = len(Z)
     Zbar = Z.conj()
     sq = np.sum(np.abs(Z) ** 2, axis=1)
     label = np.arange(m)
@@ -418,11 +415,10 @@ def _merge_points(points: list[ContactPoint], dedup_tol: float) -> list[ContactP
         if np.array_equal(hooked, label):
             break
         label = hooked
-    clusters: dict[int, list[ContactPoint]] = {}
-    for i, p in zip(label, points):
-        clusters.setdefault(int(i), []).append(p)
-    reps = [min(group, key=_point_sort_key) for group in clusters.values()]
-    return sorted(reps, key=_point_sort_key)
+    x = np.concatenate([Z.real, Z.imag], axis=1)
+    order = np.lexsort(np.concatenate([np.round(x, 9), x], axis=1).T[::-1])
+    _, first = np.unique(label[order], return_index=True)
+    return order[np.sort(first)]
 
 
 def sphere_search(
@@ -453,34 +449,27 @@ def sphere_search(
     k = form.homogeneous_degree()
     r_solve = 1.0 if k is not None else r
     seeds = sphere_seeds(form.n, n_seeds, rng_seed, r_solve)
-    out = SphereSearch(seeds_tried=n_seeds)
-    found: list[ContactPoint] = []
+    found = []  # (z, mu, residual) of each seed block's contact points
     for start in range(0, n_seeds, SEED_BLOCK):
         Z, ok = _newton_on_sphere(form, seeds[start : start + SEED_BLOCK], r_solve)
         Z = Z[ok]
         mu, W, singular = _field(Z, *form.evaluate_scaled(Z))
         Z, mu, W = Z[~singular], mu[~singular], W[~singular]
         res = np.linalg.norm(W, axis=1) / np.linalg.norm(Z, axis=1)
-        keep = res <= tol
-        found += [
-            ContactPoint(z=z, mu=complex(m), radius=r_solve, residual=float(e))
-            for z, m, e in zip(Z[keep], mu[keep], res[keep])
-        ]
-    out.seeds_converged = len(found)
-    out.points = _merge_points(found, dedup_tol=1e-6 * r_solve)
+        found.append([part[res <= tol] for part in (Z, mu, res)])
+    Z_all, mu, res = (np.concatenate(parts) for parts in zip(*found))
+    reported = _merge_points(Z_all, dedup_tol=1e-6 * r_solve)
+    Z, mu, res, radius = Z_all[reported], mu[reported], res[reported], r_solve
     if r_solve != r:
-        try:
-            mu_scale = r ** (1 - k)
-        except OverflowError:
-            mu_scale = np.inf
-        mus = [mu_scale * p.mu for p in out.points]
-        if not all(np.finfo(float).tiny <= abs(mu) < np.inf for mu in [mu_scale, *mus]):
+        with np.errstate(over="ignore", invalid="ignore"):  # out-of-range values are refused below
+            mu_scale = np.float64(r) ** (1 - k)
+            mu = mu_scale * mu
+        size = np.abs(np.append(mu, mu_scale))
+        if not np.all((np.finfo(float).tiny <= size) & (size < np.inf)):
             raise RadiusRangeError(f"radius {r:.3g} is out of range: r^{1 - k} mu is not a normal double")
-        out.points = [
-            ContactPoint(z=r * p.z, mu=mu, radius=r, residual=p.residual)
-            for p, mu in zip(out.points, mus)
-        ]
-    return out
+        Z, radius = r * Z, r
+    points = [ContactPoint(z=z, mu=complex(m), radius=radius, residual=float(e)) for z, m, e in zip(Z, mu, res)]
+    return SphereSearch(points, n_seeds, len(Z_all))
 
 
 def point_at(form: PolyOneForm, z, morse_index: int | None = None) -> ContactPoint:

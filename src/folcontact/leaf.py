@@ -223,16 +223,17 @@ def make_chart(
     integral: Polynomial,
     base,
     c: complex | None = None,
-    form: PolyOneForm | None = None,
+    *,
+    form: PolyOneForm,
 ) -> LeafChart:
     """The leaf of `integral` through (or prescribed by c near) base.
 
-    Compiles the chart's [g | f] table and checks base from one build of
-    it. Raises ValueError if base is off the prescribed leaf and ChartError
-    if every coefficient of the form vanishes there.
+    form must be the integral's differential; it is taken as given, not
+    recomputed or checked. Compiles the chart's [g | f] table and checks
+    base from one build of it. Raises ValueError if base is off the
+    prescribed leaf and ChartError if every coefficient of the form
+    vanishes there.
     """
-    if form is None:
-        form = integral.differential()
     base = as_cvec(base, form.n)
     if c is None:
         c = integral.evaluate(base)  # the leaf through base

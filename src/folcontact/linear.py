@@ -21,6 +21,7 @@ import numpy as np
 
 from .algebra import (
     GAP_TOL,
+    PolyOneForm,
     SymMatrix,
     TakagiFactors,
     _require_invertible,
@@ -28,6 +29,7 @@ from .algebra import (
     takagi,
 )
 from .contact import ACCEPT_TOL, ContactPoint, contact_residual, point_at
+from .errors import RadiusRangeError
 
 
 @dataclass
@@ -96,6 +98,19 @@ def verdict_from_takagi(tk: TakagiFactors) -> MorseVerdict:
     )
 
 
+def _unit_form(A: SymMatrix) -> tuple[PolyOneForm, int]:
+    """(linear_form(A 2^-e), e), with e the binary exponent of max |a_ij|.
+
+    The contact residual and the lines do not change under f -> c f, and
+    scaling by a power of two is exact, so the lines are checked on a form
+    whose largest entry lies in [1/2, 1): at the scale of A itself, ||f||^2
+    and the rounding scale leave the doubles for |f| below about 1e-154
+    or above 1e154. A multiplier of this form is 2^e times A's.
+    """
+    e = int(np.frexp(np.abs(A.array).max())[1])
+    return linear_form(SymMatrix(np.ldexp(A.array.view(float), -e).view(complex))), e
+
+
 def analyze(A: SymMatrix) -> tuple[MorseVerdict, ContactLineSet]:
     """Morse verdict and validated contact-line candidates of A.
 
@@ -106,12 +121,15 @@ def analyze(A: SymMatrix) -> tuple[MorseVerdict, ContactLineSet]:
     route supplies candidates only. When A is of Morse type the kept lines
     also carry their Morse indices: line j has index j, the negative count
     of its closed-form leaf-Hessian eigenvalues (the sigma_i > sigma_j).
+    The residuals are those of A scaled by a power of two to entries of
+    size about 1 (exact, and the residual does not depend on the scale),
+    so A at any scale the doubles hold gives its lines.
     Raises SingularMatrixError for singular A.
     """
     _require_invertible(A)
     tk = takagi(A)
     verdict = verdict_from_takagi(tk)
-    form = linear_form(A)
+    form, _ = _unit_form(A)
     lines: list[ContactLine] = []
     rejected: list[ContactLine] = []
     for j, s in enumerate(tk.sigma):
@@ -166,8 +184,17 @@ def unit_sphere_tangencies(A: SymMatrix) -> list[ContactPoint]:
     """One contact-point witness per line on the unit sphere.
 
     Nonempty for every invertible symmetric A: the contact lines exist even
-    in the non-Morse case, so the sphere is never free of tangencies.
+    in the non-Morse case, so the sphere is never free of tangencies. Each
+    witness is solved on the form analyze checks, A scaled by 2^-e, and its
+    mu scaled back by 2^-e, exactly; a mu that is not a normal double
+    raises RadiusRangeError.
     """
     _, lineset = analyze(A)
-    form = linear_form(A)
-    return [point_at(form, line.direction, line.morse_index) for line in lineset.lines]
+    form, e = _unit_form(A)
+    points = [point_at(form, line.direction, line.morse_index) for line in lineset.lines]
+    with np.errstate(over="ignore"):  # a mu out of range is refused below
+        for p in points:
+            p.mu = complex(np.ldexp(p.mu.real, -e), np.ldexp(p.mu.imag, -e))
+    if not all(np.finfo(float).tiny <= abs(p.mu) < np.inf for p in points):
+        raise RadiusRangeError("a contact line's multiplier mu is out of range: |mu| is not a normal double")
+    return points

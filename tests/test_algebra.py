@@ -12,7 +12,7 @@ import folcontact as fc
 from folcontact import algebra
 from folcontact.algebra import _side_by_side
 from folcontact.contact import form_id
-from folcontact.errors import DimensionMismatchError, SingularMatrixError
+from folcontact.errors import ConvergenceError, DimensionMismatchError, SingularMatrixError
 
 from conftest import random_symmetric
 
@@ -435,6 +435,32 @@ def test_takagi_column_phase_convention():
             k = int(np.argmax(np.abs(tk.U[:, j])))
             a = np.angle(tk.U[k, j])
             assert -1e-10 <= a < np.pi
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0])
+def test_takagi_refuses_a_wrong_factor_at_any_scale(monkeypatch, scale):
+    # column 0 times i: U stays unitary, but U diag(sigma) U^T is not A, at
+    # every scale of A (the bound is relative to max |a_ij|)
+    fix = algebra._fix_column_signs
+
+    def turned(U):
+        U = fix(U)
+        U[:, 0] *= 1j
+        return U
+
+    monkeypatch.setattr(algebra, "_fix_column_signs", turned)
+    with pytest.raises(ConvergenceError, match="reconstruction error"):
+        fc.takagi(fc.SymMatrix(scale * np.diag([3.0, 2.0, 1.0])))
+
+
+def test_symmetry_and_hermitian_bounds_are_relative_below_scale_one():
+    # 50% asymmetric at 1e-13 is refused as at 1; the zero matrix still passes
+    with pytest.raises(ValueError, match="not symmetric"):
+        fc.SymMatrix(1e-13 * np.array([[1.0, 2.0], [3.0, 1.0]]))
+    with pytest.raises(ValueError, match="not hermitian"):
+        fc.HermMatrix(1e-13 * np.array([[1.0, 1j], [1j, 2.0]]))
+    assert np.array_equal(fc.SymMatrix(np.zeros((2, 2))).array, np.zeros((2, 2)))
+    assert np.array_equal(fc.HermMatrix(np.zeros((2, 2))).array, np.zeros((2, 2)))
 
 
 def test_takagi_identity_block():

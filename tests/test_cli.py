@@ -278,6 +278,16 @@ def test_linear_analyze_report(matrix_file, report_schema):
     assert report["version"] == fc.__version__
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_linear_analyze_report_at_extreme_scales(tmp_path, report_schema, scale):
+    # |f|^2 of diag(3, 2, 1) s leaves the doubles from |s| ~ 1e-154 or 1e154 on
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps({"n": 3, "entries": to_json(scale * np.diag([3.0, 2.0, 1.0]).astype(complex))}))
+    result = _check(["linear-analyze", "--input", str(path)], report_schema)["result"]
+    assert result["is_morse"] is True
+    assert [line["morse_index"] for line in result["lines"]] == [0, 1, 2]
+
+
 def test_linear_morseify_report(tmp_path, identity3, report_schema):
     path = tmp_path / "identity.json"
     path.write_text(json.dumps({"n": identity3.n, "entries": to_json(identity3.array)}))
@@ -408,6 +418,17 @@ def test_exit_2_on_asymmetric_matrix(tmp_path):
     path.write_text(json.dumps(payload))
     code, _, err = run_cli(["linear-analyze", "--input", str(path)])
     assert code == 2
+
+
+def test_exit_2_on_a_matrix_asymmetric_below_scale_one(tmp_path):
+    # the symmetry bound is relative to the largest entry, so [[1, 2], [3, 1]]
+    # is as asymmetric at 1e-13 as at 1
+    path = tmp_path / "asym.json"
+    entries = to_json(1e-13 * np.array([[1.0, 2.0], [3.0, 1.0]], dtype=complex))
+    path.write_text(json.dumps({"n": 2, "entries": entries}))
+    code, out, err = run_cli(["linear-analyze", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert f"input error: {path}: matrix is not symmetric" in err
 
 
 def test_exit_2_on_bad_trace_start(tmp_path, form321):

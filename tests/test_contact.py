@@ -464,11 +464,16 @@ def test_merge_is_order_independent(form321):
     rng = np.random.default_rng(9)
     for _ in range(3):
         perm = rng.permutation(len(raw))
-        merged = _merge_points([raw[i] for i in perm], dedup_tol=1e-6)
+        merged = _merged([raw[i] for i in perm], dedup_tol=1e-6)
         assert len(merged) == len(points)
         keys = sorted(tuple(np.round(np.abs(q.z), 8)) for q in merged)
         ref = sorted(tuple(np.round(np.abs(q.z), 8)) for q in points)
         assert keys == ref
+
+
+def _merged(points, dedup_tol):
+    """The points _merge_points reports, from the row indices it returns (n = 3)."""
+    return [points[i] for i in _merge_points(np.array([p.z for p in points]).reshape(-1, 3), dedup_tol)]
 
 
 def _merge_reference(points, dedup_tol):
@@ -517,10 +522,10 @@ def test_merge_points_matches_pairwise_union_find():
     for Z in cases:
         for order in [None] + [rng.permutation(len(Z)) for _ in range(4)]:
             points = _points(Z if order is None else [Z[i] for i in order])
-            got, want = _merge_points(points, tol), _merge_reference(points, tol)
+            got, want = _merged(points, tol), _merge_reference(points, tol)
             assert [p.z.tolist() for p in got] == [p.z.tolist() for p in want]
-    assert len(_merge_points(_points(chain), tol)) == 1
-    assert len(_merge_points(_points(cases[-1]), tol)) == 1 + 1 + 1 + 5
+    assert len(_merged(_points(chain), tol)) == 1
+    assert len(_merged(_points(cases[-1]), tol)) == 1 + 1 + 1 + 5
 
 
 def test_merge_points_memory_stays_below_the_gram_matrix():
@@ -530,10 +535,10 @@ def test_merge_points_memory_stays_below_the_gram_matrix():
     base = rng.standard_normal((1024, 3)) + 1j * rng.standard_normal((1024, 3))
     base /= np.linalg.norm(base, axis=1)[:, None]
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (4, 1024, 1)))
-    points = _points((phases * base).reshape(-1, 3))
+    Z = (phases * base).reshape(-1, 3)
     tracemalloc.start()
     try:
-        merged = _merge_points(points, 1e-6)
+        merged = _merge_points(Z, 1e-6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -17,7 +17,6 @@ PUBLIC_DEFAULTS = {
     "contact.point_at(morse_index)",
     "contact.continue_radially(tol)",
     "leaf.make_chart(c)",
-    "leaf.make_chart(form)",
     "leaf.flow_to_critical(direction)",
     "leaf.flow_to_critical(tol)",
     "leaf.flow_to_critical(max_steps)",

@@ -494,12 +494,9 @@ def test_leaf_hessian_rejects_noncritical(form321, integral321):
 
 
 def test_chart_requires_gradient(integral321, form321):
+    integral = fc.Polynomial(3, [(1.0, (2, 0, 0))])
     with pytest.raises(ChartError):
-        fc.make_chart(
-            fc.Polynomial(3, [(1.0, (2, 0, 0))]),
-            np.array([0.0, 1.0, 0.0], dtype=complex),
-            0.0,
-        )
+        fc.make_chart(integral, np.array([0.0, 1.0, 0.0], dtype=complex), 0.0, form=integral.differential())
 
 
 # -----------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 import folcontact as fc
 from folcontact import linear
-from folcontact.errors import SingularMatrixError
+from folcontact.errors import RadiusRangeError, SingularMatrixError
 
 from conftest import axis_distance, line_distance, random_morse, random_symmetric
 
@@ -57,6 +57,28 @@ def test_analyze_keeps_the_lines_of_an_ill_conditioned_matrix(sigma_min):
     assert verdict.is_morse and not lineset.rejected
     assert [line.morse_index for line in lineset.lines] == [0, 1, 2]
     assert lineset.lines[2].residual > fc.ACCEPT_TOL
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_analyze_and_tangencies_find_every_line_at_extreme_scales(scale):
+    # |f|^2 of diag(3, 2, 1) s under- or overflows from |s| ~ 1e-154 or 1e154 on;
+    # the lines are checked on A scaled by a power of two to entries near 1
+    sigma = np.array([3.0, 2.0, 1.0])
+    A = fc.SymMatrix(scale * np.diag(sigma))
+    verdict, lineset = fc.analyze(A)
+    assert verdict.is_morse and not lineset.rejected
+    assert [line.morse_index for line in lineset.lines] == [0, 1, 2]
+    assert all(line.residual <= np.finfo(float).eps for line in lineset.lines)
+    points = fc.unit_sphere_tangencies(A)
+    assert [p.morse_index for p in points] == [0, 1, 2]
+    assert all(p.residual <= np.finfo(float).eps for p in points)
+    assert np.allclose([abs(p.mu) * scale for p in points], 1.0 / sigma, rtol=1e-14, atol=0.0)
+
+
+def test_tangencies_refuse_a_multiplier_out_of_the_normal_doubles():
+    # |mu| = 1/sigma = 1.25e-308 on the first line, below the smallest normal double
+    with pytest.raises(RadiusRangeError, match="multiplier"):
+        fc.unit_sphere_tangencies(fc.SymMatrix(np.diag([8e307, 1e296])))
 
 
 @pytest.mark.parametrize("j", [0, 1, 2])

@@ -157,8 +157,9 @@ def point_clouds(draw) -> list[fc.ContactPoint]:
 @given(point_clouds(), st.data())
 def test_merge_points_is_permutation_invariant(points, data):
     order = data.draw(st.permutations(range(len(points))))
-    a = _merge_points(points, dedup_tol=1e-6)
-    b = _merge_points([points[i] for i in order], dedup_tol=1e-6)
+    Z = np.array([p.z for p in points])
+    a = [points[i] for i in _merge_points(Z, dedup_tol=1e-6)]
+    b = [points[order[i]] for i in _merge_points(Z[order], dedup_tol=1e-6)]
     assert len(a) == len(b)
     assert all(p is q for p, q in zip(a, b))
 
