@@ -409,14 +409,21 @@ class SymMatrix:
     """Complex symmetric matrix, stored exactly symmetric.
 
     Input asymmetric beyond 1e-12 max |a_ij| is rejected, at every scale;
-    smaller asymmetry is canonicalized away by averaging.
+    smaller asymmetry is canonicalized away by averaging, (a_ij + a_ji)/2,
+    or a_ij/2 + a_ji/2 where the sum leaves the doubles (then both halves
+    are exact), so entries up to the largest double are averaged and a
+    subnormal one keeps its last bit.
     """
 
     def __init__(self, entries):
         A = _check_square(entries)
-        if np.abs(A - A.T).max() > 1e-12 * np.abs(A).max():
+        H = 0.5 * A  # |H| and each h_ij - h_ji stay in the doubles
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum past the doubles is redone below
+            asymmetric = np.abs(H - H.T).max() > 1e-12 * np.abs(H).max()
+            S = 0.5 * (A + A.T)
+        if asymmetric:
             raise ValueError("matrix is not symmetric")
-        self.array = _readonly(0.5 * (A + A.T))
+        self.array = _readonly(np.where(np.isfinite(S), S, H + H.T))
         self.n = A.shape[0]
 
     def __repr__(self) -> str:
@@ -467,7 +474,7 @@ class TakagiFactors:
 def _require_invertible(A: SymMatrix) -> None:
     svals = np.linalg.svd(A.array, compute_uv=False)
     smin, smax = svals[-1], svals[0]
-    if smin == 0.0 or smax / smin > COND_CAP:
+    if smin == 0.0 or smin < smax / COND_CAP:  # smax / smin overflows for a subnormal smin
         detmod = float(np.prod(svals))
         raise SingularMatrixError(
             f"matrix is singular or too ill-conditioned (|det| ~ {detmod:.3e}, "
@@ -491,16 +498,13 @@ def _fix_column_signs(U: np.ndarray) -> np.ndarray:
     """Flip column signs so the largest-modulus entry has argument in [0, pi).
 
     Sign flips are the only phase freedom compatible with the Takagi relation
-    A conj(u) = sigma u. Arguments within 1e-12 of the boundary are treated
-    as 0 so rounding cannot make the choice flap.
+    A conj(u) = sigma u. The first largest-modulus entry of every column is
+    gathered at once and the columns flipped by one np.where. Arguments
+    within 1e-12 of the boundary are treated as 0 so rounding cannot make
+    the choice flap.
     """
-    U = U.copy()
-    tol = 1e-12
-    for j in range(U.shape[1]):
-        a = np.angle(U[int(np.argmax(np.abs(U[:, j]))), j])
-        if not (-tol <= a < np.pi - tol):
-            U[:, j] = -U[:, j]
-    return U
+    a = np.angle(U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])])
+    return np.where((-1e-12 <= a) & (a < np.pi - 1e-12), U, -U)
 
 
 def takagi(A: SymMatrix) -> TakagiFactors:
@@ -525,7 +529,7 @@ def takagi(A: SymMatrix) -> TakagiFactors:
     M0 = A.array
     n = A.n
     T = np.block([[M0.real, M0.imag], [M0.imag, -M0.real]])
-    d, V = np.linalg.eigh(0.5 * (T + T.T))
+    d, V = np.linalg.eigh(T)  # exactly symmetric, as A is
     idx = np.arange(2 * n - 1, n - 1, -1)  # top half, descending
     sigma = np.clip(d[idx], 0.0, None)
     U = V[:n, idx] + 1j * V[n:, idx]

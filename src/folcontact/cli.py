@@ -58,7 +58,7 @@ from .leaf import (
     project_to_leaf,
     transversality_scan,
 )
-from .linear import analyze, morseify
+from .linear import _frobenius, analyze, morseify
 
 TOOL = "folcontact"
 
@@ -197,7 +197,7 @@ def _linear_morseify(args) -> dict[str, Any]:
     """Nearest Morse-type perturbation of a symmetric matrix."""
     A = matrix_from_json(_load_json(args.input), args.input)
     out = morseify(A, args.eps)
-    dist = float(np.linalg.norm(out.array - A.array))
+    dist = _frobenius(out.array - A.array)
     matrix = {"n": out.n, "entries": to_json(out.array)}
     return {"matrix": matrix, "frobenius_distance": dist, "changed": dist > 0.0}
 

@@ -10,11 +10,12 @@ Integer-only identities:
   conventions at i = 0 and i = n.
 
 The disc auditor takes sampled boundary data (point, field value, outward
-normal), counts tangencies as sign changes of <field, normal>, classifies
-them interior/exterior from the tangential motion against the slope of the
-normal component, applies the index formula, and cross-checks the result
-against the winding number of the field along the boundary. Ambiguity or a
-mismatch sets the under-sampled flag instead of guessing.
+normal), counts tangencies as the sign changes of <field, normal> between
+cyclically consecutive samples where it is not zero, classifies them all at
+once as interior/exterior from the tangential motion against the slope of
+the normal component, applies the index formula, and cross-checks the
+result against the winding number of the field along the boundary.
+Ambiguity or a mismatch sets the under-sampled flag instead of guessing.
 """
 
 from __future__ import annotations
@@ -38,14 +39,11 @@ def euler_sphere(m: int) -> int:
 
 
 def pugh_sum(counts) -> int:
-    """Alternating sum over Morse-index counts, sum_i (-1)^i n_i."""
-    total = 0
-    for i, n_i in enumerate(counts):
-        n_i = int(n_i)
-        if n_i < 0:
-            raise ValueError("index counts must be non-negative")
-        total += (-1) ** i * n_i
-    return total
+    """Alternating sum over Morse-index counts, sum_i (-1)^i n_i (an exact int)."""
+    n = list(map(int, counts))
+    if min(n, default=0) < 0:
+        raise ValueError("index counts must be non-negative")
+    return sum(n[::2]) - sum(n[1::2])
 
 
 def poincare_index(i: int, e: int) -> int:
@@ -88,9 +86,9 @@ class IndexReport:
     exterior_tangencies: int
     index: int
     chi_terms: list[tuple[str, int]]
-    winding: int | None = None
-    consistent: bool = True
-    under_sampled: bool = False
+    winding: int
+    consistent: bool
+    under_sampled: bool
 
 
 def _as_samples(boundary_samples) -> np.ndarray:
@@ -105,70 +103,57 @@ def disc_tangency_audit(boundary_samples) -> IndexReport:
     """Audit a sampled plane field along a closed boundary curve.
 
     Samples must be ordered around the curve; the field must not vanish on
-    it. Tangency classification: at a sign change of d = <X, n>, the contact
-    is exterior when the tangential motion carries the field toward larger d
-    (tau * slope > 0, exterior second-order touch) and interior otherwise.
+    it. A tangency is a sign change of d = <X, n> from one sample with
+    d != 0 to the next such sample, cyclically, so a sample with d = 0
+    lies inside its crossing segment instead of hiding it (it still flags
+    under-sampling). Tangency classification: the contact is exterior when
+    the tangential motion carries the field toward larger d (tau * slope
+    >= 0, exterior second-order touch) and interior otherwise.
     """
     P, X, N = _as_samples(boundary_samples)
     m = len(P)
     if m < 3:
         raise ValueError("need at least three boundary samples")
-    speeds = np.linalg.norm(X, axis=1)
-    if np.any(speeds == 0.0):
+    if np.any(np.linalg.norm(X, axis=1) == 0.0):
         raise ValueError("field vanishes at a boundary sample")
 
     d = np.einsum("ij,ij->i", X, N)
     scale = np.abs(d).max() if np.abs(d).max() > 0 else 1.0
-    under_sampled = False
-
-    interior = exterior = 0
-    if np.any(np.abs(d) <= 1e-12 * scale):
-        under_sampled = True  # a sample sits on a tangency; counts untrustworthy
-    for k in range(m):
-        k2 = (k + 1) % m
-        if d[k] == 0.0 or d[k] * d[k2] >= 0.0:
-            continue
-        lam = d[k] / (d[k] - d[k2])
-        tangent = P[k2] - P[k]
-        nt = np.linalg.norm(tangent)
-        if nt == 0.0:
-            raise ValueError("duplicate consecutive boundary samples")
-        tangent /= nt
-        x_star = (1.0 - lam) * X[k] + lam * X[k2]
-        tau = float(x_star @ tangent)
-        slope = d[k2] - d[k]
-        if abs(tau) <= 1e-9 * np.linalg.norm(x_star):
-            under_sampled = True  # tangential component ambiguous; flagged, not dropped
-        if tau * slope >= 0.0:
-            exterior += 1
-        else:
-            interior += 1
-
-    tangencies = interior + exterior
+    a = np.flatnonzero(d)
+    b = np.roll(a, -1)  # the next sample with d != 0
+    crossing = np.signbit(d[a]) != np.signbit(d[b])
+    a, b = a[crossing], b[crossing]
+    tangent = P[b] - P[a]
+    nt = np.linalg.norm(tangent, axis=1)
+    if np.any(nt == 0.0):
+        raise ValueError("duplicate consecutive boundary samples")
+    lam = (d[a] / (d[a] - d[b]))[:, None]
+    x_star = (1.0 - lam) * X[a] + lam * X[b]
+    tau = np.einsum("ij,ij->i", x_star, tangent / nt[:, None])
+    exterior = int(np.count_nonzero(tau * (d[b] - d[a]) >= 0.0))
+    interior = len(a) - exterior
     index = poincare_index(interior, exterior)
 
     angles = np.arctan2(X[:, 1], X[:, 0])
     dtheta = np.diff(np.concatenate([angles, angles[:1]]))
     dtheta = (dtheta + np.pi) % (2.0 * np.pi) - np.pi
-    if np.any(np.abs(dtheta) > 0.5 * np.pi):
-        under_sampled = True
     total = float(np.sum(dtheta))
     winding = int(np.round(total / (2.0 * np.pi)))
-    if abs(total / (2.0 * np.pi) - winding) > 0.1:
-        under_sampled = True
-
-    if tangencies > 0 and m < SAMPLES_PER_TANGENCY_PAIR * (tangencies // 2):
-        under_sampled = True
-    if m < MIN_SAMPLES:
-        under_sampled = True
-
     consistent = index == winding
-    if not consistent:
-        under_sampled = True
+    # a sample on a tangency, an ambiguous tangential component, a coarse or
+    # inconsistent winding, or too few samples: the counts are untrustworthy
+    under_sampled = bool(
+        np.any(np.abs(d) <= 1e-12 * scale)
+        or np.any(np.abs(tau) <= 1e-9 * np.linalg.norm(x_star, axis=1))
+        or np.any(np.abs(dtheta) > 0.5 * np.pi)
+        or abs(total / (2.0 * np.pi) - winding) > 0.1
+        or m < max(MIN_SAMPLES, SAMPLES_PER_TANGENCY_PAIR * (len(a) // 2))
+        or not consistent
+    )
 
     chi_terms = [
         ("chi(M,boundary)", 1),
-        ("chi(R1_minus,Gamma1)", -(tangencies // 2)),
+        ("chi(R1_minus,Gamma1)", -(len(a) // 2)),
         ("chi(R2_minus,empty)", interior),
     ]
     return IndexReport(
@@ -180,4 +165,3 @@ def disc_tangency_audit(boundary_samples) -> IndexReport:
         consistent=consistent,
         under_sampled=under_sampled,
     )
-

@@ -119,8 +119,8 @@ class FlowResult:
 
     point: ContactPoint
     steps: int
-    phi_trace: list[float] = field(default_factory=list)
-    polished: bool = False
+    phi_trace: list[float]
+    polished: bool
 
 
 def _sample(z: np.ndarray, f: np.ndarray, scale) -> FieldSample:
@@ -362,7 +362,7 @@ def flow_to_critical(
             if polished is not None and polished[0].t_norm <= tol:
                 return FlowResult(_sampled_point(*polished), steps, trace, polished=True)
         if s.t_norm <= tol:
-            return FlowResult(_sampled_point(s, g), steps, trace)
+            return FlowResult(_sampled_point(s, g), steps, trace, polished=False)
         if steps >= max_steps:
             raise FlowError(
                 f"step limit exceeded (t_norm = {s.t_norm:.3e} after {steps} steps)",

@@ -39,8 +39,8 @@ class ContactLine:
     direction: np.ndarray  # unit vector, largest-modulus entry real positive
     sigma: float
     mu_modulus: float
-    morse_index: int | None = None
-    residual: float = 0.0
+    morse_index: int | None
+    residual: float
 
 
 @dataclass
@@ -111,6 +111,17 @@ def _unit_form(A: SymMatrix) -> tuple[PolyOneForm, int]:
     return linear_form(SymMatrix(np.ldexp(A.array.view(float), -e).view(complex))), e
 
 
+def _frobenius(D: np.ndarray) -> float:
+    """||D||_F taken on D 2^-e, e the binary exponent of max |d_ij|, and scaled back.
+
+    Scaling by a power of two is exact, so in range this is the plain norm
+    bit for bit; at the scale of D itself the squares of its entries leave
+    the doubles for |d_ij| below about 1e-154 or above 1e154.
+    """
+    e = int(np.frexp(np.abs(D).max())[1])
+    return float(np.ldexp(np.linalg.norm(np.ldexp(D.view(float), -e).view(complex)), e))
+
+
 def analyze(A: SymMatrix) -> tuple[MorseVerdict, ContactLineSet]:
     """Morse verdict and validated contact-line candidates of A.
 
@@ -150,8 +161,10 @@ def morseify(A: SymMatrix, eps: float) -> SymMatrix:
     No-op for already-Morse input. Otherwise the Takagi values are spread by
     a staircase delta = eps/(2n) (shrunk if needed to respect the Frobenius
     budget, which the plain staircase can exceed for n > 12) and the matrix
-    reassembled as U diag(sigma') U^T. Raises ValueError when eps is too
-    small for the perturbed gaps to clear the Morse gap tolerance.
+    reassembled as U diag(sigma') U^T, which SymMatrix averages to exact
+    symmetry. The Frobenius distance is taken at unit scale, so the budget
+    holds for A at any scale the doubles hold. Raises ValueError when eps
+    is too small for the perturbed gaps to clear the Morse gap tolerance.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -172,10 +185,10 @@ def morseify(A: SymMatrix, eps: float) -> SymMatrix:
         )
     sigma_new = sigma + delta * stair
     M = tk.U @ np.diag(sigma_new) @ tk.U.T
-    out = SymMatrix(0.5 * (M + M.T))
+    out = SymMatrix(M)
     if not verdict_from_takagi(takagi(out)).is_morse:
         raise AssertionError("morseify produced a non-Morse matrix")
-    if np.linalg.norm(out.array - A.array) > eps * (1.0 + 1e-12):
+    if _frobenius(out.array - A.array) > eps * (1.0 + 1e-12):
         raise AssertionError("morseify exceeded the Frobenius budget")
     return out
 

@@ -773,3 +773,74 @@ def test_byte_identical_reports(
         assert all(code == 0 for code, _, _ in runs)
         outs = {out for _, out, _ in runs}
         assert len(outs) == 1, f"non-deterministic output for {argv[0]}"
+
+
+def _write_matrix(tmp_path, name: str, M) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps({"n": len(M), "entries": to_json(np.asarray(M, dtype=complex))}))
+    return str(path)
+
+
+def _run_without_warnings(argv) -> tuple[int, str, str]:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(argv)
+    assert caught == [], [str(w.message) for w in caught]
+    return result
+
+
+@pytest.mark.parametrize("indices", [(90,), (90, 270)])
+def test_index_audit_counts_a_tangency_that_falls_on_a_sample(tmp_path, report_schema, indices):
+    samples = circle_samples(lambda p: np.array([1.0, 0.0]), 360)
+    for k in indices:
+        samples[k] = (samples[k][0], samples[k][1], np.array([0.0, 1.0 if k == 90 else -1.0]))
+    path = tmp_path / "tangent.json"
+    path.write_text(json.dumps([{"point": list(p), "field": list(f), "normal": list(n)} for p, f, n in samples]))
+    result = _check(["index-audit", "--input", str(path)], report_schema)["result"]
+    assert (result["interior_tangencies"], result["exterior_tangencies"]) == (0, 2)
+    assert (result["index"], result["winding"]) == (0, 0)
+    assert result["consistent"] is True and result["under_sampled"] is True
+
+
+def test_linear_analyze_near_the_largest_double(tmp_path, report_schema):
+    for M, morse in (
+        (np.diag([1e308, 1e300]), True),
+        ([[1e308, 5e307], [5e307, -1e308]], False),  # sigma = 1.118e308 twice
+    ):
+        code, out, err = _run_without_warnings(["linear-analyze", "--input", _write_matrix(tmp_path, "big.json", M)])
+        assert code == 0, err
+        report = json.loads(out)
+        jsonschema.validate(report, report_schema)
+        assert report["result"]["is_morse"] is morse
+        indices = [line.get("morse_index") for line in report["result"]["lines"]]
+        assert indices == ([0, 1] if morse else [None, None])
+
+
+def test_linear_analyze_refuses_an_asymmetry_past_the_largest_double(tmp_path):
+    path = _write_matrix(tmp_path, "asym.json", [[0.0, 1e308], [-1e308, 0.0]])
+    code, out, err = _run_without_warnings(["linear-analyze", "--input", path])
+    assert code == 2 and out == ""
+    assert "asym.json" in err and "not symmetric" in err
+
+
+def test_linear_analyze_refuses_a_subnormal_sigma_min(tmp_path):
+    path = _write_matrix(tmp_path, "sub.json", np.diag([1.0, 5e-324]))
+    code, out, err = _run_without_warnings(["linear-analyze", "--input", path])
+    assert code == 3 and out == ""
+    assert "singular or too ill-conditioned" in err
+
+
+def test_linear_morseify_distance_scales_with_the_matrix(tmp_path, report_schema):
+    def morseify(scale: float) -> dict:
+        path = _write_matrix(tmp_path, "scaled.json", scale * np.eye(3))
+        code, out, err = _run_without_warnings(["linear-morseify", "--input", path, "--eps", repr(0.1 * scale)])
+        assert code == 0, err
+        report = json.loads(out)
+        jsonschema.validate(report, report_schema)
+        return report["result"]
+
+    unit = morseify(1.0)["frobenius_distance"]
+    for scale in (1e200, 1e-200):
+        result = morseify(scale)
+        assert result["changed"] is True
+        assert result["frobenius_distance"] == pytest.approx(scale * unit, rel=1e-12)

@@ -153,3 +153,44 @@ def test_audit_matches_winding_oracle_on_random_fields():
         assert report.index == expected
         agreements += 1
     assert agreements == 12
+
+
+def test_pugh_sum_stays_an_exact_int():
+    assert fc.pugh_sum([1, 10**30]) == 1 - 10**30
+    assert fc.pugh_sum(np.array([3, 1, 4, 1, 5])) == 10
+
+
+def _constant_field_with_exact_tangencies(indices):
+    """360 unit-circle samples of the field (1, 0) with <X, n> exactly 0 at indices."""
+    samples = circle_samples(lambda p: np.array([1.0, 0.0]), 360)
+    for k in indices:
+        p, x, _ = samples[k]
+        samples[k] = (p, x, np.array([0.0, np.sign(p[1])]))
+    return samples
+
+
+@pytest.mark.parametrize("indices", [(90,), (90, 270)])
+def test_audit_counts_a_tangency_that_falls_on_a_sample(indices):
+    # (1, 0) is tangent to the circle at +-i: two exterior tangencies, index 0;
+    # a crossing runs between the samples either side of an exact zero
+    report = fc.disc_tangency_audit(_constant_field_with_exact_tangencies(indices))
+    assert (report.interior_tangencies, report.exterior_tangencies) == (0, 2)
+    assert (report.index, report.winding) == (0, 0)
+    assert report.consistent is True
+    assert report.under_sampled is True  # a sample on a tangency is still flagged
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        circle_samples(lambda p: np.array([p[0], -p[1]]), 719),
+        circle_samples(lambda p: np.array([p[0] ** 2 - p[1] ** 2, 2 * p[0] * p[1]]), 719),
+        circle_samples(lambda p: np.array([p[0], -p[1]]), 101),
+        _constant_field_with_exact_tangencies((90,)),
+    ],
+    ids=["saddle", "z-squared", "saddle-coarse", "exact-tangency"],
+)
+def test_audit_report_does_not_depend_on_the_first_sample(samples):
+    report = fc.disc_tangency_audit(samples)
+    for shift in (1, 37, len(samples) // 2, len(samples) - 1):
+        assert fc.disc_tangency_audit(samples[shift:] + samples[:shift]) == report

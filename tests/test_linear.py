@@ -246,3 +246,18 @@ def test_solver_outputs_lie_on_lines():
         pts = fc.sphere_search(fc.linear_form(A), 1.0, 40, int(rng.integers(2**31))).points
         for p in pts:
             assert min(line_distance(p.z, l.direction) for l in lineset.lines) <= 1e-6
+
+
+def test_symmatrix_keeps_a_subnormal_entry():
+    # halving each entry before adding would round 5e-324 to 0
+    M = np.diag([1.0, 5e-324]).astype(complex)
+    assert np.array_equal(fc.SymMatrix(M).array, M)
+
+
+def test_symmatrix_averages_entries_near_the_largest_double():
+    M = np.array([[1e308, 5e307 * (1 + 1e-15)], [5e307, -1e308]], dtype=complex)
+    S = fc.SymMatrix(M).array
+    assert np.array_equal(S, S.T)
+    assert np.all(np.isfinite(S.view(float)))
+    assert S[0, 0] == 1e308 and S[1, 1] == -1e308
+    assert abs(S[0, 1] - 5e307) <= 1e-15 * 5e307
