@@ -6,10 +6,10 @@ Core surfaces:
   matrices, Takagi factorization, ``gram_inverse``.
 * :mod:`folcontact.contact` — contact points and residuals
   (``point_at``), the sphere-constrained Newton search
-  (``sphere_search``), radial continuation, homogeneous radial invariance.
+  (``sphere_search``), radial continuation.
 * :mod:`folcontact.linear` — ``analyze``: the Morse verdict and the
   contact lines, with their Morse indices when the matrix is Morse;
-  Morse-ifying perturbations, unit-sphere tangency witnesses.
+  Morse-ifying perturbations.
 * :mod:`folcontact.leaf` — projected gradient field, leaf-restricted
   distance flows, restricted Hessians, transversality scans, persistence.
 * :mod:`folcontact.index` — exact Euler/index identities and the disc
@@ -17,7 +17,8 @@ Core surfaces:
 * :mod:`folcontact.errors` — the exception hierarchy.
 * :mod:`folcontact.jsonio` — JSON readers of the CLI's inputs, and
   ``to_json``, which writes every value of its reports.
-* :mod:`folcontact.cli` — the ``folcontact`` command.
+* :mod:`folcontact.cli` — the ``folcontact`` command: each subcommand
+  returns one library result, written by ``to_json``.
 
 The package re-exports, in ``__all__``, the public names of all but
 ``jsonio`` and ``cli``.
@@ -50,7 +51,6 @@ from .contact import (
     contact_residual,
     continue_radially,
     point_at,
-    radial_invariance_check,
     sphere_search,
 )
 from .errors import (
@@ -60,13 +60,13 @@ from .errors import (
     FlowError,
     FolContactError,
     LeafCorrectionError,
-    NonHomogeneousFormError,
     RadiusRangeError,
     SingularGradientError,
     SingularMatrixError,
 )
 from .index import (
     IndexReport,
+    SphereIdentity,
     disc_tangency_audit,
     euler_sphere,
     morse_sphere_identity,
@@ -78,6 +78,8 @@ from .leaf import (
     FlowResult,
     HessianReport,
     LeafChart,
+    ScanResult,
+    ScanSample,
     flow_to_critical,
     index_persistence,
     leaf_hessian,
@@ -89,11 +91,11 @@ from .leaf import (
 from .linear import (
     ContactLine,
     ContactLineSet,
+    MorseifyResult,
     MorseVerdict,
     analyze,
     hessian_eigenvalues_closed_form,
     morseify,
-    unit_sphere_tangencies,
 )
 
 # the names imported above, not the submodules the imports bind

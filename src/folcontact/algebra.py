@@ -475,10 +475,8 @@ def _require_invertible(A: SymMatrix) -> None:
     svals = np.linalg.svd(A.array, compute_uv=False)
     smin, smax = svals[-1], svals[0]
     if smin == 0.0 or smin < smax / COND_CAP:  # smax / smin overflows for a subnormal smin
-        detmod = float(np.prod(svals))
         raise SingularMatrixError(
-            f"matrix is singular or too ill-conditioned (|det| ~ {detmod:.3e}, "
-            f"sigma_min = {smin:.3e}, sigma_max = {smax:.3e})"
+            f"matrix is singular or too ill-conditioned (sigma_min = {smin:.3e}, sigma_max = {smax:.3e})"
         )
 
 

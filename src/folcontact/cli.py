@@ -8,10 +8,10 @@ root) and write one report format, JSON, on stdout:
 Each subcommand takes only the options it reads, and the config block
 echoes each of those, defaults included, plus the leaf value c a leaf
 command used (in place of --c-re and --c-im), so a report identifies its
-run exactly. Every value in a report is written by jsonio.to_json:
-linear-analyze, contact-solve, contact-trace, leaf-hessian and index-audit
-report their library result objects, and leaf-flow its point, so each
-result key is a field name and a field that is None is absent. Exit codes:
+run exactly. Each subcommand returns one library result (linear-analyze
+its verdict merged with its lines), and main writes the whole report with
+one jsonio.to_json call, so each result key is a field name and a field
+that is None is absent. Exit codes:
 0 success, 2 input error (non-finite numbers, input that is not UTF-8 and
 JSON nested too deeply to parse included), 3 numerical failure, which
 covers a result that is not finite: reports are strict JSON, without NaN
@@ -35,7 +35,6 @@ from .algebra import integrate_exact_form
 from .contact import (
     ACCEPT_TOL,
     continue_radially,
-    form_id,
     point_at,
     sphere_search,
 )
@@ -58,7 +57,7 @@ from .leaf import (
     project_to_leaf,
     transversality_scan,
 )
-from .linear import _frobenius, analyze, morseify
+from .linear import analyze, morseify
 
 TOOL = "folcontact"
 
@@ -177,38 +176,34 @@ def _leaf_setup(args, key: str):
     else:
         c = complex(args.c_re or 0.0, args.c_im or 0.0)
     del args.c_re, args.c_im
-    args.c = to_json(c)
+    args.c = c
     vec = project_to_leaf(integral, form, vec, c)
     return make_chart(integral, vec, c, form=form), vec
 
 
-# One function per subcommand, returning its result block. Each looks up the
-# library functions it calls in this module's globals at call time, so that
-# patching a name here (as a tracer does) reaches every command.
+# One function per subcommand, returning its library result. Each looks up
+# the library functions it calls in this module's globals at call time, so
+# that patching a name here (as a tracer does) reaches every command.
 
 
-def _linear_analyze(args) -> dict[str, Any]:
+def _linear_analyze(args):
     """Morse verdict and contact lines of a symmetric matrix."""
     verdict, lineset = analyze(matrix_from_json(_load_json(args.input), args.input))
-    return {**to_json(verdict), "lines": to_json(lineset.lines)}
+    return {**vars(verdict), "lines": lineset.lines}
 
 
-def _linear_morseify(args) -> dict[str, Any]:
+def _linear_morseify(args):
     """Nearest Morse-type perturbation of a symmetric matrix."""
-    A = matrix_from_json(_load_json(args.input), args.input)
-    out = morseify(A, args.eps)
-    dist = _frobenius(out.array - A.array)
-    matrix = {"n": out.n, "entries": to_json(out.array)}
-    return {"matrix": matrix, "frobenius_distance": dist, "changed": dist > 0.0}
+    return morseify(matrix_from_json(_load_json(args.input), args.input), args.eps)
 
 
-def _contact_solve(args) -> dict[str, Any]:
+def _contact_solve(args):
     """Contact points of a one-form on a sphere."""
     form = form_from_json(_load_json(args.input), args.input)
-    return to_json(sphere_search(form, args.radius, args.seeds, args.rng_seed, args.tol))
+    return sphere_search(form, args.radius, args.seeds, args.rng_seed, args.tol)
 
 
-def _contact_trace(args) -> dict[str, Any]:
+def _contact_trace(args):
     """Radial continuation of a contact point (input: {form, start})."""
     form, start_vec = _wrapped_input(_load_json(args.input), "start", args.input)
     try:
@@ -219,47 +214,34 @@ def _contact_trace(args) -> dict[str, Any]:
         raise InputFormatError(
             f"{args.input}: start is not a contact point (residual {start.residual:.3e})"
         )
-    return to_json(continue_radially(form, start, args.r_min, args.r_max, args.steps, args.tol))
+    return continue_radially(form, start, args.r_min, args.r_max, args.steps, args.tol)
 
 
-def _leaf_flow(args) -> dict[str, Any]:
+def _leaf_flow(args):
     """Distance flow on a leaf to a critical point (input: {form, seed})."""
     chart, seed = _leaf_setup(args, "seed")
-    flow = flow_to_critical(chart, seed, args.direction, tol=args.tol, max_steps=args.max_steps)
-    return {
-        "point": to_json(flow.point),
-        "steps": flow.steps,
-        "polished": flow.polished,
-        "phi_initial": flow.phi_trace[0],
-        "phi_final": float(np.sum(np.abs(flow.point.z) ** 2)),
-    }
+    return flow_to_critical(chart, seed, args.direction, tol=args.tol, max_steps=args.max_steps)
 
 
-def _leaf_hessian(args) -> dict[str, Any]:
+def _leaf_hessian(args):
     """Restricted Hessian at a critical point (input: {form, point})."""
-    return to_json(leaf_hessian(*_leaf_setup(args, "point")))
+    return leaf_hessian(*_leaf_setup(args, "point"))
 
 
-def _scan(args) -> dict[str, Any]:
+def _scan(args):
     """Transversality scan of a one-form over a sphere."""
     form = form_from_json(_load_json(args.input), args.input)
-    min_score, worst = transversality_scan(form, args.radius, args.samples, args.rng_seed)
-    return {
-        "min_score": min_score,
-        "worst": [{"score": s, "z": to_json(z)} for s, z in worst],
-    }
+    return transversality_scan(form, args.radius, args.samples, args.rng_seed)
 
 
-def _index_pugh(args) -> dict[str, Any]:
+def _index_pugh(args):
     """Even-sphere Morse boundary-index identity."""
-    lhs, rhs, holds = morse_sphere_identity(args.n, args.i)
-    return {"lhs": lhs, "rhs": rhs, "holds": holds}
+    return morse_sphere_identity(args.n, args.i)
 
 
-def _index_audit(args) -> dict[str, Any]:
+def _index_audit(args):
     """Boundary tangency audit of a planar field (input: sample list)."""
-    samples = boundary_samples_from_json(_load_json(args.input), args.input)
-    return to_json(disc_tangency_audit(samples))
+    return disc_tangency_audit(boundary_samples_from_json(_load_json(args.input), args.input))
 
 
 def main(argv=None) -> int:
@@ -285,7 +267,7 @@ def main(argv=None) -> int:
         "result": result,
     }
     try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(to_json(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         print(f"{TOOL}: numerical failure: non-finite report value ({exc})", file=sys.stderr)
         return 3

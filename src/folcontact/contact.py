@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import PolyOneForm, as_cvec, jacobian_form
-from .errors import NonHomogeneousFormError, RadiusRangeError, SingularGradientError
+from .errors import RadiusRangeError, SingularGradientError
 
 ACCEPT_TOL = 1e-9
 NEWTON_MAX_ITER = 100
@@ -600,34 +600,3 @@ def continue_radially(
         truncated=truncation_radius is not None,
         truncation_radius=truncation_radius,
     )
-
-
-def radial_invariance_check(
-    form: PolyOneForm,
-    p: ContactPoint,
-    T_samples,
-    tol: float,
-) -> bool:
-    """True iff every scaled point p * e^T stays on the contact variety.
-
-    Requires a homogeneous form (all coefficient polynomials of one total
-    degree k); for such forms the contact variety is invariant under the
-    radial orbits z -> z e^T with multiplier law mu -> mu conj(e^{kT}) e^{-T}.
-    p itself must be a contact point to tol (residual <= tol), else
-    ValueError. The scaled points form one stack: any that is 0 or not
-    finite raises ValueError, and any singular one SingularGradientError.
-    """
-    if form.homogeneous_degree() is None:
-        raise NonHomogeneousFormError(
-            "radial invariance is defined for homogeneous one-forms only"
-        )
-    if not p.residual <= tol:
-        raise ValueError(f"point is not a contact point to tol (residual {p.residual:.3e})")
-    Z = p.z * np.exp(np.asarray(T_samples, dtype=complex))[:, None]
-    radius = np.linalg.norm(Z, axis=1)
-    if not np.all((radius > 0.0) & (radius < np.inf)):
-        raise ValueError("a scaled point is 0 or not finite")
-    _, W, singular = _field(Z, *form.evaluate_scaled(Z))
-    if np.any(singular):
-        raise SingularGradientError("gradient of the one-form vanishes at a scaled point")
-    return bool(np.all(np.linalg.norm(W, axis=1) / radius <= tol))

@@ -3,7 +3,7 @@
 Two families matter to callers (and to the CLI exit codes):
 
 * ``ValueError`` subclasses signal bad inputs or violated preconditions
-  (wrong dimensions, non-homogeneous form where homogeneity is required).
+  (wrong dimensions).
 * plain ``FolContactError`` subclasses signal numerical failure on valid
   input (singular matrices, Newton divergence, flow stalls).
 """
@@ -17,10 +17,6 @@ class FolContactError(Exception):
 
 class DimensionMismatchError(FolContactError, ValueError):
     """Operands have incompatible dimensions."""
-
-
-class NonHomogeneousFormError(FolContactError, ValueError):
-    """Operation requires a homogeneous one-form."""
 
 
 class SingularMatrixError(FolContactError):

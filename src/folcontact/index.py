@@ -56,12 +56,21 @@ def poincare_index(i: int, e: int) -> int:
     return 1 + (i - e) // 2
 
 
-def morse_sphere_identity(n: int, i: int) -> tuple[int, int, bool]:
+@dataclass
+class SphereIdentity:
+    """Both sides of the even-sphere boundary-index identity, and whether they agree."""
+
+    lhs: int
+    rhs: int
+    holds: bool
+
+
+def morse_sphere_identity(n: int, i: int) -> SphereIdentity:
     """Check the boundary-index identity of a Morse singularity of index i.
 
-    For even n and 0 <= i <= n returns (lhs, rhs, lhs == rhs) with
-    lhs = (-1)^i and rhs assembled from sphere Euler characteristics of the
-    exit region and its boundary on S^{n-1}.
+    For even n and 0 <= i <= n returns SphereIdentity(lhs, rhs, lhs == rhs)
+    with lhs = (-1)^i and rhs assembled from sphere Euler characteristics of
+    the exit region and its boundary on S^{n-1}.
     """
     n, i = int(n), int(i)
     if n < 2 or n % 2 != 0:
@@ -75,7 +84,7 @@ def morse_sphere_identity(n: int, i: int) -> tuple[int, int, bool]:
         rhs = 1 + euler_sphere(n - 1)  # exit boundary empty
     else:
         rhs = 1 + euler_sphere(n - i - 1) - euler_sphere(i - 1) * euler_sphere(n - i - 1)
-    return lhs, rhs, lhs == rhs
+    return SphereIdentity(lhs, rhs, lhs == rhs)
 
 
 @dataclass

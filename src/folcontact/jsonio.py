@@ -2,10 +2,11 @@
 
 Complex numbers are {"re": .., "im": ..} objects everywhere; matrices and
 one-forms follow the canonical on-disk shapes consumed by the CLI (see
-schemas/ in the repository root). Every value in a report is written by
-one rule, to_json: a dataclass is an object of its fields with the None
-ones left out, so a field reaches a report by being a field and an unset
-one stays absent. Each reader takes the JSON path of its input, and a
+schemas/ in the repository root), and a SymMatrix is written in the shape
+matrix_from_json reads. Every value in a report is written by one rule,
+to_json: a dataclass is an object of its fields with the None ones left
+out, so a field reaches a report by being a field and an unset one stays
+absent. Each reader takes the JSON path of its input, and a
 parse error raises InputFormatError naming that path, for exit-code-2
 handling; that includes non-finite numbers (the NaN and Infinity
 literals Python's json module accepts, and literals too large for a
@@ -44,13 +45,19 @@ def to_json(obj: Any) -> Any:
     """Report JSON of a library result.
 
     A dataclass becomes an object of its fields, a field that is None left
-    out; a complex number, Python or numpy, becomes {"re", "im"}; an array,
-    list or tuple becomes a list, element by element; a numpy scalar
-    becomes its Python value; anything else is kept as it is.
+    out, and a dict an object of its values; a SymMatrix becomes
+    {"n", "entries"}, the shape matrix_from_json reads; a complex number,
+    Python or numpy, becomes {"re", "im"}; an array, list or tuple becomes
+    a list, element by element; a numpy scalar becomes its Python value;
+    anything else is kept as it is.
     """
     if dataclasses.is_dataclass(obj):
         fields = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
         return {name: to_json(v) for name, v in fields if v is not None}
+    if isinstance(obj, dict):
+        return {key: to_json(v) for key, v in obj.items()}
+    if isinstance(obj, SymMatrix):
+        return {"n": obj.n, "entries": to_json(obj.array)}
     if isinstance(obj, (complex, np.complexfloating)):
         return {"re": float(obj.real), "im": float(obj.imag)}
     if isinstance(obj, (np.ndarray, list, tuple)):

@@ -115,12 +115,31 @@ class HessianReport:
 
 @dataclass
 class FlowResult:
-    """Converged flow plus its trace (step count, distance values)."""
+    """Where a flow ended: the critical point, the steps taken, whether the
+    Newton polish found the point, and phi = |z|^2 at the seed and at the
+    point reported (the polished point, when polished)."""
 
     point: ContactPoint
     steps: int
-    phi_trace: list[float]
     polished: bool
+    phi_initial: float
+    phi_final: float
+
+
+@dataclass
+class ScanSample:
+    """One scanned sphere point and its score t_norm/|z|."""
+
+    score: float
+    z: np.ndarray
+
+
+@dataclass
+class ScanResult:
+    """The least score of a transversality scan and its worst samples, ascending."""
+
+    min_score: float
+    worst: list[ScanSample]
 
 
 def _sample(z: np.ndarray, f: np.ndarray, scale) -> FieldSample:
@@ -348,8 +367,7 @@ def flow_to_critical(
     evaluation = _evaluate(chart, z)
     g = complex(evaluation[0])
     _check_on_leaf(chart, g, "seed")
-    phi = float(np.sum(np.abs(z) ** 2))
-    trace = [phi]
+    phi = phi_initial = float(np.sum(np.abs(z) ** 2))
     s = _chart_sample(chart, z, evaluation)
     h = 0.005 * (1.0 + phi) / (s.t_norm**2 + 1e-300)
     last_polish_t = np.inf
@@ -360,9 +378,10 @@ def flow_to_critical(
             last_polish_t = s.t_norm
             polished = _polish_on_leaf(chart, s)
             if polished is not None and polished[0].t_norm <= tol:
-                return FlowResult(_sampled_point(*polished), steps, trace, polished=True)
+                point = _sampled_point(*polished)
+                return FlowResult(point, steps, True, phi_initial, float(np.sum(np.abs(point.z) ** 2)))
         if s.t_norm <= tol:
-            return FlowResult(_sampled_point(s, g), steps, trace, polished=False)
+            return FlowResult(_sampled_point(s, g), steps, False, phi_initial, phi)
         if steps >= max_steps:
             raise FlowError(
                 f"step limit exceeded (t_norm = {s.t_norm:.3e} after {steps} steps)",
@@ -391,7 +410,6 @@ def flow_to_critical(
                 break
             h *= 0.5
         z, phi = z_new, phi_new
-        trace.append(phi)
         steps += 1
         g, s = complex(evaluation[0]), _chart_sample(chart, z, evaluation)
         h *= 1.5
@@ -459,18 +477,18 @@ def leaf_hessian(chart: LeafChart, p) -> HessianReport:
     )
 
 
-def transversality_scan(
-    form: PolyOneForm, r: float, n_samples: int, rng_seed: int
-) -> tuple[float, list[tuple[float, np.ndarray]]]:
-    """Minimum of t_norm/|z| over random sphere samples, with the 10 worst points.
+def transversality_scan(form: PolyOneForm, r: float, n_samples: int, rng_seed: int) -> ScanResult:
+    """Minimum of t_norm/|z| over random sphere samples, with the 10 worst samples.
 
-    Samples share the seed stream with the contact solver, so larger sample
-    counts extend (and their minima refine) smaller ones. Sample points where
-    the gradient vanishes score 0 (a singular point on the sphere is maximal
-    non-transversality). The score of a homogeneous form is scale-free, so
-    such forms are sampled on the unit sphere and the worst points scaled
-    to radius r. A radius where f's rounding scale overflows at a sample
-    raises RadiusRangeError, as point_at does.
+    The ScanResult lists the worst samples by ascending score, so its
+    min_score is the first one's. Samples share the seed stream with the
+    contact solver, so larger sample counts extend (and their minima
+    refine) smaller ones. Sample points where the gradient vanishes score 0
+    (a singular point on the sphere is maximal non-transversality). The
+    score of a homogeneous form is scale-free, so such forms are sampled on
+    the unit sphere and the worst points scaled to radius r. A radius where
+    f's rounding scale overflows at a sample raises RadiusRangeError, as
+    point_at does.
     """
     _check_radius(r)
     if n_samples < 1:
@@ -485,8 +503,8 @@ def transversality_scan(
     scores = np.linalg.norm(w, axis=1) / r_sample
     scores[singular] = 0.0
     order = np.argsort(scores, kind="stable")[:10]
-    worst = [(float(scores[i]), z[i] * (r / r_sample)) for i in order]
-    return float(scores.min()), worst
+    worst = [ScanSample(float(scores[i]), z[i] * (r / r_sample)) for i in order]
+    return ScanResult(float(scores.min()), worst)
 
 
 def index_persistence(chart: LeafChart, p: ContactPoint, dc: complex) -> bool:

@@ -28,8 +28,7 @@ from .algebra import (
     linear_form,
     takagi,
 )
-from .contact import ACCEPT_TOL, ContactPoint, contact_residual, point_at
-from .errors import RadiusRangeError
+from .contact import ACCEPT_TOL, contact_residual
 
 
 @dataclass
@@ -60,6 +59,15 @@ class MorseVerdict:
     is_morse: bool
     sigma: list[float]  # descending
     min_gap: float
+
+
+@dataclass
+class MorseifyResult:
+    """A Morse-type matrix near A, its Frobenius distance from A, and whether it moved."""
+
+    matrix: SymMatrix
+    frobenius_distance: float
+    changed: bool
 
 
 def _canonical_direction(w: np.ndarray) -> np.ndarray:
@@ -98,17 +106,17 @@ def verdict_from_takagi(tk: TakagiFactors) -> MorseVerdict:
     )
 
 
-def _unit_form(A: SymMatrix) -> tuple[PolyOneForm, int]:
-    """(linear_form(A 2^-e), e), with e the binary exponent of max |a_ij|.
+def _unit_form(A: SymMatrix) -> PolyOneForm:
+    """linear_form(A 2^-e), with e the binary exponent of max |a_ij|.
 
     The contact residual and the lines do not change under f -> c f, and
     scaling by a power of two is exact, so the lines are checked on a form
     whose largest entry lies in [1/2, 1): at the scale of A itself, ||f||^2
     and the rounding scale leave the doubles for |f| below about 1e-154
-    or above 1e154. A multiplier of this form is 2^e times A's.
+    or above 1e154.
     """
     e = int(np.frexp(np.abs(A.array).max())[1])
-    return linear_form(SymMatrix(np.ldexp(A.array.view(float), -e).view(complex))), e
+    return linear_form(SymMatrix(np.ldexp(A.array.view(float), -e).view(complex)))
 
 
 def _frobenius(D: np.ndarray) -> float:
@@ -140,7 +148,7 @@ def analyze(A: SymMatrix) -> tuple[MorseVerdict, ContactLineSet]:
     _require_invertible(A)
     tk = takagi(A)
     verdict = verdict_from_takagi(tk)
-    form, _ = _unit_form(A)
+    form = _unit_form(A)
     lines: list[ContactLine] = []
     rejected: list[ContactLine] = []
     for j, s in enumerate(tk.sigma):
@@ -155,22 +163,23 @@ def analyze(A: SymMatrix) -> tuple[MorseVerdict, ContactLineSet]:
     return verdict, ContactLineSet(lines=lines, rejected=rejected)
 
 
-def morseify(A: SymMatrix, eps: float) -> SymMatrix:
-    """A Morse-type matrix within eps of A in Frobenius norm.
+def morseify(A: SymMatrix, eps: float) -> MorseifyResult:
+    """A Morse-type matrix within eps of A in Frobenius norm, with its distance.
 
-    No-op for already-Morse input. Otherwise the Takagi values are spread by
-    a staircase delta = eps/(2n) (shrunk if needed to respect the Frobenius
-    budget, which the plain staircase can exceed for n > 12) and the matrix
-    reassembled as U diag(sigma') U^T, which SymMatrix averages to exact
-    symmetry. The Frobenius distance is taken at unit scale, so the budget
-    holds for A at any scale the doubles hold. Raises ValueError when eps
+    Already-Morse input comes back as it is, (A, 0.0, False). Otherwise the
+    Takagi values are spread by a staircase delta = eps/(2n) (shrunk if
+    needed to respect the Frobenius budget, which the plain staircase can
+    exceed for n > 12) and the matrix reassembled as U diag(sigma') U^T,
+    which SymMatrix averages to exact symmetry. The Frobenius distance is
+    taken once, at unit scale, so the budget holds and the distance is
+    reported for A at any scale the doubles hold. Raises ValueError when eps
     is too small for the perturbed gaps to clear the Morse gap tolerance.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     tk = takagi(A)
     if verdict_from_takagi(tk).is_morse:
-        return A
+        return MorseifyResult(A, 0.0, False)
     n = A.n
     sigma = np.asarray(tk.sigma, dtype=float)
     delta = eps / (2.0 * n)
@@ -188,26 +197,7 @@ def morseify(A: SymMatrix, eps: float) -> SymMatrix:
     out = SymMatrix(M)
     if not verdict_from_takagi(takagi(out)).is_morse:
         raise AssertionError("morseify produced a non-Morse matrix")
-    if _frobenius(out.array - A.array) > eps * (1.0 + 1e-12):
+    distance = _frobenius(out.array - A.array)
+    if distance > eps * (1.0 + 1e-12):
         raise AssertionError("morseify exceeded the Frobenius budget")
-    return out
-
-
-def unit_sphere_tangencies(A: SymMatrix) -> list[ContactPoint]:
-    """One contact-point witness per line on the unit sphere.
-
-    Nonempty for every invertible symmetric A: the contact lines exist even
-    in the non-Morse case, so the sphere is never free of tangencies. Each
-    witness is solved on the form analyze checks, A scaled by 2^-e, and its
-    mu scaled back by 2^-e, exactly; a mu that is not a normal double
-    raises RadiusRangeError.
-    """
-    _, lineset = analyze(A)
-    form, e = _unit_form(A)
-    points = [point_at(form, line.direction, line.morse_index) for line in lineset.lines]
-    with np.errstate(over="ignore"):  # a mu out of range is refused below
-        for p in points:
-            p.mu = complex(np.ldexp(p.mu.real, -e), np.ldexp(p.mu.imag, -e))
-    if not all(np.finfo(float).tiny <= abs(p.mu) < np.inf for p in points):
-        raise RadiusRangeError("a contact line's multiplier mu is out of range: |mu| is not a normal double")
-    return points
+    return MorseifyResult(out, distance, distance > 0.0)

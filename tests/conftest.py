@@ -109,6 +109,14 @@ def line_distance(z: np.ndarray, direction: np.ndarray) -> float:
     return float(np.linalg.norm(z - proj))
 
 
+def radially_invariant(form: fc.PolyOneForm, p: fc.ContactPoint, T_samples, tol: float) -> bool:
+    """Does every scaled point p e^T, T complex, stay on the contact variety to tol?
+
+    For a homogeneous form the contact variety is invariant under z -> z e^T.
+    """
+    return all(fc.point_at(form, p.z * np.exp(T)).residual <= tol for T in T_samples)
+
+
 def homogeneous_leaf_scale(integral: fc.Polynomial, z, c: complex) -> np.ndarray:
     """z scaled onto the leaf {g = c} of a homogeneous g of degree k: z (c / g(z))^(1/k)."""
     z = np.asarray(z, dtype=complex)

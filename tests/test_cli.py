@@ -14,10 +14,10 @@ import pytest
 import folcontact as fc
 from folcontact import cli
 from folcontact.contact import ACCEPT_TOL, ContactPath, ContactPoint, SphereSearch
-from folcontact.index import IndexReport
-from folcontact.leaf import DEFAULT_FLOW_TOL, HessianReport
+from folcontact.index import IndexReport, SphereIdentity
+from folcontact.leaf import DEFAULT_FLOW_TOL, FlowResult, HessianReport, ScanResult, ScanSample
 from folcontact.jsonio import to_json
-from folcontact.linear import ContactLine, MorseVerdict
+from folcontact.linear import ContactLine, MorseifyResult, MorseVerdict
 
 from folcontact.cli import main as cli_main
 
@@ -185,21 +185,32 @@ def _field_names(cls) -> set[str]:
 
 def test_serialised_dataclasses_have_exactly_their_schema_properties(report_schema):
     # a result field reaches a report by being a field (jsonio.to_json), so
-    # one the closed schema does not list must fail here, not in a report
+    # one the closed schema does not list must fail here, not in a report;
+    # every command's result block is tied to its library type
     results = {
         rule["if"]["properties"]["command"]["const"]: rule["then"]["properties"]["result"]
         for rule in report_schema["allOf"]
     }
     analyze = results["linear-analyze"]
-    for block, names in [
+    morseify = results["linear-morseify"]
+    scan = results["scan"]
+    blocks = [
         (analyze, _field_names(MorseVerdict) | {"lines"}),
         (analyze["properties"]["lines"]["items"], _field_names(ContactLine)),
+        (morseify, _field_names(MorseifyResult)),
+        (morseify["properties"]["matrix"], {"n", "entries"}),  # to_json of a SymMatrix
         (results["contact-solve"], _field_names(SphereSearch)),
         (results["contact-trace"], _field_names(ContactPath)),
+        (results["leaf-flow"], _field_names(FlowResult)),
         (results["leaf-hessian"], _field_names(HessianReport)),
+        (scan, _field_names(ScanResult)),
+        (scan["properties"]["worst"]["items"], _field_names(ScanSample)),
+        (results["index-pugh"], _field_names(SphereIdentity)),
         (results["index-audit"], _field_names(IndexReport)),
         (report_schema["$defs"]["point"], _field_names(ContactPoint)),
-    ]:
+    ]
+    assert set(results) == set(COMMANDS)
+    for block, names in blocks:
         assert block["additionalProperties"] is False
         assert set(block["properties"]) == names
         assert set(block["required"]) <= names
@@ -672,7 +683,7 @@ def test_exit_3_on_non_finite_report(tmp_path):
 
 
 def test_exit_3_on_a_non_finite_report_value(monkeypatch):
-    monkeypatch.setattr(cli, "morse_sphere_identity", lambda n, i: (float("nan"), 1, False))
+    monkeypatch.setattr(cli, "morse_sphere_identity", lambda n, i: SphereIdentity(float("nan"), 1, False))
     code, out, err = run_cli(["index-pugh", "--n", "2", "--i", "0"])
     assert code == 3 and out == ""
     assert "non-finite report value" in err
@@ -828,6 +839,19 @@ def test_linear_analyze_refuses_a_subnormal_sigma_min(tmp_path):
     code, out, err = _run_without_warnings(["linear-analyze", "--input", path])
     assert code == 3 and out == ""
     assert "singular or too ill-conditioned" in err
+
+
+@pytest.mark.parametrize("diagonal", [[1e308, 1e308, 0.0], [1e200, 1e-200]])
+def test_exit_3_on_a_singular_matrix_at_either_end_of_the_doubles(tmp_path, diagonal):
+    # the message named prod(sigma): "nan" with two overflow warnings for the
+    # first, a misleading 1.0 for the second
+    path = _write_matrix(tmp_path, "singular.json", np.diag(diagonal))
+    code, out, err = _run_without_warnings(["linear-analyze", "--input", path])
+    assert code == 3 and out == ""
+    assert err == (
+        "folcontact: numerical failure: matrix is singular or too ill-conditioned "
+        f"(sigma_min = {min(diagonal):.3e}, sigma_max = {max(diagonal):.3e})\n"
+    )
 
 
 def test_linear_morseify_distance_scales_with_the_matrix(tmp_path, report_schema):

@@ -19,12 +19,13 @@ from folcontact.contact import (
     sphere_search,
     sphere_seeds,
 )
-from folcontact.errors import NonHomogeneousFormError, RadiusRangeError, SingularGradientError
+from folcontact.errors import RadiusRangeError, SingularGradientError
 
 from conftest import (
     axis_distance,
     degree_five_form,
     random_exact_form,
+    radially_invariant,
     random_morse,
     real_rows_by_concatenation,
 )
@@ -679,14 +680,12 @@ def test_start_point_is_judged_by_the_callers_tol(form321):
     assert start.residual == pytest.approx(5e-9)
     path = fc.continue_radially(form321, start, 0.1, 2.0, 6, tol=1e-6)
     assert not path.truncated and all(p.residual <= 1e-6 for p in path.points)
-    assert fc.radial_invariance_check(form321, start, [0.5, 1j], 1e-6)
+    assert radially_invariant(form321, start, [0.5, 1j], 1e-6)
     # residual 5e-10: within ACCEPT_TOL, above 1e-10
     start = fc.point_at(form321, [1e-9, 1.0, 0.0])
     assert start.residual == pytest.approx(5e-10)
     with pytest.raises(ValueError, match="not a contact point"):
         fc.continue_radially(form321, start, 0.1, 2.0, 6, tol=1e-10)
-    with pytest.raises(ValueError, match="not a contact point"):
-        fc.radial_invariance_check(form321, start, [0.5, 1j], 1e-10)
 
 
 def test_continue_radially_truncates_at_a_singular_grid_point():
@@ -794,43 +793,36 @@ def test_form_id_is_pinned(form321, cubic3):
 
 
 def test_radial_invariance_examples(form321, cubic3):
+    # a homogeneous form's contact variety is invariant under z -> z e^T, T complex
     p = fc.point_at(form321, [0.7, 0.0, 0.0])
-    assert fc.radial_invariance_check(form321, p, [1.0, 1j, 1 + 1j], 1e-9)
+    assert radially_invariant(form321, p, [1.0, 1j, 1 + 1j], 1e-9)
 
     form = cubic3.differential()
     q = fc.point_at(form, [0.8, 0.0, 0.0])
-    assert fc.radial_invariance_check(form, q, [1j * np.pi / 4], 1e-9)
-
-    mixed = fc.PolyOneForm(
-        [
-            fc.Polynomial(2, [(1.0, (1, 0)), (0.5, (2, 0))]),
-            fc.Polynomial(2, [(1.0, (0, 1))]),
-        ]
-    )
-    pt = fc.ContactPoint(z=np.array([1.0, 0j]), mu=1.0, radius=1.0, residual=0.0)
-    with pytest.raises(NonHomogeneousFormError):
-        fc.radial_invariance_check(mixed, pt, [1.0], 1e-9)
+    assert radially_invariant(form, q, [1j * np.pi / 4], 1e-9)
 
 
 def test_radial_invariance_raises_at_a_singular_scaled_point(cubic3):
     # f = 3 z^2 is homogeneous, so it vanishes on the orbit of a contact point
     # only by underflow: at |z| ~ 1e-100, |f|^2 and the rounding scale's
-    # square round to 0, so the gradient vanishes to rounding there
+    # square round to 0, so the gradient vanishes to rounding there, and the
+    # radial trace through the point truncates where that begins
     form = cubic3.differential()
     p = fc.point_at(form, [0.8, 0.0, 0.0])
-    assert fc.radial_invariance_check(form, p, [0.5, 1j], 1e-9)
-    for T_samples in ([0.5, -230.0], [-230.0, 0.5]):
-        with pytest.raises(SingularGradientError):
-            fc.radial_invariance_check(form, p, T_samples, 1e-9)
+    assert radially_invariant(form, p, [0.5, 1j], 1e-9)
+    with pytest.raises(SingularGradientError):
+        fc.point_at(form, p.z * np.exp(-230.0))
     with pytest.raises(ValueError):  # e^T underflows: the scaled point is 0
-        fc.radial_invariance_check(form, p, [0.5, -800.0], 1e-9)
+        fc.point_at(form, p.z * np.exp(-800.0))
+    path = fc.continue_radially(form, p, 1e-120, 2.0, 40)
+    assert path.truncated and path.truncation_radius == pytest.approx(1.26e-80, rel=1e-3)
 
 
 def test_radial_invariance_property_on_solved_points(cubic3):
     form = cubic3.differential()
     grid = [0.5, 1j, 1 + 1j, 1j * np.pi / 4]
     for p in sphere_search(form, 1.0, 30, 2718).points:
-        assert fc.radial_invariance_check(form, p, grid, 1e-9)
+        assert radially_invariant(form, p, grid, 1e-9)
 
 
 def test_oracle_equivalence_small(form321):

@@ -29,7 +29,6 @@ EXPORTS = [
     "contact_residual",
     "continue_radially",
     "point_at",
-    "radial_invariance_check",
     "sphere_search",
     # errors
     "ChartError",
@@ -38,12 +37,12 @@ EXPORTS = [
     "FlowError",
     "FolContactError",
     "LeafCorrectionError",
-    "NonHomogeneousFormError",
     "RadiusRangeError",
     "SingularGradientError",
     "SingularMatrixError",
     # index
     "IndexReport",
+    "SphereIdentity",
     "disc_tangency_audit",
     "euler_sphere",
     "morse_sphere_identity",
@@ -54,6 +53,8 @@ EXPORTS = [
     "FlowResult",
     "HessianReport",
     "LeafChart",
+    "ScanResult",
+    "ScanSample",
     "flow_to_critical",
     "index_persistence",
     "leaf_hessian",
@@ -64,11 +65,11 @@ EXPORTS = [
     # linear
     "ContactLine",
     "ContactLineSet",
+    "MorseifyResult",
     "MorseVerdict",
     "analyze",
     "hessian_eigenvalues_closed_form",
     "morseify",
-    "unit_sphere_tangencies",
 ]
 
 

@@ -39,9 +39,9 @@ def test_poincare_index():
 
 
 def test_morse_sphere_identity_examples():
-    assert fc.morse_sphere_identity(4, 1) == (-1, -1, True)
-    assert fc.morse_sphere_identity(4, 2) == (1, 1, True)
-    assert fc.morse_sphere_identity(4, 0) == (1, 1, True)
+    assert fc.morse_sphere_identity(4, 1) == fc.SphereIdentity(-1, -1, True)
+    assert fc.morse_sphere_identity(4, 2) == fc.SphereIdentity(1, 1, True)
+    assert fc.morse_sphere_identity(4, 0) == fc.SphereIdentity(1, 1, True)
     with pytest.raises(ValueError):
         fc.morse_sphere_identity(5, 1)
     with pytest.raises(ValueError):
@@ -51,17 +51,17 @@ def test_morse_sphere_identity_examples():
 def test_morse_sphere_identity_exhaustive():
     for n in range(2, 13, 2):
         for i in range(n + 1):
-            lhs, rhs, holds = fc.morse_sphere_identity(n, i)
-            assert holds, (n, i, lhs, rhs)
-            assert isinstance(lhs, int) and isinstance(rhs, int)
+            identity = fc.morse_sphere_identity(n, i)
+            assert identity.holds, (n, i, identity)
+            assert isinstance(identity.lhs, int) and isinstance(identity.rhs, int)
 
 
 def test_integer_exactness():
     assert isinstance(fc.euler_sphere(3), int)
     assert isinstance(fc.pugh_sum([2, 5, 1]), int)
     assert isinstance(fc.poincare_index(4, 2), int)
-    lhs, rhs, _ = fc.morse_sphere_identity(6, 3)
-    assert isinstance(lhs, int) and isinstance(rhs, int)
+    identity = fc.morse_sphere_identity(6, 3)
+    assert isinstance(identity.lhs, int) and isinstance(identity.rhs, int)
 
 
 # -----------------------------------------------------------------------------

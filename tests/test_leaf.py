@@ -187,6 +187,21 @@ def test_gradient_identity_in_chart(diag321, form321, integral321):
 # -----------------------------------------------------------------------------
 
 
+def _phi_per_step(chart, z0, direction: str, steps: int, **flow_options) -> list[float]:
+    """phi = |z|^2 at each of a flow's first `steps` steps, step 0 the seed.
+
+    The flow is deterministic, so its point after k steps is the last point
+    of the FlowError a rerun capped at max_steps = k raises.
+    """
+    phis = []
+    for k in range(steps):
+        with pytest.raises(FlowError, match="step limit") as info:
+            fc.flow_to_critical(chart, z0, direction, max_steps=k, **flow_options)
+        assert info.value.steps == k
+        phis.append(float(np.sum(np.abs(info.value.last_point.z) ** 2)))
+    return phis
+
+
 def test_flow_descend_to_minimum(form321, integral321):
     rng = np.random.default_rng(15)
     for _ in range(5):
@@ -197,7 +212,12 @@ def test_flow_descend_to_minimum(form321, integral321):
         assert abs(np.linalg.norm(res.point.z) - np.sqrt(2.0 / 3.0)) <= 1e-6
         assert axis_distance(res.point.z, 0) <= 1e-6
         assert fc.sample_field(form321, res.point.z).t_norm <= 1e-8
-        assert all(b < a for a, b in zip(res.phi_trace, res.phi_trace[1:]))
+        assert res.phi_initial == float(np.sum(np.abs(z0) ** 2))
+        assert res.phi_final == float(np.sum(np.abs(res.point.z) ** 2))
+        # phi decreases strictly at every accepted step, and to the point reported
+        phis = _phi_per_step(chart, z0, "descend", res.steps, tol=1e-8) + [res.phi_final]
+        assert res.steps > 0 and phis[0] == res.phi_initial
+        assert all(b < a for a, b in zip(phis, phis[1:]))
         # flow limits are contact points
         assert res.point.residual <= 10 * 1e-8
 
@@ -206,7 +226,8 @@ def test_flow_already_critical_returns_immediately(form321, integral321):
     p = np.array([np.sqrt(2.0 / 3.0), 0.0, 0.0], dtype=complex)
     chart = fc.make_chart(integral321, p, 1.0, form=form321)
     res = fc.flow_to_critical(chart, p, "descend")
-    assert res.steps == 0 and res.polished is True and res.phi_trace == [2.0 / 3.0]
+    assert res.steps == 0 and res.polished is True and res.phi_initial == 2.0 / 3.0
+    assert res.phi_final == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert np.linalg.norm(res.point.z - p) <= 1e-9
 
 
@@ -505,26 +526,24 @@ def test_chart_requires_gradient(integral321, form321):
 
 
 def test_scan_symplectic_unit(symplectic4):
-    min_score, worst = fc.transversality_scan(symplectic4, 1.0, 10_000, 21)
-    assert min_score == pytest.approx(1.0, abs=1e-12)
-    assert len(worst) == 10
-    assert worst[0][0] == min_score
+    scan = fc.transversality_scan(symplectic4, 1.0, 10_000, 21)
+    assert scan.min_score == pytest.approx(1.0, abs=1e-12)
+    assert len(scan.worst) == 10
+    assert scan.worst[0].score == scan.min_score
 
 
 def test_scan_diag_finds_near_contact(form321):
     # thresholds frozen from measurement: 1e4 uniform samples on S^5 land
     # within ~0.1 of an axis (min-distance scaling N^(-1/4)), 1e5 within ~0.05
-    min_score, worst = fc.transversality_scan(form321, 1.0, 10_000, 22)
-    assert min_score < 0.15
-    score, z = worst[0]
-    assert min(axis_distance(z, j) for j in range(3)) < 0.3
-    min_score_dense, _ = fc.transversality_scan(form321, 1.0, 100_000, 23)
-    assert min_score_dense < 0.05
+    scan = fc.transversality_scan(form321, 1.0, 10_000, 22)
+    assert scan.min_score < 0.15
+    assert min(axis_distance(scan.worst[0].z, j) for j in range(3)) < 0.3
+    assert fc.transversality_scan(form321, 1.0, 100_000, 23).min_score < 0.05
 
 
 def test_scan_minimum_decreases_with_samples(form321):
     mins = [
-        fc.transversality_scan(form321, 1.0, n, 23)[0] for n in (100, 1000, 10_000)
+        fc.transversality_scan(form321, 1.0, n, 23).min_score for n in (100, 1000, 10_000)
     ]
     assert mins[0] >= mins[1] >= mins[2]
 
@@ -532,8 +551,8 @@ def test_scan_minimum_decreases_with_samples(form321):
 def test_scan_deterministic(form321):
     a = fc.transversality_scan(form321, 1.0, 500, 24)
     b = fc.transversality_scan(form321, 1.0, 500, 24)
-    assert a[0] == b[0]
-    assert all(np.array_equal(x[1], y[1]) and x[0] == y[0] for x, y in zip(a[1], b[1]))
+    assert a.min_score == b.min_score
+    assert all(np.array_equal(x.z, y.z) and x.score == y.score for x, y in zip(a.worst, b.worst))
 
 
 def test_scan_singular_mask_agrees_with_mu_of(monkeypatch):
@@ -544,9 +563,10 @@ def test_scan_singular_mask_agrees_with_mu_of(monkeypatch):
     points = np.array([[1.0, 0.0], [1.0 + 1e-10, 1.0], [1.0, 1j]], dtype=complex)
     monkeypatch.setattr(leaf, "sphere_seeds", lambda n, count, seed, r: points[:count])
     for form, want_singular in ((step, [True, False, True]), (tiny, [False, False, False])):
-        _, worst = fc.transversality_scan(form, 1.0, 3, 0)
+        worst = fc.transversality_scan(form, 1.0, 3, 0).worst
         singular = []
-        for score, z in sorted(worst, key=lambda sz: points.tolist().index(sz[1].tolist())):
+        for sample in sorted(worst, key=lambda s: points.tolist().index(s.z.tolist())):
+            score, z = sample.score, sample.z
             try:
                 fc.point_at(form, z)
                 singular.append(False)

@@ -1,7 +1,8 @@
-"""Morse verdicts, contact lines, indices, morseify, tangency witnesses."""
+"""Morse verdicts, contact lines, indices, morseify, unit-sphere tangencies."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +10,15 @@ import pytest
 
 import folcontact as fc
 from folcontact import linear
-from folcontact.errors import RadiusRangeError, SingularMatrixError
+from folcontact.errors import SingularMatrixError
 
 from conftest import axis_distance, line_distance, random_morse, random_symmetric
+
+
+def _tangencies(A: fc.SymMatrix) -> list[fc.ContactPoint]:
+    """One unit-sphere tangency per contact line of A: analyze's lines through point_at."""
+    form = fc.linear_form(A)
+    return [fc.point_at(form, line.direction, line.morse_index) for line in fc.analyze(A)[1].lines]
 
 
 def test_analyze_diag(diag321):
@@ -69,16 +76,7 @@ def test_analyze_and_tangencies_find_every_line_at_extreme_scales(scale):
     assert verdict.is_morse and not lineset.rejected
     assert [line.morse_index for line in lineset.lines] == [0, 1, 2]
     assert all(line.residual <= np.finfo(float).eps for line in lineset.lines)
-    points = fc.unit_sphere_tangencies(A)
-    assert [p.morse_index for p in points] == [0, 1, 2]
-    assert all(p.residual <= np.finfo(float).eps for p in points)
-    assert np.allclose([abs(p.mu) * scale for p in points], 1.0 / sigma, rtol=1e-14, atol=0.0)
-
-
-def test_tangencies_refuse_a_multiplier_out_of_the_normal_doubles():
-    # |mu| = 1/sigma = 1.25e-308 on the first line, below the smallest normal double
-    with pytest.raises(RadiusRangeError, match="multiplier"):
-        fc.unit_sphere_tangencies(fc.SymMatrix(np.diag([8e307, 1e296])))
+    assert np.allclose([line.mu_modulus * scale for line in lineset.lines], 1.0 / sigma, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("j", [0, 1, 2])
@@ -106,6 +104,22 @@ def test_analyze_rejects_singular():
         fc.analyze(fc.SymMatrix(np.diag([1.0, 1.0, 0.0]).astype(complex)))
 
 
+@pytest.mark.parametrize("diagonal", [[1e308, 1e308, 0.0], [1e200, 1e-200]])
+def test_singular_matrix_message_overflows_at_neither_end_of_the_doubles(diagonal):
+    # sigma_min and sigma_max name the failure; their product, which the
+    # message used to give, is nan (with overflow warnings) for the first and
+    # a misleading 1.0 for the second
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SingularMatrixError) as info:
+            fc.analyze(fc.SymMatrix(np.diag(diagonal)))
+    assert caught == []
+    assert str(info.value) == (
+        "matrix is singular or too ill-conditioned "
+        f"(sigma_min = {min(diagonal):.3e}, sigma_max = {max(diagonal):.3e})"
+    )
+
+
 def test_morse_indices_diag(diag321):
     verdict, lineset = fc.analyze(diag321)
     assert verdict.is_morse
@@ -123,19 +137,24 @@ def test_closed_form_hessian_eigenvalues():
 
 
 def test_morseify_identity(identity3):
-    out = fc.morseify(identity3, 1e-3)
+    result = fc.morseify(identity3, 1e-3)
+    out = result.matrix
     assert fc.analyze(out)[0].is_morse
     assert np.linalg.norm(out.array - identity3.array) <= 1e-3
+    # the distance is computed once, by the budget check, and reported
+    assert result.frobenius_distance == np.linalg.norm(out.array - identity3.array)
+    assert result.changed is True
 
 
 def test_morseify_noop_on_morse(diag321):
-    assert fc.morseify(diag321, 0.5) is diag321
-    assert fc.morseify(diag321, 1e-6) is diag321
+    for eps in (0.5, 1e-6):
+        assert fc.morseify(diag321, eps) == fc.MorseifyResult(diag321, 0.0, False)
+        assert fc.morseify(diag321, eps).matrix is diag321
 
 
 def test_morseify_offdiagonal():
     A = fc.SymMatrix([[0.0, 1.0], [1.0, 0.0]])
-    out = fc.morseify(A, 1e-2)
+    out = fc.morseify(A, 1e-2).matrix
     assert fc.analyze(out)[0].is_morse
     assert np.linalg.norm(out.array - A.array) <= 1e-2
 
@@ -153,15 +172,15 @@ def test_morseify_property():
             M = tk.U @ np.diag(sigma) @ tk.U.T
             A = fc.SymMatrix(0.5 * (M + M.T))
         for eps in (1e-2, 1e-4):
-            out = fc.morseify(A, eps)
+            out = fc.morseify(A, eps).matrix
             assert fc.analyze(out)[0].is_morse
             assert np.linalg.norm(out.array - A.array) <= eps
             # idempotence: a Morse output morseifies to itself
-            assert fc.morseify(out, eps) is out
+            assert fc.morseify(out, eps).matrix is out
 
 
 def test_unit_sphere_tangencies_diag(diag321):
-    points = fc.unit_sphere_tangencies(diag321)
+    points = _tangencies(diag321)
     assert len(points) == 3
     for j, p in enumerate(points):
         assert axis_distance(p.z, j) <= 1e-9
@@ -173,7 +192,7 @@ def test_unit_sphere_tangencies_random_morse():
     rng = np.random.default_rng(55)
     for _ in range(10):
         A = random_morse(rng, 4)
-        points = fc.unit_sphere_tangencies(A)
+        points = _tangencies(A)
         assert len(points) == 4
         assert all(p.residual <= 1e-9 for p in points)
 
@@ -184,7 +203,7 @@ def test_unit_sphere_tangencies_are_the_lines_packaged_as_points():
         A = random_morse(rng, n)
         form = fc.linear_form(A)
         _, lineset = fc.analyze(A)
-        for p, line in zip(fc.unit_sphere_tangencies(A), lineset.lines, strict=True):
+        for p, line in zip(_tangencies(A), lineset.lines, strict=True):
             assert np.array_equal(p.z, line.direction)
             assert p.mu == fc.point_at(form, line.direction).mu
             assert p.residual == line.residual
@@ -193,7 +212,7 @@ def test_unit_sphere_tangencies_are_the_lines_packaged_as_points():
 
 
 def test_unit_sphere_tangencies_identity(identity3):
-    points = fc.unit_sphere_tangencies(identity3)
+    points = _tangencies(identity3)
     assert len(points) >= 3
     assert all(p.residual <= 1e-9 for p in points)
 

@@ -74,14 +74,14 @@ def test_form_json_round_trip(form, data):
     text = json.dumps(form_to_json(form), allow_nan=False)
     assert form_from_json(json.loads(text), "form") == form
     # a vector and a symmetric matrix of the form's dimension, both from one
-    # draw of n x n entries, written by to_json
+    # draw of n x n entries, written by to_json and read back by their readers
     n = form.n
     entries = st.lists(st.builds(complex, coefficient, coefficient), min_size=n * n, max_size=n * n)
     M = np.array(data.draw(entries)).reshape(n, n)
     z, A = M[0], fc.SymMatrix(M + M.T)
     text = json.dumps(to_json(z), allow_nan=False)
     assert np.array_equal(cvec_from_json(json.loads(text), "vector", n), z)
-    text = json.dumps({"n": n, "entries": to_json(A.array)}, allow_nan=False)
+    text = json.dumps(to_json(A), allow_nan=False)
     assert np.array_equal(matrix_from_json(json.loads(text), "matrix").array, A.array)
 
 
