@@ -358,9 +358,12 @@ class PolyOneForm(_MonomialTable):
 
         The scale is the size f(z) would have if no terms cancelled: f(z) is
         exact to a few rounding units of it. It is 0 for the zero form and
-        wherever every term vanishes. Both come from one monomial build.
+        wherever every term vanishes. Both come from one monomial build. A
+        point past the doubles gives a non-finite scale, with no warning:
+        callers test the scale.
         """
-        return self._dot(z, scaled=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._dot(z, scaled=True)
 
     def __repr__(self) -> str:
         return f"PolyOneForm(n={self.n}, degrees={tuple(f.total_degree for f in self.coeffs)})"

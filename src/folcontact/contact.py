@@ -17,9 +17,16 @@ so it holds at any |z|.
 computed, for a point or a stack, from f and its rounding scale, which
 one monomial build gives together (PolyOneForm.evaluate_scaled here, the
 leaf chart's [g | f] table in leaf.py). Its callers pick what a singular
-point means: point_at, and contact_residual through it, raise
-SingularGradientError, sphere_search drops the row, and continue_radially
-truncates the path there.
+point means. Here it has two: point_at, and contact_residual through it,
+raise SingularGradientError, and `_contact_rows`, the one verdict on
+whether the rows of a stack are contact points, fails the row, as it
+fails a row whose rounding scale is not finite or whose residual is
+above tol. `_newton_on_sphere` keeps only the rows that pass, so
+sphere_search drops the others and the corrector of continue_radially
+truncates the path there; a homogeneous trace truncates at its first
+failing row. Every contact residual, of a point alone or of a row of a
+stack, is the row norm np.linalg.norm(., axis=-1) of w over that of z,
+so a point has the same residual alone as in a stack of one.
 
 The sphere solver works on the real system in 2n+2 unknowns
 (Re z, Im z, Re mu, Im mu):
@@ -131,6 +138,20 @@ def _field(z: np.ndarray, f: np.ndarray, scale):
     singular = np.sqrt(sq) <= 1e-14 * scale
     mu = np.sum(z * f, axis=-1) / np.where(singular, 1.0, sq)
     return mu, z - mu[..., None] * f.conj(), singular
+
+
+def _contact_rows(form: PolyOneForm, Z: np.ndarray, tol: float):
+    """The contact-point verdict on the rows of a stack Z (S, n): (mu, residual, ok).
+
+    From one evaluate_scaled of the stack. ok holds where f's rounding
+    scale is finite, the gradient is not singular and the residual
+    ||w|| / |z| is at most tol; elsewhere mu and the residual mean nothing.
+    """
+    F, scale = form.evaluate_scaled(Z)
+    with np.errstate(over="ignore", invalid="ignore"):  # a row past the doubles fails below
+        mu, W, singular = _field(Z, F, scale)
+        residual = np.linalg.norm(W, axis=-1) / np.linalg.norm(Z, axis=-1)
+    return mu, residual, np.isfinite(scale) & ~singular & (residual <= tol)
 
 
 def _check_tol(tol: float) -> None:
@@ -345,15 +366,16 @@ def _damped_newton(residual, jacobian, U0: np.ndarray, target: float, max_iter: 
     return U, norm
 
 
-def _newton_on_sphere(form: PolyOneForm, Z0: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton on the contact system at fixed radius from each row of Z0.
+def _newton_on_sphere(form: PolyOneForm, Z0: np.ndarray, r: float, tol: float):
+    """The contact points damped Newton reaches at radius r from the rows of Z0: (Z, mu, residual).
 
     Each row is anchored at its own start and runs at most NEWTON_MAX_ITER
-    steps. Returns the solutions scaled to radius r and the mask of rows
-    that converged; a row fails when the kernel fails on it, when it
-    stagnates above 1e-6 r, or when z collapses to 0. The Newton target 1e-13 r and that bound are relative to r, so a
-    non-homogeneous form, which is solved at r itself, converges at any
-    radius.
+    steps. A row fails when the kernel fails on it, when it stagnates above
+    1e-6 r, or when z collapses to 0; the others are scaled to radius r and
+    kept where they pass _contact_rows to tol, in row order. The Newton
+    target 1e-13 r and the stagnation bound are relative to r, but not to
+    the size of f's terms, so a non-homogeneous form, which is solved at r
+    itself, can stall above them at a large r and yield no point there.
     """
     n = form.n
     F0 = form.evaluate(Z0)
@@ -362,9 +384,10 @@ def _newton_on_sphere(form: PolyOneForm, Z0: np.ndarray, r: float) -> tuple[np.n
     U, norm = _damped_newton(*_contact_system(form, r, Z0), U0, 1e-13 * r, NEWTON_MAX_ITER)
     Z = U[:, :n] + 1j * U[:, n : 2 * n]
     nz = np.linalg.norm(Z, axis=1)
-    ok = (norm <= 1e-6 * r) & (nz > 0.0)
-    Z[ok] *= (r / nz[ok])[:, None]
-    return Z, ok
+    converged = (norm <= 1e-6 * r) & (nz > 0.0)
+    Z = Z[converged] * (r / nz[converged])[:, None]
+    mu, residual, ok = _contact_rows(form, Z, tol)
+    return Z[ok], mu[ok], residual[ok]
 
 
 def _aligned_distance(z: np.ndarray, w: np.ndarray) -> float:
@@ -449,14 +472,8 @@ def sphere_search(
     k = form.homogeneous_degree()
     r_solve = 1.0 if k is not None else r
     seeds = sphere_seeds(form.n, n_seeds, rng_seed, r_solve)
-    found = []  # (z, mu, residual) of each seed block's contact points
-    for start in range(0, n_seeds, SEED_BLOCK):
-        Z, ok = _newton_on_sphere(form, seeds[start : start + SEED_BLOCK], r_solve)
-        Z = Z[ok]
-        mu, W, singular = _field(Z, *form.evaluate_scaled(Z))
-        Z, mu, W = Z[~singular], mu[~singular], W[~singular]
-        res = np.linalg.norm(W, axis=1) / np.linalg.norm(Z, axis=1)
-        found.append([part[res <= tol] for part in (Z, mu, res)])
+    blocks = range(0, n_seeds, SEED_BLOCK)
+    found = [_newton_on_sphere(form, seeds[start : start + SEED_BLOCK], r_solve, tol) for start in blocks]
     Z_all, mu, res = (np.concatenate(parts) for parts in zip(*found))
     reported = _merge_points(Z_all, dedup_tol=1e-6 * r_solve)
     Z, mu, res, radius = Z_all[reported], mu[reported], res[reported], r_solve
@@ -484,14 +501,13 @@ def point_at(form: PolyOneForm, z, morse_index: int | None = None) -> ContactPoi
     radius = float(np.linalg.norm(z))
     if radius == 0.0:
         raise ValueError("contact residual is undefined at the origin")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing f is refused below
-        f, scale = form.evaluate_scaled(z)
+    f, scale = form.evaluate_scaled(z)
     if not np.isfinite(scale):
         raise RadiusRangeError(f"point of norm {radius:.3g} is out of range: f's rounding scale is non-finite")
     mu, w, singular = _field(z, f, scale)
     if singular:
         raise SingularGradientError("gradient of the one-form vanishes at this point")
-    residual = float(np.linalg.norm(w)) / radius
+    residual = float(np.linalg.norm(w, axis=-1) / np.linalg.norm(z, axis=-1))  # the row norm of _contact_rows
     return ContactPoint(z=z, mu=complex(mu), radius=radius, residual=residual, morse_index=morse_index)
 
 
@@ -505,18 +521,13 @@ def _corrected_side(form: PolyOneForm, start: ContactPoint, radii: np.ndarray, t
     pts, z_prev, r_prev = [], start.z, start.radius
     for r in radii:
         pred = z_prev * (r / r_prev)
-        Z, converged = _newton_on_sphere(form, pred[None], r)
-        z, ok = Z[0], bool(converged[0])
-        if ok:
-            mu, w, singular = _field(z, *form.evaluate_scaled(z))
-            residual = float(np.linalg.norm(w)) / float(np.linalg.norm(z))
-            # a corrected point far from the prediction means the branch
-            # was lost (collision / non-Morse behavior), not continued
-            ok = not singular and residual <= tol and _aligned_distance(z, pred) <= 0.3 * r
-        if not ok:
+        Z, mu, residual = _newton_on_sphere(form, pred[None], r, tol)
+        # a corrected point far from the prediction means the branch
+        # was lost (collision / non-Morse behavior), not continued
+        if not (len(Z) and _aligned_distance(Z[0], pred) <= 0.3 * r):
             return pts, float(r)
-        pts.append(ContactPoint(z=z, mu=complex(mu), radius=float(r), residual=residual))
-        z_prev, r_prev = z, r
+        z_prev, r_prev = Z[0], r
+        pts.append(ContactPoint(z=z_prev, mu=complex(mu[0]), radius=float(r), residual=float(residual[0])))
     return pts, None
 
 
@@ -531,11 +542,7 @@ def _scaled_side(form: PolyOneForm, start: ContactPoint, radii: np.ndarray, tol:
     direction keeps the points before its first failing radius.
     """
     Z = start.z * (radii / start.radius)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # out-of-range points fail below
-        F, scale = form.evaluate_scaled(Z)
-        mu, W, singular = _field(Z, F, scale)
-        residual = np.linalg.norm(W, axis=1) / np.linalg.norm(Z, axis=1)
-    ok = np.isfinite(scale) & ~singular & (residual <= tol)
+    mu, residual, ok = _contact_rows(form, Z, tol)
     stop = len(radii) if ok.all() else int(np.argmin(ok))  # the first failing radius
     pts = [
         ContactPoint(z=z, mu=complex(m), radius=float(r), residual=float(e))

@@ -70,7 +70,12 @@ def morse_sphere_identity(n: int, i: int) -> SphereIdentity:
 
     For even n and 0 <= i <= n returns SphereIdentity(lhs, rhs, lhs == rhs)
     with lhs = (-1)^i and rhs assembled from sphere Euler characteristics of
-    the exit region and its boundary on S^{n-1}.
+    the exit region and its boundary on S^{n-1},
+
+        rhs = 1 + chi(S^{n-i-1}) - chi(S^{i-1}) chi(S^{n-i-1}).
+
+    The exit region is empty at i = 0 and its boundary at i = n; S^{-1} is
+    the empty sphere, chi(S^{-1}) = 0, so the one formula covers both ends.
     """
     n, i = int(n), int(i)
     if n < 2 or n % 2 != 0:
@@ -78,12 +83,7 @@ def morse_sphere_identity(n: int, i: int) -> SphereIdentity:
     if not 0 <= i <= n:
         raise ValueError("need 0 <= i <= n")
     lhs = (-1) ** i
-    if i == 0:
-        rhs = 1  # exit region empty
-    elif i == n:
-        rhs = 1 + euler_sphere(n - 1)  # exit boundary empty
-    else:
-        rhs = 1 + euler_sphere(n - i - 1) - euler_sphere(i - 1) * euler_sphere(n - i - 1)
+    rhs = 1 + euler_sphere(n - i - 1) - euler_sphere(i - 1) * euler_sphere(n - i - 1)
     return SphereIdentity(lhs, rhs, lhs == rhs)
 
 

@@ -495,8 +495,7 @@ def transversality_scan(form: PolyOneForm, r: float, n_samples: int, rng_seed: i
         raise ValueError("need at least one sample")
     r_sample = 1.0 if form.homogeneous_degree() is not None else r
     z = sphere_seeds(form.n, n_samples, rng_seed, r_sample)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing f is refused below
-        f, scale = form.evaluate_scaled(z)
+    f, scale = form.evaluate_scaled(z)
     if not np.all(np.isfinite(scale)):
         raise RadiusRangeError(f"radius {r:.3g} is out of range: f's rounding scale is non-finite")
     _, w, singular = _field(z, f, scale)

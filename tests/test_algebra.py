@@ -469,6 +469,24 @@ def test_takagi_identity_block():
     assert np.abs(tk.reconstruct() - np.eye(5)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (4, 2), (5, 3)])
+def test_takagi_zero_sigma_block(n, k):
+    # unitary congruence of diag(k + 1, ..., 2, 0, ..., 0): the n - k zero
+    # sigma take the smallest singular values and the conjugated null
+    # vectors of an SVD of A
+    rng = np.random.default_rng(n)
+    Q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    d = np.concatenate([np.arange(k + 1.0, 1.0, -1.0), np.zeros(n - k)])
+    A = fc.SymMatrix(Q @ np.diag(d) @ Q.T)
+    tk = fc.takagi(A)
+    scale = np.abs(A.array).max()
+    assert np.abs(tk.reconstruct() - A.array).max() <= 1e-10 * scale
+    assert np.abs(tk.U.conj().T @ tk.U - np.eye(n)).max() <= 1e-10
+    assert np.allclose(tk.sigma[:k], d[:k], rtol=1e-12, atol=0)
+    assert np.array_equal(tk.sigma[k:], np.linalg.svd(A.array)[1][k:])
+    assert np.all(tk.sigma[k:] <= 1e-14 * scale)
+
+
 def test_takagi_repeated_sigma_random_congruence():
     # unitary congruence of diag(2, 2, 1): a genuinely repeated sigma block
     rng = np.random.default_rng(23)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,44 @@ def test_flow_whose_corrections_all_fail_reports_a_collapsed_step(form321, integ
     with pytest.raises(FlowError, match="step size collapsed") as exc:
         fc.flow_to_critical(chart, z0)
     assert exc.value.steps == 0 and np.array_equal(exc.value.last_point.z, z0)
+
+
+def test_flow_halves_a_step_whose_correction_fails(form321, integral321, monkeypatch):
+    # the first leaf correction of a step fails: that step is halved and
+    # the flow still polishes to a critical point
+    z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
+    chart = fc.make_chart(integral321, z0, 1.0, form=form321)
+    project, failed = leaf._project, []
+
+    def fail_once(chart, z):
+        if not failed:
+            failed.append(z)
+            raise LeafCorrectionError("leaf correction diverged")
+        return project(chart, z)
+
+    monkeypatch.setattr(leaf, "_project", fail_once)
+    res = fc.flow_to_critical(chart, z0)
+    monkeypatch.undo()
+    assert len(failed) == 1 and res.steps > 0 and res.polished is True
+    assert fc.sample_field(form321, res.point.z).t_norm <= 1e-8
+
+
+def test_flow_whose_polish_fails_ends_unpolished_at_tol(form321, integral321, monkeypatch):
+    # every leaf polish fails in its Newton kernel: the flow goes on until
+    # t_norm <= tol and reports that point unpolished
+    z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
+    chart = fc.make_chart(integral321, z0, 1.0, form=form321)
+    polishes = []
+
+    def fail(residual, jacobian, U0, target, max_iter):
+        polishes.append(U0)
+        return U0.copy(), np.full(len(U0), np.inf)
+
+    monkeypatch.setattr(leaf, "_damped_newton", fail)
+    res = fc.flow_to_critical(chart, z0)
+    monkeypatch.undo()
+    assert polishes and res.steps > 0 and res.polished is False
+    assert fc.sample_field(form321, res.point.z).t_norm <= 1e-8
 
 
 def _record_builds(monkeypatch) -> list:
@@ -601,6 +641,33 @@ def test_index_persistence_saddle(diag321, form321, integral321):
     assert report.negative_count == 1
     assert fc.index_persistence(chart, report.point, 0.01)
     assert fc.index_persistence(chart, report.point, 0.01j)
+
+
+@pytest.mark.parametrize("outcome", ["flow fails", "lands far"])
+def test_index_persistence_reports_a_lost_point_as_false(outcome, form321, integral321, monkeypatch):
+    # a flow that fails, or one that lands on the mirror image -q of the
+    # point q it reaches: -q is critical on the same leaf with the same
+    # index (g and |z|^2 are even), but lies beyond the persistence radius
+    # 10 sqrt(|dc|) (1 + |p|), about 0.57 at dc = 0.001
+    p = np.array([np.sqrt(2.0 / 3.0), 0, 0], dtype=complex)
+    chart = fc.make_chart(integral321, p, 1.0, form=form321)
+    report = fc.leaf_hessian(chart, p)
+    flow, landed = leaf.flow_to_critical, []
+
+    def lost(chart, z0, direction):
+        if outcome == "flow fails":
+            raise FlowError("step limit exceeded", last_point=None, steps=0)
+        res = flow(chart, z0, direction)
+        landed.append(-res.point.z)
+        return replace(res, point=replace(res.point, z=landed[0]))
+
+    monkeypatch.setattr(leaf, "flow_to_critical", lost)
+    assert fc.index_persistence(chart, report.point, 0.001) is False
+    monkeypatch.undo()
+    if outcome == "lands far":
+        chart_new = replace(chart, c=chart.c + 0.001)
+        assert fc.leaf_hessian(chart_new, landed[0]).negative_count == report.negative_count
+        assert np.linalg.norm(landed[0] - p) > 10.0 * np.sqrt(0.001) * (1.0 + np.linalg.norm(p))
 
 
 def test_index_persistence_identity_reports_bool(identity3):
