@@ -16,17 +16,33 @@ so it holds at any |z|.
 `_field` is the one place where mu, w = z - mu conj(f) and that test are
 computed, for a point or a stack, from f and its rounding scale, which
 one monomial build gives together (PolyOneForm.evaluate_scaled here, the
-leaf chart's [g | f] table in leaf.py). Its callers pick what a singular
-point means. Here it has two: point_at, and contact_residual through it,
-raise SingularGradientError, and `_contact_rows`, the one verdict on
-whether the rows of a stack are contact points, fails the row, as it
-fails a row whose rounding scale is not finite or whose residual is
-above tol. `_newton_on_sphere` keeps only the rows that pass, so
-sphere_search drops the others and the corrector of continue_radially
-truncates the path there; a homogeneous trace truncates at its first
-failing row. Every contact residual, of a point alone or of a row of a
-stack, is the row norm np.linalg.norm(., axis=-1) of w over that of z,
-so a point has the same residual alone as in a stack of one.
+leaf chart's [g | f] table in leaf.py). Its callers pick what a bad point
+means.
+
+* A single point goes through `_point_field`, the one place a point is
+  refused: the origin with ValueError, a point where f's rounding scale
+  is not finite with RadiusRangeError, a singular one with
+  SingularGradientError. Its callers are point_at (and contact_residual
+  through it) and the leaf's field sample leaf._sample, which
+  sample_field and every flow, polish and Hessian sample go through. Each
+  lets the refusal propagate, except a flow step, which halves its step
+  when the sample at its midpoint is refused for range or singularity.
+* A stack goes through `_contact_rows`, the one verdict on whether its
+  rows are contact points: it fails a row whose rounding scale is not
+  finite, whose gradient is singular or whose residual is above tol.
+  `_newton_on_sphere` keeps only the rows that pass, so sphere_search
+  drops the others and the corrector of continue_radially truncates the
+  path there; a homogeneous trace truncates at its first failing row.
+  transversality_scan, in leaf.py, calls `_field` on its stack itself: a
+  non-finite scale there raises RadiusRangeError, and a singular row
+  scores 0.
+
+`_contact_point` is the one place a ContactPoint gets its radius and
+residual from (z, mu, w): point_at's point and every point a flow or
+leaf_hessian reports. Every contact residual, of such a point or of a
+row of a stack, is `_residual`, the row norm np.linalg.norm(., axis=-1)
+of w over that of z, so a point has the same residual alone as in a
+stack of one.
 
 The sphere solver works on the real system in 2n+2 unknowns
 (Re z, Im z, Re mu, Im mu):
@@ -150,8 +166,47 @@ def _contact_rows(form: PolyOneForm, Z: np.ndarray, tol: float):
     F, scale = form.evaluate_scaled(Z)
     with np.errstate(over="ignore", invalid="ignore"):  # a row past the doubles fails below
         mu, W, singular = _field(Z, F, scale)
-        residual = np.linalg.norm(W, axis=-1) / np.linalg.norm(Z, axis=-1)
+        residual = _residual(W, Z)
     return mu, residual, np.isfinite(scale) & ~singular & (residual <= tol)
+
+
+def _residual(w: np.ndarray, z: np.ndarray):
+    """The contact residual ||w|| / |z| of a point (n,) or per row of a stack (S, n).
+
+    Row norms, np.linalg.norm(., axis=-1), for a point too: a point has the
+    same residual alone as in a stack of one.
+    """
+    return np.linalg.norm(w, axis=-1) / np.linalg.norm(z, axis=-1)
+
+
+def _point_field(z: np.ndarray, f: np.ndarray, scale):
+    """(mu, w) at one point z from f = f(z) and its rounding scale, or its refusal.
+
+    The origin is refused first, with ValueError, whatever the form: a form
+    with f(0) = 0 would otherwise report a singular gradient there. A point
+    where f's rounding scale is not finite (f or its terms overflow) raises
+    RadiusRangeError, and a singular one SingularGradientError. The origin
+    test is np.vdot and the range test one scalar test, as the leaf's field
+    samples, which come here too, are the hot path of a flow.
+    """
+    if np.vdot(z, z).real == 0.0:
+        raise ValueError("contact residual is undefined at the origin")
+    if not np.isfinite(scale):
+        radius = np.linalg.norm(z)
+        raise RadiusRangeError(f"point of norm {radius:.3g} is out of range: f's rounding scale is non-finite")
+    mu, w, singular = _field(z, f, scale)
+    if singular:
+        raise SingularGradientError("gradient of the one-form vanishes at this point")
+    return mu, w
+
+
+def _contact_point(z: np.ndarray, mu, w: np.ndarray, leaf_value=None, morse_index=None) -> ContactPoint:
+    """The ContactPoint at z with multiplier mu and field w = z - mu conj(f(z)).
+
+    The one place a point gets its radius |z| and its residual (_residual).
+    """
+    radius, residual = float(np.linalg.norm(z)), float(_residual(w, z))
+    return ContactPoint(z, complex(mu), radius, residual, leaf_value, morse_index)
 
 
 def _check_tol(tol: float) -> None:
@@ -186,10 +241,12 @@ def sphere_seeds(n: int, count: int, rng_seed: int, radius: float) -> np.ndarray
 def _check_radius(r: float) -> None:
     """Refuse a sphere radius whose square is not a normal finite double.
 
-    Point norms are taken with np.linalg.norm, which squares: at such radii
-    |z| itself comes out as 0 or inf, so no result could be trusted.
+    A radius that is not positive, NaN included, is bad input (ValueError).
+    Point norms are taken with np.linalg.norm, which squares: at radii whose
+    square leaves the normal doubles |z| itself comes out as 0 or inf, so no
+    result could be trusted (RadiusRangeError).
     """
-    if r <= 0:
+    if not r > 0:
         raise ValueError("radius must be positive")
     if not np.finfo(float).tiny <= r * r < np.inf:
         what = "below the normal double range" if r < 1.0 else "non-finite"
@@ -492,23 +549,13 @@ def sphere_search(
 def point_at(form: PolyOneForm, z, morse_index: int | None = None) -> ContactPoint:
     """Package a known location as a ContactPoint (mu and residual recomputed).
 
-    The origin is refused first, with ValueError, whatever the form: a form
-    with f(0) = 0 would otherwise report a singular gradient there. A point
-    where f or its rounding scale overflows raises RadiusRangeError, and a
-    singular one SingularGradientError.
+    The point is refused as _point_field refuses it: the origin with
+    ValueError, whatever the form, a point where f or its rounding scale
+    overflows with RadiusRangeError, and a singular one with
+    SingularGradientError.
     """
     z = as_cvec(z, form.n)
-    radius = float(np.linalg.norm(z))
-    if radius == 0.0:
-        raise ValueError("contact residual is undefined at the origin")
-    f, scale = form.evaluate_scaled(z)
-    if not np.isfinite(scale):
-        raise RadiusRangeError(f"point of norm {radius:.3g} is out of range: f's rounding scale is non-finite")
-    mu, w, singular = _field(z, f, scale)
-    if singular:
-        raise SingularGradientError("gradient of the one-form vanishes at this point")
-    residual = float(np.linalg.norm(w, axis=-1) / np.linalg.norm(z, axis=-1))  # the row norm of _contact_rows
-    return ContactPoint(z=z, mu=complex(mu), radius=radius, residual=residual, morse_index=morse_index)
+    return _contact_point(z, *_point_field(z, *form.evaluate_scaled(z)), morse_index=morse_index)
 
 
 def _corrected_side(form: PolyOneForm, start: ContactPoint, radii: np.ndarray, tol: float):

@@ -7,9 +7,14 @@ identification of C^n with R^{2n} equals half the gradient of the squared
 distance restricted to the leaf. Flowing along -w therefore descends the
 distance on the leaf; critical points of the restricted distance are the
 contact points on that leaf. mu, w and the singular test come from
-contact._field, the one place where they are computed: sample_field raises
-at a singular point, transversality_scan scores it 0, and the points flows
-and Hessians report take mu and the residual from their field sample.
+contact._field, the one place where they are computed. A field sample
+(sample_field, and every flow, polish and Hessian sample) refuses its
+point as point_at does, through contact._point_field: the origin
+(ValueError), a point out of range, where f's rounding scale is not
+finite (RadiusRangeError), and a singular point (SingularGradientError).
+transversality_scan scores a singular point 0. The points flows and
+Hessians report are built by contact._contact_point from their field
+sample's z, mu and w, so their residual follows point_at's rule.
 
 Leaves are tracked through a known polynomial first integral g with
 f = dg. A LeafChart compiles g and f side by side into one monomial table
@@ -44,8 +49,10 @@ from .contact import (
     ContactPoint,
     _check_radius,
     _check_tol,
+    _contact_point,
     _damped_newton,
     _field,
+    _point_field,
     _real_rows,
     sphere_seeds,
 )
@@ -143,17 +150,21 @@ class ScanResult:
 
 
 def _sample(z: np.ndarray, f: np.ndarray, scale) -> FieldSample:
-    """The field sample at z from f = f(z) and its rounding scale: no evaluation."""
-    if np.vdot(z, z).real == 0.0:
-        raise ValueError("field sample is undefined at the origin")
-    mu, w, singular = _field(z, f, scale)
-    if singular:
-        raise SingularGradientError("gradient of the one-form vanishes at this point")
+    """The field sample at z from f = f(z) and its rounding scale: no evaluation.
+
+    The point is refused as point_at refuses it (contact._point_field).
+    """
+    mu, w = _point_field(z, f, scale)
     return FieldSample(z=z, grad_omega=f.conj(), mu=complex(mu), w=w, t_norm=float(np.linalg.norm(w)))
 
 
 def sample_field(form: PolyOneForm, z) -> FieldSample:
-    """Projected field sample at z; t_norm is the transversality measure."""
+    """Projected field sample at z; t_norm is the transversality measure.
+
+    z is refused as point_at refuses it: the origin with ValueError, a
+    point where f's rounding scale is not finite with RadiusRangeError, a
+    singular one with SingularGradientError.
+    """
     z = as_cvec(z, form.n)
     return _sample(z, *form.evaluate_scaled(z))
 
@@ -169,12 +180,6 @@ def _chart_sample(chart: LeafChart, z: np.ndarray, evaluation) -> FieldSample:
     comes from the monomials of that build, not from another one."""
     _, f, monomials = evaluation
     return _sample(z, f, chart.table._scale(monomials, 1)[0])
-
-
-def _sampled_point(s: FieldSample, leaf_value: complex, morse_index: int | None = None):
-    """The ContactPoint at a field sample s, with mu and the residual from s."""
-    radius = float(np.linalg.norm(s.z))
-    return ContactPoint(s.z, s.mu, radius, s.t_norm / radius, leaf_value, morse_index)
 
 
 def _project(chart: LeafChart, z: np.ndarray):
@@ -378,14 +383,15 @@ def flow_to_critical(
             last_polish_t = s.t_norm
             polished = _polish_on_leaf(chart, s)
             if polished is not None and polished[0].t_norm <= tol:
-                point = _sampled_point(*polished)
+                s, g = polished
+                point = _contact_point(s.z, s.mu, s.w, g)
                 return FlowResult(point, steps, True, phi_initial, float(np.sum(np.abs(point.z) ** 2)))
         if s.t_norm <= tol:
-            return FlowResult(_sampled_point(s, g), steps, False, phi_initial, phi)
+            return FlowResult(_contact_point(s.z, s.mu, s.w, g), steps, False, phi_initial, phi)
         if steps >= max_steps:
             raise FlowError(
                 f"step limit exceeded (t_norm = {s.t_norm:.3e} after {steps} steps)",
-                last_point=_sampled_point(s, g),
+                last_point=_contact_point(s.z, s.mu, s.w, g),
                 steps=steps,
             )
 
@@ -393,14 +399,14 @@ def flow_to_critical(
             if not h >= 1e-15:
                 raise FlowError(
                     "step size collapsed before reaching a critical point",
-                    last_point=_sampled_point(s, g),
+                    last_point=_contact_point(s.z, s.mu, s.w, g),
                     steps=steps,
                 )
             try:
                 z_mid = z + sgn * 0.5 * h * s.w  # off the leaf: only the step's result is projected
                 w_mid = _chart_sample(chart, z_mid, _evaluate(chart, z_mid)).w
                 z_new, evaluation = _project(chart, z + sgn * h * w_mid)
-            except (LeafCorrectionError, SingularGradientError):
+            except (LeafCorrectionError, RadiusRangeError, SingularGradientError):
                 h *= 0.5
                 continue
             phi_new = float(np.sum(np.abs(z_new) ** 2))
@@ -471,10 +477,8 @@ def leaf_hessian(chart: LeafChart, p) -> HessianReport:
 
     eigenvalues = np.linalg.eigvalsh(M)
     negative_count = int(np.sum(eigenvalues < -EIG_TOL))
-    point = _sampled_point(s, complex(g), negative_count)
-    return HessianReport(
-        matrix=M, eigenvalues=eigenvalues, negative_count=negative_count, point=point
-    )
+    point = _contact_point(s.z, s.mu, s.w, complex(g), negative_count)
+    return HessianReport(matrix=M, eigenvalues=eigenvalues, negative_count=negative_count, point=point)
 
 
 def transversality_scan(form: PolyOneForm, r: float, n_samples: int, rng_seed: int) -> ScanResult:

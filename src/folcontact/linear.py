@@ -168,12 +168,13 @@ def morseify(A: SymMatrix, eps: float) -> MorseifyResult:
 
     Already-Morse input comes back as it is, (A, 0.0, False). Otherwise the
     Takagi values are spread by a staircase delta = eps/(2n) (shrunk if
-    needed to respect the Frobenius budget, which the plain staircase can
-    exceed for n > 12) and the matrix reassembled as U diag(sigma') U^T,
-    which SymMatrix averages to exact symmetry. The Frobenius distance is
-    taken once, at unit scale, so the budget holds and the distance is
-    reported for A at any scale the doubles hold. Raises ValueError when eps
-    is too small for the perturbed gaps to clear the Morse gap tolerance.
+    needed to respect the Frobenius budget 0.99 eps, which the plain
+    staircase exceeds for n >= 14) and the matrix reassembled as
+    U diag(sigma') U^T, which SymMatrix averages to exact symmetry. The
+    Frobenius distance is taken once, at unit scale, so the budget holds
+    and the distance is reported for A at any scale the doubles hold.
+    Raises ValueError when eps is too small for the perturbed gaps to clear
+    the Morse gap tolerance.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -496,3 +496,41 @@ def test_takagi_repeated_sigma_random_congruence():
         tk = fc.takagi(A)
         assert np.allclose(tk.sigma, [2.0, 2.0, 1.0], atol=1e-10)
         assert np.abs(tk.reconstruct() - A.array).max() <= 1e-10 * 2.0
+
+
+_FORM2 = fc.linear_form(fc.SymMatrix(np.diag([1.0, 2.0])))
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda: fc.point_at(_FORM2, [[1.0, 0.0]]), DimensionMismatchError, "vector of dimension >= 2"),
+        (lambda: fc.point_at(_FORM2, [1.0, 0.0, 0.0]), DimensionMismatchError, "expected dimension 2, got 3"),
+        (lambda: fc.point_at(_FORM2, [np.nan, 1.0]), ValueError, "non-finite components"),
+        (lambda: fc.Polynomial(0, []), DimensionMismatchError, "n >= 1 variables"),
+        (lambda: fc.PolyOneForm([fc.Polynomial(2, [])]), DimensionMismatchError, "n >= 2 coefficients"),
+        (
+            lambda: fc.PolyOneForm([fc.Polynomial(2, []), fc.Polynomial(3, [])]),
+            DimensionMismatchError,
+            "wrong variable count",
+        ),
+        (lambda: fc.SymMatrix(np.ones((2, 3))), DimensionMismatchError, "square matrix"),
+        (lambda: fc.SymMatrix([[np.inf, 0.0], [0.0, 1.0]]), ValueError, "non-finite entries"),
+        (lambda: fc.symplectic_form(3), DimensionMismatchError, "even n"),
+    ],
+    ids=[
+        "2-d vector",
+        "wrong length",
+        "nan vector",
+        "no variables",
+        "one coefficient",
+        "mismatched coefficients",
+        "non-square",
+        "non-finite matrix",
+        "odd symplectic",
+    ],
+)
+def test_algebra_refusals(call, error, fragment):
+    with pytest.raises(error, match=fragment) as exc:
+        call()
+    assert type(exc.value) is error

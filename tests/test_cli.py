@@ -524,6 +524,20 @@ def test_exit_2_on_leaf_seed_at_the_origin(tmp_path, form321, command, key, c_op
     assert f"{path}.{key}" in err and "origin" in err
 
 
+@pytest.mark.parametrize(
+    "command, key", [("contact-trace", "start"), ("leaf-flow", "seed"), ("leaf-hessian", "point")]
+)
+def test_exit_2_on_a_vector_whose_square_underflows(tmp_path, form321, command, key):
+    # |z|^2 of (1e-200, 0, 0) underflows to 0, so the library refuses it as
+    # the origin: the CLI refuses it as the origin too, naming the vector
+    path = tmp_path / "tiny.json"
+    vec = np.array([1e-200, 0.0, 0.0], dtype=complex)
+    path.write_text(json.dumps({"form": form_to_json(form321), key: to_json(vec)}))
+    code, out, err = run_cli([command, "--input", str(path)])
+    assert code == 2 and out == ""
+    assert f"{path}.{key}: the {key} is the origin" in err
+
+
 def test_exit_3_on_singular_matrix(tmp_path):
     A = fc.SymMatrix(np.diag([1.0, 1.0, 0.0]).astype(complex))
     path = tmp_path / "singular.json"

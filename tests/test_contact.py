@@ -835,3 +835,25 @@ def test_oracle_equivalence_small(form321):
                 for l in lineset.lines
             )
             assert d <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda form: sphere_search(form, 0.0, 8, 0), "radius must be positive"),
+        (lambda form: sphere_search(form, -1.0, 8, 0), "radius must be positive"),
+        # NaN is bad input, as for a tolerance, not a radius out of range
+        (lambda form: sphere_search(form, np.nan, 8, 0), "radius must be positive"),
+        (lambda form: fc.transversality_scan(form, np.nan, 10, 0), "radius must be positive"),
+        (lambda form: sphere_search(form, 1.0, 0, 0), "at least one seed"),
+        (
+            lambda form: fc.continue_radially(form, fc.point_at(form, [1.0, 0.0, 0.0]), 0.1, 2.0, 1),
+            "at least two continuation steps",
+        ),
+    ],
+    ids=["zero radius", "negative radius", "nan radius", "nan scan radius", "no seed", "one step"],
+)
+def test_contact_refusals(form321, call, fragment):
+    with pytest.raises(ValueError, match=fragment) as exc:
+        call(form321)
+    assert type(exc.value) is ValueError

@@ -194,3 +194,26 @@ def test_audit_report_does_not_depend_on_the_first_sample(samples):
     report = fc.disc_tangency_audit(samples)
     for shift in (1, 37, len(samples) // 2, len(samples) - 1):
         assert fc.disc_tangency_audit(samples[shift:] + samples[:shift]) == report
+
+
+def _duplicate_crossing():
+    # two consecutive samples at one point whose <X, n> have opposite signs
+    samples = circle_samples(lambda p: p, 8)
+    p, field, normal = samples[3]
+    samples[4] = (p, -field, normal)
+    return samples
+
+
+@pytest.mark.parametrize(
+    "samples, fragment",
+    [
+        ([([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0])] * 3, "must be planar"),
+        (circle_samples(lambda p: p, 2), "at least three boundary samples"),
+        (_duplicate_crossing(), "duplicate consecutive boundary samples"),
+    ],
+    ids=["non-planar", "two samples", "crossing at one point"],
+)
+def test_audit_refusals(samples, fragment):
+    with pytest.raises(ValueError, match=fragment) as exc:
+        fc.disc_tangency_audit(samples)
+    assert type(exc.value) is ValueError

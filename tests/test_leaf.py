@@ -10,11 +10,12 @@ import pytest
 import folcontact as fc
 from folcontact.contact import sphere_seeds
 from folcontact import algebra, leaf
-from folcontact.errors import ChartError, FlowError, LeafCorrectionError, SingularGradientError
+from folcontact.errors import ChartError, FlowError, LeafCorrectionError, RadiusRangeError, SingularGradientError
 from folcontact.leaf import _leaf_system, _tangent_basis
 
 from conftest import (
     axis_distance,
+    degree_five_form,
     homogeneous_leaf_scale,
     random_exact_form,
     random_morse,
@@ -80,6 +81,32 @@ def test_reported_point_evaluates_form_once(report, form321, integral321, monkey
     assert np.array_equal(p.z, z)
     q = fc.point_at(form321, z)
     assert p.mu == q.mu and p.residual == q.residual == fc.contact_residual(form321, z)
+
+
+def test_sample_field_refuses_the_origin_and_a_point_out_of_range(form321, cubic3):
+    # as point_at does: the origin first, whatever the form (f(0) = 0 for
+    # these), then a point on the contact z1 axis of
+    # d(z1^6 + z2^6 + z1^3 z2^3 / 2) where f's rounding scale overflows,
+    # refused before f is squared, as warnings are errors here
+    for form in (form321, cubic3.differential()):
+        with pytest.raises(ValueError, match="origin") as exc:
+            fc.sample_field(form, np.zeros(3))
+        assert not isinstance(exc.value, SingularGradientError)
+    with pytest.raises(RadiusRangeError, match="point of norm 1e\\+50 is out of range"):
+        fc.sample_field(degree_five_form(), [1e50, 0.0])
+
+
+def test_flow_and_hessian_points_have_the_residual_of_point_at(form321, integral321):
+    # a leaf point's radius, mu and residual are point_at's at its z, bit
+    # for bit: one residual rule for a point wherever it comes from
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        z0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        chart = fc.make_chart(integral321, z0, form=form321)
+        flow_point = fc.flow_to_critical(chart, z0).point
+        for p in (flow_point, fc.leaf_hessian(chart, flow_point.z).point):
+            q = fc.point_at(form321, p.z)
+            assert (p.radius, p.mu, p.residual) == (q.radius, q.mu, q.residual)
 
 
 def test_sample_field_symplectic(symplectic4):
@@ -290,6 +317,27 @@ def test_flow_halves_a_step_whose_correction_fails(form321, integral321, monkeyp
     res = fc.flow_to_critical(chart, z0)
     monkeypatch.undo()
     assert len(failed) == 1 and res.steps > 0 and res.polished is True
+    assert fc.sample_field(form321, res.point.z).t_norm <= 1e-8
+
+
+@pytest.mark.parametrize("error", [RadiusRangeError, SingularGradientError])
+def test_flow_halves_a_step_whose_midpoint_sample_is_refused(error, form321, integral321, monkeypatch):
+    # the midpoint sample of the first step is refused, out of range or
+    # singular: that step is halved and the flow still polishes
+    z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
+    chart = fc.make_chart(integral321, z0, 1.0, form=form321)
+    point_field, samples = leaf._point_field, []
+
+    def refuse_second(z, f, scale):
+        samples.append(z)
+        if len(samples) == 2:  # the seed is the first sample, the first midpoint the second
+            raise error("refused")
+        return point_field(z, f, scale)
+
+    monkeypatch.setattr(leaf, "_point_field", refuse_second)
+    res = fc.flow_to_critical(chart, z0)
+    monkeypatch.undo()
+    assert res.steps > 0 and res.polished is True
     assert fc.sample_field(form321, res.point.z).t_norm <= 1e-8
 
 
@@ -686,3 +734,22 @@ def test_index_persistence_validates_dc(diag321, form321, integral321):
     report = fc.leaf_hessian(chart, p)
     with pytest.raises(ValueError):
         fc.index_persistence(chart, report.point, 0.5)
+
+
+def _persistence_without_index(form, integral):
+    p = fc.point_at(form, [np.sqrt(2.0 / 3.0), 0.0, 0.0])
+    fc.index_persistence(fc.make_chart(integral, p.z, form=form), p, 0.01)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda form, integral: fc.transversality_scan(form, 1.0, 0, 0), "at least one sample"),
+        (_persistence_without_index, "needs a computed morse_index"),
+    ],
+    ids=["no sample", "no morse index"],
+)
+def test_leaf_refusals(form321, integral321, call, fragment):
+    with pytest.raises(ValueError, match=fragment) as exc:
+        call(form321, integral321)
+    assert type(exc.value) is ValueError

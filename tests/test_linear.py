@@ -280,3 +280,30 @@ def test_symmatrix_averages_entries_near_the_largest_double():
     assert np.all(np.isfinite(S.view(float)))
     assert S[0, 0] == 1e308 and S[1, 1] == -1e308
     assert abs(S[0, 1] - 5e307) <= 1e-15 * 5e307
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: fc.hessian_eigenvalues_closed_form([1.0, 0.0], 1), "positive sigma"),
+        (lambda: fc.morseify(fc.SymMatrix(np.eye(3)), 0.0), "eps must be positive"),
+        (lambda: fc.morseify(fc.SymMatrix(np.eye(3)), -1e-3), "eps must be positive"),
+        (lambda: fc.morseify(fc.SymMatrix(np.eye(3)), 1e-12), "below the Morse gap tolerance"),
+    ],
+    ids=["zero sigma", "zero eps", "negative eps", "eps below the gap"],
+)
+def test_linear_refusals(call, fragment):
+    with pytest.raises(ValueError, match=fragment) as exc:
+        call()
+    assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-3])
+@pytest.mark.parametrize("n", [14, 16, 24])
+def test_morseify_shrinks_the_staircase_to_the_budget(n, eps):
+    # from n = 14 on the plain staircase eps/(2n) (n-1, ..., 1, 0) is longer
+    # than the budget 0.99 eps (1.022 eps at n = 14), so its step shrinks
+    # until the staircase meets the budget
+    result = fc.morseify(fc.SymMatrix(np.eye(n)), eps)
+    assert result.changed is True and fc.analyze(result.matrix)[0].is_morse
+    assert 0.98 * eps < result.frobenius_distance <= eps
