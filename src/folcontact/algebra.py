@@ -42,14 +42,23 @@ side by side into one table [g | f] of n + 1 columns (``_side_by_side``).
 One ``_build`` of it at a point gives g and f and keeps its monomials, so
 the scale of f is taken from them only where a caller needs it.
 
-Everything here is a pure function of immutable values; arrays handed out
-are set read-only.
+What is compiled from exponents alone is compiled once per distinct
+exponent table (``_exponents``): its power plan, its sorted distinct rows,
+which ``_canonical`` and ``_derivative`` use, and the exponents of the
+products of two rows, which give ``quadratic_first_integral`` its
+monomials. One bounded module-level memo keyed on the table's dtype, shape
+and bytes keeps at most _COMPILED_TABLES of them, each part built at its
+first use, so every linear form of size n shares the plan of E = I_n and
+its integral the plan of the pairs z_i z_j.
+
+Everything here is a pure function of immutable values; arrays handed out,
+the compiled ones shared between tables included, are set read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,6 +72,8 @@ COND_CAP = 1e12
 # Points of a batch whose monomials are built at once: the intermediates of
 # a form evaluation stay within ROW_BLOCK x (number of monomials).
 ROW_BLOCK = 1024
+# Distinct exponent tables whose compiled parts _exponents keeps.
+_COMPILED_TABLES = 256
 
 
 def as_cvec(values, n: int) -> np.ndarray:
@@ -91,13 +102,52 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
     index = np.empty(len(rows), dtype=np.int64)
     index[order] = np.cumsum(first) - 1
-    return rows[first], index
+    return _readonly(rows[first]), _readonly(index)
+
+
+class _Exponents:
+    """What is compiled from one exponent table, each part at its first use:
+    the power plan (_power_plan), the distinct rows (_unique_rows) and the
+    exponents of the products of two rows (pairs).
+
+    One instance per distinct table, from _exponents; every array it hands
+    out is read-only, as tables with equal exponents share it.
+    """
+
+    def __init__(self, exps: np.ndarray):
+        self.exps = exps
+
+    @cached_property
+    def plan(self) -> tuple:
+        return _power_plan(self.exps)
+
+    @cached_property
+    def unique(self) -> tuple[np.ndarray, np.ndarray]:
+        return _unique_rows(self.exps)
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, E[i] + E[j]) over the pairs of rows i <= j, in row-major
+        order: the exponents of the products of two monomials of the table."""
+        i, j = np.triu_indices(len(self.exps))
+        return _readonly(i), _readonly(j), _readonly(self.exps[i] + self.exps[j])
+
+
+@lru_cache(maxsize=_COMPILED_TABLES)
+def _compiled(dtype: str, shape: tuple, data: bytes) -> _Exponents:
+    return _Exponents(_readonly(np.frombuffer(data, dtype).reshape(shape)))
+
+
+def _exponents(exps: np.ndarray) -> _Exponents:
+    """The compiled structure of the exponent table exps, shared by every
+    table with the same dtype, shape and bytes."""
+    return _compiled(exps.dtype.str, exps.shape, exps.tobytes())
 
 
 def _canonical(exps: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The canonical form of a table: its distinct rows in lexicographic
     order, duplicate rows summed in input order, all-zero rows dropped."""
-    rows, index = _unique_rows(exps)
+    rows, index = _exponents(exps).unique
     C = np.zeros((len(rows), coeffs.shape[1]), dtype=complex)
     np.add.at(C, index, coeffs)
     keep = np.any(C != 0, axis=1)
@@ -121,7 +171,7 @@ def _power_plan(exps: np.ndarray) -> tuple:
     slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
     columns = np.zeros((max(1, int(counts.max(initial=0))), m), dtype=np.int64)
     columns[slot, rows] = ks * (d + 1) + exps[rows, ks]
-    return np.arange(d + 1, dtype=complex), tuple(columns)
+    return _readonly(np.arange(d + 1, dtype=complex)), tuple(_readonly(columns))
 
 
 def _monomials(flat: np.ndarray, plan: tuple) -> np.ndarray:
@@ -151,11 +201,13 @@ class _MonomialTable:
     """The compiled monomial table of a polynomial, a one-form or a Jacobian.
 
     The exponents E (m x n) and coefficients C (m x q) described in the
-    module docstring, with the power plan that evaluates them, compiled at
-    the first evaluation. The rows are kept as given: every polynomial and
-    one-form passes them through _canonical first; the two tables that are
-    only evaluated do not: _side_by_side's, and a one-form's Jacobian,
-    whose rows the derivative rule already gives distinct and sorted.
+    module docstring, with the power plan that evaluates them, looked up at
+    the first evaluation: tables with equal exponents share one read-only
+    plan, compiled once while the bounded memo of _exponents keeps it. The
+    rows are kept as given: every polynomial and one-form passes them
+    through _canonical first; the two tables that are only evaluated do
+    not: _side_by_side's, and a one-form's Jacobian, whose rows the
+    derivative rule already gives distinct and sorted.
     """
 
     def __init__(self, n: int, exps: np.ndarray, coeffs: np.ndarray):
@@ -165,10 +217,11 @@ class _MonomialTable:
 
     @cached_property
     def _plan(self) -> tuple:
-        """The power plan of the table, compiled at its first evaluation:
+        """The power plan of the table, looked up at its first evaluation:
         tables that are only read (a form's coefficient polynomials, the
-        differential integrate_exact_form checks) never build one."""
-        return _power_plan(self._exps)
+        differential integrate_exact_form checks) never build one. Tables
+        with equal exponents share one read-only plan (_exponents)."""
+        return _exponents(self._exps).plan
 
     @cached_property
     def _abs_coeffs(self) -> np.ndarray:
@@ -236,7 +289,7 @@ class _MonomialTable:
         """
         E, C = self._exps, self._coeffs
         i, k = np.nonzero(E)
-        D, slot = _unique_rows(E[i] - np.eye(self.n, dtype=np.int64)[k])
+        D, slot = _exponents(E[i] - np.eye(self.n, dtype=np.int64)[k]).unique
         dC = np.zeros((len(D), C.shape[1], self.n), dtype=complex)
         dC[slot, :, k] = C[i] * E[i, k][:, None]
         return D, dC
@@ -570,10 +623,9 @@ def linear_form(A: SymMatrix) -> PolyOneForm:
 
 def quadratic_first_integral(A: SymMatrix) -> Polynomial:
     """f(z) = z^T A z / 2, the first integral of linear_form(A)."""
-    i, j = np.triu_indices(A.n)
-    eye = np.eye(A.n, dtype=np.int64)
+    i, j, exps = _exponents(np.eye(A.n, dtype=np.int64)).pairs  # z_i z_j, i <= j
     coeffs = A.array[i, j] * np.where(i == j, 0.5, 1.0)
-    return Polynomial._from_table(A.n, eye[i] + eye[j], coeffs[:, None])
+    return Polynomial._from_table(A.n, exps, coeffs[:, None])
 
 
 def symplectic_form(n: int) -> PolyOneForm:

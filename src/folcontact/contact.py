@@ -85,6 +85,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,9 +151,9 @@ def _field(z: np.ndarray, f: np.ndarray, scale):
     rounding, ||f|| <= 1e-14 scale; there mu and w mean nothing, and the
     caller decides.
     """
-    sq = np.sum(np.abs(f) ** 2, axis=-1)
+    sq = np.add.reduce(np.abs(f) ** 2, axis=-1)
     singular = np.sqrt(sq) <= 1e-14 * scale
-    mu = np.sum(z * f, axis=-1) / np.where(singular, 1.0, sq)
+    mu = np.add.reduce(z * f, axis=-1) / np.where(singular, 1.0, sq)
     return mu, z - mu[..., None] * f.conj(), singular
 
 
@@ -186,12 +187,12 @@ def _point_field(z: np.ndarray, f: np.ndarray, scale):
     with f(0) = 0 would otherwise report a singular gradient there. A point
     where f's rounding scale is not finite (f or its terms overflow) raises
     RadiusRangeError, and a singular one SingularGradientError. The origin
-    test is np.vdot and the range test one scalar test, as the leaf's field
+    test is np.vdot and the range test math.isfinite, as the leaf's field
     samples, which come here too, are the hot path of a flow.
     """
     if np.vdot(z, z).real == 0.0:
         raise ValueError("contact residual is undefined at the origin")
-    if not np.isfinite(scale):
+    if not math.isfinite(scale):
         radius = np.linalg.norm(z)
         raise RadiusRangeError(f"point of norm {radius:.3g} is out of range: f's rounding scale is non-finite")
     mu, w, singular = _field(z, f, scale)

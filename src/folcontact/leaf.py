@@ -26,7 +26,8 @@ make_chart checks, the leaf_hessian precheck, the point a flow reports and
 each residual of the leaf polish. A field sample takes the rounding scale
 of f from the monomials of its point's build (_chart_sample), and the
 correction hands back its last build. A flow step samples its midpoint off
-the leaf, by one evaluation at the unprojected midpoint, and corrects only
+the leaf, by one evaluation at the unprojected midpoint, of which it takes
+only w (contact._point_field: no FieldSample, no t_norm), and corrects only
 its result, whose field sample then costs no evaluation. The flow corrects
 drift by Newton steps back onto {g = c} along the gradient, and the
 restricted Hessian at a critical point is computed exactly from f, D^2 g
@@ -40,6 +41,7 @@ closed form is then exactly {1 +- sigma_i/sigma_j}).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -153,9 +155,11 @@ def _sample(z: np.ndarray, f: np.ndarray, scale) -> FieldSample:
     """The field sample at z from f = f(z) and its rounding scale: no evaluation.
 
     The point is refused as point_at refuses it (contact._point_field).
+    t_norm is the expression 1-D np.linalg.norm evaluates, sqrt(re.re + im.im).
     """
     mu, w = _point_field(z, f, scale)
-    return FieldSample(z=z, grad_omega=f.conj(), mu=complex(mu), w=w, t_norm=float(np.linalg.norm(w)))
+    re, im = w.real, w.imag
+    return FieldSample(z=z, grad_omega=f.conj(), mu=complex(mu), w=w, t_norm=math.sqrt(re.dot(re) + im.dot(im)))
 
 
 def sample_field(form: PolyOneForm, z) -> FieldSample:
@@ -175,11 +179,15 @@ def _evaluate(chart: LeafChart, z: np.ndarray):
     return values[0, 0], values[0, 1:], monomials
 
 
+def _f_scale(chart: LeafChart, evaluation):
+    """The rounding scale of f at a point, from the monomials of its
+    evaluation, not from another build."""
+    return chart.table._scale(evaluation[2], 1)[0]
+
+
 def _chart_sample(chart: LeafChart, z: np.ndarray, evaluation) -> FieldSample:
-    """The field sample at z from its evaluation: the rounding scale of f
-    comes from the monomials of that build, not from another one."""
-    _, f, monomials = evaluation
-    return _sample(z, f, chart.table._scale(monomials, 1)[0])
+    """The field sample at z from its evaluation (g, f, monomials)."""
+    return _sample(z, evaluation[1], _f_scale(chart, evaluation))
 
 
 def _project(chart: LeafChart, z: np.ndarray):
@@ -404,7 +412,8 @@ def flow_to_critical(
                 )
             try:
                 z_mid = z + sgn * 0.5 * h * s.w  # off the leaf: only the step's result is projected
-                w_mid = _chart_sample(chart, z_mid, _evaluate(chart, z_mid)).w
+                mid = _evaluate(chart, z_mid)
+                w_mid = _point_field(z_mid, mid[1], _f_scale(chart, mid))[1]
                 z_new, evaluation = _project(chart, z + sgn * h * w_mid)
             except (LeafCorrectionError, RadiusRangeError, SingularGradientError):
                 h *= 0.5
@@ -440,6 +449,24 @@ def _tangent_basis(f: np.ndarray) -> np.ndarray:
     return Q * (d / np.abs(d))
 
 
+def _hessian_matrix(S: np.ndarray) -> np.ndarray:
+    """The real matrix I - [[Re S, -Im S], [-Im S, -Re S]] of leaf_hessian,
+    with (Re xi_a, Im xi_a) interleaved.
+
+    Block (a, b) is delta_ab I - Re S_ab diag(1, -1) + Im S_ab [[0, 1], [1, 0]].
+    Each of its four strided entries is computed with every product of that
+    sum, the x 0 ones too, so that its bits, zero signs included, are those
+    of the sum of the Kronecker products.
+    """
+    re, im = S.real, S.imag
+    delta = np.eye(len(S))
+    M = np.empty((2 * len(S), 2 * len(S)))
+    M[0::2, 0::2] = (delta - re) + im * 0.0
+    M[1::2, 1::2] = (delta - re * -1.0) + im * 0.0
+    M[0::2, 1::2] = M[1::2, 0::2] = (0.0 - re * 0.0) + im
+    return M
+
+
 def leaf_hessian(chart: LeafChart, p) -> HessianReport:
     """Exact restricted Hessian (half squared distance) at a critical point p.
 
@@ -468,13 +495,7 @@ def leaf_hessian(chart: LeafChart, p) -> HessianReport:
     Q = _tangent_basis(s.grad_omega.conj())
     H = jacobian_form(form, p)
     S = np.conj(s.mu) * (Q.T @ (0.5 * (H + H.T)) @ Q)
-    # block (a, b) of M is delta_ab I - Re S_ab diag(1, -1) + Im S_ab [[0, 1], [1, 0]]
-    M = (
-        np.eye(2 * (form.n - 1))
-        - np.kron(S.real, np.diag([1.0, -1.0]))
-        + np.kron(S.imag, [[0.0, 1.0], [1.0, 0.0]])
-    )
-
+    M = _hessian_matrix(S)
     eigenvalues = np.linalg.eigvalsh(M)
     negative_count = int(np.sum(eigenvalues < -EIG_TOL))
     point = _contact_point(s.z, s.mu, s.w, complex(g), negative_count)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,9 @@ from folcontact import algebra
 from folcontact.algebra import _side_by_side
 from folcontact.contact import form_id
 from folcontact.errors import ConvergenceError, DimensionMismatchError, SingularMatrixError
+from folcontact.jsonio import to_json
 
-from conftest import random_symmetric
+from conftest import form_to_json, random_symmetric, run_cli
 
 
 # -----------------------------------------------------------------------------
@@ -302,7 +304,9 @@ def test_integrate_exact_form_roundtrip(diag321, cubic3):
 def test_power_plans_are_compiled_at_first_evaluation(monkeypatch, cubic3):
     # form_id reads the coefficient polynomials and integrate_exact_form the
     # table of d of its result: neither evaluates, so neither compiles a plan,
-    # nor does building a coefficient polynomial, here the partial d mixed/dz_2
+    # nor does building a coefficient polynomial, here the partial d mixed/dz_2.
+    # Plans are shared per distinct exponent table, so none is left from before
+    algebra._compiled.cache_clear()
     compiled = []
     power_plan = algebra._power_plan
     monkeypatch.setattr(algebra, "_power_plan", lambda exps: compiled.append(exps) or power_plan(exps))
@@ -321,7 +325,57 @@ def test_power_plans_are_compiled_at_first_evaluation(monkeypatch, cubic3):
     assert np.array_equal(f, (algebra._monomials(z[None], power_plan(form._exps)).T @ form._coeffs)[0])
     assert partial.evaluate(z) == pytest.approx(f[1], rel=1e-15)
     assert rebuilt.evaluate(z) == pytest.approx(mixed.evaluate(z), rel=1e-15)
-    assert len(compiled) == 4  # the form's, the partial's, rebuilt's and mixed's
+    # one plan per distinct exponent table: the form's, the partial's, and
+    # the one rebuilt and mixed share, as their exponents are equal
+    assert len(compiled) == 3 and rebuilt._plan is mixed._plan
+
+
+def _cache_independent_results(tmp_path) -> list[str]:
+    # a flow, a leaf Hessian, a sphere search and a CLI report, each built
+    # from scratch, written as report JSON (zero signs kept)
+    A = fc.SymMatrix(np.diag([3.0, 2.0, 1.0]).astype(complex))
+    form, integral = fc.linear_form(A), fc.quadratic_first_integral(A)
+    cubic = fc.Polynomial(3, [(1.0, (3, 0, 0)), (2.0, (0, 3, 0)), (-1j, (1, 1, 1)), (0.5, (0, 0, 2))])
+    seed = np.array([0.4 + 0.1j, 0.5 - 0.2j, 0.6 + 0.3j])
+    p = np.array([0, 1j, 0])
+    path = tmp_path / "hess.json"
+    path.write_text(json.dumps({"form": form_to_json(form), "point": to_json(p)}))
+    results = [
+        fc.flow_to_critical(fc.make_chart(integral, seed, form=form), seed),
+        fc.leaf_hessian(fc.make_chart(integral, p, form=form), p),
+        fc.sphere_search(cubic.differential(), 1.5, 8, 3),
+    ]
+    return [json.dumps(to_json(r)) for r in results] + [run_cli(["leaf-hessian", "--input", str(path)])[1]]
+
+
+def test_results_do_not_depend_on_the_compiled_tables_kept(tmp_path):
+    algebra._compiled.cache_clear()
+    cold = _cache_independent_results(tmp_path)
+    assert algebra._compiled.cache_info().currsize > 0
+    assert _cache_independent_results(tmp_path) == cold
+
+
+def test_compiled_tables_are_read_only_and_bounded():
+    compiled = algebra._exponents(np.array([[2, 0, 1], [0, 1, 0], [2, 0, 1]]))
+    powers, columns = compiled.plan
+    for a in (compiled.exps, powers, *columns, *compiled.unique, *compiled.pairs):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert algebra._compiled.cache_info().maxsize == algebra._COMPILED_TABLES > 0
+
+
+def test_equal_bytes_of_another_shape_compile_another_plan():
+    a = np.array([[1, 0, 2], [0, 3, 1]])
+    b = a.reshape(3, 2)
+    assert a.tobytes() == b.tobytes()
+    assert algebra._exponents(a) is not algebra._exponents(b)
+    assert algebra._exponents(a) is algebra._exponents(a.copy())
+    for E in (a, b):
+        n = E.shape[1]
+        C = np.arange(1, len(E) + 1, dtype=complex)[:, None]
+        z = np.array([0.7 - 0.2j, 1.3j, -0.4][:n])
+        table = algebra._MonomialTable(n, E.copy(), C)
+        assert table._dot(z)[0] == pytest.approx(sum(c * np.prod(z**e) for (c,), e in zip(C, E)), rel=1e-15)
 
 
 def test_integrate_rejects_non_exact():

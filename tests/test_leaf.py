@@ -548,6 +548,43 @@ def _cubic_contact_points():
     return out
 
 
+def _kronecker_hessian_matrix(S: np.ndarray) -> np.ndarray:
+    # the reference: the leaf Hessian's matrix as a sum of Kronecker products
+    return (
+        np.eye(2 * len(S))
+        - np.kron(S.real, np.diag([1.0, -1.0]))
+        + np.kron(S.imag, [[0.0, 1.0], [1.0, 0.0]])
+    )
+
+
+def test_hessian_matrix_has_the_bits_of_the_kronecker_sum(monkeypatch, form321, integral321):
+    # zero signs included: a leaf-hessian report writes -0.0 as such; the
+    # x 0 products of the sum show where a part of S is not finite
+    rng = np.random.default_rng(25)
+    zeros, non_finite = np.array([0.0, -0.0]), np.array([np.inf, -np.inf, np.nan])
+    for _ in range(300):
+        m = int(rng.integers(1, 7))
+        parts = rng.standard_normal((2, m, m)) * 10.0 ** rng.integers(-3, 4, (2, m, m))
+        draw = rng.random((2, m, m))
+        parts[draw < 0.4] = rng.choice(zeros, int((draw < 0.4).sum()))
+        parts[draw > 0.97] = rng.choice(non_finite, int((draw > 0.97).sum()))
+        S = np.empty((m, m), dtype=complex)
+        S.real, S.imag = parts  # 1j * inf would make the real part NaN
+        with np.errstate(invalid="ignore"):  # inf x 0
+            assert leaf._hessian_matrix(S).tobytes() == _kronecker_hessian_matrix(S).tobytes()
+    # at i e_j on diag(3, 2, 1), S has -0.0 imaginary parts
+    seen = []
+    hessian_matrix = leaf._hessian_matrix
+    monkeypatch.setattr(leaf, "_hessian_matrix", lambda S: seen.append(S) or hessian_matrix(S))
+    for j in range(3):
+        p = np.zeros(3, dtype=complex)
+        p[j] = 1j
+        report = fc.leaf_hessian(fc.make_chart(integral321, p, form=form321), p)
+        S = seen[-1]
+        assert np.any(np.signbit(S.imag) & (S.imag == 0))
+        assert report.matrix.tobytes() == _kronecker_hessian_matrix(S).tobytes()
+
+
 def test_leaf_hessian_matches_closed_form_on_random_morse():
     rng = np.random.default_rng(17)
     for n in (3, 4, 5, 6):
