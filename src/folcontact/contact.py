@@ -23,10 +23,11 @@ means.
   refused: the origin with ValueError, a point where f's rounding scale
   is not finite with RadiusRangeError, a singular one with
   SingularGradientError. Its callers are point_at (and contact_residual
-  through it) and the leaf's field sample leaf._sample, which
-  sample_field and every flow, polish and Hessian sample go through. Each
-  lets the refusal propagate, except a flow step, which halves its step
-  when the sample at its midpoint is refused for range or singularity.
+  through it), the point a leaf flow reports (leaf._leaf_point) and the
+  leaf's field sample leaf._sample, which sample_field and every flow,
+  polish and Hessian sample go through. Each lets the refusal propagate,
+  except a flow step, which halves its trial step when the sample at the
+  trial point is refused for range or singularity.
 * A stack goes through `_contact_rows`, the one verdict on whether its
   rows are contact points: it fails a row whose rounding scale is not
   finite, whose gradient is singular or whose residual is above tol.

@@ -4,35 +4,37 @@ The projected field w(z) = z - mu(z) conj(f(z)) is tangent to the foliation
 (its hermitian product with the gradient conj(f) vanishes identically),
 vanishes exactly on the contact variety, and under the standard
 identification of C^n with R^{2n} equals half the gradient of the squared
-distance restricted to the leaf. Flowing along -w therefore descends the
-distance on the leaf; critical points of the restricted distance are the
-contact points on that leaf. mu, w and the singular test come from
-contact._field, the one place where they are computed. A field sample
-(sample_field, and every flow, polish and Hessian sample) refuses its
-point as point_at does, through contact._point_field: the origin
-(ValueError), a point out of range, where f's rounding scale is not
-finite (RadiusRangeError), and a singular point (SingularGradientError).
-transversality_scan scores a singular point 0. The points flows and
-Hessians report are built by contact._contact_point from their field
-sample's z, mu and w, so their residual follows point_at's rule.
+distance phi = |z|^2 restricted to the leaf; critical points of the
+restricted distance are the contact points on that leaf. mu, w and the
+singular test come from contact._field, the one place where they are
+computed. A field sample (sample_field, and every flow, polish and Hessian
+sample) refuses its point as point_at does, through contact._point_field:
+the origin (ValueError), a point out of range, where f's rounding scale is
+not finite (RadiusRangeError), and a singular point
+(SingularGradientError). transversality_scan scores a singular point 0.
+The points flows and Hessians report take their mu and residual from the
+form's own evaluation at their z, so they are point_at's, bit for bit.
 
 Leaves are tracked through a known polynomial first integral g with
 f = dg. A LeafChart compiles g and f side by side into one monomial table
 [g | f] of n + 1 columns (see algebra), once per (integral, form): the
 chart of a nearby leaf (index_persistence) shares it. Every point the leaf
 code visits is built once, and that build gives g and f (_evaluate): each
-iterate of the correction onto {g = c}, the midpoint of a flow step, the
-make_chart checks, the leaf_hessian precheck, the point a flow reports and
-each residual of the leaf polish. A field sample takes the rounding scale
-of f from the monomials of its point's build (_chart_sample), and the
-correction hands back its last build. A flow step samples its midpoint off
-the leaf, by one evaluation at the unprojected midpoint, of which it takes
-only w (contact._point_field: no FieldSample, no t_norm), and corrects only
-its result, whose field sample then costs no evaluation. The flow corrects
-drift by Newton steps back onto {g = c} along the gradient, and the
-restricted Hessian at a critical point is computed exactly from f, D^2 g
-and the multiplier, in an orthonormal basis of the tangent space ker(f^T)
-of the leaf.
+iterate of the correction onto {g = c}, the make_chart checks, the
+leaf_hessian precheck and each residual of the leaf polish. A field sample
+takes the rounding scale of f from the monomials of its point's build
+(_chart_sample), and the correction hands back its last build.
+
+One second-order model of phi/2 on the leaf (_leaf_model) serves the flow
+and the Hessian: in an orthonormal basis Q of the tangent space ker(f^T),
+the gradient Q^H w and the matrix of |xi|^2 - Re(xi^T S xi), with
+S = conj(mu) Q^T D^2 g Q, the Riemannian Hessian with the least-squares
+multiplier. flow_to_critical descends phi by modified-Newton steps on it,
+each trial corrected back onto {g = c} along the gradient (_project) and
+accepted by an Armijo test, and hands over to a Newton polish of the
+leaf-constrained contact system near a critical point; leaf_hessian reports
+the model's matrix at a critical point, where it is the exact restricted
+Hessian.
 
 Hessian scale convention: reports contain half the Hessian of the squared
 distance, which makes the eigenvalues dimensionless (the quadratic-integral
@@ -124,9 +126,10 @@ class HessianReport:
 
 @dataclass
 class FlowResult:
-    """Where a flow ended: the critical point, the steps taken, whether the
-    Newton polish found the point, and phi = |z|^2 at the seed and at the
-    point reported (the polished point, when polished)."""
+    """Where a flow ended: the critical point, the steps taken (modified-Newton
+    iterations, see flow_to_critical), whether the Newton polish found the
+    point, and phi = |z|^2 at the seed and at the point reported (the
+    polished point, when polished)."""
 
     point: ContactPoint
     steps: int
@@ -179,15 +182,10 @@ def _evaluate(chart: LeafChart, z: np.ndarray):
     return values[0, 0], values[0, 1:], monomials
 
 
-def _f_scale(chart: LeafChart, evaluation):
-    """The rounding scale of f at a point, from the monomials of its
-    evaluation, not from another build."""
-    return chart.table._scale(evaluation[2], 1)[0]
-
-
 def _chart_sample(chart: LeafChart, z: np.ndarray, evaluation) -> FieldSample:
-    """The field sample at z from its evaluation (g, f, monomials)."""
-    return _sample(z, evaluation[1], _f_scale(chart, evaluation))
+    """The field sample at z from its evaluation (g, f, monomials), with the
+    rounding scale of f from the monomials of that build, not from another."""
+    return _sample(z, evaluation[1], chart.table._scale(evaluation[2], 1)[0])
 
 
 def _project(chart: LeafChart, z: np.ndarray):
@@ -313,6 +311,21 @@ def _leaf_system(chart: LeafChart):
     return residual, jacobian
 
 
+def _phi(z: np.ndarray) -> float:
+    """phi = |z|^2, the squared distance a flow descends."""
+    return float(np.sum(np.abs(z) ** 2))
+
+
+def _leaf_point(chart: LeafChart, z: np.ndarray, g: complex) -> ContactPoint:
+    """The ContactPoint a flow reports at z, on the leaf value g.
+
+    Its mu and residual are point_at's at z, bit for bit: they come from
+    the form's own evaluation there, not from the chart's f, which the
+    [g | f] table rounds differently on a dense form.
+    """
+    return _contact_point(z, *_point_field(z, *chart.form.evaluate_scaled(z)), g)
+
+
 def _polish_on_leaf(chart: LeafChart, s: FieldSample):
     """(field sample, g) at the point Newton polishes s to, or None on failure.
 
@@ -345,89 +358,89 @@ def flow_to_critical(
     tol: float = DEFAULT_FLOW_TOL,
     max_steps: int = 2000,
 ) -> FlowResult:
-    """Flow the projected field on the leaf to a critical point.
+    """Descend phi = |z|^2 (descend) or -phi (ascend) on the leaf to a critical point.
 
-    Adaptive explicit midpoint on dz/ds = -w (descend) or +w (ascend), with
-    phi = |z|^2 strictly monotone across accepted steps. Only the result of
-    a step is Newton-corrected back onto the leaf (a standard projection
-    method): the midpoint sample is one evaluation at the unprojected
-    midpoint z +- h w / 2, off the leaf, and the sample at the new point
-    comes from the evaluation its leaf correction ends with. tol must be
-    positive and max_steps non-negative (ValueError).
+    Modified-Newton descent on the leaf's second-order model (_leaf_model):
+    each step solves M x = -grad in the tangent coordinates of z, with each
+    eigenvalue lambda of M replaced by max(|lambda|, 1e-3 max |lambda|)
+    (Nocedal and Wright, Numerical Optimization, 2nd ed., 2006, section 3.4),
+    so x descends even at a saddle. M is the same with either sign of phi,
+    so ascend only flips the gradient. The trial z + t Q xi is corrected
+    onto the leaf (_project), whose last evaluation gives the field sample
+    there; t starts at 1 and halves until the correction and the sample
+    succeed and phi (-phi) decreases by the Armijo test, 1e-4 of its slope
+    along the step. tol must be positive and max_steps non-negative
+    (ValueError).
 
     One loop, whose top, before each step and after the last, tests for its
     exits in this order:
 
-    * polished: t_norm is within the polish switch max(tol, 1e-3 (1 + |z|))
-      and below 0.3 times that of the last polish tried, and a Newton
-      polish on the leaf-constrained contact system lands within tol (so
-      near-critical seeds, saddle seeds included, return at once);
+    * polished: t_norm is within the polish switch max(tol, 1e-3 |z|) and
+      below 0.3 times that of the last polish tried, and a Newton polish on
+      the leaf-constrained contact system lands within tol (so critical
+      seeds, saddles included, return at step 0);
     * critical: t_norm <= tol, returned unpolished;
     * step limit: max_steps steps taken, FlowError.
 
-    The fourth exit is inside a step: FlowError when its size collapses
-    below 1e-15 with no accepted step. Both FlowErrors carry the last point
-    and the step count.
+    The fourth exit is inside a step: FlowError when t falls below 1e-15
+    with no trial accepted. Both FlowErrors carry the last point and the
+    step count.
     """
     if direction not in ("descend", "ascend"):
         raise ValueError("direction must be 'descend' or 'ascend'")
     _check_tol(tol)
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-    sgn = -1.0 if direction == "descend" else 1.0
+    sgn = 1.0 if direction == "descend" else -1.0  # the flow descends sgn * phi
 
     z = as_cvec(z0, chart.form.n)
     evaluation = _evaluate(chart, z)
     g = complex(evaluation[0])
     _check_on_leaf(chart, g, "seed")
-    phi = phi_initial = float(np.sum(np.abs(z) ** 2))
+    phi = phi_initial = _phi(z)
     s = _chart_sample(chart, z, evaluation)
-    h = 0.005 * (1.0 + phi) / (s.t_norm**2 + 1e-300)
     last_polish_t = np.inf
     steps = 0
     while True:
-        switch = max(tol, 1e-3 * (1.0 + np.sqrt(phi)))
-        if s.t_norm <= switch and s.t_norm < 0.3 * last_polish_t:
+        if s.t_norm <= max(tol, 1e-3 * math.sqrt(phi)) and s.t_norm < 0.3 * last_polish_t:
             last_polish_t = s.t_norm
             polished = _polish_on_leaf(chart, s)
             if polished is not None and polished[0].t_norm <= tol:
-                s, g = polished
-                point = _contact_point(s.z, s.mu, s.w, g)
-                return FlowResult(point, steps, True, phi_initial, float(np.sum(np.abs(point.z) ** 2)))
+                point = _leaf_point(chart, polished[0].z, polished[1])
+                return FlowResult(point, steps, True, phi_initial, _phi(point.z))
         if s.t_norm <= tol:
-            return FlowResult(_contact_point(s.z, s.mu, s.w, g), steps, False, phi_initial, phi)
+            return FlowResult(_leaf_point(chart, s.z, g), steps, False, phi_initial, phi)
         if steps >= max_steps:
             raise FlowError(
                 f"step limit exceeded (t_norm = {s.t_norm:.3e} after {steps} steps)",
-                last_point=_contact_point(s.z, s.mu, s.w, g),
+                last_point=_leaf_point(chart, s.z, g),
                 steps=steps,
             )
 
+        Q, M, grad = _leaf_model(chart, s.z, s)
+        lam, V = np.linalg.eigh(M)
+        x = -(V @ ((V.T @ grad) / np.maximum(np.abs(lam), 1e-3 * np.abs(lam).max())))  # (Re xi_1, Im xi_1, ...)
+        v = sgn * (Q @ x.view(complex))
+        armijo = 2e-4 * grad.dot(x)  # 1e-4 of the slope 2 grad . x < 0 of sgn * phi along v
+        t = 1.0
         while True:
-            if not h >= 1e-15:
+            if t < 1e-15:
                 raise FlowError(
                     "step size collapsed before reaching a critical point",
-                    last_point=_contact_point(s.z, s.mu, s.w, g),
+                    last_point=_leaf_point(chart, s.z, g),
                     steps=steps,
                 )
             try:
-                z_mid = z + sgn * 0.5 * h * s.w  # off the leaf: only the step's result is projected
-                mid = _evaluate(chart, z_mid)
-                w_mid = _point_field(z_mid, mid[1], _f_scale(chart, mid))[1]
-                z_new, evaluation = _project(chart, z + sgn * h * w_mid)
+                z, evaluation = _project(chart, s.z + t * v)
+                phi_new = _phi(z)
+                if sgn * (phi_new - phi) <= t * armijo:
+                    s = _chart_sample(chart, z, evaluation)
+                    break
             except (LeafCorrectionError, RadiusRangeError, SingularGradientError):
-                h *= 0.5
-                continue
-            phi_new = float(np.sum(np.abs(z_new) ** 2))
-            dphi = phi_new - phi
-            monotone = dphi < 0 if sgn < 0 else dphi > 0
-            if monotone and abs(dphi) <= 0.25 * (1.0 + phi):
-                break
-            h *= 0.5
-        z, phi = z_new, phi_new
+                pass
+            t *= 0.5
+        g, phi = complex(evaluation[0]), phi_new
         steps += 1
-        g, s = complex(evaluation[0]), _chart_sample(chart, z, evaluation)
-        h *= 1.5
 
 
 def _tangent_basis(f: np.ndarray) -> np.ndarray:
@@ -467,6 +480,25 @@ def _hessian_matrix(S: np.ndarray) -> np.ndarray:
     return M
 
 
+def _leaf_model(chart: LeafChart, z: np.ndarray, s: FieldSample):
+    """(Q, M, grad): the second-order model of phi/2 = |z|^2/2 on the leaf at z.
+
+    From the field sample s at z and the Jacobian H = D^2 g(z) of the form:
+    Q is the orthonormal basis of the tangent space ker(f^T)
+    (_tangent_basis), M the real matrix of |xi|^2 - Re(xi^T S xi) with
+    S = conj(mu) Q^T sym(H) Q (_hessian_matrix), and grad the real gradient
+    Q^H w, in the interleaved real coordinates (Re xi_a, Im xi_a) of
+    tangent vectors Q xi. At a critical point M is the restricted Hessian
+    (leaf_hessian); elsewhere it is the Riemannian Hessian with the
+    least-squares multiplier mu (Absil, Mahony and Sepulchre, Optimization
+    Algorithms on Matrix Manifolds, 2008, ch. 6), the flow's Newton model.
+    """
+    Q = _tangent_basis(s.grad_omega.conj())
+    H = jacobian_form(chart.form, z)
+    M = _hessian_matrix(np.conj(s.mu) * (Q.T @ (0.5 * (H + H.T)) @ Q))
+    return Q, M, (Q.conj().T @ s.w).view(float)  # (Re, Im) interleaved
+
+
 def leaf_hessian(chart: LeafChart, p) -> HessianReport:
     """Exact restricted Hessian (half squared distance) at a critical point p.
 
@@ -483,22 +515,17 @@ def leaf_hessian(chart: LeafChart, p) -> HessianReport:
     real matrix is I - [[Re S, -Im S], [-Im S, -Re S]], with (Re xi_a,
     Im xi_a) interleaved, and its eigenvalues are 1 +- (Takagi values of S).
     """
-    form = chart.form
-    p = as_cvec(p, form.n)
-    evaluation = _evaluate(chart, p)
-    g = evaluation[0]
+    p = as_cvec(p, chart.form.n)
+    g = complex(_evaluate(chart, p)[0])
     _check_on_leaf(chart, g, "point")
-    s = _chart_sample(chart, p, evaluation)
+    s = _sample(p, *chart.form.evaluate_scaled(p))  # the form's own f: point_at's mu and residual
     if s.t_norm > 1e-6:
         raise ValueError(f"point is not critical (t_norm = {s.t_norm:.3e})")
 
-    Q = _tangent_basis(s.grad_omega.conj())
-    H = jacobian_form(form, p)
-    S = np.conj(s.mu) * (Q.T @ (0.5 * (H + H.T)) @ Q)
-    M = _hessian_matrix(S)
+    M = _leaf_model(chart, p, s)[1]
     eigenvalues = np.linalg.eigvalsh(M)
     negative_count = int(np.sum(eigenvalues < -EIG_TOL))
-    point = _contact_point(s.z, s.mu, s.w, complex(g), negative_count)
+    point = _contact_point(p, s.mu, s.w, g, negative_count)
     return HessianReport(matrix=M, eigenvalues=eigenvalues, negative_count=negative_count, point=point)
 
 

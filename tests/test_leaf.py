@@ -19,6 +19,7 @@ from conftest import (
     homogeneous_leaf_scale,
     random_exact_form,
     random_morse,
+    random_symmetric,
     real_rows_by_concatenation,
 )
 
@@ -61,11 +62,11 @@ def test_sample_field_evaluates_form_once(form321, monkeypatch):
 
 @pytest.mark.parametrize("report", ["point_at", "leaf_hessian", "flow_to_critical"])
 def test_reported_point_evaluates_form_once(report, form321, integral321, monkeypatch):
-    # mu and the residual of the reported point come from one field sample;
-    # the flow starts at a critical point and its polish is switched off, so
-    # it reports the seed, sampled once to test for criticality. point_at
-    # evaluates the form once; leaf_hessian and the flow evaluate the chart's
-    # [g | f] table once, and neither the form nor the integral on its own
+    # mu and the residual of the reported point come from one evaluation of
+    # the form, as point_at's do; the flow starts at a critical point and its
+    # polish is switched off, so it reports the seed. leaf_hessian and the
+    # flow also build the chart's [g | f] table there once, for g (and the
+    # flow's test for criticality), and never evaluate the integral on its own
     z = (0.6 + 0.3j) * np.array([0.0, 1.0, 0.0])
     chart = fc.make_chart(integral321, z, form=form321)
     run = {
@@ -76,7 +77,7 @@ def test_reported_point_evaluates_form_once(report, form321, integral321, monkey
     monkeypatch.setattr(leaf, "_polish_on_leaf", lambda chart, z0: None)
     calls = _count_evaluations(monkeypatch, form321, integral321, chart.table)
     p = run()
-    assert calls == (["evaluate_scaled"] if report == "point_at" else ["_build"])
+    assert calls == (["evaluate_scaled"] if report == "point_at" else ["_build", "evaluate_scaled"])
     monkeypatch.undo()
     assert np.array_equal(p.z, z)
     q = fc.point_at(form321, z)
@@ -98,14 +99,20 @@ def test_sample_field_refuses_the_origin_and_a_point_out_of_range(form321, cubic
 
 def test_flow_and_hessian_points_have_the_residual_of_point_at(form321, integral321):
     # a leaf point's radius, mu and residual are point_at's at its z, bit
-    # for bit: one residual rule for a point wherever it comes from
+    # for bit: one residual rule for a point wherever it comes from. On a
+    # dense form the chart's [g | f] table rounds f otherwise than the form's
+    # own table, so the point is built from the form's evaluation
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        z0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        chart = fc.make_chart(integral321, z0, form=form321)
+    cases = [(integral321, form321, rng.standard_normal(3) + 1j * rng.standard_normal(3)) for _ in range(200)]
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        A = random_symmetric(rng, 4)
+        cases.append((fc.quadratic_first_integral(A), fc.linear_form(A), rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+    for integral, form, z0 in cases:
+        chart = fc.make_chart(integral, z0, form=form)
         flow_point = fc.flow_to_critical(chart, z0).point
         for p in (flow_point, fc.leaf_hessian(chart, flow_point.z).point):
-            q = fc.point_at(form321, p.z)
+            q = fc.point_at(form, p.z)
             assert (p.radius, p.mu, p.residual) == (q.radius, q.mu, q.residual)
 
 
@@ -281,7 +288,7 @@ def test_flow_ascend_reports_or_diagnoses(form321, integral321):
 def test_flow_with_no_steps_allowed_raises_at_the_seed(form321, integral321):
     z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
     chart = fc.make_chart(integral321, z0, 1.0, form=form321)
-    assert fc.sample_field(form321, z0).t_norm > 1e-3 * (1.0 + np.linalg.norm(z0))  # outside the polish switch
+    assert fc.sample_field(form321, z0).t_norm > 1e-3 * np.linalg.norm(z0)  # outside the polish switch
     with pytest.raises(FlowError, match="step limit exceeded") as exc:
         fc.flow_to_critical(chart, z0, max_steps=0)
     assert exc.value.steps == 0 and np.array_equal(exc.value.last_point.z, z0)
@@ -321,24 +328,35 @@ def test_flow_halves_a_step_whose_correction_fails(form321, integral321, monkeyp
 
 
 @pytest.mark.parametrize("error", [RadiusRangeError, SingularGradientError])
-def test_flow_halves_a_step_whose_midpoint_sample_is_refused(error, form321, integral321, monkeypatch):
-    # the midpoint sample of the first step is refused, out of range or
-    # singular: that step is halved and the flow still polishes
+def test_flow_halves_a_step_whose_trial_sample_is_refused(error, form321, integral321, monkeypatch):
+    # the field sample at the first trial that passes its Armijo test is
+    # refused, out of range or singular: that trial's t is halved, and the
+    # flow still polishes
     z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
     chart = fc.make_chart(integral321, z0, 1.0, form=form321)
-    point_field, samples = leaf._point_field, []
+    point_field, project, samples, trials = leaf._point_field, leaf._project, [], []
 
     def refuse_second(z, f, scale):
         samples.append(z)
-        if len(samples) == 2:  # the seed is the first sample, the first midpoint the second
+        if len(samples) == 2:  # the seed is the first sample
             raise error("refused")
         return point_field(z, f, scale)
 
     monkeypatch.setattr(leaf, "_point_field", refuse_second)
+
+    def recorded_project(chart, z):
+        out = project(chart, z)
+        trials.append((z, out[0]))
+        return out
+
+    monkeypatch.setattr(leaf, "_project", recorded_project)
     res = fc.flow_to_critical(chart, z0)
     monkeypatch.undo()
     assert res.steps > 0 and res.polished is True
     assert fc.sample_field(form321, res.point.z).t_norm <= 1e-8
+    # the refused sample is that of the projected trial z0 + t v; the next trial is z0 + (t/2) v
+    k = next(i for i, (_, z) in enumerate(trials) if np.array_equal(z, samples[1]))
+    assert np.allclose(trials[k + 1][0] - z0, 0.5 * (trials[k][0] - z0), rtol=1e-12, atol=0)
 
 
 def test_flow_whose_polish_fails_ends_unpolished_at_tol(form321, integral321, monkeypatch):
@@ -383,32 +401,40 @@ def test_projection_iterate_is_one_evaluation(form321, integral321, monkeypatch)
 
 
 def test_flow_step_samples_cost_no_evaluation(form321, integral321, monkeypatch):
-    # with the polish off, every build is the seed's, a step's midpoint's or
-    # a projection iterate's: the sample at z_mid is that build's, the one
-    # at z_new reuses the evaluation its projection ends with, so no point
-    # is built twice
+    # with the polish off, every build of the chart table is the seed's or a
+    # projection iterate's, and no point is built twice: a step's Newton
+    # model takes the field sample at its start from the evaluation that
+    # point's projection ended with, and only its Jacobian is evaluated
+    # there, once per step. The form is evaluated once, for the last point
     z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
     chart = fc.make_chart(integral321, z0, 1.0, form=form321)
     monkeypatch.setattr(leaf, "_polish_on_leaf", lambda chart, s: None)
-    points = _record_builds(monkeypatch)
+    build, jacobian, points, jacobians = chart.table._build, leaf.jacobian_form, [], []
+    monkeypatch.setattr(chart.table, "_build", lambda z: points.append(z[0].copy()) or build(z))
+    monkeypatch.setattr(leaf, "jacobian_form", lambda form, z: jacobians.append(z.copy()) or jacobian(form, z))
+    calls = _count_evaluations(monkeypatch, form321, integral321)
     with pytest.raises(FlowError) as exc:
-        fc.flow_to_critical(chart, z0, max_steps=6)
+        fc.flow_to_critical(chart, z0, max_steps=3)
     monkeypatch.undo()
-    assert exc.value.steps == 6 and np.array_equal(points[0], z0)
-    assert len(points) >= 1 + 2 * 6  # the seed, then z_mid and z_new of each step
+    assert exc.value.steps == 3 and np.array_equal(points[0], z0) and calls == ["evaluate_scaled"]
+    assert len(points) >= 1 + 3  # the seed, then at least one projection iterate per step
     assert len({p.tobytes() for p in points}) == len(points)
+    assert len(jacobians) == 3 and np.array_equal(jacobians[0], z0)
+    assert all(any(np.array_equal(z, p) for p in points) for z in jacobians)
 
 
 def test_flow_projects_once_per_step_attempt(form321, integral321, monkeypatch):
-    # only a step's result is corrected onto the leaf: its midpoint sample is
-    # one evaluation off the leaf, outside any projection
-    z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
+    # each trial z + t v of a step is one _project, at t = 1, 1/2, 1/4, ...
+    # from the point where the step's Newton model was taken (from this seed
+    # the first step halves three times); beside the projections only the
+    # seed is evaluated
+    z0 = _on_leaf_seed(integral321, form321, np.array([0.1, 0.5, 0.9]), 1.0)
     chart = fc.make_chart(integral321, z0, 1.0, form=form321)
     calls, depth = [], [0]
-    project, evaluate = leaf._project, leaf._evaluate
+    project, evaluate, model = leaf._project, leaf._evaluate, leaf._leaf_model
 
     def counted_project(chart, z):
-        calls.append("project")
+        calls.append(("project", z))
         depth[0] += 1
         try:
             return project(chart, z)
@@ -417,18 +443,26 @@ def test_flow_projects_once_per_step_attempt(form321, integral321, monkeypatch):
 
     def counted_evaluate(chart, z):
         if depth[0] == 0:
-            calls.append("evaluate")
+            calls.append(("evaluate", z))
         return evaluate(chart, z)
 
     monkeypatch.setattr(leaf, "_polish_on_leaf", lambda chart, s: None)
     monkeypatch.setattr(leaf, "_project", counted_project)
     monkeypatch.setattr(leaf, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(leaf, "_leaf_model", lambda chart, z, s: calls.append(("model", z)) or model(chart, z, s))
     with pytest.raises(FlowError) as exc:
-        fc.flow_to_critical(chart, z0, max_steps=6)
+        fc.flow_to_critical(chart, z0, max_steps=3)
     monkeypatch.undo()
-    attempts = (len(calls) - 1) // 2  # after the seed's evaluation
-    assert exc.value.steps == 6 and attempts >= 6
-    assert calls == ["evaluate"] + ["evaluate", "project"] * attempts
+    names = [name for name, _ in calls]
+    assert exc.value.steps == 3 and names[0] == "evaluate" and names.count("evaluate") == 1
+    assert names.count("model") == 3 and names[1] == "model"
+    starts = [i for i, name in enumerate(names) if name == "model"] + [len(calls)]
+    assert starts[1] - starts[0] == 1 + 4
+    for a, b in zip(starts, starts[1:]):
+        z, trials = calls[a][1], [t for _, t in calls[a + 1 : b]]
+        assert trials and all(name == "project" for name in names[a + 1 : b])
+        for k, trial in enumerate(trials[1:], 1):
+            assert np.allclose(trial - z, 0.5**k * (trials[0] - z), rtol=1e-12, atol=0)
 
 
 def test_index_persistence_shares_the_chart_table(form321, integral321, monkeypatch):
@@ -464,6 +498,63 @@ def test_flow_on_cubic_leaf(cubic3):
     res = fc.flow_to_critical(chart, z0, "descend", tol=1e-8, max_steps=4000)
     assert abs(complex(cubic3.evaluate(res.point.z)) - 1.0) <= 1e-9
     assert fc.sample_field(form, res.point.z).t_norm <= 1e-8
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_flow_from_a_scaled_seed_ends_at_the_scaled_minimum(s, form321, integral321):
+    # the polish switch max(tol, 1e-3 |z|) is relative: from s (0.3, 0.5 + 0.1i,
+    # 0.7) the flow descends to s times the s = 1 minimum on the z1 axis, where
+    # an absolute switch 1e-3 (1 + |z|) polished seeds of s <= 1e-3 at once
+    # into the index-1 saddle on the z2 axis
+    def minimum(s):
+        z0 = s * np.array([0.3, 0.5 + 0.1j, 0.7])
+        return fc.flow_to_critical(fc.make_chart(integral321, z0, form=form321), z0)
+
+    res, z1 = minimum(s), minimum(1.0).point.z
+    assert res.polished is True and res.steps > 0
+    assert np.linalg.norm(res.point.z - s * z1) <= 1e-9 * s * np.linalg.norm(z1)
+    assert axis_distance(res.point.z, 0) <= 1e-9 * np.linalg.norm(res.point.z)
+
+
+def test_flow_newton_matrix_is_the_leaf_hessian(form321, integral321, monkeypatch):
+    # 1e-9 off the critical points of diag(3, 2, 1), the minimum and two
+    # saddles, the matrix of the flow's first Newton step is leaf_hessian's,
+    # bit for bit: both come from _leaf_model. The polish is off and tol is
+    # below the point's t_norm, so the flow takes a step there
+    model, matrices = leaf._leaf_model, []
+
+    def recorded_model(chart, z, s):
+        out = model(chart, z, s)
+        matrices.append(out[1])
+        return out
+
+    monkeypatch.setattr(leaf, "_polish_on_leaf", lambda chart, s: None)
+    monkeypatch.setattr(leaf, "_leaf_model", recorded_model)
+    for p in np.sqrt([2.0 / 3.0, 1.0, 2.0])[:, None] * np.eye(3) * np.exp(0.4j):
+        chart = fc.make_chart(integral321, p, form=form321)
+        p = fc.project_to_leaf(integral321, form321, p + 1e-9 * np.array([0.0, 1.0, 1.0j]), chart.c)
+        with pytest.raises(FlowError):
+            fc.flow_to_critical(chart, p, tol=1e-300, max_steps=1)
+        report = fc.leaf_hessian(chart, p)
+        assert len(matrices) == 2 and matrices[0].tobytes() == matrices[1].tobytes() == report.matrix.tobytes()
+        matrices.clear()
+
+
+def test_seeded_descents_end_at_minima():
+    # 400 descents from random seeds, on random Morse leaves (n = 3-6) and
+    # the cubic's: none ends at a critical point of Morse index > 0
+    rng = np.random.default_rng(11)
+    cubic = fc.Polynomial(3, [(1.0, (3, 0, 0)), (1.0, (0, 3, 0)), (1.0, (0, 0, 3))])
+    ends_at_saddles = 0
+    for i in range(400):
+        integral = cubic if i % 5 == 4 else fc.quadratic_first_integral(random_morse(rng, 3 + i % 4))
+        form = integral.differential()
+        z0 = rng.standard_normal(form.n) + 1j * rng.standard_normal(form.n)
+        chart = fc.make_chart(integral, z0, form=form)
+        res = fc.flow_to_critical(chart, z0)
+        assert res.polished is True
+        ends_at_saddles += fc.leaf_hessian(chart, res.point.z).negative_count > 0
+    assert ends_at_saddles == 0
 
 
 # -----------------------------------------------------------------------------
