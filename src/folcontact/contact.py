@@ -58,14 +58,16 @@ runs a stack of starting points together: each row keeps its own Newton
 sequence, line search and stopping rule, and a row that fails drops out
 alone. It builds the Jacobians once per Newton step, at the iterates the
 step starts from, and its line search evaluates only residuals: Armijo
-backtracking whose trial steps 2^-h are tried in doubling chunks of h,
-one residual call per chunk, so a step makes at most five calls. The
-chunks, with their steps and Armijo factors, are a table built once at
-import from NEWTON_MAX_HALVINGS, and a step gathers only the rows still
-searching. The systems' callbacks (here and in leaf.py) write each
-residual and Jacobian block into one array allocated per call, the real
-Jacobian rows of a complex block by the one rule `_real_rows`, with no
-concatenation; their constants are built once per system. Every entry
+backtracking whose trial steps 2^-h are tried in runs of h, one residual
+call per run over the rows still searching: h = 0 alone, then doubling
+runs that grow to fill a stack of SEED_BLOCK trial points when few rows
+are searching, so a step with one or two rows searching makes two calls.
+The steps and their Armijo factors are two read-only arrays built once at
+import from NEWTON_MAX_HALVINGS and sliced per call. The systems'
+callbacks (here and in leaf.py) write each residual and Jacobian block
+into one array allocated per call, the real Jacobian rows of a complex
+block by the one rule `_real_rows`, with no concatenation; their
+constants are built once per system. Every entry
 is the value whole-block concatenation gives (a zero may differ in sign),
 so the Newton iterates do not depend on how the arrays are assembled.
 `sphere_search` hands it the seeds in blocks of SEED_BLOCK rows, so memory
@@ -91,14 +93,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PolyOneForm, as_cvec, jacobian_form
+from .algebra import PolyOneForm, _readonly, as_cvec, jacobian_form
 from .errors import RadiusRangeError, SingularGradientError
 
 ACCEPT_TOL = 1e-9
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 30
-# Seeds per stacked Newton solve in sphere_search, and rows per Gram block
-# of its merge.
+# Seeds per stacked Newton solve in sphere_search, rows per Gram block of
+# its merge, and the trial points a line-search call fills when few rows
+# are searching.
 SEED_BLOCK = 64
 
 
@@ -340,21 +343,10 @@ def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
         return dU
 
 
-def _chunk_table(max_halvings: int) -> tuple:
-    """The line search's chunks h = 0 | 1-2 | 3-6 | ... up to max_halvings.
-
-    One (t, 1 - 1e-4 t) per chunk: its trial steps t = 2^-h as a column and
-    the Armijo factors they must reach.
-    """
-    chunks, lo = [], 0
-    while lo <= max_halvings:
-        t = 0.5 ** np.arange(lo, min(2 * lo, max_halvings) + 1)
-        chunks.append((t[:, None], 1.0 - 1e-4 * t))
-        lo += len(t)
-    return tuple(chunks)
-
-
-_LINE_SEARCH_CHUNKS = _chunk_table(NEWTON_MAX_HALVINGS)
+# The line search's trial steps t = 2^-h, h = 0..NEWTON_MAX_HALVINGS, and
+# the Armijo factors 1 - 1e-4 t they must reach, sliced per residual call.
+_STEPS = _readonly(0.5 ** np.arange(NEWTON_MAX_HALVINGS + 1))
+_ARMIJO = _readonly(1.0 - 1e-4 * _STEPS)
 
 
 def _norms(F: np.ndarray) -> np.ndarray:
@@ -370,18 +362,24 @@ def _damped_newton(residual, jacobian, U0: np.ndarray, target: float, max_iter: 
     steps; the caller judges the final norms. Each step builds the
     Jacobians once, at the iterates it starts from, and takes for each row
     the first step t = 2^-h, h = 0..NEWTON_MAX_HALVINGS, with
-    ||F(u + t du)|| < (1 - 1e-4 t) ||F(u)|| (Armijo backtracking). The trial
-    steps are tried in the doubling chunks of _LINE_SEARCH_CHUNKS,
-    h = 0 | 1-2 | 3-6 | 7-14 | 15-30, built once with their Armijo factors;
-    each chunk is one residual call over the rows still searching: at most
-    five calls per step, and a row that needs k halvings evaluates at most
-    2k + 1 trial points (trying all 31 at once would evaluate several
-    times the rows). The row takes the first passing h of its chunk, the
-    very step a one-halving-at-a-time search would take, gathered with the
-    other accepted rows through one flat index into the chunk's trials. A
-    row fails, and comes back with norm inf, on a singular or non-finite
-    step, or when no h passes; the other rows go on. The callbacks take
-    (U, rows): the iterates of the stack rows `rows`.
+    ||F(u + t du)|| < (1 - 1e-4 t) ||F(u)|| (Armijo backtracking). Each
+    residual call tries a run of h for every row still searching: h = 0
+    alone, then from each h = lo on the next max(lo + 1, SEED_BLOCK // rows
+    searching) values, capped at NEWTON_MAX_HALVINGS. With many rows
+    searching these are the doubling chunks h = 1-2 | 3-6 | 7-14 | 15-30;
+    with few, the chunk grows to fill a stack of SEED_BLOCK trials, so a
+    step with at most two rows searching makes two calls, and no call
+    after the first evaluates more than max(SEED_BLOCK, rows x doubling
+    chunk) trial points. h = 0 stays alone because a one-row stack is
+    contracted by a matrix-vector product, which rounds differently from a
+    stack of two or more rows; for the same reason no run leaves h =
+    NEWTON_MAX_HALVINGS alone for the next call. So every trial point is
+    evaluated with the bits a one-halving-at-a-time search gives it, and
+    the row takes the first passing h of its run, that search's very step,
+    gathered with the other accepted rows through one flat index into the
+    run's trials. A row fails, and comes back with norm inf, on a singular
+    or non-finite step, or when no h passes; the other rows go on. The
+    callbacks take (U, rows): the iterates of the stack rows `rows`.
     """
     U = np.array(U0, dtype=float)
     F = residual(U, np.arange(len(U)))
@@ -399,29 +397,27 @@ def _damped_newton(residual, jacobian, U0: np.ndarray, target: float, max_iter: 
             norm[rows[~finite]] = np.inf
             live[rows[~finite]] = False
             rows, U_rows, dU = rows[finite], U_rows[finite], dU[finite]
-            if rows.size == 0:
-                continue
         norm_rows = norm[rows, None]
-        for t, armijo in _LINE_SEARCH_CHUNKS:
-            k = len(t)
-            U_trial = (U_rows[:, None] + t * dU[:, None]).reshape(-1, U.shape[1])
+        lo = 0
+        while rows.size and lo <= NEWTON_MAX_HALVINGS:
+            hi = 1 if lo == 0 else min(lo + max(lo + 1, SEED_BLOCK // rows.size), NEWTON_MAX_HALVINGS + 1)
+            if hi == NEWTON_MAX_HALVINGS:  # leave no lone last h: a stack of one row rounds otherwise
+                hi -= 1
+            k = hi - lo
+            U_trial = (U_rows[:, None] + _STEPS[lo:hi, None] * dU[:, None]).reshape(-1, U.shape[1])
             F_trial = residual(U_trial, np.repeat(rows, k))
             norm_trial = _norms(F_trial)
-            passes = norm_trial.reshape(-1, k) < armijo * norm_rows
+            passes = norm_trial.reshape(-1, k) < _ARMIJO[lo:hi] * norm_rows
             ok = passes.any(axis=1)
             hit = np.flatnonzero(ok)
-            if hit.size == 0:
-                continue
             take = hit * k + passes[hit].argmax(axis=1)  # the first passing step of each row
             at = rows[hit]
             U[at], F[at], norm[at] = U_trial[take], F_trial[take], norm_trial[take]
-            if hit.size == rows.size:
-                break
             search = ~ok
             rows, U_rows, dU, norm_rows = rows[search], U_rows[search], dU[search], norm_rows[search]
-        else:  # no productive step left
-            norm[rows] = np.inf
-            live[rows] = False
+            lo = hi
+        norm[rows] = np.inf  # no productive step left
+        live[rows] = False
     return U, norm
 
 

@@ -242,10 +242,18 @@ def _check_on_leaf(chart: LeafChart, g: complex, what: str) -> None:
         raise ValueError(f"{what} is not on the leaf (|g({what}) - c| = {abs(g - chart.c):.3e})")
 
 
-def _check_base(chart: LeafChart, base: np.ndarray, g: complex, f: np.ndarray) -> None:
-    """make_chart's checks at base, from its evaluation g = g(base), f = f(base)."""
+def _check_base(chart: LeafChart, base: np.ndarray, evaluation) -> None:
+    """make_chart's checks at base, from its evaluation (g, f, monomials) there.
+
+    The gradient test is _field's singular test, on the rounding scale of f
+    from the same monomials, so it holds at any |base|. A base where that
+    scale is not finite is left to the first field sample of a flow, which
+    refuses it with RadiusRangeError.
+    """
+    g, f, monomials = evaluation
     _check_on_leaf(chart, g, "base")
-    if np.max(np.abs(f)) < 1e-10 * (1.0 + np.linalg.norm(base)):
+    scale = chart.table._scale(monomials, 1)[0]
+    if math.isfinite(scale) and _field(base, f, scale)[2]:
         raise ChartError("all form coefficients vanish at the base point")
 
 
@@ -261,14 +269,14 @@ def make_chart(
     form must be the integral's differential; it is taken as given, not
     recomputed or checked. Compiles the chart's [g | f] table and checks
     base from one build of it. Raises ValueError if base is off the
-    prescribed leaf and ChartError if every coefficient of the form
-    vanishes there.
+    prescribed leaf and ChartError if the form's coefficients vanish there
+    to rounding, relative to the size of their terms (_check_base).
     """
     base = as_cvec(base, form.n)
     if c is None:
         c = integral.evaluate(base)  # the leaf through base
     chart = LeafChart(integral=integral, form=form, c=complex(c))
-    _check_base(chart, base, *_evaluate(chart, base)[:2])
+    _check_base(chart, base, _evaluate(chart, base))
     return chart
 
 
@@ -335,14 +343,14 @@ def _polish_on_leaf(chart: LeafChart, s: FieldSample):
     at most 40 steps (contact._damped_newton: one Jacobian per step,
     residuals only at line-search trial points) and, unlike that solver,
     succeeds only when the residual norm reaches its target
-    1e-13 (1 + |c| + |z0|) at a point within 0.2 (1 + |z0|) of z0 = s.z.
-    The sample and g come from one build of the chart table there.
+    1e-13 (|c| + |z0|), relative to the sizes of its rows, at a point within
+    0.2 (1 + |z0|) of z0 = s.z. s has passed _point_field, so its gradient
+    is not singular. The sample and g come from one build of the chart
+    table there.
     """
     z0, n = s.z, chart.form.n
-    if float(np.sum(np.abs(s.grad_omega) ** 2)) <= 1e-28:
-        return None
     u0 = np.concatenate([z0.real, z0.imag, [s.mu.real, s.mu.imag]])
-    target = 1e-13 * (1.0 + abs(chart.c) + np.linalg.norm(z0))
+    target = 1e-13 * (abs(chart.c) + np.linalg.norm(z0))
     U, norm = _damped_newton(*_leaf_system(chart), u0[None], target, 40)
     z = U[0, :n] + 1j * U[0, n : 2 * n]
     if not (norm[0] <= target and np.linalg.norm(z - z0) <= 0.2 * (1.0 + np.linalg.norm(z0))):
@@ -375,11 +383,12 @@ def flow_to_critical(
     One loop, whose top, before each step and after the last, tests for its
     exits in this order:
 
-    * polished: t_norm is within the polish switch max(tol, 1e-3 |z|) and
+    * polished: t_norm is within the polish switch max(tol, 1e-3) |z| and
       below 0.3 times that of the last polish tried, and a Newton polish on
-      the leaf-constrained contact system lands within tol (so critical
-      seeds, saddles included, return at step 0);
-    * critical: t_norm <= tol, returned unpolished;
+      the leaf-constrained contact system lands at a point with
+      t_norm <= tol |z| (so critical seeds, saddles included, return at
+      step 0);
+    * critical: t_norm <= tol |z|, returned unpolished;
     * step limit: max_steps steps taken, FlowError.
 
     The fourth exit is inside a step: FlowError when t falls below 1e-15
@@ -402,13 +411,13 @@ def flow_to_critical(
     last_polish_t = np.inf
     steps = 0
     while True:
-        if s.t_norm <= max(tol, 1e-3 * math.sqrt(phi)) and s.t_norm < 0.3 * last_polish_t:
+        if s.t_norm <= max(tol, 1e-3) * math.sqrt(phi) and s.t_norm < 0.3 * last_polish_t:
             last_polish_t = s.t_norm
             polished = _polish_on_leaf(chart, s)
-            if polished is not None and polished[0].t_norm <= tol:
+            if polished is not None and polished[0].t_norm <= tol * math.sqrt(_phi(polished[0].z)):
                 point = _leaf_point(chart, polished[0].z, polished[1])
                 return FlowResult(point, steps, True, phi_initial, _phi(point.z))
-        if s.t_norm <= tol:
+        if s.t_norm <= tol * math.sqrt(phi):
             return FlowResult(_leaf_point(chart, s.z, g), steps, False, phi_initial, phi)
         if steps >= max_steps:
             raise FlowError(
@@ -578,7 +587,7 @@ def index_persistence(chart: LeafChart, p: ContactPoint, dc: complex) -> bool:
     chart_new = replace(chart, c=chart.c + dc)
     try:
         seed, evaluation = _project(chart_new, as_cvec(p.z, chart.form.n))
-        _check_base(chart_new, seed, *evaluation[:2])
+        _check_base(chart_new, seed, evaluation)
         result = flow_to_critical(chart_new, seed, "descend")
         report = leaf_hessian(chart_new, result.point.z)
     except (FlowError, ChartError, ValueError):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import folcontact as fc
+from folcontact import contact
 from folcontact.cli import main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -155,3 +156,42 @@ def random_exact_form(rng: np.random.Generator, n: int, degree: int) -> fc.PolyO
     terms = [(complex(*rng.standard_normal(2)), rng.multinomial(degree, np.ones(n) / n)) for _ in range(n)]
     terms += [(2.0, degree * np.eye(n, dtype=np.int64)[j]) for j in range(n)]
     return fc.Polynomial(n, terms).differential()
+
+
+def one_halving_newton(residual, jacobian, U0: np.ndarray, target: float, max_iter: int):
+    """contact._damped_newton with a line search that tries one halving per residual call.
+
+    Each step builds the Jacobians of the rows still iterating in one call,
+    as the kernel does, and tries h = 0 on the rows still searching in one
+    call; from h = 1 on, each call tries one h on the rows still searching,
+    each given twice, so the stack has at least two rows and rounds as the
+    kernel's multi-row calls do (a stack of one row is contracted by a
+    matrix-vector product, which rounds otherwise). Each row takes its
+    first h with ||F(u + 2^-h du)|| < (1 - 1e-4 2^-h) ||F(u)||.
+    """
+    U = np.array(U0, dtype=float)
+    F = residual(U, np.arange(len(U)))
+    norm = np.sqrt(np.add.reduce(F * F, axis=1))
+    live = np.ones(len(U), dtype=bool)
+    for _ in range(max_iter):
+        live &= ~(norm <= target)
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        dU = contact._newton_steps(jacobian(U[rows], rows), F[rows])
+        bad = ~np.isfinite(dU).all(axis=1)
+        norm[rows[bad]], live[rows[bad]] = np.inf, False
+        rows, U_rows, dU, norm_rows = rows[~bad], U[rows][~bad], dU[~bad], norm[rows][~bad]
+        for h in range(contact.NEWTON_MAX_HALVINGS + 1):
+            if rows.size == 0:
+                break
+            t = 0.5**h
+            trial = U_rows + t * dU
+            twice = 1 if h == 0 else 2
+            F_trial = residual(np.repeat(trial, twice, axis=0), np.repeat(rows, twice))[::twice]
+            norm_trial = np.sqrt(np.add.reduce(F_trial * F_trial, axis=1))
+            ok = norm_trial < (1.0 - 1e-4 * t) * norm_rows
+            U[rows[ok]], F[rows[ok]], norm[rows[ok]] = trial[ok], F_trial[ok], norm_trial[ok]
+            rows, U_rows, dU, norm_rows = rows[~ok], U_rows[~ok], dU[~ok], norm_rows[~ok]
+        norm[rows], live[rows] = np.inf, False
+    return U, norm

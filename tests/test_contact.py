@@ -24,6 +24,7 @@ from folcontact.errors import RadiusRangeError, SingularGradientError
 from conftest import (
     axis_distance,
     degree_five_form,
+    one_halving_newton,
     random_exact_form,
     radially_invariant,
     random_morse,
@@ -253,11 +254,12 @@ def _backtracking_reference(u0: np.ndarray, target: float, max_iter: int):
     return u, norm, halvings
 
 
-# arctan(u) = 0 from these starts needs 0, 1, 2, 3, 7, 15, 30 and more than
-# NEWTON_MAX_HALVINGS halvings on its first step (the full step overshoots
-# to about -pi u^2 / 2); 0.0 starts at the root
-ARCTAN_STARTS = [0.5, 2.0, 3.0, 6.0, 100.0, 3e4, 1e9, 1e10, 0.0]
-FIRST_HALVINGS = [0, 1, 2, 3, 7, 15, 30, None, None]
+# arctan(u) = 0 from these starts needs 0, 1, 2, 3, 4, 7, 15, 30 and more
+# than NEWTON_MAX_HALVINGS halvings on its first step (the full step
+# overshoots to about -pi u^2 / 2); 0.0 starts at the root
+ARCTAN_STARTS = [0.5, 2.0, 3.0, 6.0, 20.0, 100.0, 3e4, 1e9, 1e10, 0.0]
+FIRST_HALVINGS = [0, 1, 2, 3, 4, 7, 15, 30, None, None]
+FAILING, AT_ROOT = 8, 9
 
 
 def test_chunked_backtracking_matches_one_halving_at_a_time():
@@ -278,17 +280,59 @@ def test_chunked_backtracking_matches_one_halving_at_a_time():
         u, ref_norm, halvings = _backtracking_reference(u0, 1e-12, 50)
         assert (halvings or [None])[0] == FIRST_HALVINGS[s]
         assert np.array_equal(U[s], u) and norm[s] == ref_norm
-    assert np.isinf(norm[7]) and np.all(np.delete(norm, 7) <= 1e-12)
-    # at most five residual calls per Newton step; on the first step a row
-    # that needs k halvings evaluates at most 2k + 1 trial points, and the
-    # failing row all NEWTON_MAX_HALVINGS + 1 of them
-    assert all(len(step) <= 5 for step in steps)
+    assert np.isinf(norm[FAILING]) and np.all(np.delete(norm, FAILING) <= 1e-12)
+    # h = 0 is one call over the rows searching; a step with at most two of
+    # them makes at most two calls. Each later call tries at least two h per
+    # row, so its stack never has one row, and no more than
+    # max(SEED_BLOCK, rows x the doubling chunk h = lo..2 lo) trial points
+    for step in steps:
+        assert len(np.unique(step[0])) == len(step[0])
+        if len(step[0]) <= 2:
+            assert len(step) <= 2
+        lo = 1
+        for call in step[1:]:
+            searching = len(np.unique(call))
+            k, rest = divmod(len(call), searching)
+            chunk = min(lo + 1, contact.NEWTON_MAX_HALVINGS + 1 - lo)
+            assert rest == 0 and k >= 2 and len(call) <= max(contact.SEED_BLOCK, searching * chunk)
+            lo += k
+    assert any(len(step[0]) <= 2 and len(step) == 2 for step in steps)
+    # on the first step, 8 rows search h = 1-8 and 3 of them h = 9-28, which
+    # leaves the rows that need 30 halvings or more two h, not h = 30 alone;
+    # the failing row evaluates all NEWTON_MAX_HALVINGS + 1 trial points,
+    # and the row at the root none
     first = np.concatenate(steps[0])
-    for s, k in enumerate(FIRST_HALVINGS[:-1]):
-        evaluated = np.count_nonzero(first == s)
-        assert 1 <= evaluated <= (2 * k + 1 if k is not None else contact.NEWTON_MAX_HALVINGS + 1)
-    assert np.count_nonzero(first == 7) == contact.NEWTON_MAX_HALVINGS + 1
-    assert np.count_nonzero(first == 8) == 0
+    assert [len(call) for call in steps[0]] == [9, 64, 60, 4]
+    assert np.count_nonzero(first == FAILING) == contact.NEWTON_MAX_HALVINGS + 1
+    assert np.count_nonzero(first == AT_ROOT) == 0
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        fc.linear_form(random_morse(np.random.default_rng(16), 16)),
+        random_exact_form(np.random.default_rng(6), 6, 4),
+        random_exact_form(np.random.default_rng(8), 8, 5),
+    ],
+    ids=["linear-16", "exact-6", "exact-8"],
+)
+def test_newton_on_sphere_matches_a_one_halving_kernel(form, monkeypatch):
+    # 64 seeds, some of whose rows fail (norm inf): the line search runs
+    # with many rows searching, with few, and on rows that exhaust it
+    seeds = sphere_seeds(form.n, contact.SEED_BLOCK, 3, 1.0)
+    norms = []
+
+    def reference(*args):
+        U, norm = one_halving_newton(*args)
+        norms.append(norm)
+        return U, norm
+
+    got = _newton_on_sphere(form, seeds, 1.0, fc.ACCEPT_TOL)
+    monkeypatch.setattr(contact, "_damped_newton", reference)
+    ref = _newton_on_sphere(form, seeds, 1.0, fc.ACCEPT_TOL)
+    assert 1 <= np.count_nonzero(np.isinf(norms[0])) < contact.SEED_BLOCK // 4
+    assert len(ref[0]) >= contact.SEED_BLOCK // 2
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def test_stacked_rows_match_rows_solved_alone(cubic3):

@@ -500,12 +500,14 @@ def test_flow_on_cubic_leaf(cubic3):
     assert fc.sample_field(form, res.point.z).t_norm <= 1e-8
 
 
-@pytest.mark.parametrize("s", [1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("s", [10.0**-e for e in range(14)])
 def test_flow_from_a_scaled_seed_ends_at_the_scaled_minimum(s, form321, integral321):
-    # the polish switch max(tol, 1e-3 |z|) is relative: from s (0.3, 0.5 + 0.1i,
-    # 0.7) the flow descends to s times the s = 1 minimum on the z1 axis, where
-    # an absolute switch 1e-3 (1 + |z|) polished seeds of s <= 1e-3 at once
-    # into the index-1 saddle on the z2 axis
+    # the flow's tests are relative to |z|: from s (0.3, 0.5 + 0.1i, 0.7) it
+    # descends to s times the s = 1 minimum on the z1 axis. An absolute
+    # polish switch 1e-3 (1 + |z|) polished seeds of s <= 1e-3 at once into
+    # the index-1 saddle on the z2 axis, an absolute tol 1e-8 did so from
+    # s = 1e-8, and an absolute gradient test in make_chart refused the
+    # seed from s = 1e-11
     def minimum(s):
         z0 = s * np.array([0.3, 0.5 + 0.1j, 0.7])
         return fc.flow_to_critical(fc.make_chart(integral321, z0, form=form321), z0)
