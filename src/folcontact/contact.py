@@ -53,35 +53,36 @@ The sphere solver works on the real system in 2n+2 unknowns
     Im <z, anchor>    = 0          (kills the phase orbit through a solution)
 
 with damped Newton iteration from reproducible random sphere seeds. The
-iteration is `_damped_newton`, the one Newton kernel of the library, which
-runs a stack of starting points together: each row keeps its own Newton
-sequence, line search and stopping rule, and a row that fails drops out
-alone. It builds the Jacobians once per Newton step, at the iterates the
-step starts from, and its line search evaluates only residuals: Armijo
-backtracking whose trial steps 2^-h are tried in runs of h, one residual
-call per run over the rows still searching: h = 0 alone, then doubling
-runs that grow to fill a stack of SEED_BLOCK trial points when few rows
-are searching, so a step with one or two rows searching makes two calls.
-The steps and their Armijo factors are two read-only arrays built once at
-import from NEWTON_MAX_HALVINGS and sliced per call. The systems'
-callbacks (here and in leaf.py) write each residual and Jacobian block
-into one array allocated per call, the real Jacobian rows of a complex
-block by the one rule `_real_rows`, with no concatenation; their
-constants are built once per system. Every entry
-is the value whole-block concatenation gives (a zero may differ in sign),
-so the Newton iterates do not depend on how the arrays are assembled.
-`sphere_search` hands it the seeds in blocks of SEED_BLOCK rows, so memory
-does not grow with the seed count; `continue_radially`, for a form that is
-not homogeneous, and the leaf polish in leaf.py call it with a stack of
-one. A homogeneous form needs no solve on a radial trace: its contact set
-is a real cone, so `continue_radially` scales the start to every radius of
-the grid and checks the points of each direction in one stack. The points
+iteration is `_damped_newton`, the one damped-Newton kernel of the
+library, which runs a stack of starting points together: each row keeps
+its own Newton sequence, line search and stopping rule, and a row that
+fails drops out alone. It builds the Jacobians once per Newton step, at
+the iterates the step starts from, and its line search evaluates only
+residuals: Armijo backtracking whose trial steps 2^-h are tried in runs of
+h, one residual call per run over the rows still searching: h = 0 alone,
+then doubling runs that grow to fill a stack of SEED_BLOCK trial points
+when few rows are searching, so a step with one or two rows searching
+makes two calls. The steps and their Armijo factors are two read-only
+arrays built once at import from NEWTON_MAX_HALVINGS and sliced per call.
+The contact system's callbacks write each residual and Jacobian block into
+one array allocated per call, the real Jacobian rows of a complex block by
+the one rule `_real_rows`, with no concatenation; their constants are
+built once per system. Every entry is the value whole-block concatenation
+gives (a zero may differ in sign), so the Newton iterates do not depend on
+how the arrays are assembled. `sphere_search` hands it the seeds in blocks
+of SEED_BLOCK rows, so memory does not grow with the seed count;
+`continue_radially`, for a form that is not homogeneous, calls it with a
+stack of one. The kernel serves only these two: the leaf code in leaf.py
+has its own Newton model on the leaf (leaf._leaf_model), which its flow,
+its polish and its Hessian share, and runs no square contact system. A
+homogeneous form needs no solve on a radial trace: its contact set is a
+real cone, so `continue_radially` scales the start to every radius of the
+grid and checks the points of each direction in one stack. The points
 sphere_search finds stay arrays (z, mu and residual per row) from the
 Newton solve to the report: `_merge_points` merges the rows into phase
-orbits from Gram products in blocks of SEED_BLOCK rows against all m
-rows, so the merge needs O(SEED_BLOCK m) memory, never m^2, and returns
-the row index of one point per orbit. Only those rows become
-ContactPoints.
+orbits from Gram products in blocks of SEED_BLOCK rows against all m rows,
+so the merge needs O(SEED_BLOCK m) memory, never m^2, and returns the row
+index of one point per orbit. Only those rows become ContactPoints.
 """
 
 from __future__ import annotations

@@ -20,21 +20,25 @@ f = dg. A LeafChart compiles g and f side by side into one monomial table
 [g | f] of n + 1 columns (see algebra), once per (integral, form): the
 chart of a nearby leaf (index_persistence) shares it. Every point the leaf
 code visits is built once, and that build gives g and f (_evaluate): each
-iterate of the correction onto {g = c}, the make_chart checks, the
-leaf_hessian precheck and each residual of the leaf polish. A field sample
-takes the rounding scale of f from the monomials of its point's build
-(_chart_sample), and the correction hands back its last build.
+iterate of the correction onto {g = c}, the make_chart checks and the
+leaf_hessian precheck. A field sample takes the rounding scale of f from
+the monomials of its point's build (_chart_sample), and the correction
+hands back its last build. The leaf's tests are relative to sizes at their
+point: the correction's target and the on-leaf test to |c| plus g's
+rounding scale (_leaf_size), the flow's and the Hessian's criticality tests
+to |z|, so a leaf near the origin behaves as a unit one.
 
-One second-order model of phi/2 on the leaf (_leaf_model) serves the flow
-and the Hessian: in an orthonormal basis Q of the tangent space ker(f^T),
-the gradient Q^H w and the matrix of |xi|^2 - Re(xi^T S xi), with
-S = conj(mu) Q^T D^2 g Q, the Riemannian Hessian with the least-squares
-multiplier. flow_to_critical descends phi by modified-Newton steps on it,
-each trial corrected back onto {g = c} along the gradient (_project) and
-accepted by an Armijo test, and hands over to a Newton polish of the
-leaf-constrained contact system near a critical point; leaf_hessian reports
-the model's matrix at a critical point, where it is the exact restricted
-Hessian.
+The leaf code has one Newton model, the second-order model of phi/2 on the
+leaf (_leaf_model): in the orthonormal Householder basis Q of the tangent
+space ker(f^T) (_tangent_basis), the gradient Q^H w and the matrix of
+|xi|^2 - Re(xi^T S xi), with S = conj(mu) Q^T D^2 g Q, the Riemannian
+Hessian with the least-squares multiplier. flow_to_critical descends phi by
+modified-Newton steps on it, each trial corrected back onto {g = c} along
+the gradient (_project) and accepted by an Armijo test, and near a critical
+point hands over to a polish of pure Newton steps on the same model
+(_polish_on_leaf); leaf_hessian reports the model's matrix at a critical
+point, where it is the exact restricted Hessian. None of it runs the
+damped-Newton kernel of the sphere solver (contact._damped_newton).
 
 Hessian scale convention: reports contain half the Hessian of the squared
 distance, which makes the eigenvalues dimensionless (the quadratic-integral
@@ -49,17 +53,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import Polynomial, PolyOneForm, _MonomialTable, _side_by_side, as_cvec, jacobian_form
-from .contact import (
-    ContactPoint,
-    _check_radius,
-    _check_tol,
-    _contact_point,
-    _damped_newton,
-    _field,
-    _point_field,
-    _real_rows,
-    sphere_seeds,
-)
+from .contact import ContactPoint, _check_radius, _check_tol, _contact_point, _field, _point_field, sphere_seeds
 from .errors import (
     ChartError,
     FlowError,
@@ -114,8 +108,8 @@ class HessianReport:
 
     `matrix` is symmetric, of size 2(n-1), in the real coordinates
     (Re xi_1, Im xi_1, Re xi_2, Im xi_2, ...) of tangent vectors v = Q xi,
-    where Q is an orthonormal complex basis of the leaf's tangent space (see
-    leaf_hessian); its eigenvalues do not depend on that choice of basis.
+    where Q is the orthonormal Householder basis of the leaf's tangent space
+    (see leaf_hessian); its eigenvalues do not depend on that choice of basis.
     """
 
     matrix: np.ndarray
@@ -127,8 +121,8 @@ class HessianReport:
 @dataclass
 class FlowResult:
     """Where a flow ended: the critical point, the steps taken (modified-Newton
-    iterations, see flow_to_critical), whether the Newton polish found the
-    point, and phi = |z|^2 at the seed and at the point reported (the
+    descent iterations, see flow_to_critical; the polish's are not counted),
+    whether the Newton polish found the point, and phi = |z|^2 at the seed and at the point reported (the
     polished point, when polished)."""
 
     point: ContactPoint
@@ -188,6 +182,12 @@ def _chart_sample(chart: LeafChart, z: np.ndarray, evaluation) -> FieldSample:
     return _sample(z, evaluation[1], chart.table._scale(evaluation[2], 1)[0])
 
 
+def _leaf_size(chart: LeafChart, monomials: np.ndarray) -> float:
+    """|c| plus the rounding scale of g, |z^E| |C[:, 0]|, from the monomials
+    of one build at z: the size the leaf tests at z are relative to."""
+    return abs(chart.c) + float(np.abs(monomials[:, 0]) @ chart.table._abs_coeffs[:, 0])
+
+
 def _project(chart: LeafChart, z: np.ndarray):
     """(z on the chart's leaf, its evaluation (g, f, monomials)): see project_to_leaf.
 
@@ -195,21 +195,23 @@ def _project(chart: LeafChart, z: np.ndarray):
     caller gets the field at the corrected point without evaluating it.
     """
     c, max_iter = chart.c, 50
-    target = 1e-14 * (1.0 + abs(c))
-    accept = 1e-12 * (1.0 + abs(c))
     best_err = np.inf
     for k in range(max_iter + 1):
         evaluation = _evaluate(chart, z)
-        g, f, _ = evaluation
+        g, f, monomials = evaluation
+        if k == 0:  # the sizes at the starting point: g's for the target, f's for the singular test
+            size, singular = _leaf_size(chart, monomials), 1e-14 * chart.table._scale(monomials, 1)[0]
+            if not math.isfinite(size):
+                raise LeafCorrectionError("point out of range: g's rounding scale is non-finite")
         err = abs(g - c)
         # on the leaf, or stagnated at the rounding floor (or out of iterates) near it
-        if err <= target or (err <= accept and (err >= best_err or k == max_iter)):
+        if err <= 1e-14 * size or (err <= 1e-12 * size and (err >= best_err or k == max_iter)):
             return z, evaluation
         if k == max_iter:
             raise LeafCorrectionError(f"leaf correction did not converge (|f - c| = {err:.3e})")
         best_err = min(best_err, err)
         denom = np.vdot(f, f).real
-        if denom <= 1e-28 * (1.0 + np.sqrt(np.vdot(z, z).real)) ** 2:
+        if math.sqrt(denom) <= singular:  # contact._field's singular test
             raise LeafCorrectionError("gradient vanished during leaf correction")
         z = z + (c - g) / denom * f.conj()
         if not np.isfinite(z).all():
@@ -220,26 +222,31 @@ def project_to_leaf(integral: Polynomial, form: PolyOneForm, z, c: complex) -> n
     """Newton-correct z onto the leaf {g = c} of the integral g along conj(f).
 
     With f = dg the form, iterates z += (c - g(z)) conj(f(z)) / ||f(z)||^2
-    down to the rounding floor, at most 50 times; raises
-    LeafCorrectionError on divergence. Each iterate gets g and f from one
-    build of the chart table [g | f]; this function compiles that table,
-    and the leaf code, which has a chart, runs the same loop (_project) on
-    the chart's own table.
+    until |g - c| <= 1e-14 size, or stagnates at most 1e-12 size from c,
+    at most 50 times. size is |c| plus g's rounding scale at the starting
+    point (_leaf_size), so the correction is the same at every scale of z.
+    Raises LeafCorrectionError on divergence, where that scale is not
+    finite and where f vanishes to rounding at an iterate (contact._field's
+    singular test). Each iterate gets g and f from one build of the chart
+    table [g | f]; this function compiles that table, and the leaf code,
+    which has a chart, runs the same loop (_project) on the chart's own
+    table.
 
-    It stays outside the shared kernel contact._damped_newton: it solves one
-    complex equation in n unknowns by that minimum-norm step, with no line
-    search, and the kernel solves square systems; a non-square branch in
-    the kernel would be a second path through it.
+    It stays outside the damped-Newton kernel contact._damped_newton: it
+    solves one complex equation in n unknowns by that minimum-norm step,
+    with no line search, and the kernel solves square systems.
     """
     z = as_cvec(z, form.n)
     return _project(LeafChart(integral, form, complex(c)), z)[0]
 
 
-def _check_on_leaf(chart: LeafChart, g: complex, what: str) -> None:
-    """Refuse, with ValueError, the base, seed or point `what` at which the
-    integral is g when |g - c| > LEAF_TOL (1 + |c|) for the chart's c."""
-    if abs(g - chart.c) > LEAF_TOL * (1.0 + abs(chart.c)):
-        raise ValueError(f"{what} is not on the leaf (|g({what}) - c| = {abs(g - chart.c):.3e})")
+def _check_on_leaf(chart: LeafChart, evaluation, what: str) -> None:
+    """Refuse, with ValueError, the base, seed or point `what` whose
+    evaluation (g, f, monomials) has |g - c| > LEAF_TOL size, size the
+    leaf size there (_leaf_size), for the chart's c."""
+    err = abs(evaluation[0] - chart.c)
+    if err > LEAF_TOL * _leaf_size(chart, evaluation[2]):
+        raise ValueError(f"{what} is not on the leaf (|g({what}) - c| = {err:.3e})")
 
 
 def _check_base(chart: LeafChart, base: np.ndarray, evaluation) -> None:
@@ -250,8 +257,8 @@ def _check_base(chart: LeafChart, base: np.ndarray, evaluation) -> None:
     scale is not finite is left to the first field sample of a flow, which
     refuses it with RadiusRangeError.
     """
-    g, f, monomials = evaluation
-    _check_on_leaf(chart, g, "base")
+    _, f, monomials = evaluation
+    _check_on_leaf(chart, evaluation, "base")
     scale = chart.table._scale(monomials, 1)[0]
     if math.isfinite(scale) and _field(base, f, scale)[2]:
         raise ChartError("all form coefficients vanish at the base point")
@@ -280,45 +287,6 @@ def make_chart(
     return chart
 
 
-def _leaf_system(chart: LeafChart):
-    """Stacked (residual, jacobian) callbacks of the leaf-constrained contact system.
-
-    Square real system in (Re z, Im z, Re mu, Im mu) for each row of a
-    stack U: z - mu conj(f(z)) = 0 plus the real and imaginary parts of
-    g(z) - c = 0, with g and f from one build of the chart table. The leaf
-    constraint replaces the sphere and phase rows of the sphere solver, as
-    the leaf meets each phase orbit discretely. Each callback writes its
-    blocks into one array allocated per call (the Jacobian's through
-    contact._real_rows), and the identity is built once here. The system
-    has no per-row data, so the callbacks ignore the kernel's rows.
-    """
-    form, table, c = chart.form, chart.table, chart.c
-    n = form.n
-    eye = np.eye(n)
-
-    def residual(U: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        out = np.empty(U.shape)
-        Z = U[:, :n] + 1j * U[:, n : 2 * n]
-        V = table._dot(Z)
-        G = Z - (U[:, 2 * n] + 1j * U[:, 2 * n + 1])[:, None] * V[:, 1:].conj()
-        out[:, :n], out[:, n : 2 * n] = G.real, G.imag
-        L = V[:, 0] - c
-        out[:, 2 * n], out[:, 2 * n + 1] = L.real, L.imag
-        return out
-
-    def jacobian(U: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        J = np.empty(U.shape + U.shape[-1:])
-        Z = U[:, :n] + 1j * U[:, n : 2 * n]
-        mu = U[:, 2 * n] + 1j * U[:, 2 * n + 1]
-        F = form.evaluate(Z)
-        _real_rows(J[:, : 2 * n], eye, -mu[:, None, None] * jacobian_form(form, Z).conj(), -F.conj())
-        # d(g - c) = sum_k f_k dz_k: holomorphic, free of the multiplier
-        _real_rows(J[:, 2 * n :], F[:, None, :], 0.0, 0.0)
-        return J
-
-    return residual, jacobian
-
-
 def _phi(z: np.ndarray) -> float:
     """phi = |z|^2, the squared distance a flow descends."""
     return float(np.sum(np.abs(z) ** 2))
@@ -337,26 +305,30 @@ def _leaf_point(chart: LeafChart, z: np.ndarray, g: complex) -> ContactPoint:
 def _polish_on_leaf(chart: LeafChart, s: FieldSample):
     """(field sample, g) at the point Newton polishes s to, or None on failure.
 
-    Newton on (z - mu conj(f) = 0, g(z) - c = 0), started at s.z with the
-    multiplier s.mu, so it evaluates nothing to start. Runs the
-    damped-Newton kernel shared with the sphere solver on a stack of one for
-    at most 40 steps (contact._damped_newton: one Jacobian per step,
-    residuals only at line-search trial points) and, unlike that solver,
-    succeeds only when the residual norm reaches its target
-    1e-13 (|c| + |z0|), relative to the sizes of its rows, at a point within
-    0.2 (1 + |z0|) of z0 = s.z. s has passed _point_field, so its gradient
-    is not singular. The sample and g come from one build of the chart
-    table there.
+    Pure Newton on the leaf's model (_leaf_model), the flow's model with M
+    unmodified: each step solves M x = -grad at the current sample and
+    corrects z + Q xi onto the leaf (_project), whose last build gives the
+    next sample. It converges to the nearest critical point, of any index.
+    It succeeds when t_norm <= 1e-13 (|c| + |z0|), z0 = s.z, within 40
+    steps, and returns None at once when a step's M is singular, its
+    correction or sample fails, or it lands farther than 0.2 |z0| from z0.
+    The sample and g come from one build of the chart table there.
     """
-    z0, n = s.z, chart.form.n
-    u0 = np.concatenate([z0.real, z0.imag, [s.mu.real, s.mu.imag]])
-    target = 1e-13 * (abs(chart.c) + np.linalg.norm(z0))
-    U, norm = _damped_newton(*_leaf_system(chart), u0[None], target, 40)
-    z = U[0, :n] + 1j * U[0, n : 2 * n]
-    if not (norm[0] <= target and np.linalg.norm(z - z0) <= 0.2 * (1.0 + np.linalg.norm(z0))):
-        return None
-    evaluation = _evaluate(chart, z)
-    return _chart_sample(chart, z, evaluation), complex(evaluation[0])
+    z0, evaluation, steps = s.z, None, 0
+    target, radius = 1e-13 * (abs(chart.c) + np.linalg.norm(z0)), 0.2 * np.linalg.norm(z0)
+    while s.t_norm > target:
+        if steps == 40:
+            return None
+        Q, M, grad = _leaf_model(chart, s.z, s)
+        try:
+            z, evaluation = _project(chart, s.z + Q @ np.linalg.solve(M, -grad).view(complex))
+            s = _chart_sample(chart, z, evaluation)
+        except (np.linalg.LinAlgError, LeafCorrectionError, RadiusRangeError, SingularGradientError):
+            return None
+        if np.linalg.norm(z - z0) > radius:
+            return None
+        steps += 1
+    return s, complex((evaluation or _evaluate(chart, s.z))[0])
 
 
 def flow_to_critical(
@@ -384,8 +356,8 @@ def flow_to_critical(
     exits in this order:
 
     * polished: t_norm is within the polish switch max(tol, 1e-3) |z| and
-      below 0.3 times that of the last polish tried, and a Newton polish on
-      the leaf-constrained contact system lands at a point with
+      below 0.3 times that of the last polish tried, and the pure-Newton
+      polish on the same model (_polish_on_leaf) lands at a point with
       t_norm <= tol |z| (so critical seeds, saddles included, return at
       step 0);
     * critical: t_norm <= tol |z|, returned unpolished;
@@ -405,7 +377,7 @@ def flow_to_critical(
     z = as_cvec(z0, chart.form.n)
     evaluation = _evaluate(chart, z)
     g = complex(evaluation[0])
-    _check_on_leaf(chart, g, "seed")
+    _check_on_leaf(chart, evaluation, "seed")
     phi = phi_initial = _phi(z)
     s = _chart_sample(chart, z, evaluation)
     last_polish_t = np.inf
@@ -455,20 +427,20 @@ def flow_to_critical(
 def _tangent_basis(f: np.ndarray) -> np.ndarray:
     """Orthonormal complex basis Q (n x (n-1)) of ker(f^T) = {v : sum f_j v_j = 0}.
 
-    The Gram-Schmidt basis of the implicit-function tangents
-    e_j - (f_j/f_k) e_k, j != k, with k = argmax |f_j|: their QR factors
-    with the diagonal of R made real positive. Where those tangents are
-    already orthonormal (e.g. f along a coordinate axis), Q is exactly them.
+    One Householder reflector H = I - 2 u u^H / u^H u (Golub and Van Loan,
+    Matrix Computations, section 5.1) with a = conj(f)/|f|, k = argmax |f_j|
+    and u = a + (a_k/|a_k|) e_k maps a to a multiple of e_k, so column k of
+    the unitary, hermitian H is a multiple of a and the others span
+    ker(f^T); Q is H without column k. Where f lies along a coordinate axis,
+    u is a multiple of e_k and Q is exactly the coordinate tangents e_j,
+    j != k.
     """
-    n = f.size
-    k = int(np.argmax(np.abs(f)))
-    free = [j for j in range(n) if j != k]
-    V = np.zeros((n, n - 1), dtype=complex)
-    V[free, range(n - 1)] = 1.0
-    V[k] = -f[free] / f[k]
-    Q, R = np.linalg.qr(V)
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))
+    n, k = f.size, int(np.argmax(np.abs(f)))
+    u = f.conj() / np.linalg.norm(f)  # a, then u
+    u[k] += u[k] / abs(u[k])
+    H = np.outer(u, u.conj() * (-2.0 / np.vdot(u, u).real))
+    H.flat[:: n + 1] += 1.0
+    return H[:, [j for j in range(n) if j != k]]
 
 
 def _hessian_matrix(S: np.ndarray) -> np.ndarray:
@@ -500,7 +472,8 @@ def _leaf_model(chart: LeafChart, z: np.ndarray, s: FieldSample):
     tangent vectors Q xi. At a critical point M is the restricted Hessian
     (leaf_hessian); elsewhere it is the Riemannian Hessian with the
     least-squares multiplier mu (Absil, Mahony and Sepulchre, Optimization
-    Algorithms on Matrix Manifolds, 2008, ch. 6), the flow's Newton model.
+    Algorithms on Matrix Manifolds, 2008, ch. 6), the Newton model of the
+    flow and of its polish.
     """
     Q = _tangent_basis(s.grad_omega.conj())
     H = jacobian_form(chart.form, z)
@@ -512,7 +485,7 @@ def leaf_hessian(chart: LeafChart, p) -> HessianReport:
     """Exact restricted Hessian (half squared distance) at a critical point p.
 
     p must be on the chart's leaf (see _check_on_leaf) and critical, with
-    t_norm at most 1e-6, else ValueError. An eigenvalue below -EIG_TOL
+    t_norm at most 1e-6 |p|, else ValueError. An eigenvalue below -EIG_TOL
     counts as negative.
 
     A leaf curve z(t) = p + t v + t^2 a / 2 with f = dg(p) has f^T v = 0 and
@@ -525,11 +498,12 @@ def leaf_hessian(chart: LeafChart, p) -> HessianReport:
     Im xi_a) interleaved, and its eigenvalues are 1 +- (Takagi values of S).
     """
     p = as_cvec(p, chart.form.n)
-    g = complex(_evaluate(chart, p)[0])
-    _check_on_leaf(chart, g, "point")
+    evaluation = _evaluate(chart, p)
+    _check_on_leaf(chart, evaluation, "point")
+    g = complex(evaluation[0])
     s = _sample(p, *chart.form.evaluate_scaled(p))  # the form's own f: point_at's mu and residual
-    if s.t_norm > 1e-6:
-        raise ValueError(f"point is not critical (t_norm = {s.t_norm:.3e})")
+    if s.t_norm > 1e-6 * np.linalg.norm(p):
+        raise ValueError(f"point is not critical (t_norm = {s.t_norm:.3e} at |p| = {np.linalg.norm(p):.3e})")
 
     M = _leaf_model(chart, p, s)[1]
     eigenvalues = np.linalg.eigvalsh(M)

@@ -538,6 +538,16 @@ def test_exit_2_on_a_vector_whose_square_underflows(tmp_path, form321, command, 
     assert f"{path}.{key}: the {key} is the origin" in err
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e-7])
+def test_exit_2_on_a_hessian_point_that_is_not_critical_at_any_scale(tmp_path, form321, scale):
+    # t_norm is 0.44 |z| at s (0.3, 0.5 + 0.1i, 0.7): refused at every s
+    path = tmp_path / "noncritical.json"
+    point = scale * np.array([0.3, 0.5 + 0.1j, 0.7])
+    path.write_text(json.dumps({"form": form_to_json(form321), "point": to_json(point)}))
+    code, out, err = run_cli(["leaf-hessian", "--input", str(path)])
+    assert code == 2 and out == "" and "not critical" in err and "Traceback" not in err
+
+
 def test_exit_3_on_singular_matrix(tmp_path):
     A = fc.SymMatrix(np.diag([1.0, 1.0, 0.0]).astype(complex))
     path = tmp_path / "singular.json"

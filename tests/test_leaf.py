@@ -11,7 +11,7 @@ import folcontact as fc
 from folcontact.contact import sphere_seeds
 from folcontact import algebra, leaf
 from folcontact.errors import ChartError, FlowError, LeafCorrectionError, RadiusRangeError, SingularGradientError
-from folcontact.leaf import _leaf_system, _tangent_basis
+from folcontact.leaf import _tangent_basis
 
 from conftest import (
     axis_distance,
@@ -20,7 +20,6 @@ from conftest import (
     random_exact_form,
     random_morse,
     random_symmetric,
-    real_rows_by_concatenation,
 )
 
 
@@ -142,54 +141,40 @@ def test_orthogonality_property(form321, symplectic4, cubic3):
             assert abs(np.sum(s.w * s.grad_omega.conj())) <= 1e-10 * scale
 
 
-def test_leaf_system_jacobian_matches_finite_differences(form321, integral321, cubic3):
+def test_tangent_basis_is_one_householder_reflector():
+    # Q, H without its column k = argmax |f_j|, is an orthonormal basis of
+    # ker(f^T) for n = 2..8 at any scale of f, and exactly the coordinate
+    # tangents e_j, j != k, when f lies along the axis k
     rng = np.random.default_rng(15)
+    for n in range(2, 9):
+        for _ in range(50):
+            f = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.integers(-100, 100)
+            Q = _tangent_basis(f)
+            assert Q.shape == (n, n - 1)
+            assert np.abs(Q.conj().T @ Q - np.eye(n - 1)).max() <= 1e-15
+            assert np.abs(f @ Q).max() <= 1e-15 * np.linalg.norm(f)
+        for k in range(n):
+            f = np.zeros(n, dtype=complex)
+            f[k] = complex(*rng.standard_normal(2)) * 10.0 ** rng.integers(-100, 100)
+            assert np.array_equal(_tangent_basis(f), np.delete(np.eye(n), k, axis=1))
+
+
+def test_model_polish_lands_on_its_own_critical_point(form321, integral321, cubic3):
+    # 1e-9 off the minimum and the two saddles of diag(3, 2, 1), and off a
+    # contact point of the cubic, pure Newton on the leaf model polishes back
+    # to that critical point, whatever its index
     cubic_form = cubic3.differential()
-    for integral, form in ((integral321, form321), (cubic3, cubic_form)):
-        n = form.n
-        base = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        residual, jacobian = _leaf_system(fc.make_chart(integral, base, form=form))
-        rows = np.arange(10)
-        U = rng.standard_normal((10, 2 * n + 2))
-        J = jacobian(U, rows)
-        assert J.shape == (10, 2 * n + 2, 2 * n + 2)
-        h = 1e-6
-        for k in range(2 * n + 2):
-            e = np.zeros(2 * n + 2)
-            e[k] = h
-            fd = (residual(U + e, rows) - residual(U - e, rows)) / (2 * h)
-            assert np.all(np.abs(fd - J[:, :, k]) <= 1e-5 * (1.0 + np.abs(J[:, :, k])))
-
-
-def _leaf_system_by_concatenation(chart, U):
-    """(residual, jacobian) of the leaf system from whole blocks, concatenated."""
-    form, n = chart.form, chart.form.n
-    Z = U[:, :n] + 1j * U[:, n : 2 * n]
-    mu = U[:, 2 * n] + 1j * U[:, 2 * n + 1]
-    V = chart.table._dot(Z)
-    G = Z - mu[:, None] * V[:, 1:].conj()
-    L = V[:, 0] - chart.c
-    R = np.concatenate([G.real, G.imag, L.real[:, None], L.imag[:, None]], axis=1)
-    F = form.evaluate(Z)
-    G = real_rows_by_concatenation(
-        np.broadcast_to(np.eye(n), (len(U), n, n)), -mu[:, None, None] * fc.jacobian_form(form, Z).conj(), -F.conj()
-    )
-    leaf_row = real_rows_by_concatenation(F[:, None, :], np.zeros((len(U), 1, n)), np.zeros((len(U), 1)))
-    return R, np.concatenate([G, leaf_row], axis=1)
-
-
-@pytest.mark.parametrize("S", [1, 3, 64])
-def test_leaf_system_matches_the_concatenated_blocks(S, form321, integral321, cubic3):
-    rng = np.random.default_rng(40 + S)
-    exact8 = random_exact_form(rng, 8, 4)
-    for integral, form in ((integral321, form321), (cubic3, cubic3.differential()), (fc.integrate_exact_form(exact8), exact8)):
-        n = form.n
-        chart = leaf.LeafChart(integral, form, complex(*rng.standard_normal(2)))
-        residual, jacobian = _leaf_system(chart)
-        U = rng.standard_normal((S, 2 * n + 2))
-        R, J = _leaf_system_by_concatenation(chart, U)
-        assert np.array_equal(residual(U, np.arange(S)), R)
-        assert np.array_equal(jacobian(U, np.arange(S)), J)
+    cases = [(integral321, form321, p) for p in np.sqrt([2.0 / 3.0, 1.0, 2.0])[:, None] * np.eye(3) * np.exp(0.4j)]
+    cases += [(cubic3, cubic_form, 0.8 * np.exp(0.2j) * p) for p in _cubic_contact_points()[3::6]]
+    for integral, form, p in cases:
+        chart = fc.make_chart(integral, p, form=form)
+        z0, evaluation = leaf._project(chart, p + 1e-9 * np.array([1.0j, 1.0, -1.0]))
+        polished = leaf._polish_on_leaf(chart, leaf._chart_sample(chart, z0, evaluation))
+        assert polished is not None
+        s, g = polished
+        assert s.t_norm <= 1e-13 * (abs(chart.c) + np.linalg.norm(z0))
+        assert g == integral.evaluate(s.z) and abs(g - chart.c) <= 1e-14 * abs(chart.c)
+        assert np.linalg.norm(s.z - p) <= 1e-12 * np.linalg.norm(p)
 
 
 def test_gradient_identity_in_chart(diag321, form321, integral321):
@@ -360,21 +345,24 @@ def test_flow_halves_a_step_whose_trial_sample_is_refused(error, form321, integr
 
 
 def test_flow_whose_polish_fails_ends_unpolished_at_tol(form321, integral321, monkeypatch):
-    # every leaf polish fails in its Newton kernel: the flow goes on until
-    # t_norm <= tol and reports that point unpolished
+    # every Newton solve of the leaf polish fails, as on a singular model
+    # matrix (the descent steps solve by eigh): the flow goes on until
+    # t_norm <= tol |z| and reports that point unpolished. A sample already
+    # at the polish target needs no solve and polishes, so tol is 1e-6,
+    # which this flow meets at t_norm 1.6e-7, before it gets that far
     z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
     chart = fc.make_chart(integral321, z0, 1.0, form=form321)
-    polishes = []
+    solves = []
 
-    def fail(residual, jacobian, U0, target, max_iter):
-        polishes.append(U0)
-        return U0.copy(), np.full(len(U0), np.inf)
+    def fail(M, b):
+        solves.append(M)
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(leaf, "_damped_newton", fail)
-    res = fc.flow_to_critical(chart, z0)
+    monkeypatch.setattr(np.linalg, "solve", fail)
+    res = fc.flow_to_critical(chart, z0, tol=1e-6)
     monkeypatch.undo()
-    assert polishes and res.steps > 0 and res.polished is False
-    assert fc.sample_field(form321, res.point.z).t_norm <= 1e-8
+    assert solves and res.steps > 0 and res.polished is False
+    assert 1e-13 < fc.sample_field(form321, res.point.z).t_norm <= 1e-6 * np.linalg.norm(res.point.z)
 
 
 def _record_builds(monkeypatch) -> list:
@@ -489,6 +477,17 @@ def test_flow_rejects_off_leaf_seed(form321, integral321):
         fc.flow_to_critical(chart, np.array([1.0, 1.0, 1.0]), "descend")
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-7])
+def test_flow_refuses_a_seed_off_its_leaf_at_any_scale(s, form321, integral321):
+    # 1e-3 relative off the leaf through s (0.3, 0.5 + 0.1i, 0.7): the
+    # on-leaf test is relative to the leaf size, so it refuses the seed at
+    # s = 1e-7 as at s = 1, where an absolute 1e-9 (1 + |c|) accepted it
+    z0 = s * np.array([0.3, 0.5 + 0.1j, 0.7])
+    chart = fc.make_chart(integral321, z0, form=form321)
+    with pytest.raises(ValueError, match="seed is not on the leaf"):
+        fc.flow_to_critical(chart, z0 * (1.0 + 1e-3))
+
+
 def test_flow_on_cubic_leaf(cubic3):
     form = cubic3.differential()
     rng = np.random.default_rng(16)
@@ -516,6 +515,26 @@ def test_flow_from_a_scaled_seed_ends_at_the_scaled_minimum(s, form321, integral
     assert res.polished is True and res.steps > 0
     assert np.linalg.norm(res.point.z - s * z1) <= 1e-9 * s * np.linalg.norm(z1)
     assert axis_distance(res.point.z, 0) <= 1e-9 * np.linalg.norm(res.point.z)
+
+
+@pytest.mark.parametrize("s", [10.0**-e for e in range(14)])
+def test_projection_and_flow_steps_do_not_depend_on_scale(s, form321, integral321):
+    # from 1e-3 relative off the leaf through s (0.3, 0.5 + 0.1i, 0.7) the
+    # projection lands within 1e-14 of the leaf size, |c| plus g's rounding
+    # scale sum a_j |z_j|^2 / 2 at the start, and the flow from that point
+    # takes the steps it takes at s = 1. An absolute target 1e-14 (1 + |c|)
+    # left the point 1e-3 relative off its leaf from s = 1e-6, and the
+    # flow took 10-12 steps there where s = 1 takes 5
+    def flow_steps(s):
+        z0 = s * np.array([0.3, 0.5 + 0.1j, 0.7])
+        return fc.flow_to_critical(fc.make_chart(integral321, z0, form=form321), z0).steps
+
+    z0 = s * np.array([0.3, 0.5 + 0.1j, 0.7])
+    c, start = integral321.evaluate(z0), z0 * (1.0 + 1e-3)
+    size = abs(c) + 0.5 * np.sum(np.array([3.0, 2.0, 1.0]) * np.abs(start) ** 2)
+    z = fc.project_to_leaf(integral321, form321, start, c)
+    assert abs(integral321.evaluate(z) - c) <= 1e-14 * size
+    assert flow_steps(s) == flow_steps(1.0)
 
 
 def test_flow_newton_matrix_is_the_leaf_hessian(form321, integral321, monkeypatch):
@@ -730,6 +749,20 @@ def test_leaf_hessian_rejects_noncritical(form321, integral321):
     if fc.sample_field(form321, z).t_norm > 1e-6:
         with pytest.raises(ValueError):
             fc.leaf_hessian(chart, z)
+
+
+def test_leaf_hessian_criticality_is_relative(form321, integral321):
+    # at 1e-7 (0.3, 0.5 + 0.1i, 0.7) t_norm is 0.44 |z|, and the point is
+    # refused as it is at 1e-3 (an absolute t_norm <= 1e-6 accepted it with
+    # morse_index 1); the saddle s (0, 1, 0) keeps its eigenvalues at every scale
+    z = 1e-7 * np.array([0.3, 0.5 + 0.1j, 0.7])
+    with pytest.raises(ValueError, match="not critical"):
+        fc.leaf_hessian(fc.make_chart(integral321, z, form=form321), z)
+    for e in range(14):
+        p = np.array([0.0, 10.0**-e, 0.0], dtype=complex)
+        report = fc.leaf_hessian(fc.make_chart(integral321, p, form=form321), p)
+        assert np.max(np.abs(report.eigenvalues - [-0.5, 0.5, 1.5, 2.5])) <= 1e-12
+        assert report.negative_count == 1
 
 
 def test_chart_requires_gradient(integral321, form321):
