@@ -25,7 +25,7 @@ leaf_hessian precheck. A field sample takes the rounding scale of f from
 the monomials of its point's build (_chart_sample), and the correction
 hands back its last build. The leaf's tests are relative to sizes at their
 point: the correction's target and the on-leaf test to |c| plus g's
-rounding scale (_leaf_size), the flow's and the Hessian's criticality tests
+rounding scale (_sizes), the flow's and the Hessian's criticality tests
 to |z|, so a leaf near the origin behaves as a unit one.
 
 The leaf code has one Newton model, the second-order model of phi/2 on the
@@ -122,8 +122,8 @@ class HessianReport:
 class FlowResult:
     """Where a flow ended: the critical point, the steps taken (modified-Newton
     descent iterations, see flow_to_critical; the polish's are not counted),
-    whether the Newton polish found the point, and phi = |z|^2 at the seed and at the point reported (the
-    polished point, when polished)."""
+    whether the Newton polish found the point, and phi = |z|^2 at the seed
+    and at the point reported (the polished point, when polished)."""
 
     point: ContactPoint
     steps: int
@@ -179,13 +179,17 @@ def _evaluate(chart: LeafChart, z: np.ndarray):
 def _chart_sample(chart: LeafChart, z: np.ndarray, evaluation) -> FieldSample:
     """The field sample at z from its evaluation (g, f, monomials), with the
     rounding scale of f from the monomials of that build, not from another."""
-    return _sample(z, evaluation[1], chart.table._scale(evaluation[2], 1)[0])
+    return _sample(z, evaluation[1], _sizes(chart, evaluation[2])[1])
 
 
-def _leaf_size(chart: LeafChart, monomials: np.ndarray) -> float:
-    """|c| plus the rounding scale of g, |z^E| |C[:, 0]|, from the monomials
-    of one build at z: the size the leaf tests at z are relative to."""
-    return abs(chart.c) + float(np.abs(monomials[:, 0]) @ chart.table._abs_coeffs[:, 0])
+def _sizes(chart: LeafChart, monomials: np.ndarray) -> tuple[float, float]:
+    """(leaf size, f's rounding scale) at z, from the monomials of one build
+    there by one product |z^E| |C|: the leaf size is |c| plus g's rounding
+    scale |z^E| |C[:, 0]|, which the leaf tests at z are relative to, and
+    f's is ||(|z^E| |C[:, 1:]|)|| (algebra's _scale), which every field
+    sample and gradient test of a chart build uses."""
+    sizes = np.abs(monomials[:, 0]) @ chart.table._abs_coeffs
+    return abs(chart.c) + sizes[0], math.sqrt(sizes[1:].dot(sizes[1:]))
 
 
 def _project(chart: LeafChart, z: np.ndarray):
@@ -199,10 +203,9 @@ def _project(chart: LeafChart, z: np.ndarray):
     for k in range(max_iter + 1):
         evaluation = _evaluate(chart, z)
         g, f, monomials = evaluation
-        if k == 0:  # the sizes at the starting point: g's for the target, f's for the singular test
-            size, singular = _leaf_size(chart, monomials), 1e-14 * chart.table._scale(monomials, 1)[0]
-            if not math.isfinite(size):
-                raise LeafCorrectionError("point out of range: g's rounding scale is non-finite")
+        size, f_scale = _sizes(chart, monomials)
+        if not math.isfinite(size):
+            raise LeafCorrectionError("point out of range: g's rounding scale is non-finite")
         err = abs(g - c)
         # on the leaf, or stagnated at the rounding floor (or out of iterates) near it
         if err <= 1e-14 * size or (err <= 1e-12 * size and (err >= best_err or k == max_iter)):
@@ -211,7 +214,7 @@ def _project(chart: LeafChart, z: np.ndarray):
             raise LeafCorrectionError(f"leaf correction did not converge (|f - c| = {err:.3e})")
         best_err = min(best_err, err)
         denom = np.vdot(f, f).real
-        if math.sqrt(denom) <= singular:  # contact._field's singular test
+        if math.sqrt(denom) <= 1e-14 * f_scale:  # contact._field's singular test
             raise LeafCorrectionError("gradient vanished during leaf correction")
         z = z + (c - g) / denom * f.conj()
         if not np.isfinite(z).all():
@@ -222,15 +225,15 @@ def project_to_leaf(integral: Polynomial, form: PolyOneForm, z, c: complex) -> n
     """Newton-correct z onto the leaf {g = c} of the integral g along conj(f).
 
     With f = dg the form, iterates z += (c - g(z)) conj(f(z)) / ||f(z)||^2
-    until |g - c| <= 1e-14 size, or stagnates at most 1e-12 size from c,
-    at most 50 times. size is |c| plus g's rounding scale at the starting
-    point (_leaf_size), so the correction is the same at every scale of z.
-    Raises LeafCorrectionError on divergence, where that scale is not
-    finite and where f vanishes to rounding at an iterate (contact._field's
-    singular test). Each iterate gets g and f from one build of the chart
-    table [g | f]; this function compiles that table, and the leaf code,
-    which has a chart, runs the same loop (_project) on the chart's own
-    table.
+    until |g - c| <= 1e-14 size, or stagnates at most 1e-12 size from c, at
+    most 50 times. size is |c| plus g's rounding scale at the iterate
+    (_sizes), so the correction is the same at every scale of z, and a start
+    far off the leaf does not loosen it. Raises LeafCorrectionError on
+    divergence, where that scale is not finite and where f vanishes to
+    rounding at an iterate (contact._field's singular test). Each iterate
+    gets g and f from one build of the chart table [g | f]; this function
+    compiles that table, and the leaf code, which has a chart, runs the same
+    loop (_project) on the chart's own table.
 
     It stays outside the damped-Newton kernel contact._damped_newton: it
     solves one complex equation in n unknowns by that minimum-norm step,
@@ -243,9 +246,9 @@ def project_to_leaf(integral: Polynomial, form: PolyOneForm, z, c: complex) -> n
 def _check_on_leaf(chart: LeafChart, evaluation, what: str) -> None:
     """Refuse, with ValueError, the base, seed or point `what` whose
     evaluation (g, f, monomials) has |g - c| > LEAF_TOL size, size the
-    leaf size there (_leaf_size), for the chart's c."""
+    leaf size there (_sizes), for the chart's c."""
     err = abs(evaluation[0] - chart.c)
-    if err > LEAF_TOL * _leaf_size(chart, evaluation[2]):
+    if err > LEAF_TOL * _sizes(chart, evaluation[2])[0]:
         raise ValueError(f"{what} is not on the leaf (|g({what}) - c| = {err:.3e})")
 
 
@@ -259,7 +262,7 @@ def _check_base(chart: LeafChart, base: np.ndarray, evaluation) -> None:
     """
     _, f, monomials = evaluation
     _check_on_leaf(chart, evaluation, "base")
-    scale = chart.table._scale(monomials, 1)[0]
+    scale = _sizes(chart, monomials)[1]
     if math.isfinite(scale) and _field(base, f, scale)[2]:
         raise ChartError("all form coefficients vanish at the base point")
 

@@ -374,6 +374,16 @@ def _record_builds(monkeypatch) -> list:
     return points
 
 
+@pytest.mark.parametrize("x", [1e110, 1e200])
+def test_projection_refuses_a_point_far_off_the_leaf(x, form321, integral321):
+    # at x e1 the correction halves z per iterate, so 50 of them do not reach
+    # the leaf g = 1 from 1e110, and g's rounding scale is not finite at
+    # 1e200. A target taken from the size at the start accepted, from 1e110,
+    # a point near 6e102 e1, where g is about 5e205, as on the leaf
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(LeafCorrectionError):
+        fc.project_to_leaf(integral321, form321, [x, 0.0, 0.0], 1.0)
+
+
 def test_projection_iterate_is_one_evaluation(form321, integral321, monkeypatch):
     # each Newton iterate z -> z + (c - g) conj(f) / |f|^2 takes g and f from
     # one build of the [g | f] table, and the point it returns was built last
