@@ -188,8 +188,8 @@ def _sizes(chart: LeafChart, monomials: np.ndarray) -> tuple[float, float]:
     scale |z^E| |C[:, 0]|, which the leaf tests at z are relative to, and
     f's is ||(|z^E| |C[:, 1:]|)|| (algebra's _scale), which every field
     sample and gradient test of a chart build uses."""
-    sizes = np.abs(monomials[:, 0]) @ chart.table._abs_coeffs
-    return abs(chart.c) + sizes[0], math.sqrt(sizes[1:].dot(sizes[1:]))
+    g_scale, *f_scales = (np.abs(monomials[:, 0]) @ chart.table._abs_coeffs).tolist()
+    return abs(chart.c) + g_scale, math.hypot(*f_scales)
 
 
 def _project(chart: LeafChart, z: np.ndarray):
