@@ -317,8 +317,8 @@ def _polish_on_leaf(chart: LeafChart, s: FieldSample):
     correction or sample fails, or it lands farther than 0.2 |z0| from z0.
     The sample and g come from one build of the chart table there.
     """
-    z0, evaluation, steps = s.z, None, 0
-    target, radius = 1e-13 * (abs(chart.c) + np.linalg.norm(z0)), 0.2 * np.linalg.norm(z0)
+    z0, r0, evaluation, steps = s.z, np.linalg.norm(s.z), None, 0
+    target = 1e-13 * (abs(chart.c) + r0)
     while s.t_norm > target:
         if steps == 40:
             return None
@@ -328,7 +328,7 @@ def _polish_on_leaf(chart: LeafChart, s: FieldSample):
             s = _chart_sample(chart, z, evaluation)
         except (np.linalg.LinAlgError, LeafCorrectionError, RadiusRangeError, SingularGradientError):
             return None
-        if np.linalg.norm(z - z0) > radius:
+        if np.linalg.norm(z - z0) > 0.2 * r0:
             return None
         steps += 1
     return s, complex((evaluation or _evaluate(chart, s.z))[0])
@@ -403,7 +403,8 @@ def flow_to_critical(
 
         Q, M, grad = _leaf_model(chart, s.z, s)
         lam, V = np.linalg.eigh(M)
-        x = -(V @ ((V.T @ grad) / np.maximum(np.abs(lam), 1e-3 * np.abs(lam).max())))  # (Re xi_1, Im xi_1, ...)
+        lam = np.abs(lam)
+        x = -(V @ ((V.T @ grad) / np.maximum(lam, 1e-3 * lam.max())))  # (Re xi_1, Im xi_1, ...)
         v = sgn * (Q @ x.view(complex))
         armijo = 2e-4 * grad.dot(x)  # 1e-4 of the slope 2 grad . x < 0 of sgn * phi along v
         t = 1.0
@@ -439,7 +440,7 @@ def _tangent_basis(f: np.ndarray) -> np.ndarray:
     j != k.
     """
     n, k = f.size, int(np.argmax(np.abs(f)))
-    u = f.conj() / np.linalg.norm(f)  # a, then u
+    u = f.conj() / math.sqrt(np.vdot(f, f).real)  # a, then u
     u[k] += u[k] / abs(u[k])
     H = np.outer(u, u.conj() * (-2.0 / np.vdot(u, u).real))
     H.flat[:: n + 1] += 1.0
