@@ -23,13 +23,15 @@ d(c z^e)/dz_k = c e_k z^(e - e_k), maps (E, C) to the table of the
 partials; it gives ``differential`` and the one-form's Jacobian table.
 
 Every evaluation is a method of the table. ``_build`` builds the
-monomials of at most ROW_BLOCK points, from a table of the powers
-z_k^0..z_k^d of every variable, one factor at a time: each monomial's
-first variable's power is gathered, then its second's is gathered and
-multiplied in, and so on, so a linear table takes one gather whatever n
-is. It returns the values and the monomials. ``_dot`` evaluates one point
-(n,) or a stack (..., n), ROW_BLOCK points per build, so no intermediate
-exceeds ROW_BLOCK x m or the power table; the (S, m, n) tensor of every
+monomials of at most ROW_BLOCK points, from a table of the powers z_k^e
+that its monomials use, one row per distinct (k, e), one factor at a
+time: each monomial's first variable's power is gathered, then its
+second's is gathered and multiplied in, and so on, so a linear table
+takes one gather whatever n is. It returns the values and the
+monomials. ``_dot`` evaluates one point (n,) or a stack (..., n),
+ROW_BLOCK points per build, so no intermediate exceeds ROW_BLOCK x m or
+the power table, which has one row more than the table has distinct
+(k, e), whatever the largest exponent; the (S, m, n) tensor of every
 variable's power in every monomial is never built.
 
 The same build gives a table's rounding scale ||(|z^E| |C|)|| per point
@@ -157,33 +159,36 @@ def _canonical(exps: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.nda
 def _power_plan(exps: np.ndarray) -> tuple:
     """How _MonomialTable._build builds the monomials of a table exps (m x n).
 
-    (0..d, factor columns): d is the largest exponent, and factor column t
-    holds, for each monomial, the index k (d + 1) + e of the power z_k^e of
-    its t-th variable (in increasing k) in the flattened power table, or
-    index 0 (z_1^0 = 1) when the monomial has fewer than t + 1 variables.
-    There is at least one column, so a constant monomial gathers a 1. The
-    exponents 0..d are complex, as complex ** complex skips a cast.
+    (variables, exponents, factor columns): row i of the power table is
+    z_k^e for the i-th (k, e) of variables and exponents, which list
+    z_1^0 = 1 first and then each distinct (k, e), e > 0, that the table
+    uses, in lexicographic order. Factor column t holds, for each monomial,
+    the row of the power of its t-th variable (in increasing k), or row 0
+    when the monomial has fewer than t + 1 variables. There is at least one
+    column, so a constant monomial gathers a 1. The exponents are complex,
+    as complex ** complex skips a cast.
     """
     m = exps.shape[0]
-    d = int(exps.max(initial=0))
     rows, ks = np.nonzero(exps)
+    # (0, 0) sorts before every used (k, e): it is row 0
+    powers, index = _unique_rows(np.stack([np.append(0, ks), np.append(0, exps[rows, ks])], axis=1))
     counts = np.count_nonzero(exps, axis=1)
     slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
     columns = np.zeros((max(1, int(counts.max(initial=0))), m), dtype=np.int64)
-    columns[slot, rows] = ks * (d + 1) + exps[rows, ks]
-    return _readonly(np.arange(d + 1, dtype=complex)), tuple(_readonly(columns))
+    columns[slot, rows] = index[1:]
+    return _readonly(powers[:, 0]), _readonly(powers[:, 1].astype(complex)), tuple(_readonly(columns))
 
 
 def _monomials(flat: np.ndarray, plan: tuple) -> np.ndarray:
     """The monomials z^E (m x S) of a plan's table at the points of flat (S x n).
 
-    Built one factor at a time (see _power_plan): the powers z_k^0..z_k^d
-    of every variable are taken once, one row of the power table per
-    (k, e) and one column per point, and each factor column gathers one
+    Built one factor at a time (see _power_plan): the powers z_k^e that the
+    table uses are taken once, one row of the power table per (k, e) of the
+    plan and one column per point, and each factor column gathers one
     variable's power for every monomial and multiplies it in.
     """
-    powers, columns = plan
-    table = np.power(flat.T[:, None, :], powers[:, None]).reshape(flat.shape[1] * len(powers), -1)
+    variables, exponents, columns = plan
+    table = np.power(flat.T[variables], exponents[:, None])
     monomials = table[columns[0]]
     for column in columns[1:]:
         monomials *= table[column]
@@ -233,10 +238,10 @@ class _MonomialTable:
         monomials = _monomials(flat, self._plan)
         return monomials.T @ self._coeffs, monomials
 
-    def _scale(self, monomials: np.ndarray, first: int = 0) -> np.ndarray:
-        """||(|z^E| |C[:, first:]|)|| per point, the rounding scale of the
-        columns from first on, from the monomials (m x S) of a _build."""
-        sizes = np.abs(monomials).T @ self._abs_coeffs[:, first:]
+    def _scale(self, monomials: np.ndarray) -> np.ndarray:
+        """||(|z^E| |C|)|| per point, the rounding scale of the table's
+        columns, from the monomials (m x S) of a _build."""
+        sizes = np.abs(monomials).T @ self._abs_coeffs
         return np.sqrt(np.add.reduce(sizes * sizes, axis=-1))
 
     def _dot(self, z, scaled: bool = False):
@@ -308,8 +313,8 @@ def _exponent(e, n: int) -> tuple[int, ...]:
 
     Each entry is an integer (not a bool), non-negative and at most
     max(int64) // n - 2, so that the table's int64 arithmetic cannot
-    overflow: no total degree, nor any flat power index k (d + 1) + e of
-    _power_plan, even for a first integral one degree higher, exceeds it.
+    overflow: no total degree, even of a first integral one degree higher,
+    exceeds it.
     """
     e = tuple(e)
     if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in e):

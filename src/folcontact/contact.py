@@ -31,9 +31,10 @@ means.
 * A stack goes through `_contact_rows`, the one verdict on whether its
   rows are contact points: it fails a row whose rounding scale is not
   finite, whose gradient is singular or whose residual is above tol.
-  `_newton_on_sphere` keeps only the rows that pass, so sphere_search
-  drops the others and the corrector of continue_radially truncates the
-  path there; a homogeneous trace truncates at its first failing row.
+  `_newton_on_sphere` keeps only the rows that pass, and reads nothing
+  else of the Newton solve, not even its norms, so sphere_search drops
+  the others and the corrector of continue_radially truncates the path
+  there; a homogeneous trace truncates at its first failing row.
   transversality_scan, in leaf.py, calls `_field` on its stack itself: a
   non-finite scale there raises RadiusRangeError, and a singular row
   scores 0.
@@ -130,7 +131,12 @@ class ContactPath:
 
 @dataclass
 class SphereSearch:
-    """Result of a multi-seed sphere solve, with seed diagnostics."""
+    """Result of a multi-seed sphere solve, with seed diagnostics.
+
+    seeds_converged counts the seeds whose Newton solve reached a point
+    that the contact verdict (_contact_rows) accepts, before the merge into
+    phase orbits.
+    """
 
     points: list[ContactPoint]
     seeds_tried: int
@@ -269,8 +275,6 @@ def _real_rows(out: np.ndarray, dz, dzbar, dlam) -> None:
     dzbar and d = dz - dzbar they are [[Re s, -Im d, Re dlam, -Im dlam],
     [Im s, Re d, Im dlam, Re dlam]], each block written by one real
     operation on the parts of dz and dzbar, with no complex s or d formed.
-    A block that is zero may be given as 0, and dz may be one (m x n)
-    block shared by the stack.
     """
     m, n = out.shape[-2] // 2, (out.shape[-1] - 2) // 2
     re, im = out[..., :m, :], out[..., m:, :]
@@ -360,7 +364,7 @@ def _damped_newton(residual, jacobian, U0: np.ndarray, target: float, max_iter: 
     """Damped Newton on residual(U) = 0 from each row of U0; (U, ||F(U)||).
 
     Each row runs its own iteration until ||F|| <= target or for max_iter
-    steps; the caller judges the final norms. Each step builds the
+    steps; the caller judges the rows. Each step builds the
     Jacobians once, at the iterates it starts from, and takes for each row
     the first step t = 2^-h, h = 0..NEWTON_MAX_HALVINGS, with
     ||F(u + t du)|| < (1 - 1e-4 t) ||F(u)|| (Armijo backtracking). Each
@@ -426,22 +430,25 @@ def _newton_on_sphere(form: PolyOneForm, Z0: np.ndarray, r: float, tol: float):
     """The contact points damped Newton reaches at radius r from the rows of Z0: (Z, mu, residual).
 
     Each row is anchored at its own start and runs at most NEWTON_MAX_ITER
-    steps. A row fails when the kernel fails on it, when it stagnates above
-    1e-6 r, or when z collapses to 0; the others are scaled to radius r and
-    kept where they pass _contact_rows to tol, in row order. The Newton
-    target 1e-13 r and the stagnation bound are relative to r, but not to
-    the size of f's terms, so a non-homogeneous form, which is solved at r
-    itself, can stall above them at a large r and yield no point there.
+    steps. Its last iterate, wherever the kernel stopped, is scaled to
+    radius r unless z collapsed to 0, and kept where it passes
+    _contact_rows to tol, in row order: that verdict alone accepts a point.
+    The kernel's target 1e-13 r is only its early exit, not a verdict, so a
+    row that stalls at the rounding floor of f's terms, which grows with r
+    faster than r, still gives its point. The kernel runs with overflow
+    ignored: a non-finite trial fails its Armijo test, a non-finite step
+    fails its row, and the verdict judges what is left.
     """
     n = form.n
-    F0 = form.evaluate(Z0)
-    nu0 = np.conj(np.sum(F0 * Z0, axis=1)) / (r * r)  # least squares for ||nu z - conj f||
-    U0 = np.concatenate([Z0.real, Z0.imag, nu0.real[:, None], nu0.imag[:, None]], axis=1)
-    U, norm = _damped_newton(*_contact_system(form, r, Z0), U0, 1e-13 * r, NEWTON_MAX_ITER)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F0 = form.evaluate(Z0)
+        nu0 = np.conj(np.sum(F0 * Z0, axis=1)) / (r * r)  # least squares for ||nu z - conj f||
+        U0 = np.concatenate([Z0.real, Z0.imag, nu0.real[:, None], nu0.imag[:, None]], axis=1)
+        U = _damped_newton(*_contact_system(form, r, Z0), U0, 1e-13 * r, NEWTON_MAX_ITER)[0]
     Z = U[:, :n] + 1j * U[:, n : 2 * n]
     nz = np.linalg.norm(Z, axis=1)
-    converged = (norm <= 1e-6 * r) & (nz > 0.0)
-    Z = Z[converged] * (r / nz[converged])[:, None]
+    kept = nz > 0.0
+    Z = Z[kept] * (r / nz[kept])[:, None]
     mu, residual, ok = _contact_rows(form, Z, tol)
     return Z[ok], mu[ok], residual[ok]
 
@@ -517,7 +524,9 @@ def sphere_search(
     scales by t^(1-k) along it: such forms are solved on the unit sphere
     and the points scaled to radius r, so the answer does not depend on
     how far r is from 1. An r at which the scale r^(1-k) or a scaled mu
-    is not a normal finite double raises RadiusRangeError.
+    is not a normal finite double raises RadiusRangeError. Any other form
+    is solved at r itself, and a radius where f's rounding scale overflows
+    at a seed raises RadiusRangeError, as point_at does.
     """
     _check_radius(r)
     _check_tol(tol)
@@ -528,6 +537,8 @@ def sphere_search(
     k = form.homogeneous_degree()
     r_solve = 1.0 if k is not None else r
     seeds = sphere_seeds(form.n, n_seeds, rng_seed, r_solve)
+    if k is None and not np.isfinite(form.evaluate_scaled(seeds)[1]).all():
+        raise RadiusRangeError(f"radius {r:.3g} is out of range: f's rounding scale is non-finite")
     blocks = range(0, n_seeds, SEED_BLOCK)
     found = [_newton_on_sphere(form, seeds[start : start + SEED_BLOCK], r_solve, tol) for start in blocks]
     Z_all, mu, res = (np.concatenate(parts) for parts in zip(*found))
@@ -621,8 +632,9 @@ def continue_radially(
     * Any other form is traced by predictor and corrector: the predictor
       scales the previous point radially, and the corrector re-solves the
       contact system at the target radius, anchored at the prediction. A
-      radius fails on no convergence, a singular gradient, a residual
-      above tol, or a jump to a different branch.
+      radius fails where the corrected point fails the contact verdict (f's
+      rounding scale not finite, a singular gradient or a residual above
+      tol) or jumps to a different branch.
 
     r_min and r_max must square to normal finite doubles (RadiusRangeError,
     as for sphere_search): the radii of the grid between them then do too.

@@ -151,6 +151,14 @@ def degree_five_form() -> fc.PolyOneForm:
     return fc.Polynomial(2, [(1.0, (6, 0)), (1.0, (0, 6)), (0.5, (3, 3))]).differential()
 
 
+def mixed_degree_five_form() -> fc.PolyOneForm:
+    """d(z1^6 + z2^6 + z1^3 z2^3 / 2 + z1^2 / 2 + z2^2): not homogeneous, so
+    solved and sampled at the radius itself; both axes are contact on every
+    sphere (f2 = 0 on the z1 axis, f1 = 0 on the z2 axis)."""
+    integral = [(1.0, (6, 0)), (1.0, (0, 6)), (0.5, (3, 3)), (0.5, (2, 0)), (1.0, (0, 2))]
+    return fc.Polynomial(2, integral).differential()
+
+
 def random_exact_form(rng: np.random.Generator, n: int, degree: int) -> fc.PolyOneForm:
     """d of a power sum of z_j^degree plus n random monomials of that degree."""
     terms = [(complex(*rng.standard_normal(2)), rng.multinomial(degree, np.ones(n) / n)) for _ in range(n)]

@@ -258,13 +258,13 @@ def test_fused_evaluation_agrees_with_separate_passes(n):
             if free:
                 assert np.all(values[..., n] == 0)
             for z in Z.reshape(-1, n)[:7]:
-                # a point's build keeps its monomials, and the scale of f comes from them
+                # a point's build keeps its monomials, and the table's scale comes from them
                 got, monomials = table._build(z[None])
                 want = np.concatenate([[integral.evaluate(z)], form.evaluate(z)])
                 size = np.concatenate([_term_sizes(integral, z), _term_sizes(form, z)])
                 assert _close(got[0], want, size, 1e-15)
-                old = np.linalg.norm(size[1:])
-                assert _close(table._scale(monomials, 1)[0], old, old, 1e-14)
+                old = np.linalg.norm(size)
+                assert _close(table._scale(monomials)[0], old, old, 1e-14)
 
 
 def test_side_by_side_refuses_different_variable_counts(form321):
@@ -357,11 +357,18 @@ def test_results_do_not_depend_on_the_compiled_tables_kept(tmp_path):
 
 def test_compiled_tables_are_read_only_and_bounded():
     compiled = algebra._exponents(np.array([[2, 0, 1], [0, 1, 0], [2, 0, 1]]))
-    powers, columns = compiled.plan
-    for a in (compiled.exps, powers, *columns, *compiled.unique, *compiled.pairs):
+    variables, exponents, columns = compiled.plan
+    for a in (compiled.exps, variables, exponents, *columns, *compiled.unique, *compiled.pairs):
         with pytest.raises(ValueError):
             a[0] = 0
     assert algebra._compiled.cache_info().maxsize == algebra._COMPILED_TABLES > 0
+    # one power row per distinct (k, e > 0) after z1^0 = 1: z1^2, z2, z3
+    assert variables.tolist() == [0, 0, 1, 2] and exponents.tolist() == [0, 2, 1, 1]
+    assert [column.tolist() for column in columns] == [[1, 2, 1], [3, 0, 3]]
+    # the largest exponent does not size the plan
+    variables, exponents, columns = algebra._power_plan(np.array([[10**12, 0], [0, 0]]))
+    assert variables.tolist() == [0, 0] and exponents.tolist() == [0, 10**12]
+    assert [column.tolist() for column in columns] == [[1, 0]]
 
 
 def test_equal_bytes_of_another_shape_compile_another_plan():

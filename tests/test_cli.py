@@ -21,7 +21,7 @@ from folcontact.linear import ContactLine, MorseifyResult, MorseVerdict
 
 from folcontact.cli import main as cli_main
 
-from conftest import circle_samples, degree_five_form, form_to_json, load_schema, run_cli
+from conftest import circle_samples, degree_five_form, form_to_json, load_schema, mixed_degree_five_form, run_cli
 
 
 @pytest.fixture
@@ -716,14 +716,58 @@ def test_exit_3_on_a_non_finite_report_value(monkeypatch):
 def test_exit_3_on_a_scan_radius_where_f_overflows(tmp_path):
     # d(z1^6 + z2^6 + z1^3 z2^3/2 + z1^2/2 + z2^2) is not homogeneous, so it
     # is sampled at r itself, where its rounding scale overflows
-    integral = [(1.0, (6, 0)), (1.0, (0, 6)), (0.5, (3, 3)), (0.5, (2, 0)), (1.0, (0, 2))]
     path = tmp_path / "deg5.json"
-    path.write_text(json.dumps(form_to_json(fc.Polynomial(2, integral).differential())))
+    path.write_text(json.dumps(form_to_json(mixed_degree_five_form())))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(["scan", "--input", str(path), "--radius", "1e40", "--samples", "200"])
     assert code == 3 and out == "" and caught == []
     assert "radius 1e+40 is out of range" in err
+
+
+def test_exit_3_on_a_solve_radius_where_f_overflows(tmp_path):
+    # the non-homogeneous form is solved at r itself, where f's rounding
+    # scale overflows at every seed; the search once exited 0 with no point
+    # and overflow warnings
+    path = tmp_path / "deg5.json"
+    path.write_text(json.dumps(form_to_json(mixed_degree_five_form())))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["contact-solve", "--input", str(path), "--radius", "1e40"])
+    assert code == 3 and out == "" and caught == []
+    assert "radius 1e+40 is out of range: f's rounding scale is non-finite" in err
+
+
+def test_solve_finds_both_axes_where_f_is_large(tmp_path, report_schema):
+    # both axes are contact on every sphere; at 1e30 the search once lost
+    # them and warned of overflow
+    path = tmp_path / "deg5.json"
+    path.write_text(json.dumps(form_to_json(mixed_degree_five_form())))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = _check(["contact-solve", "--input", str(path), "--radius", "1e30"], report_schema)["result"]
+    assert caught == []
+    points = [np.array([complex(v["re"], v["im"]) for v in p["z"]]) for p in result["points"]]
+    for j in range(2):
+        assert any(np.abs(z[1 - j]) <= 1e-9 * 1e30 for z in points)
+
+
+@pytest.mark.parametrize("command", ["contact-solve", "scan"])
+def test_a_huge_exponent_builds_only_the_powers_it_uses(tmp_path, report_schema, command):
+    # (z1 + z1^(10^12)) dz1 + 2 z2 dz2: a power table of every exponent up
+    # to 10^12 would take 14.6 TiB. The z2 axis is contact, with |mu| = 1/2
+    form = fc.PolyOneForm([fc.Polynomial(2, [(1.0, (1, 0)), (1.0, (10**12, 0))]), fc.Polynomial(2, [(2.0, (0, 1))])])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(form_to_json(form)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = _check([command, "--input", str(path)], report_schema)["result"]
+    assert caught == []
+    if command == "contact-solve":
+        on_z2 = [p for p in result["points"] if np.hypot(p["z"][0]["re"], p["z"][0]["im"]) <= 1e-9]
+        assert on_z2 and all(abs(np.hypot(p["mu"]["re"], p["mu"]["im"]) - 0.5) <= 1e-12 for p in on_z2)
+    else:
+        assert 0.0 <= result["min_score"] < 1.0
 
 
 def test_radius_far_from_one_keeps_the_unit_answer(diag12_file, report_schema):

@@ -24,6 +24,7 @@ from folcontact.errors import RadiusRangeError, SingularGradientError
 from conftest import (
     axis_distance,
     degree_five_form,
+    mixed_degree_five_form,
     one_halving_newton,
     random_exact_form,
     radially_invariant,
@@ -146,9 +147,6 @@ def test_real_rows_match_the_concatenated_blocks():
     out = np.full((S, 2 * m, 2 * n + 2), np.nan)
     contact._real_rows(out, dz, dzbar, dlam)
     assert np.array_equal(out, real_rows_by_concatenation(dz, dzbar, dlam))
-    # zero blocks given as 0, and one dz block shared by the stack
-    contact._real_rows(out, dz[0], 0.0, 0.0)
-    assert np.array_equal(out, real_rows_by_concatenation(np.broadcast_to(dz[0], dz.shape), 0 * dz, 0 * dlam))
 
 
 @pytest.mark.parametrize("S", [1, 3, 64])
@@ -460,6 +458,45 @@ def test_non_homogeneous_form_at_small_radius(r):
     assert not path.truncated and len(path.points) == 9
     for p in path.points:
         assert p.residual <= 1e-12
+
+
+@pytest.mark.parametrize("r", [5.0, 1e5, 1e10, 1e30])
+def test_non_homogeneous_form_finds_both_axes_at_any_radius(r):
+    # a Newton stagnation bound absolute in r, checked before the contact
+    # verdict, dropped these axis points from r = 5 on and every point from
+    # r = 1e5 on; at 1e30 the kernel's norms overflowed with warnings, which
+    # are errors here
+    search = sphere_search(mixed_degree_five_form(), r, 20, 0)
+    assert search.seeds_converged == 20 and len(search.points) >= 8
+    for j in range(2):
+        assert any(axis_distance(p.z, j) <= 1e-9 * r for p in search.points)
+    for p in search.points:
+        assert p.radius == r and p.residual <= 1e-15
+
+
+def test_non_homogeneous_search_refuses_a_radius_where_f_overflows():
+    # f's rounding scale overflows at every seed of radius 1e40; warnings
+    # are errors here
+    with pytest.raises(RadiusRangeError, match="radius 1e\\+40 is out of range: f's rounding scale is non-finite"):
+        sphere_search(mixed_degree_five_form(), 1e40, 20, 0)
+
+
+def _scaled(form: fc.PolyOneForm, c: float) -> fc.PolyOneForm:
+    """c times form: the same contact set, with every coefficient scaled."""
+    return fc.PolyOneForm([fc.Polynomial(form.n, [(c * a, e) for a, e in f.terms]) for f in form.coeffs])
+
+
+@pytest.mark.parametrize("c", [1e4, 1e8, 1e12])
+def test_sphere_search_does_not_depend_on_the_size_of_the_form(c, cubic3, form321):
+    # c f has the contact points of f; with a Newton stagnation bound the
+    # cubic lost 7 or 8 of its 21 orbits here, from 28-38 converged seeds
+    for form, orbits in ((cubic3.differential(), 21), (form321, 3)):
+        unit = sphere_search(form, 1.0, 200, 0)
+        search = sphere_search(_scaled(form, c), 1.0, 200, 0)
+        assert len(search.points) == len(unit.points) == orbits
+        assert search.seeds_converged >= unit.seeds_converged >= 199
+        for p in search.points:
+            assert min(_aligned_distance(p.z, q.z) for q in unit.points) <= 1e-9
 
 
 def test_solve_on_sphere_identity_phase_structure():
@@ -807,6 +844,38 @@ def test_continue_radially_degree_four_form_is_untruncated():
     assert path.points[0].radius == 0.1 and path.points[-1].radius == 10.0
     for p in path.points:
         assert p.residual <= 1e-9 and fc.contact_residual(form, p.z) <= 1e-12
+
+
+def test_continue_radially_corrector_follows_an_axis_where_f_is_large():
+    # d(2 z1^5 + 2 z2^5 + z1^2 z2^3 + z1^2/2 + z2^2): the whole z1 axis is
+    # contact (f2 = 0 there), but from r = 7.2 on the corrector's Newton
+    # solve stalls at f's rounding floor, above its target 1e-13 r, and a
+    # norm test ahead of the contact verdict truncated the trace there
+    g = fc.Polynomial(2, [(2.0, (5, 0)), (2.0, (0, 5)), (1.0, (2, 3)), (0.5, (2, 0)), (1.0, (0, 2))])
+    form = g.differential()
+    direction = np.array([-0.964 - 0.267j, 0.0])
+    start = fc.point_at(form, direction / np.linalg.norm(direction))
+    path = fc.continue_radially(form, start, 0.1, 10.0, 15)
+    assert not path.truncated and len(path.points) == 15
+    for p in path.points:
+        assert p.residual <= 1e-9 and axis_distance(p.z, 0) <= 1e-9 * p.radius
+
+
+@pytest.mark.parametrize("r_max", [1e10, 1e30, 1e60])
+def test_continue_radially_corrector_runs_until_f_overflows(r_max):
+    # the z1 axis of a non-homogeneous form, traced up to the radius where
+    # f's rounding scale overflows (from about 3e30 on) and no further;
+    # warnings are errors here
+    form = mixed_degree_five_form()
+    path = fc.continue_radially(form, fc.point_at(form, [1.0, 0.0]), 0.1, r_max, 40)
+    for p in path.points:
+        assert p.residual <= 1e-15 and axis_distance(p.z, 0) <= 1e-9 * p.radius
+    if r_max < 1e31:
+        assert not path.truncated and len(path.points) == 41
+    else:
+        last, r_fail = path.points[-1].radius, path.truncation_radius
+        assert np.isfinite(form.evaluate_scaled(np.array([last, 0.0]))[1])
+        assert not np.isfinite(form.evaluate_scaled(np.array([r_fail, 0.0]))[1])
 
 
 @pytest.mark.parametrize("r_min, r_max, r_fail", [(1e-150, 1e150, 1e-90), (1e-100, 1e100, 1e-80)])
