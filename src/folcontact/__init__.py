@@ -54,7 +54,6 @@ from .contact import (
     sphere_search,
 )
 from .errors import (
-    ChartError,
     ConvergenceError,
     DimensionMismatchError,
     FlowError,

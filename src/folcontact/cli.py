@@ -121,7 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=_finite, default=2.0)
     p.add_argument("--steps", type=int, default=20)
     p = add("leaf-flow", _leaf_flow, source, leaf, tol=DEFAULT_FLOW_TOL)
-    p.add_argument("--direction", choices=("descend", "ascend"), default="descend")
     p.add_argument("--max-steps", type=_non_negative, default=2000)
     add("leaf-hessian", _leaf_hessian, source, leaf)
     p = add("scan", _scan, source, sphere)
@@ -225,7 +224,7 @@ def _contact_trace(args):
 def _leaf_flow(args):
     """Distance flow on a leaf to a critical point (input: {form, seed})."""
     chart, seed = _leaf_setup(args, "seed")
-    return flow_to_critical(chart, seed, args.direction, tol=args.tol, max_steps=args.max_steps)
+    return flow_to_critical(chart, seed, tol=args.tol, max_steps=args.max_steps)
 
 
 def _leaf_hessian(args):

@@ -20,14 +20,15 @@ leaf chart's [g | f] table in leaf.py). Its callers pick what a bad point
 means.
 
 * A single point goes through `_point_field`, the one place a point is
-  refused: the origin with ValueError, a point where f's rounding scale
-  is not finite with RadiusRangeError, a singular one with
+  refused: the origin with ValueError, a point where |z|^2 or f's
+  rounding scale is not finite with RadiusRangeError, a singular one with
   SingularGradientError. Its callers are point_at (and contact_residual
   through it), the point a leaf flow reports (leaf._leaf_point) and the
   leaf's field sample leaf._sample, which sample_field and every flow,
-  polish and Hessian sample go through. Each lets the refusal propagate,
-  except a flow step, which halves its trial step when the sample at the
-  trial point is refused for range or singularity.
+  polish and Hessian sample go through, at a leaf chart's base too (the
+  leaf code has no second singular test). Each lets the refusal
+  propagate, except a flow step, which halves its trial step when the
+  sample at the trial point is refused for range or singularity.
 * A stack goes through `_contact_rows`, the one verdict on whether its
   rows are contact points: it fails a row whose rounding scale is not
   finite, whose gradient is singular or whose residual is above tol.
@@ -194,18 +195,23 @@ def _residual(w: np.ndarray, z: np.ndarray):
 def _point_field(z: np.ndarray, f: np.ndarray, scale):
     """(mu, w) at one point z from f = f(z) and its rounding scale, or its refusal.
 
-    The origin is refused first, with ValueError, whatever the form: a form
-    with f(0) = 0 would otherwise report a singular gradient there. A point
-    where f's rounding scale is not finite (f or its terms overflow) raises
-    RadiusRangeError, and a singular one SingularGradientError. The origin
-    test is np.vdot and the range test math.isfinite, as the leaf's field
-    samples, which come here too, are the hot path of a flow.
+    The origin, where |z|^2 is 0, is refused first, with ValueError,
+    whatever the form: a form with f(0) = 0 would otherwise report a
+    singular gradient there. A point where |z|^2 is not finite, as
+    _check_radius refuses such a radius, or where f's rounding scale is not
+    finite (f or its terms overflow) raises RadiusRangeError, and a
+    singular one SingularGradientError. |z|^2 is one np.vdot and the range
+    tests math.isfinite, as the leaf's field samples, which come here too,
+    are the hot path of a flow.
     """
-    if np.vdot(z, z).real == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        sq = np.vdot(z, z).real
+    if sq == 0.0:
         raise ValueError("contact residual is undefined at the origin")
+    if not math.isfinite(sq):
+        raise RadiusRangeError("point is out of range: its squared norm is non-finite")
     if not math.isfinite(scale):
-        radius = np.linalg.norm(z)
-        raise RadiusRangeError(f"point of norm {radius:.3g} is out of range: f's rounding scale is non-finite")
+        raise RadiusRangeError(f"point of norm {math.sqrt(sq):.3g} is out of range: f's rounding scale is non-finite")
     mu, w, singular = _field(z, f, scale)
     if singular:
         raise SingularGradientError("gradient of the one-form vanishes at this point")
@@ -560,8 +566,8 @@ def point_at(form: PolyOneForm, z, morse_index: int | None = None) -> ContactPoi
     """Package a known location as a ContactPoint (mu and residual recomputed).
 
     The point is refused as _point_field refuses it: the origin with
-    ValueError, whatever the form, a point where f or its rounding scale
-    overflows with RadiusRangeError, and a singular one with
+    ValueError, whatever the form, a point where |z|^2, f or its rounding
+    scale overflows with RadiusRangeError, and a singular one with
     SingularGradientError.
     """
     z = as_cvec(z, form.n)

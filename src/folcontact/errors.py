@@ -32,16 +32,12 @@ class RadiusRangeError(FolContactError):
 
     Raised where the sphere radius squares outside it, where a homogeneous
     form's multiplier, scaled by r^(1-k) to the radius, falls outside it,
-    and where f or its rounding scale overflows at a point.
+    and where |z|^2, f or its rounding scale overflows at a point.
     """
 
 
 class ConvergenceError(FolContactError):
     """An iterative routine failed to converge within its iteration cap."""
-
-
-class ChartError(FolContactError):
-    """Every coefficient of the one-form vanishes where a leaf chart is made."""
 
 
 class FlowError(ConvergenceError):

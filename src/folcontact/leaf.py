@@ -8,10 +8,11 @@ distance phi = |z|^2 restricted to the leaf; critical points of the
 restricted distance are the contact points on that leaf. mu, w and the
 singular test come from contact._field, the one place where they are
 computed. A field sample (sample_field, and every flow, polish and Hessian
-sample) refuses its point as point_at does, through contact._point_field:
-the origin (ValueError), a point out of range, where f's rounding scale is
-not finite (RadiusRangeError), and a singular point
-(SingularGradientError). transversality_scan scores a singular point 0.
+sample) refuses its point as point_at does, through contact._point_field,
+the one refusal of a leaf point: the origin (ValueError), a point out of
+range, where |z|^2 or f's rounding scale is not finite
+(RadiusRangeError), and a singular point (SingularGradientError), a
+chart's base included. transversality_scan scores a singular point 0.
 The points flows and Hessians report take their mu and residual from the
 form's own evaluation at their z, so they are point_at's, bit for bit.
 
@@ -20,13 +21,14 @@ f = dg. A LeafChart compiles g and f side by side into one monomial table
 [g | f] of n + 1 columns (see algebra), once per (integral, form): the
 chart of a nearby leaf (index_persistence) shares it. Every point the leaf
 code visits is built once, and that build gives g and f (_evaluate): each
-iterate of the correction onto {g = c}, the make_chart checks and the
+iterate of the correction onto {g = c}, the make_chart check and the
 leaf_hessian precheck. A field sample takes the rounding scale of f from
-the monomials of its point's build (_chart_sample), and the correction
-hands back its last build. The leaf's tests are relative to sizes at their
-point: the correction's target and the on-leaf test to |c| plus g's
-rounding scale (_sizes), the flow's and the Hessian's criticality tests
-to |z|, so a leaf near the origin behaves as a unit one.
+the monomials of its point's build (_chart_sample), by the rule of
+algebra's _scale, and the correction hands back its last build. The
+leaf's tests are relative to sizes at their point: the correction's
+target and the on-leaf test to |c| plus g's rounding scale (_sizes), the
+flow's and the Hessian's criticality tests to |z|, so a leaf near the
+origin behaves as a unit one.
 
 The leaf code has one Newton model, the second-order model of phi/2 on the
 leaf (_leaf_model): in the orthonormal Householder basis Q of the tangent
@@ -54,13 +56,7 @@ import numpy as np
 
 from .algebra import Polynomial, PolyOneForm, _MonomialTable, _side_by_side, as_cvec, jacobian_form
 from .contact import ContactPoint, _check_radius, _check_tol, _contact_point, _field, _point_field, sphere_seeds
-from .errors import (
-    ChartError,
-    FlowError,
-    LeafCorrectionError,
-    RadiusRangeError,
-    SingularGradientError,
-)
+from .errors import FlowError, LeafCorrectionError, RadiusRangeError, SingularGradientError
 
 LEAF_TOL = 1e-9  # relative on-leaf precondition tolerance
 EIG_TOL = 1e-7
@@ -88,8 +84,8 @@ class LeafChart:
     monomials. It is compiled when a chart is made without one, and
     replace(chart, c=...) shares it, which is how index_persistence moves
     to a nearby leaf. Flows, the leaf polish and the restricted Hessian all
-    move on the leaf through it; make_chart checks that the leaf is regular
-    where it is created.
+    move on the leaf through it; make_chart checks that its base is on the
+    leaf, and the first field sample at a point refuses it if singular.
     """
 
     integral: Polynomial
@@ -186,10 +182,12 @@ def _sizes(chart: LeafChart, monomials: np.ndarray) -> tuple[float, float]:
     """(leaf size, f's rounding scale) at z, from the monomials of one build
     there by one product |z^E| |C|: the leaf size is |c| plus g's rounding
     scale |z^E| |C[:, 0]|, which the leaf tests at z are relative to, and
-    f's is ||(|z^E| |C[:, 1:]|)|| (algebra's _scale), which every field
-    sample and gradient test of a chart build uses."""
+    f's is ||(|z^E| |C[:, 1:]|)||, which every field sample and gradient
+    test of a chart build uses. That norm is the square root of the sum of
+    squares, algebra's _scale rule, so it is not finite exactly where
+    ||f||^2 overflows."""
     g_scale, *f_scales = (np.abs(monomials[:, 0]) @ chart.table._abs_coeffs).tolist()
-    return abs(chart.c) + g_scale, math.hypot(*f_scales)
+    return abs(chart.c) + g_scale, math.sqrt(sum(s * s for s in f_scales))
 
 
 def _project(chart: LeafChart, z: np.ndarray):
@@ -204,8 +202,8 @@ def _project(chart: LeafChart, z: np.ndarray):
         evaluation = _evaluate(chart, z)
         g, f, monomials = evaluation
         size, f_scale = _sizes(chart, monomials)
-        if not math.isfinite(size):
-            raise LeafCorrectionError("point out of range: g's rounding scale is non-finite")
+        if not (math.isfinite(size) and math.isfinite(f_scale)):
+            raise LeafCorrectionError("point out of range: g's or f's rounding scale is non-finite")
         err = abs(g - c)
         # on the leaf, or stagnated at the rounding floor (or out of iterates) near it
         if err <= 1e-14 * size or (err <= 1e-12 * size and (err >= best_err or k == max_iter)):
@@ -229,11 +227,11 @@ def project_to_leaf(integral: Polynomial, form: PolyOneForm, z, c: complex) -> n
     most 50 times. size is |c| plus g's rounding scale at the iterate
     (_sizes), so the correction is the same at every scale of z, and a start
     far off the leaf does not loosen it. Raises LeafCorrectionError on
-    divergence, where that scale is not finite and where f vanishes to
-    rounding at an iterate (contact._field's singular test). Each iterate
-    gets g and f from one build of the chart table [g | f]; this function
-    compiles that table, and the leaf code, which has a chart, runs the same
-    loop (_project) on the chart's own table.
+    divergence, where g's or f's rounding scale is not finite and where f
+    vanishes to rounding at an iterate (contact._field's singular test).
+    Each iterate gets g and f from one build of the chart table [g | f];
+    this function compiles that table, and the leaf code, which has a
+    chart, runs the same loop (_project) on the chart's own table.
 
     It stays outside the damped-Newton kernel contact._damped_newton: it
     solves one complex equation in n unknowns by that minimum-norm step,
@@ -252,21 +250,6 @@ def _check_on_leaf(chart: LeafChart, evaluation, what: str) -> None:
         raise ValueError(f"{what} is not on the leaf (|g({what}) - c| = {err:.3e})")
 
 
-def _check_base(chart: LeafChart, base: np.ndarray, evaluation) -> None:
-    """make_chart's checks at base, from its evaluation (g, f, monomials) there.
-
-    The gradient test is _field's singular test, on the rounding scale of f
-    from the same monomials, so it holds at any |base|. A base where that
-    scale is not finite is left to the first field sample of a flow, which
-    refuses it with RadiusRangeError.
-    """
-    _, f, monomials = evaluation
-    _check_on_leaf(chart, evaluation, "base")
-    scale = _sizes(chart, monomials)[1]
-    if math.isfinite(scale) and _field(base, f, scale)[2]:
-        raise ChartError("all form coefficients vanish at the base point")
-
-
 def make_chart(
     integral: Polynomial,
     base,
@@ -277,16 +260,17 @@ def make_chart(
     """The leaf of `integral` through (or prescribed by c near) base.
 
     form must be the integral's differential; it is taken as given, not
-    recomputed or checked. Compiles the chart's [g | f] table and checks
-    base from one build of it. Raises ValueError if base is off the
-    prescribed leaf and ChartError if the form's coefficients vanish there
-    to rounding, relative to the size of their terms (_check_base).
+    recomputed or checked. Compiles the chart's [g | f] table and checks,
+    from one build of it, that base is on the prescribed leaf (ValueError,
+    _check_on_leaf). A singular base is not refused here: the first field
+    sample there, of a flow or a Hessian, refuses it with
+    SingularGradientError, as it refuses every singular point.
     """
     base = as_cvec(base, form.n)
     if c is None:
         c = integral.evaluate(base)  # the leaf through base
     chart = LeafChart(integral=integral, form=form, c=complex(c))
-    _check_base(chart, base, _evaluate(chart, base))
+    _check_on_leaf(chart, _evaluate(chart, base), "base")
     return chart
 
 
@@ -341,18 +325,23 @@ def flow_to_critical(
     tol: float = DEFAULT_FLOW_TOL,
     max_steps: int = 2000,
 ) -> FlowResult:
-    """Descend phi = |z|^2 (descend) or -phi (ascend) on the leaf to a critical point.
+    """Descend phi = |z|^2 on the leaf to a critical point.
+
+    direction must be "descend" (ValueError otherwise): phi is strictly
+    plurisubharmonic, so on a leaf it has no local maximum to ascend to
+    (Andreotti and Frankel, Ann. of Math. 69, 1959).
 
     Modified-Newton descent on the leaf's second-order model (_leaf_model):
     each step solves M x = -grad in the tangent coordinates of z, with each
     eigenvalue lambda of M replaced by max(|lambda|, 1e-3 max |lambda|)
     (Nocedal and Wright, Numerical Optimization, 2nd ed., 2006, section 3.4),
-    so x descends even at a saddle. M is the same with either sign of phi,
-    so ascend only flips the gradient. The trial z + t Q xi is corrected
-    onto the leaf (_project), whose last evaluation gives the field sample
+    so x descends even at a saddle. The trial z + t Q xi is corrected onto
+    the leaf (_project), whose last evaluation gives the field sample
     there; t starts at 1 and halves until the correction and the sample
-    succeed and phi (-phi) decreases by the Armijo test, 1e-4 of its slope
-    along the step. tol must be positive and max_steps non-negative
+    succeed and phi decreases by the Armijo test, 1e-4 of its slope along
+    the step. The seed is refused as every field sample is: a singular
+    seed with SingularGradientError, one out of range with
+    RadiusRangeError. tol must be positive and max_steps non-negative
     (ValueError).
 
     One loop, whose top, before each step and after the last, tests for its
@@ -370,12 +359,11 @@ def flow_to_critical(
     with no trial accepted. Both FlowErrors carry the last point and the
     step count.
     """
-    if direction not in ("descend", "ascend"):
-        raise ValueError("direction must be 'descend' or 'ascend'")
+    if direction != "descend":
+        raise ValueError(f"direction must be 'descend', got {direction!r}: |z|^2 has no local maximum on a leaf")
     _check_tol(tol)
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-    sgn = 1.0 if direction == "descend" else -1.0  # the flow descends sgn * phi
 
     z = as_cvec(z0, chart.form.n)
     evaluation = _evaluate(chart, z)
@@ -405,8 +393,8 @@ def flow_to_critical(
         lam, V = np.linalg.eigh(M)
         lam = np.abs(lam)
         x = -(V @ ((V.T @ grad) / np.maximum(lam, 1e-3 * lam.max())))  # (Re xi_1, Im xi_1, ...)
-        v = sgn * (Q @ x.view(complex))
-        armijo = 2e-4 * grad.dot(x)  # 1e-4 of the slope 2 grad . x < 0 of sgn * phi along v
+        v = Q @ x.view(complex)
+        armijo = 2e-4 * grad.dot(x)  # 1e-4 of the slope 2 grad . x < 0 of phi along v
         t = 1.0
         while True:
             if t < 1e-15:
@@ -418,7 +406,7 @@ def flow_to_critical(
             try:
                 z, evaluation = _project(chart, s.z + t * v)
                 phi_new = _phi(z)
-                if sgn * (phi_new - phi) <= t * armijo:
+                if phi_new - phi <= t * armijo:
                     s = _chart_sample(chart, z, evaluation)
                     break
             except (LeafCorrectionError, RadiusRangeError, SingularGradientError):
@@ -552,8 +540,8 @@ def index_persistence(chart: LeafChart, p: ContactPoint, dc: complex) -> bool:
     flowed to a critical point there at flow_to_critical's default tol;
     True iff that point stays within the persistence radius
     10 sqrt(|dc|) (1 + |p|) and its Morse index matches.
-    The new leaf's chart shares the chart's [g | f] table, and make_chart's
-    checks at the seed use the evaluation its leaf correction ends with.
+    The new leaf's chart shares the chart's [g | f] table. A seed the flow
+    refuses as singular gives False, as a flow or Hessian that fails does.
     A False is a report, not an error: degenerate (non-Morse) points may
     legitimately fail.
     """
@@ -564,11 +552,10 @@ def index_persistence(chart: LeafChart, p: ContactPoint, dc: complex) -> bool:
         raise ValueError("|dc| must be at most 0.1 |c|")
     chart_new = replace(chart, c=chart.c + dc)
     try:
-        seed, evaluation = _project(chart_new, as_cvec(p.z, chart.form.n))
-        _check_base(chart_new, seed, evaluation)
+        seed = _project(chart_new, as_cvec(p.z, chart.form.n))[0]
         result = flow_to_critical(chart_new, seed, "descend")
         report = leaf_hessian(chart_new, result.point.z)
-    except (FlowError, ChartError, ValueError):
+    except (FlowError, SingularGradientError, ValueError):
         return False
     persist_radius = 10.0 * np.sqrt(abs(dc)) * (1.0 + np.linalg.norm(p.z))
     if np.linalg.norm(result.point.z - p.z) > persist_radius:

@@ -113,7 +113,7 @@ COMMANDS = {
         ["--input", "trace_file", "--steps", "4"],
         {"input", "tol", "r_min", "r_max", "steps"},
     ),
-    "leaf-flow": (["--input", "flow_file"], {"input", "c", "tol", "direction", "max_steps"}),
+    "leaf-flow": (["--input", "flow_file"], {"input", "c", "tol", "max_steps"}),
     "leaf-hessian": (["--input", "hessian_file"], {"input", "c"}),
     "scan": (
         ["--input", "symplectic_file", "--samples", "200"],
@@ -153,6 +153,7 @@ def test_config_echoes_the_commands_own_default_tolerance(command, tol, request,
         ("scan", "--seeds", "3"),
         ("contact-solve", "--samples", "5"),
         ("linear-analyze", "--output", "json"),  # a report is JSON, always
+        ("leaf-flow", "--direction", "ascend"),  # |z|^2 has no local maximum on a leaf
     ],
 )
 def test_exit_2_on_an_option_the_command_does_not_read(command, option, value, request, capsys):
@@ -806,6 +807,38 @@ def test_exit_3_where_scaled_mu_leaves_the_normal_doubles(tmp_path, radius):
     code, out, err = run_cli(["contact-solve", "--input", str(path), "--radius", radius])
     assert code == 3 and out == ""
     assert f"radius {float(radius):.3g} is out of range: r^-4 mu is not a normal double" in err
+
+
+CUBIC_TERMS = [(1.0, (3, 0, 0)), (1.0, (0, 3, 0)), (1.0, (0, 0, 3))]
+
+
+@pytest.mark.parametrize(
+    "argv, terms, key, vec",
+    [
+        (["leaf-flow"], CUBIC_TERMS, "seed", 1e80 * np.array([0.3 + 0.1j, 0.5 - 0.2j, 0.7])),
+        (["leaf-hessian"], CUBIC_TERMS, "point", np.array([1e80, 0.0, 0.0], dtype=complex)),
+        (
+            ["contact-trace", "--r-min", "1e154", "--r-max", "1e156"],
+            [(1.0, (1, 0)), (2.0, (0, 1))],
+            "start",
+            np.array([1e155, 2e155], dtype=complex),
+        ),
+    ],
+    ids=["leaf-flow", "leaf-hessian", "contact-trace"],
+)
+def test_exit_3_where_a_vector_leaves_the_doubles(tmp_path, argv, terms, key, vec):
+    # the f of d(z1^3 + z2^3 + z3^3) overflows at 1e80, and |z|^2 at
+    # 1e155 (1, 2), on the line of contact points of d(z1 + 2 z2): leaf-flow
+    # exited 2 there with warnings, leaf-hessian warned, and contact-trace
+    # exited 2 from a start of radius inf
+    form = fc.Polynomial(vec.size, terms).differential()
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"form": form_to_json(form), key: to_json(vec)}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli([argv[0], "--input", str(path), *argv[1:]])
+    assert code == 3 and out == "" and caught == []
+    assert "out of range" in err
 
 
 def test_exit_3_on_a_trace_start_where_f_overflows(tmp_path):

@@ -420,6 +420,17 @@ def test_point_at_refuses_a_point_where_f_overflows(x):
     assert fc.point_at(form, [1e30, 0.0]).residual <= 1e-15
 
 
+def test_point_at_refuses_a_point_whose_square_overflows():
+    # f = (1, 2) of d(z1 + 2 z2) has a finite rounding scale everywhere, but
+    # |z|^2 overflows at 1e155 (1, 2), where point_at reported radius inf
+    # and residual 0, with warnings (errors here)
+    form = fc.Polynomial(2, [(1.0, (1, 0)), (2.0, (0, 1))]).differential()
+    for refuse in (fc.point_at, fc.contact_residual):
+        with pytest.raises(RadiusRangeError, match="squared norm is non-finite"):
+            refuse(form, [1e155, 2e155])
+    assert fc.point_at(form, [1e153, 2e153]).residual <= 1e-15
+
+
 def test_sphere_search_rejects_zero_form():
     zero = fc.PolyOneForm([fc.Polynomial(2, []), fc.Polynomial(2, [])])
     with pytest.raises(SingularGradientError):

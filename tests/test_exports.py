@@ -31,7 +31,6 @@ EXPORTS = [
     "point_at",
     "sphere_search",
     # errors
-    "ChartError",
     "ConvergenceError",
     "DimensionMismatchError",
     "FlowError",
