@@ -39,10 +39,13 @@ The same build gives a table's rounding scale ||(|z^E| |C|)|| per point
 abs of the monomials already built, times |C|, so the scale costs no
 second pass over the points. ``_dot(z, scaled=True)``, which
 ``PolyOneForm.evaluate_scaled`` is, returns the values and their scale
-together. The leaf code compiles a first integral g and its form f = dg
-side by side into one table [g | f] of n + 1 columns (``_side_by_side``).
-One ``_build`` of it at a point gives g and f and keeps its monomials, so
-the scale of f is taken from them only where a caller needs it.
+together. The leaf code builds a first integral g and its form f = dg
+from one power plan, g's exponent rows stacked on f's
+(``_side_by_side``): one ``_monomials`` call at a point gives the
+monomials of both tables, and each block is contracted with its own
+table's coefficients and scaled by its own ``_scale``, so g, f and f's
+scale are those of ``Polynomial.evaluate`` and
+``PolyOneForm.evaluate_scaled``, bit for bit up to the sign of a zero.
 
 What is compiled from exponents alone is compiled once per distinct
 exponent table (``_exponents``): its power plan, its sorted distinct rows,
@@ -210,9 +213,9 @@ class _MonomialTable:
     the first evaluation: tables with equal exponents share one read-only
     plan, compiled once while the bounded memo of _exponents keeps it. The
     rows are kept as given: every polynomial and one-form passes them
-    through _canonical first; the two tables that are only evaluated do
-    not: _side_by_side's, and a one-form's Jacobian, whose rows the
-    derivative rule already gives distinct and sorted.
+    through _canonical first; the one table that is only evaluated does
+    not: a one-form's Jacobian, whose rows the derivative rule already
+    gives distinct and sorted.
     """
 
     def __init__(self, n: int, exps: np.ndarray, coeffs: np.ndarray):
@@ -427,19 +430,21 @@ class PolyOneForm(_MonomialTable):
         return f"PolyOneForm(n={self.n}, degrees={tuple(f.total_degree for f in self.coeffs)})"
 
 
-def _side_by_side(g: Polynomial, form: PolyOneForm) -> _MonomialTable:
-    """The table [g | f] of a polynomial g and a one-form f, for evaluation only.
+def _side_by_side(g: Polynomial, form: PolyOneForm) -> tuple:
+    """The power plan of a polynomial g's exponent rows stacked on a one-form f's.
 
-    Column 0 is g and columns 1..n are f. The rows of the two tables are
-    stacked, not merged, so compiling it costs only the power plan; a
-    monomial that both share is built twice.
+    One _monomials build of it at points gives g's monomials, its first
+    len(g._exps) rows, and f's, the rest, each with the bits of the table's
+    own build up to the sign of a zero part: where the plan has more
+    factor columns than a table's own, its monomials are multiplied by
+    z_1^0 = 1 once more. Contracting each block with its table's
+    coefficients, as _build does, gives g and f, and f's block gives its
+    _scale. The rows are stacked, not merged, so a monomial that both
+    share is built twice.
     """
     if g.n != form.n:
         raise DimensionMismatchError(f"polynomial in {g.n} variables, one-form in {form.n}")
-    C = np.zeros((len(g._exps) + len(form._exps), form.n + 1), dtype=complex)
-    C[: len(g._exps), :1] = g._coeffs
-    C[len(g._exps) :, 1:] = form._coeffs
-    return _MonomialTable(form.n, np.concatenate([g._exps, form._exps]), C)
+    return _exponents(np.concatenate([g._exps, form._exps])).plan
 
 
 def jacobian_form(form: PolyOneForm, z) -> np.ndarray:

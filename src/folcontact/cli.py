@@ -170,8 +170,10 @@ def _wrapped_input(obj: Any, key: str, where: str):
 def _leaf_setup(args, key: str):
     """The leaf chart and the input's vector projected onto the leaf g = c.
 
-    c is the leaf value given, else g at the vector; the config echoes it
-    in place of --c-re and --c-im.
+    c is the leaf value given, else g at the vector, taken under
+    np.errstate as the leaf code takes g: a vector past the doubles gives a
+    non-finite c, which the projection refuses (exit 3). The config echoes
+    c in place of --c-re and --c-im.
     """
     form, vec = _wrapped_input(_load_json(args.input), key, args.input)
     try:
@@ -179,7 +181,8 @@ def _leaf_setup(args, key: str):
     except ValueError as exc:
         raise InputFormatError(f"{args.input}: {exc}") from exc
     if args.c_re is None and args.c_im is None:
-        c = complex(integral.evaluate(vec))
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = complex(integral.evaluate(vec))
     else:
         c = complex(args.c_re or 0.0, args.c_im or 0.0)
     del args.c_re, args.c_im

@@ -15,20 +15,22 @@ so it holds at any |z|.
 
 `_field` is the one place where mu, w = z - mu conj(f) and that test are
 computed, for a point or a stack, from f and its rounding scale, which
-one monomial build gives together (PolyOneForm.evaluate_scaled here, the
-leaf chart's [g | f] table in leaf.py). Its callers pick what a bad point
-means.
+one monomial build gives together (PolyOneForm.evaluate_scaled here; in
+leaf.py, one build of a leaf chart's plan, which gives g as well and
+f and its scale with the bits of evaluate_scaled). Its callers pick what
+a bad point means.
 
 * A single point goes through `_point_field`, the one place a point is
   refused: the origin with ValueError, a point where |z|^2 or f's
   rounding scale is not finite with RadiusRangeError, a singular one with
   SingularGradientError. Its callers are point_at (and contact_residual
-  through it), the point a leaf flow reports (leaf._leaf_point) and the
-  leaf's field sample leaf._sample, which sample_field and every flow,
-  polish and Hessian sample go through, at a leaf chart's base too (the
-  leaf code has no second singular test). Each lets the refusal
-  propagate, except a flow step, which halves its trial step when the
-  sample at the trial point is refused for range or singularity.
+  through it) and the leaf's field sample leaf._sample, which
+  sample_field and every flow, polish and Hessian sample go through, at
+  a leaf chart's base too (the leaf code has no second singular test);
+  the point a flow or leaf_hessian reports is made from its sample. Each
+  lets the refusal propagate, except a flow step, which halves its trial
+  step when the sample at the trial point is refused for range or
+  singularity.
 * A stack goes through `_contact_rows`, the one verdict on whether its
   rows are contact points: it fails a row whose rounding scale is not
   finite, whose gradient is singular or whose residual is above tol.

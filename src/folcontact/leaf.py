@@ -13,22 +13,27 @@ the one refusal of a leaf point: the origin (ValueError), a point out of
 range, where |z|^2 or f's rounding scale is not finite
 (RadiusRangeError), and a singular point (SingularGradientError), a
 chart's base included. transversality_scan scores a singular point 0.
-The points flows and Hessians report take their mu and residual from the
-form's own evaluation at their z, so they are point_at's, bit for bit.
 
 Leaves are tracked through a known polynomial first integral g with
-f = dg. A LeafChart compiles g and f side by side into one monomial table
-[g | f] of n + 1 columns (see algebra), once per (integral, form): the
+f = dg. A LeafChart compiles the power plan of g's and f's monomial
+tables stacked (algebra._side_by_side), once per (integral, form): the
 chart of a nearby leaf (index_persistence) shares it. Every point the leaf
-code visits is built once, and that build gives g and f (_evaluate): each
-iterate of the correction onto {g = c}, the make_chart check and the
-leaf_hessian precheck. A field sample takes the rounding scale of f from
-the monomials of its point's build (_chart_sample), by the rule of
-algebra's _scale, and the correction hands back its last build. The
-leaf's tests are relative to sizes at their point: the correction's
-target and the on-leaf test to |c| plus g's rounding scale (_sizes), the
-flow's and the Hessian's criticality tests to |z|, so a leaf near the
-origin behaves as a unit one.
+code visits is built once (_evaluate): each iterate of the correction
+onto {g = c}, the seed of a flow, the point of a Hessian and the base of
+make_chart given a c. That build's g rows are contracted with the
+integral's coefficients and its f rows with the form's, and f's rounding
+scale is the form's _scale of its rows, so g, f and the scale are
+integral.evaluate's and form.evaluate_scaled's, bit for bit. A field
+sample is made from them with no second evaluation, and so is every point
+a flow or leaf_hessian reports: its mu and residual are point_at's at its
+z and its leaf_value is integral.evaluate(z). The correction hands back
+its last build. The leaf's tests are relative to sizes at their point:
+the correction's target and the on-leaf test to the leaf size, |c| plus
+the plain product |z^E| |C| of g's rows, the flow's and the Hessian's
+criticality tests to |z|, so a leaf near the origin behaves as a unit
+one. The build and both sizes are taken under np.errstate: a point past
+the doubles shows as a non-finite size, which the correction and the
+field sample refuse, with no warning.
 
 The leaf code has one Newton model, the second-order model of phi/2 on the
 leaf (_leaf_model): in the orthonormal Householder basis Q of the tangent
@@ -54,7 +59,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import Polynomial, PolyOneForm, _MonomialTable, _side_by_side, as_cvec, jacobian_form
+from .algebra import Polynomial, PolyOneForm, _monomials, _side_by_side, as_cvec, jacobian_form
 from .contact import ContactPoint, _check_radius, _check_tol, _contact_point, _field, _point_field, sphere_seeds
 from .errors import FlowError, LeafCorrectionError, RadiusRangeError, SingularGradientError
 
@@ -78,20 +83,20 @@ class FieldSample:
 class LeafChart:
     """The leaf {g = c} of a first integral g, with the one-form f = dg.
 
-    `table` is g and f compiled side by side into one monomial table
-    [g | f] (n + 1 columns; algebra._side_by_side): one build of it at a
-    point gives g and f, and the rounding scale of f from the same
-    monomials. It is compiled when a chart is made without one, and
-    replace(chart, c=...) shares it, which is how index_persistence moves
-    to a nearby leaf. Flows, the leaf polish and the restricted Hessian all
-    move on the leaf through it; make_chart checks that its base is on the
+    `table` is the power plan of g's and f's monomial tables stacked
+    (algebra._side_by_side): one build of it at a point gives g, f and f's
+    rounding scale, each as its own table gives it (_evaluate). It is
+    compiled when a chart is made without one, and replace(chart, c=...)
+    shares it, which is how index_persistence moves to a nearby leaf.
+    Flows, the leaf polish and the restricted Hessian all move on the leaf
+    through it; make_chart checks that a base given with its c is on the
     leaf, and the first field sample at a point refuses it if singular.
     """
 
     integral: Polynomial
     form: PolyOneForm
     c: complex
-    table: _MonomialTable | None = field(default=None, repr=False, compare=False)
+    table: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.table is None:
@@ -167,31 +172,25 @@ def sample_field(form: PolyOneForm, z) -> FieldSample:
 
 
 def _evaluate(chart: LeafChart, z: np.ndarray):
-    """(g(z), f(z), monomials) at one point: one build of chart.table."""
-    values, monomials = chart.table._build(z[None])
-    return values[0, 0], values[0, 1:], monomials
+    """(g(z), leaf size, f(z), f's rounding scale) at one point: one build.
 
-
-def _chart_sample(chart: LeafChart, z: np.ndarray, evaluation) -> FieldSample:
-    """The field sample at z from its evaluation (g, f, monomials), with the
-    rounding scale of f from the monomials of that build, not from another."""
-    return _sample(z, evaluation[1], _sizes(chart, evaluation[2])[1])
-
-
-def _sizes(chart: LeafChart, monomials: np.ndarray) -> tuple[float, float]:
-    """(leaf size, f's rounding scale) at z, from the monomials of one build
-    there by one product |z^E| |C|: the leaf size is |c| plus g's rounding
-    scale |z^E| |C[:, 0]|, which the leaf tests at z are relative to, and
-    f's is ||(|z^E| |C[:, 1:]|)||, which every field sample and gradient
-    test of a chart build uses. That norm is the square root of the sum of
-    squares, algebra's _scale rule, so it is not finite exactly where
-    ||f||^2 overflows."""
-    g_scale, *f_scales = (np.abs(monomials[:, 0]) @ chart.table._abs_coeffs).tolist()
-    return abs(chart.c) + g_scale, math.sqrt(sum(s * s for s in f_scales))
+    The build is of chart.table; its g rows are contracted with the
+    integral's coefficients and its f rows with the form's, as each
+    table's _build does, and f's scale is the form's _scale of its rows.
+    The leaf size, which the leaf tests at z are relative to, is |c| plus
+    the plain product |z^E| |C| of g's rows: unlike a root of a sum of
+    squares, it stays finite while g's terms do.
+    """
+    g, form = chart.integral, chart.form
+    with np.errstate(over="ignore", invalid="ignore"):  # a point past the doubles has a non-finite size
+        monomials = _monomials(z[None], chart.table)
+        g_rows, f_rows = monomials[: len(g._exps)], monomials[len(g._exps) :]
+        size = abs(chart.c) + (np.abs(g_rows).T @ g._abs_coeffs)[0, 0]
+        return (g_rows.T @ g._coeffs)[0, 0], size, (f_rows.T @ form._coeffs)[0], form._scale(f_rows)[0]
 
 
 def _project(chart: LeafChart, z: np.ndarray):
-    """(z on the chart's leaf, its evaluation (g, f, monomials)): see project_to_leaf.
+    """(z on the chart's leaf, its evaluation (g, size, f, f's scale)): see project_to_leaf.
 
     Each iterate is one _evaluate, and the last one is handed back, so a
     caller gets the field at the corrected point without evaluating it.
@@ -199,9 +198,7 @@ def _project(chart: LeafChart, z: np.ndarray):
     c, max_iter = chart.c, 50
     best_err = np.inf
     for k in range(max_iter + 1):
-        evaluation = _evaluate(chart, z)
-        g, f, monomials = evaluation
-        size, f_scale = _sizes(chart, monomials)
+        evaluation = g, size, f, f_scale = _evaluate(chart, z)
         if not (math.isfinite(size) and math.isfinite(f_scale)):
             raise LeafCorrectionError("point out of range: g's or f's rounding scale is non-finite")
         err = abs(g - c)
@@ -224,14 +221,15 @@ def project_to_leaf(integral: Polynomial, form: PolyOneForm, z, c: complex) -> n
 
     With f = dg the form, iterates z += (c - g(z)) conj(f(z)) / ||f(z)||^2
     until |g - c| <= 1e-14 size, or stagnates at most 1e-12 size from c, at
-    most 50 times. size is |c| plus g's rounding scale at the iterate
-    (_sizes), so the correction is the same at every scale of z, and a start
-    far off the leaf does not loosen it. Raises LeafCorrectionError on
-    divergence, where g's or f's rounding scale is not finite and where f
-    vanishes to rounding at an iterate (contact._field's singular test).
-    Each iterate gets g and f from one build of the chart table [g | f];
-    this function compiles that table, and the leaf code, which has a
-    chart, runs the same loop (_project) on the chart's own table.
+    most 50 times. size is |c| plus g's rounding scale at the iterate, the
+    plain product |z^E| |C| of its terms (_evaluate), so the correction is
+    the same at every scale of z, and a start far off the leaf does not
+    loosen it. Raises LeafCorrectionError on divergence, where g's or f's
+    rounding scale is not finite and where f vanishes to rounding at an
+    iterate (contact._field's singular test). Each iterate gets g and f
+    from one build of the chart's stacked plan; this function compiles that
+    plan, and the leaf code, which has a chart, runs the same loop
+    (_project) on the chart's own plan.
 
     It stays outside the damped-Newton kernel contact._damped_newton: it
     solves one complex equation in n unknowns by that minimum-norm step,
@@ -243,10 +241,10 @@ def project_to_leaf(integral: Polynomial, form: PolyOneForm, z, c: complex) -> n
 
 def _check_on_leaf(chart: LeafChart, evaluation, what: str) -> None:
     """Refuse, with ValueError, the base, seed or point `what` whose
-    evaluation (g, f, monomials) has |g - c| > LEAF_TOL size, size the
-    leaf size there (_sizes), for the chart's c."""
+    evaluation (g, size, f, f's scale) has |g - c| > LEAF_TOL size, for
+    the chart's c."""
     err = abs(evaluation[0] - chart.c)
-    if err > LEAF_TOL * _sizes(chart, evaluation[2])[0]:
+    if err > LEAF_TOL * evaluation[1]:
         raise ValueError(f"{what} is not on the leaf (|g({what}) - c| = {err:.3e})")
 
 
@@ -260,17 +258,18 @@ def make_chart(
     """The leaf of `integral` through (or prescribed by c near) base.
 
     form must be the integral's differential; it is taken as given, not
-    recomputed or checked. Compiles the chart's [g | f] table and checks,
-    from one build of it, that base is on the prescribed leaf (ValueError,
-    _check_on_leaf). A singular base is not refused here: the first field
-    sample there, of a flow or a Hessian, refuses it with
-    SingularGradientError, as it refuses every singular point.
+    recomputed or checked. Compiles the chart's stacked plan. Given c, it
+    checks, from one build of the plan, that base is on that leaf
+    (ValueError, _check_on_leaf); without one, c is integral.evaluate(base),
+    which has the bits of g in that build, so base is on the leaf. Neither
+    refuses a base out of range or singular: the first field sample there,
+    of a flow or a Hessian, refuses it, as it refuses every such point.
     """
     base = as_cvec(base, form.n)
-    if c is None:
-        c = integral.evaluate(base)  # the leaf through base
-    chart = LeafChart(integral=integral, form=form, c=complex(c))
-    _check_on_leaf(chart, _evaluate(chart, base), "base")
+    with np.errstate(over="ignore", invalid="ignore"):  # a base past the doubles is refused where it is sampled
+        chart = LeafChart(integral, form, complex(integral.evaluate(base) if c is None else c))
+    if c is not None:
+        _check_on_leaf(chart, _evaluate(chart, base), "base")
     return chart
 
 
@@ -279,18 +278,8 @@ def _phi(z: np.ndarray) -> float:
     return float(np.sum(np.abs(z) ** 2))
 
 
-def _leaf_point(chart: LeafChart, z: np.ndarray, g: complex) -> ContactPoint:
-    """The ContactPoint a flow reports at z, on the leaf value g.
-
-    Its mu and residual are point_at's at z, bit for bit: they come from
-    the form's own evaluation there, not from the chart's f, which the
-    [g | f] table rounds differently on a dense form.
-    """
-    return _contact_point(z, *_point_field(z, *chart.form.evaluate_scaled(z)), g)
-
-
-def _polish_on_leaf(chart: LeafChart, s: FieldSample):
-    """(field sample, g) at the point Newton polishes s to, or None on failure.
+def _polish_on_leaf(chart: LeafChart, s: FieldSample, g: complex):
+    """(field sample, g) at the point Newton polishes s, on g, to, or None on failure.
 
     Pure Newton on the leaf's model (_leaf_model), the flow's model with M
     unmodified: each step solves M x = -grad at the current sample and
@@ -299,9 +288,9 @@ def _polish_on_leaf(chart: LeafChart, s: FieldSample):
     It succeeds when t_norm <= 1e-13 (|c| + |z0|), z0 = s.z, within 40
     steps, and returns None at once when a step's M is singular, its
     correction or sample fails, or it lands farther than 0.2 |z0| from z0.
-    The sample and g come from one build of the chart table there.
+    The sample and g come from one build of the chart's plan there.
     """
-    z0, r0, evaluation, steps = s.z, np.linalg.norm(s.z), None, 0
+    z0, r0, steps = s.z, np.linalg.norm(s.z), 0
     target = 1e-13 * (abs(chart.c) + r0)
     while s.t_norm > target:
         if steps == 40:
@@ -309,13 +298,13 @@ def _polish_on_leaf(chart: LeafChart, s: FieldSample):
         Q, M, grad = _leaf_model(chart, s.z, s)
         try:
             z, evaluation = _project(chart, s.z + Q @ np.linalg.solve(M, -grad).view(complex))
-            s = _chart_sample(chart, z, evaluation)
+            s, g = _sample(z, *evaluation[2:]), complex(evaluation[0])
         except (np.linalg.LinAlgError, LeafCorrectionError, RadiusRangeError, SingularGradientError):
             return None
         if np.linalg.norm(z - z0) > 0.2 * r0:
             return None
         steps += 1
-    return s, complex((evaluation or _evaluate(chart, s.z))[0])
+    return s, g
 
 
 def flow_to_critical(
@@ -370,22 +359,22 @@ def flow_to_critical(
     g = complex(evaluation[0])
     _check_on_leaf(chart, evaluation, "seed")
     phi = phi_initial = _phi(z)
-    s = _chart_sample(chart, z, evaluation)
+    s = _sample(z, *evaluation[2:])
     last_polish_t = np.inf
     steps = 0
     while True:
         if s.t_norm <= max(tol, 1e-3) * math.sqrt(phi) and s.t_norm < 0.3 * last_polish_t:
             last_polish_t = s.t_norm
-            polished = _polish_on_leaf(chart, s)
+            polished = _polish_on_leaf(chart, s, g)
             if polished is not None and polished[0].t_norm <= tol * math.sqrt(_phi(polished[0].z)):
-                point = _leaf_point(chart, polished[0].z, polished[1])
-                return FlowResult(point, steps, True, phi_initial, _phi(point.z))
+                s, g = polished
+                return FlowResult(_contact_point(s.z, s.mu, s.w, g), steps, True, phi_initial, _phi(s.z))
         if s.t_norm <= tol * math.sqrt(phi):
-            return FlowResult(_leaf_point(chart, s.z, g), steps, False, phi_initial, phi)
+            return FlowResult(_contact_point(s.z, s.mu, s.w, g), steps, False, phi_initial, phi)
         if steps >= max_steps:
             raise FlowError(
                 f"step limit exceeded (t_norm = {s.t_norm:.3e} after {steps} steps)",
-                last_point=_leaf_point(chart, s.z, g),
+                last_point=_contact_point(s.z, s.mu, s.w, g),
                 steps=steps,
             )
 
@@ -400,14 +389,14 @@ def flow_to_critical(
             if t < 1e-15:
                 raise FlowError(
                     "step size collapsed before reaching a critical point",
-                    last_point=_leaf_point(chart, s.z, g),
+                    last_point=_contact_point(s.z, s.mu, s.w, g),
                     steps=steps,
                 )
             try:
                 z, evaluation = _project(chart, s.z + t * v)
                 phi_new = _phi(z)
                 if phi_new - phi <= t * armijo:
-                    s = _chart_sample(chart, z, evaluation)
+                    s = _sample(z, *evaluation[2:])
                     break
             except (LeafCorrectionError, RadiusRangeError, SingularGradientError):
                 pass
@@ -492,15 +481,14 @@ def leaf_hessian(chart: LeafChart, p) -> HessianReport:
     p = as_cvec(p, chart.form.n)
     evaluation = _evaluate(chart, p)
     _check_on_leaf(chart, evaluation, "point")
-    g = complex(evaluation[0])
-    s = _sample(p, *chart.form.evaluate_scaled(p))  # the form's own f: point_at's mu and residual
+    s = _sample(p, *evaluation[2:])
     if s.t_norm > 1e-6 * np.linalg.norm(p):
         raise ValueError(f"point is not critical (t_norm = {s.t_norm:.3e} at |p| = {np.linalg.norm(p):.3e})")
 
     M = _leaf_model(chart, p, s)[1]
     eigenvalues = np.linalg.eigvalsh(M)
     negative_count = int(np.sum(eigenvalues < -EIG_TOL))
-    point = _contact_point(p, s.mu, s.w, g, negative_count)
+    point = _contact_point(p, s.mu, s.w, complex(evaluation[0]), negative_count)
     return HessianReport(matrix=M, eigenvalues=eigenvalues, negative_count=negative_count, point=point)
 
 
@@ -540,7 +528,7 @@ def index_persistence(chart: LeafChart, p: ContactPoint, dc: complex) -> bool:
     flowed to a critical point there at flow_to_critical's default tol;
     True iff that point stays within the persistence radius
     10 sqrt(|dc|) (1 + |p|) and its Morse index matches.
-    The new leaf's chart shares the chart's [g | f] table. A seed the flow
+    The new leaf's chart shares the chart's stacked plan. A seed the flow
     refuses as singular gives False, as a flow or Hessian that fails does.
     A False is a report, not an error: degenerate (non-Morse) points may
     legitimately fail.

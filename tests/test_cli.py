@@ -817,6 +817,8 @@ CUBIC_TERMS = [(1.0, (3, 0, 0)), (1.0, (0, 3, 0)), (1.0, (0, 0, 3))]
     [
         (["leaf-flow"], CUBIC_TERMS, "seed", 1e80 * np.array([0.3 + 0.1j, 0.5 - 0.2j, 0.7])),
         (["leaf-hessian"], CUBIC_TERMS, "point", np.array([1e80, 0.0, 0.0], dtype=complex)),
+        (["leaf-flow"], CUBIC_TERMS, "seed", 1e150 * np.array([0.3 + 0.1j, 0.5 - 0.2j, 0.7])),
+        (["leaf-flow", "--c-re", "1"], CUBIC_TERMS, "seed", 1e150 * np.array([0.3 + 0.1j, 0.5 - 0.2j, 0.7])),
         (
             ["contact-trace", "--r-min", "1e154", "--r-max", "1e156"],
             [(1.0, (1, 0)), (2.0, (0, 1))],
@@ -824,13 +826,15 @@ CUBIC_TERMS = [(1.0, (3, 0, 0)), (1.0, (0, 3, 0)), (1.0, (0, 0, 3))]
             np.array([1e155, 2e155], dtype=complex),
         ),
     ],
-    ids=["leaf-flow", "leaf-hessian", "contact-trace"],
+    ids=["leaf-flow", "leaf-hessian", "leaf-flow-1e150", "leaf-flow-1e150-c", "contact-trace"],
 )
 def test_exit_3_where_a_vector_leaves_the_doubles(tmp_path, argv, terms, key, vec):
-    # the f of d(z1^3 + z2^3 + z3^3) overflows at 1e80, and |z|^2 at
-    # 1e155 (1, 2), on the line of contact points of d(z1 + 2 z2): leaf-flow
-    # exited 2 there with warnings, leaf-hessian warned, and contact-trace
-    # exited 2 from a start of radius inf
+    # the f of d(z1^3 + z2^3 + z3^3) overflows at 1e80, and its g and
+    # monomials at 1e150, and |z|^2 at 1e155 (1, 2), on the line of contact
+    # points of d(z1 + 2 z2): leaf-flow exited 2 at 1e80 with warnings,
+    # leaf-hessian warned, leaf-flow at 1e150, with its own leaf or c = 1,
+    # warned from g's build, and contact-trace exited 2 from a start of
+    # radius inf
     form = fc.Polynomial(vec.size, terms).differential()
     path = tmp_path / "far.json"
     path.write_text(json.dumps({"form": form_to_json(form), key: to_json(vec)}))

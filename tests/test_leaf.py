@@ -9,7 +9,7 @@ import pytest
 
 import folcontact as fc
 from folcontact.contact import sphere_seeds
-from folcontact import algebra, leaf
+from folcontact import leaf
 from folcontact.errors import FlowError, LeafCorrectionError, RadiusRangeError, SingularGradientError
 from folcontact.leaf import _tangent_basis
 
@@ -40,13 +40,11 @@ def test_sample_field_on_contact_line(form321):
 
 def _count_evaluations(monkeypatch, *tables) -> list:
     """Record the name of every evaluation of the given forms and integrals
-    (evaluate, evaluate_scaled) and chart tables (_build at a point, _dot
-    for a stack); evaluate_scaled gives values and rounding scale from one
-    build, and _build keeps the monomials the scale is taken from."""
+    (evaluate, evaluate_scaled); evaluate_scaled gives values and rounding
+    scale from one build."""
     calls = []
     for table in tables:
-        names = [name for name in ("evaluate", "evaluate_scaled") if hasattr(table, name)]
-        for name in names or ["_build", "_dot"]:
+        for name in [name for name in ("evaluate", "evaluate_scaled") if hasattr(table, name)]:
             method = getattr(table, name)
             wrapper = lambda *a, _n=name, _m=method: calls.append(_n) or _m(*a)
             monkeypatch.setattr(table, name, wrapper)
@@ -64,8 +62,9 @@ def test_reported_point_evaluates_form_once(report, form321, integral321, monkey
     # mu and the residual of the reported point come from one evaluation of
     # the form, as point_at's do; the flow starts at a critical point and its
     # polish is switched off, so it reports the seed. leaf_hessian and the
-    # flow also build the chart's [g | f] table there once, for g (and the
-    # flow's test for criticality), and never evaluate the integral on its own
+    # flow take g, f and f's rounding scale there from one build of the
+    # chart's stacked plan, which also gives the flow's test for
+    # criticality, and evaluate neither the form nor the integral on its own
     z = (0.6 + 0.3j) * np.array([0.0, 1.0, 0.0])
     chart = fc.make_chart(integral321, z, form=form321)
     run = {
@@ -73,14 +72,17 @@ def test_reported_point_evaluates_form_once(report, form321, integral321, monkey
         "leaf_hessian": lambda: fc.leaf_hessian(chart, z).point,
         "flow_to_critical": lambda: fc.flow_to_critical(chart, z).point,
     }[report]
-    monkeypatch.setattr(leaf, "_polish_on_leaf", lambda chart, z0: None)
-    calls = _count_evaluations(monkeypatch, form321, integral321, chart.table)
+    monkeypatch.setattr(leaf, "_polish_on_leaf", lambda *args: None)
+    calls, builds = _count_evaluations(monkeypatch, form321, integral321), _record_builds(monkeypatch)
     p = run()
-    assert calls == (["evaluate_scaled"] if report == "point_at" else ["_build", "evaluate_scaled"])
     monkeypatch.undo()
+    assert calls == (["evaluate_scaled"] if report == "point_at" else [])
+    assert [b.tobytes() for b in builds] == ([] if report == "point_at" else [z.tobytes()])
     assert np.array_equal(p.z, z)
     q = fc.point_at(form321, z)
     assert p.mu == q.mu and p.residual == q.residual == fc.contact_residual(form321, z)
+    if report != "point_at":
+        assert p.leaf_value == integral321.evaluate(z)
 
 
 def test_sample_field_refuses_the_origin_and_a_point_out_of_range(form321, cubic3):
@@ -97,10 +99,12 @@ def test_sample_field_refuses_the_origin_and_a_point_out_of_range(form321, cubic
 
 
 def test_flow_and_hessian_points_have_the_residual_of_point_at(form321, integral321):
-    # a leaf point's radius, mu and residual are point_at's at its z, bit
-    # for bit: one residual rule for a point wherever it comes from. On a
-    # dense form the chart's [g | f] table rounds f otherwise than the form's
-    # own table, so the point is built from the form's evaluation
+    # a leaf point's radius, mu and residual are point_at's at its z, and
+    # its leaf value is the integral's at its z, bit for bit: one residual
+    # rule for a point wherever it comes from. The chart's build contracts
+    # g's and f's monomials with each table's own coefficients, so on a
+    # dense form too the point is built from the form's and the integral's
+    # own values
     rng = np.random.default_rng(3)
     cases = [(integral321, form321, rng.standard_normal(3) + 1j * rng.standard_normal(3)) for _ in range(200)]
     rng = np.random.default_rng(5)
@@ -113,6 +117,7 @@ def test_flow_and_hessian_points_have_the_residual_of_point_at(form321, integral
         for p in (flow_point, fc.leaf_hessian(chart, flow_point.z).point):
             q = fc.point_at(form, p.z)
             assert (p.radius, p.mu, p.residual) == (q.radius, q.mu, q.residual)
+            assert p.leaf_value == integral.evaluate(p.z)
 
 
 def test_sample_field_symplectic(symplectic4):
@@ -169,7 +174,7 @@ def test_model_polish_lands_on_its_own_critical_point(form321, integral321, cubi
     for integral, form, p in cases:
         chart = fc.make_chart(integral, p, form=form)
         z0, evaluation = leaf._project(chart, p + 1e-9 * np.array([1.0j, 1.0, -1.0]))
-        polished = leaf._polish_on_leaf(chart, leaf._chart_sample(chart, z0, evaluation))
+        polished = leaf._polish_on_leaf(chart, leaf._sample(z0, *evaluation[2:]), complex(evaluation[0]))
         assert polished is not None
         s, g = polished
         assert s.t_norm <= 1e-13 * (abs(chart.c) + np.linalg.norm(z0))
@@ -360,11 +365,11 @@ def test_flow_whose_polish_fails_ends_unpolished_at_tol(form321, integral321, mo
 
 
 def _record_builds(monkeypatch) -> list:
-    """Record the point of every monomial build (each is of one point here)."""
+    """Record the point of every build of a chart's stacked plan (each is
+    of one point); a form's or an integral's own evaluation is not one."""
     points = []
-    build = algebra._monomials
-    monkeypatch.setattr(algebra, "_monomials", lambda z, plan: points.append(z[0].copy()) or build(z, plan))
-    monkeypatch.setattr(leaf, "jacobian_form", None)  # no Jacobian may be evaluated
+    build = leaf._monomials
+    monkeypatch.setattr(leaf, "_monomials", lambda z, plan: points.append(z[0].copy()) or build(z, plan))
     return points
 
 
@@ -373,8 +378,9 @@ def test_projection_refuses_a_point_far_off_the_leaf(x, form321, integral321):
     # at x e1 the correction halves z per iterate, so 50 of them do not reach
     # the leaf g = 1 from 1e110, and g's rounding scale is not finite at
     # 1e200. A target taken from the size at the start accepted, from 1e110,
-    # a point near 6e102 e1, where g is about 5e205, as on the leaf
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(LeafCorrectionError):
+    # a point near 6e102 e1, where g is about 5e205, as on the leaf. The
+    # build at 1e200 overflows with no warning (warnings are errors here)
+    with pytest.raises(LeafCorrectionError):
         fc.project_to_leaf(integral321, form321, [x, 0.0, 0.0], 1.0)
 
 
@@ -389,35 +395,38 @@ def test_projection_refuses_an_iterate_where_f_overflows(cubic3):
 
 def test_projection_iterate_is_one_evaluation(form321, integral321, monkeypatch):
     # each Newton iterate z -> z + (c - g) conj(f) / |f|^2 takes g and f from
-    # one build of the [g | f] table, and the point it returns was built last
+    # one build of the stacked plan, with the bits of the integral's and the
+    # form's own evaluations, and the point it returns was built last;
+    # neither is evaluated on its own, nor any Jacobian
     z0 = np.array([0.7 + 0.2j, 0.5 - 0.1j, 0.3 + 0.4j])
-    points = _record_builds(monkeypatch)
+    calls, points = _count_evaluations(monkeypatch, form321, integral321), _record_builds(monkeypatch)
+    monkeypatch.setattr(leaf, "jacobian_form", None)
     z = fc.project_to_leaf(integral321, form321, z0, 1.0)
     monkeypatch.undo()
-    assert len(points) >= 3 and np.array_equal(points[0], z0) and np.array_equal(points[-1], z)
+    assert calls == [] and len(points) >= 3 and np.array_equal(points[0], z0) and np.array_equal(points[-1], z)
     for a, b in zip(points, points[1:]):
         f = form321.evaluate(a)
-        step = (1.0 - integral321.evaluate(a)) / np.sum(np.abs(f) ** 2) * f.conj()
-        assert np.allclose(b, a + step, rtol=1e-15, atol=0)
+        assert np.array_equal(b, a + (1.0 - integral321.evaluate(a)) / np.vdot(f, f).real * f.conj())
 
 
 def test_flow_step_samples_cost_no_evaluation(form321, integral321, monkeypatch):
-    # with the polish off, every build of the chart table is the seed's or a
+    # with the polish off, every build of the chart's plan is the seed's or a
     # projection iterate's, and no point is built twice: a step's Newton
     # model takes the field sample at its start from the evaluation that
     # point's projection ended with, and only its Jacobian is evaluated
-    # there, once per step. The form is evaluated once, for the last point
+    # there, once per step. The form is not evaluated on its own, not even
+    # for the last point, which the error reports
     z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
     chart = fc.make_chart(integral321, z0, 1.0, form=form321)
-    monkeypatch.setattr(leaf, "_polish_on_leaf", lambda chart, s: None)
-    build, jacobian, points, jacobians = chart.table._build, leaf.jacobian_form, [], []
-    monkeypatch.setattr(chart.table, "_build", lambda z: points.append(z[0].copy()) or build(z))
+    monkeypatch.setattr(leaf, "_polish_on_leaf", lambda *args: None)
+    jacobian, jacobians = leaf.jacobian_form, []
     monkeypatch.setattr(leaf, "jacobian_form", lambda form, z: jacobians.append(z.copy()) or jacobian(form, z))
-    calls = _count_evaluations(monkeypatch, form321, integral321)
+    calls, points = _count_evaluations(monkeypatch, form321, integral321), _record_builds(monkeypatch)
     with pytest.raises(FlowError) as exc:
         fc.flow_to_critical(chart, z0, max_steps=3)
     monkeypatch.undo()
-    assert exc.value.steps == 3 and np.array_equal(points[0], z0) and calls == ["evaluate_scaled"]
+    assert exc.value.steps == 3 and np.array_equal(points[0], z0) and calls == []
+    assert exc.value.last_point.leaf_value == integral321.evaluate(exc.value.last_point.z)
     assert len(points) >= 1 + 3  # the seed, then at least one projection iterate per step
     assert len({p.tobytes() for p in points}) == len(points)
     assert len(jacobians) == 3 and np.array_equal(jacobians[0], z0)
@@ -447,7 +456,7 @@ def test_flow_projects_once_per_step_attempt(form321, integral321, monkeypatch):
             calls.append(("evaluate", z))
         return evaluate(chart, z)
 
-    monkeypatch.setattr(leaf, "_polish_on_leaf", lambda chart, s: None)
+    monkeypatch.setattr(leaf, "_polish_on_leaf", lambda *args: None)
     monkeypatch.setattr(leaf, "_project", counted_project)
     monkeypatch.setattr(leaf, "_evaluate", counted_evaluate)
     monkeypatch.setattr(leaf, "_leaf_model", lambda chart, z, s: calls.append(("model", z)) or model(chart, z, s))
@@ -467,10 +476,17 @@ def test_flow_projects_once_per_step_attempt(form321, integral321, monkeypatch):
 
 
 def test_index_persistence_shares_the_chart_table(form321, integral321, monkeypatch):
+    # make_chart without c takes it from one evaluation of the integral at
+    # the base and builds nothing there: the base is on that leaf in the
+    # bits an on-leaf test would compare. The nearby leaf's chart shares
+    # the chart's stacked plan
     p = np.array([0, 1.0, 0], dtype=complex)
-    chart = fc.make_chart(integral321, p, 1.0, form=form321)
+    calls, builds = _count_evaluations(monkeypatch, form321, integral321), _record_builds(monkeypatch)
+    chart = fc.make_chart(integral321, p, form=form321)
+    monkeypatch.undo()
+    assert calls == ["evaluate"] and builds == [] and chart.c == integral321.evaluate(p) == 1.0
     report = fc.leaf_hessian(chart, p)
-    monkeypatch.setattr(leaf, "_side_by_side", None)  # compiling a table would fail
+    monkeypatch.setattr(leaf, "_side_by_side", None)  # compiling a plan would fail
     assert fc.index_persistence(chart, report.point, 0.01)
 
 
@@ -590,7 +606,7 @@ def test_flow_newton_matrix_is_the_leaf_hessian(form321, integral321, monkeypatc
         matrices.append(out[1])
         return out
 
-    monkeypatch.setattr(leaf, "_polish_on_leaf", lambda chart, s: None)
+    monkeypatch.setattr(leaf, "_polish_on_leaf", lambda *args: None)
     monkeypatch.setattr(leaf, "_leaf_model", recorded_model)
     for p in np.sqrt([2.0 / 3.0, 1.0, 2.0])[:, None] * np.eye(3) * np.exp(0.4j):
         chart = fc.make_chart(integral321, p, form=form321)
