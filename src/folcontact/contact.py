@@ -49,10 +49,11 @@ row of a stack, is `_residual`, the row norm np.linalg.norm(., axis=-1)
 of w over that of z, so a point has the same residual alone as in a
 stack of one.
 
-The sphere solver works on the real system in 2n+2 unknowns
-(Re z, Im z, Re mu, Im mu):
+The sphere solver works on the real system in 2n+2 unknowns, the float
+view of the complex row (z_1, ..., z_n, nu), nu = 1/mu, so (Re z_1, Im z_1,
+..., Re nu, Im nu) interleaved:
 
-    z - mu conj(f(z)) = 0          (2n real equations)
+    nu z - conj(f(z)) = 0          (2n real equations)
     |z|^2 - r^2       = 0
     Im <z, anchor>    = 0          (kills the phase orbit through a solution)
 
@@ -63,17 +64,18 @@ its own Newton sequence, line search and stopping rule, and a row that
 fails drops out alone. It builds the Jacobians once per Newton step, at
 the iterates the step starts from, and its line search evaluates only
 residuals: Armijo backtracking whose trial steps 2^-h are tried in runs of
-h, one residual call per run over the rows still searching: h = 0 alone,
-then doubling runs that grow to fill a stack of SEED_BLOCK trial points
-when few rows are searching, so a step with one or two rows searching
-makes two calls. The steps and their Armijo factors are two read-only
-arrays built once at import from NEWTON_MAX_HALVINGS and sliced per call.
-The contact system's callbacks write each residual and Jacobian block into
-one array allocated per call, the real Jacobian rows of a complex block by
-the one rule `_real_rows`, with no concatenation; their constants are
-built once per system. Every entry is the value whole-block concatenation
-gives (a zero may differ in sign), so the Newton iterates do not depend on
-how the arrays are assembled. `sphere_search` hands it the seeds in blocks
+h from h = 0, one residual call per run over the rows still searching:
+doubling runs that grow to fill a stack of SEED_BLOCK trial points when
+few rows are searching, so a step with one or two rows searching makes
+one call, as does a step with 8 rows that all accept by h = 7. The steps
+and their Armijo factors are two read-only arrays built once at import
+from NEWTON_MAX_HALVINGS and sliced per call. The contact system's
+callbacks read z and nu through the complex view of the stack and write
+each residual and Jacobian into one array allocated per call, its rows
+float views of complex rows, with no concatenation; their constants are
+built once per system. Every entry is the value whole-block
+concatenation in the unknowns (Re z, Im z, Re nu, Im nu) gives, permuted
+(a zero may differ in sign). `sphere_search` hands it the seeds in blocks
 of SEED_BLOCK rows, so memory does not grow with the seed count;
 `continue_radially`, for a form that is not homogeneous, calls it with a
 stack of one. The kernel serves only these two: the leaf code in leaf.py
@@ -273,70 +275,61 @@ def _check_radius(r: float) -> None:
         raise RadiusRangeError(f"radius {r:.3g} is out of range: its square is {what}")
 
 
-def _real_rows(out: np.ndarray, dz, dzbar, dlam) -> None:
-    """Write the real Jacobian rows (Re G; Im G) of a complex block G(z, conj z, lam) into out.
-
-    From the Wirtinger blocks dG/dz, dG/dconj(z) (S x m x n) and dG/dlam
-    (S x m) of a G holomorphic in lam, for each row of a stack of S points;
-    out is the (S x 2m x 2n+2) slice of a preallocated Jacobian that holds
-    the rows, in the columns (Re z, Im z, Re lam, Im lam). With s = dz +
-    dzbar and d = dz - dzbar they are [[Re s, -Im d, Re dlam, -Im dlam],
-    [Im s, Re d, Im dlam, Re dlam]], each block written by one real
-    operation on the parts of dz and dzbar, with no complex s or d formed.
-    """
-    m, n = out.shape[-2] // 2, (out.shape[-1] - 2) // 2
-    re, im = out[..., :m, :], out[..., m:, :]
-    np.add(np.real(dz), np.real(dzbar), out=re[..., :n])
-    np.subtract(np.imag(dzbar), np.imag(dz), out=re[..., n : 2 * n])
-    np.add(np.imag(dz), np.imag(dzbar), out=im[..., :n])
-    np.subtract(np.real(dz), np.real(dzbar), out=im[..., n : 2 * n])
-    re[..., 2 * n] = np.real(dlam)
-    np.negative(np.imag(dlam), out=re[..., 2 * n + 1])
-    im[..., 2 * n] = np.imag(dlam)
-    im[..., 2 * n + 1] = np.real(dlam)
-
-
 def _contact_system(form: PolyOneForm, r: float, anchors: np.ndarray):
     """Stacked (residual, jacobian) callbacks of the real contact system.
 
-    Row s of a stack U packs (Re z, Im z, Re nu, Im nu) where nu = 1/mu,
-    i.e. the solved equations are nu z - conj(f(z)) = 0 plus the sphere and
-    phase-anchor rows, with anchors[s] the anchor of stack row s. The
-    inverse multiplier keeps the Jacobian uniformly scaled across solution
-    branches (the nu-column is z, of norm r, whereas the mu-column conj(f)
-    collapses on branches with small coefficient norm and starves their
-    Newton basins). residual(U, rows) is (S, 2n+2) and jacobian(U, rows)
-    is (S, 2n+2, 2n+2) for the stack rows `rows` held in U; each is
-    written into one array allocated per call, block by block, and the
-    constants r^2, the conjugated anchors, their Jacobian rows and the
-    identity are built once here.
+    Row s of a stack U is the float view of the complex row (z_1, ..., z_n,
+    nu), nu = 1/mu: the unknowns (Re z_1, Im z_1, ..., Re nu, Im nu),
+    interleaved. The solved equations are nu z - conj(f(z)) = 0 plus the
+    sphere and phase-anchor rows, with anchors[s] the anchor of stack row s,
+    and the residual is the float view of (nu z - conj(f(z)), (|z|^2 - r^2)
+    + i Im <z, anchor>). The inverse multiplier keeps the Jacobian uniformly
+    scaled across solution branches (the nu-column is z, of norm r, whereas
+    the mu-column conj(f) collapses on branches with small coefficient norm
+    and starves their Newton basins). residual(U, rows) is (S, 2n+2) and
+    jacobian(U, rows) is (S, 2n+2, 2n+2) for the stack rows `rows` held in
+    U; the callbacks read z and nu through U.view(complex). In the Jacobian,
+    rows 2j and 2j+1 of the z block are the float views of -conj(df_j/dz)
+    and i conj(df_j/dz), nu is added to its diagonal 2 x 2 blocks by four
+    strided adds, the nu columns are the float views of z and i z, the
+    sphere row is 2 (Re z, Im z) and the phase row, built once here, is the
+    float view of i anchor. Each array is allocated once per call, and its
+    entries are those of the system in blocks (Re z, Im z, Re nu, Im nu),
+    permuted (a zero may differ in sign).
     """
-    n = form.n
+    n, m = form.n, 2 * form.n
     r2 = r * r
     anchors_conj = anchors.conj()
-    phase_rows = np.concatenate([-anchors.imag, anchors.real], axis=1)
-    eye = np.eye(n)
+    phase_rows = (1j * anchors).view(float)
 
     def residual(U: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        out = np.empty(U.shape)
-        Z = U[:, :n] + 1j * U[:, n : 2 * n]
-        nuZ = (U[:, 2 * n] + 1j * U[:, 2 * n + 1])[:, None] * Z
-        F = form.evaluate(Z)
-        # Re and Im of nu z - conj(f)
-        np.subtract(nuZ.real, F.real, out=out[:, :n])
-        np.add(nuZ.imag, F.imag, out=out[:, n : 2 * n])
-        np.subtract(np.add.reduce(np.abs(Z) ** 2, axis=1), r2, out=out[:, 2 * n])
-        out[:, 2 * n + 1] = np.add.reduce(Z * anchors_conj[rows], axis=1).imag
-        return out
+        V = U.view(complex)
+        Z = V[:, :n]
+        out = np.empty(V.shape, dtype=complex)
+        np.multiply(V[:, n:], Z, out=out[:, :n])
+        out[:, :n] -= form.evaluate(Z).conj()
+        F = out.view(float)
+        np.subtract(np.add.reduce(np.abs(Z) ** 2, axis=1), r2, out=F[:, m])
+        F[:, m + 1] = np.add.reduce(Z * anchors_conj[rows], axis=1).imag
+        return F
 
     def jacobian(U: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        J = np.empty(U.shape + U.shape[-1:])
-        Z = U[:, :n] + 1j * U[:, n : 2 * n]
-        nu = U[:, 2 * n] + 1j * U[:, 2 * n + 1]
-        _real_rows(J[:, : 2 * n], nu[:, None, None] * eye, -jacobian_form(form, Z).conj(), Z)
-        np.multiply(U[:, : 2 * n], 2.0, out=J[:, 2 * n, : 2 * n])  # the sphere row
-        J[:, 2 * n + 1, : 2 * n] = phase_rows[rows]
-        J[:, 2 * n :, 2 * n :] = 0.0
+        S, N = U.shape
+        J = np.empty((S, N, N))
+        V = U.view(complex)
+        Df = jacobian_form(form, V[:, :n]).conj()
+        np.negative(Df, out=J.view(complex)[:, 0:m:2, :n])
+        np.multiply(Df, 1j, out=J.view(complex)[:, 1:m:2, :n])
+        nu, diagonal = V[:, n:], J.reshape(S, N * N)[:, : m * N]  # entry (2j, 2j) at 2j (N + 1)
+        diagonal[:, :: 2 * N + 2] += nu.real
+        diagonal[:, 1 :: 2 * N + 2] -= nu.imag
+        diagonal[:, N :: 2 * N + 2] += nu.imag
+        diagonal[:, N + 1 :: 2 * N + 2] += nu.real
+        J[:, :m, m] = U[:, :m]
+        J[:, :m, m + 1] = (1j * V[:, :n]).view(float)
+        np.multiply(U[:, :m], 2.0, out=J[:, m, :m])  # the sphere row
+        J[:, m + 1, :m] = phase_rows[rows]
+        J[:, m:, m:] = 0.0
         return J
 
     return residual, jacobian
@@ -376,23 +369,24 @@ def _damped_newton(residual, jacobian, U0: np.ndarray, target: float, max_iter: 
     Jacobians once, at the iterates it starts from, and takes for each row
     the first step t = 2^-h, h = 0..NEWTON_MAX_HALVINGS, with
     ||F(u + t du)|| < (1 - 1e-4 t) ||F(u)|| (Armijo backtracking). Each
-    residual call tries a run of h for every row still searching: h = 0
-    alone, then from each h = lo on the next max(lo + 1, SEED_BLOCK // rows
-    searching) values, capped at NEWTON_MAX_HALVINGS. With many rows
-    searching these are the doubling chunks h = 1-2 | 3-6 | 7-14 | 15-30;
-    with few, the chunk grows to fill a stack of SEED_BLOCK trials, so a
-    step with at most two rows searching makes two calls, and no call
-    after the first evaluates more than max(SEED_BLOCK, rows x doubling
-    chunk) trial points. h = 0 stays alone because a one-row stack is
-    contracted by a matrix-vector product, which rounds differently from a
-    stack of two or more rows; for the same reason no run leaves h =
-    NEWTON_MAX_HALVINGS alone for the next call. So every trial point is
-    evaluated with the bits a one-halving-at-a-time search gives it, and
-    the row takes the first passing h of its run, that search's very step,
-    gathered with the other accepted rows through one flat index into the
-    run's trials. A row fails, and comes back with norm inf, on a singular
-    or non-finite step, or when no h passes; the other rows go on. The
-    callbacks take (U, rows): the iterates of the stack rows `rows`.
+    residual call tries a run of h for every row still searching: from
+    h = lo, starting at 0, the next max(lo + 1, SEED_BLOCK // rows
+    searching) values, capped at NEWTON_MAX_HALVINGS, until every row has
+    accepted a step. With many rows searching these are h = 0 alone and
+    then the doubling chunks 1-2 | 3-6 | 7-14 | 15-30; with few, the run
+    grows to fill a stack of SEED_BLOCK trials: 8 rows try h = 0-7 in one
+    call, and one or two rows all 31 values. No call evaluates more than
+    max(SEED_BLOCK, rows x (lo + 1)) trial points, and no call's stack has
+    one row, which a matrix-vector product would contract, rounding
+    differently from a stack of two or more rows; for the same reason no
+    run leaves h = NEWTON_MAX_HALVINGS alone for the next call. So every
+    trial point is evaluated with the bits a one-halving-at-a-time search,
+    in stacks of at least two rows, gives it, and the row takes the first
+    passing h of its run, that search's very step, gathered with the other
+    accepted rows through one flat index into the run's trials. A row
+    fails, and comes back with norm inf, on a singular or non-finite step,
+    or when no h passes; the other rows go on. The callbacks take (U,
+    rows): the iterates of the stack rows `rows`.
     """
     U = np.array(U0, dtype=float)
     F = residual(U, np.arange(len(U)))
@@ -413,7 +407,7 @@ def _damped_newton(residual, jacobian, U0: np.ndarray, target: float, max_iter: 
         norm_rows = norm[rows, None]
         lo = 0
         while rows.size and lo <= NEWTON_MAX_HALVINGS:
-            hi = 1 if lo == 0 else min(lo + max(lo + 1, SEED_BLOCK // rows.size), NEWTON_MAX_HALVINGS + 1)
+            hi = min(lo + max(lo + 1, SEED_BLOCK // rows.size), NEWTON_MAX_HALVINGS + 1)
             if hi == NEWTON_MAX_HALVINGS:  # leave no lone last h: a stack of one row rounds otherwise
                 hi -= 1
             k = hi - lo
@@ -451,9 +445,9 @@ def _newton_on_sphere(form: PolyOneForm, Z0: np.ndarray, r: float, tol: float):
     with np.errstate(over="ignore", invalid="ignore"):
         F0 = form.evaluate(Z0)
         nu0 = np.conj(np.sum(F0 * Z0, axis=1)) / (r * r)  # least squares for ||nu z - conj f||
-        U0 = np.concatenate([Z0.real, Z0.imag, nu0.real[:, None], nu0.imag[:, None]], axis=1)
+        U0 = np.concatenate([Z0, nu0[:, None]], axis=1).view(float)
         U = _damped_newton(*_contact_system(form, r, Z0), U0, 1e-13 * r, NEWTON_MAX_ITER)[0]
-    Z = U[:, :n] + 1j * U[:, n : 2 * n]
+    Z = U.view(complex)[:, :n]
     nz = np.linalg.norm(Z, axis=1)
     kept = nz > 0.0
     Z = Z[kept] * (r / nz[kept])[:, None]

@@ -138,13 +138,6 @@ def circle_samples(field, m: int):
     return out
 
 
-def real_rows_by_concatenation(dz, dzbar, dlam):
-    """The real rows (Re G; Im G) assembled as complex blocks and concatenated."""
-    dlam = dlam[..., None]
-    block = np.concatenate([dz + dzbar, 1j * (dz - dzbar), dlam, 1j * dlam], axis=-1)
-    return np.concatenate([block.real, block.imag], axis=-2)
-
-
 def degree_five_form() -> fc.PolyOneForm:
     """d(z1^6 + z2^6 + z1^3 z2^3 / 2): homogeneous of degree k = 5, so mu
     scales by r^-4 along its contact cone, which holds both axes."""
@@ -170,12 +163,11 @@ def one_halving_newton(residual, jacobian, U0: np.ndarray, target: float, max_it
     """contact._damped_newton with a line search that tries one halving per residual call.
 
     Each step builds the Jacobians of the rows still iterating in one call,
-    as the kernel does, and tries h = 0 on the rows still searching in one
-    call; from h = 1 on, each call tries one h on the rows still searching,
-    each given twice, so the stack has at least two rows and rounds as the
-    kernel's multi-row calls do (a stack of one row is contracted by a
-    matrix-vector product, which rounds otherwise). Each row takes its
-    first h with ||F(u + 2^-h du)|| < (1 - 1e-4 2^-h) ||F(u)||.
+    as the kernel does, and from h = 0 on, each call tries one h on the
+    rows still searching, each given twice, so the stack has at least two
+    rows and rounds as the kernel's calls do (a stack of one row is
+    contracted by a matrix-vector product, which rounds otherwise). Each
+    row takes its first h with ||F(u + 2^-h du)|| < (1 - 1e-4 2^-h) ||F(u)||.
     """
     U = np.array(U0, dtype=float)
     F = residual(U, np.arange(len(U)))
@@ -195,8 +187,7 @@ def one_halving_newton(residual, jacobian, U0: np.ndarray, target: float, max_it
                 break
             t = 0.5**h
             trial = U_rows + t * dU
-            twice = 1 if h == 0 else 2
-            F_trial = residual(np.repeat(trial, twice, axis=0), np.repeat(rows, twice))[::twice]
+            F_trial = residual(np.repeat(trial, 2, axis=0), np.repeat(rows, 2))[::2]
             norm_trial = np.sqrt(np.add.reduce(F_trial * F_trial, axis=1))
             ok = norm_trial < (1.0 - 1e-4 * t) * norm_rows
             U[rows[ok]], F[rows[ok]], norm[rows[ok]] = trial[ok], F_trial[ok], norm_trial[ok]

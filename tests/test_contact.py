@@ -29,7 +29,6 @@ from conftest import (
     random_exact_form,
     radially_invariant,
     random_morse,
-    real_rows_by_concatenation,
 )
 
 
@@ -120,33 +119,28 @@ def test_contact_system_jacobian_matches_finite_differences(form321, cubic3):
 
 
 def _contact_system_by_concatenation(form, r, anchors, U, rows):
-    """(residual, jacobian) of the contact system from whole blocks, concatenated."""
+    """(residual, jacobian) of the contact system from whole blocks, concatenated
+    in the unknowns (Re z, Im z, Re nu, Im nu) and permuted to the interleaved
+    (Re z_1, Im z_1, ..., Re nu, Im nu) of the stack U."""
     n = form.n
-    Z = U[:, :n] + 1j * U[:, n : 2 * n]
-    nu = U[:, 2 * n] + 1j * U[:, 2 * n + 1]
+    # perm[i] is the block position of interleaved unknown i
+    perm = np.append(np.arange(2 * n).reshape(2, n).T.reshape(-1), [2 * n, 2 * n + 1])
+    Ub = np.ascontiguousarray(U[:, np.argsort(perm)])  # row-major, as the kernel's stacks are
+    Z = Ub[:, :n] + 1j * Ub[:, n : 2 * n]
+    nu = Ub[:, 2 * n] + 1j * Ub[:, 2 * n + 1]
     G = nu[:, None] * Z - form.evaluate(Z).conj()
     sphere = np.sum(np.abs(Z) ** 2, axis=1) - r * r
     phase = np.imag(np.sum(Z * anchors[rows].conj(), axis=1))
     F = np.concatenate([G.real, G.imag, sphere[:, None], phase[:, None]], axis=1)
-    G = real_rows_by_concatenation(nu[:, None, None] * np.eye(n), -fc.jacobian_form(form, Z).conj(), Z)
+    # the real rows (Re G; Im G) of G(z, conj z, nu) from its Wirtinger blocks
+    dz, dzbar, dnu = nu[:, None, None] * np.eye(n), -fc.jacobian_form(form, Z).conj(), Z[..., None]
+    G = np.concatenate([dz + dzbar, 1j * (dz - dzbar), dnu, 1j * dnu], axis=-1)
+    G = np.concatenate([G.real, G.imag], axis=-2)
     zeros = np.zeros((len(U), 2))
     sphere = np.concatenate([2.0 * Z.real, 2.0 * Z.imag, zeros], axis=1)
     phase = np.concatenate([-anchors[rows].imag, anchors[rows].real, zeros], axis=1)
     J = np.concatenate([G, sphere[:, None], phase[:, None]], axis=1)
-    return F, J
-
-
-def test_real_rows_match_the_concatenated_blocks():
-    rng = np.random.default_rng(21)
-    S, m, n = 5, 3, 4
-
-    def cplx(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    dz, dzbar, dlam = cplx(S, m, n), cplx(S, m, n), cplx(S, m)
-    out = np.full((S, 2 * m, 2 * n + 2), np.nan)
-    contact._real_rows(out, dz, dzbar, dlam)
-    assert np.array_equal(out, real_rows_by_concatenation(dz, dzbar, dlam))
+    return F[:, perm], J[:, perm][:, :, perm]
 
 
 @pytest.mark.parametrize("S", [1, 3, 64])
@@ -279,30 +273,45 @@ def test_chunked_backtracking_matches_one_halving_at_a_time():
         assert (halvings or [None])[0] == FIRST_HALVINGS[s]
         assert np.array_equal(U[s], u) and norm[s] == ref_norm
     assert np.isinf(norm[FAILING]) and np.all(np.delete(norm, FAILING) <= 1e-12)
-    # h = 0 is one call over the rows searching; a step with at most two of
-    # them makes at most two calls. Each later call tries at least two h per
-    # row, so its stack never has one row, and no more than
-    # max(SEED_BLOCK, rows x the doubling chunk h = lo..2 lo) trial points
+    # the runs start at h = 0: from h = lo, a call tries max(lo + 1,
+    # SEED_BLOCK // rows searching) h per row, so no call's stack has one
+    # row, and no call evaluates more than max(SEED_BLOCK, rows x (lo + 1))
+    # trial points; a step with at most two rows searching makes one call
     for step in steps:
-        assert len(np.unique(step[0])) == len(step[0])
-        if len(step[0]) <= 2:
-            assert len(step) <= 2
-        lo = 1
-        for call in step[1:]:
+        lo = 0
+        for call in step:
             searching = len(np.unique(call))
             k, rest = divmod(len(call), searching)
             chunk = min(lo + 1, contact.NEWTON_MAX_HALVINGS + 1 - lo)
-            assert rest == 0 and k >= 2 and len(call) <= max(contact.SEED_BLOCK, searching * chunk)
+            assert rest == 0 and len(call) >= 2 and len(call) <= max(contact.SEED_BLOCK, searching * chunk)
             lo += k
-    assert any(len(step[0]) <= 2 and len(step) == 2 for step in steps)
-    # on the first step, 8 rows search h = 1-8 and 3 of them h = 9-28, which
-    # leaves the rows that need 30 halvings or more two h, not h = 30 alone;
-    # the failing row evaluates all NEWTON_MAX_HALVINGS + 1 trial points,
-    # and the row at the root none
+        if len(np.unique(step[0])) <= 2:
+            assert len(step) == 1
+    assert any(len(np.unique(step[0])) <= 2 for step in steps)
+    # on the first step, 9 rows search h = 0-6 and 4 of them h = 7-22, which
+    # leaves the rows that need 30 halvings or more h = 23-30; the failing
+    # row evaluates all NEWTON_MAX_HALVINGS + 1 trial points, and the row
+    # at the root none
     first = np.concatenate(steps[0])
-    assert [len(call) for call in steps[0]] == [9, 64, 60, 4]
+    assert [len(call) for call in steps[0]] == [63, 64, 16]
     assert np.count_nonzero(first == FAILING) == contact.NEWTON_MAX_HALVINGS + 1
     assert np.count_nonzero(first == AT_ROOT) == 0
+
+
+def test_a_step_whose_rows_all_accept_in_the_first_run_makes_one_residual_call():
+    # 8 rows whose first steps need 0-7 halvings: the first run tries
+    # h = 0-7 for each, SEED_BLOCK trial points in one call
+    starts = [0.5, 2.0, 3.0, 6.0, 20.0, 30.0, 50.0, 100.0]
+    assert [_backtracking_reference(np.array([u]), 1e-12, 1)[2][0] for u in starts] == list(range(8))
+    calls = []
+
+    def residual(U, rows):
+        calls.append(len(U))
+        return np.arctan(U)
+
+    U, norm = _damped_newton(residual, lambda U, rows: (1.0 / (1.0 + U**2))[:, :, None], np.array(starts)[:, None], 0.0, 1)
+    assert calls == [8, contact.SEED_BLOCK]
+    assert all(np.array_equal(U[s], _backtracking_reference(np.array([u]), 0.0, 1)[0]) for s, u in enumerate(starts))
 
 
 @pytest.mark.parametrize(
