@@ -306,8 +306,7 @@ def _contact_system(form: PolyOneForm, r: float, anchors: np.ndarray):
         V = U.view(complex)
         Z = V[:, :n]
         out = np.empty(V.shape, dtype=complex)
-        np.multiply(V[:, n:], Z, out=out[:, :n])
-        out[:, :n] -= form.evaluate(Z).conj()
+        np.subtract(V[:, n:] * Z, form.evaluate(Z).conj(), out=out[:, :n])
         F = out.view(float)
         np.subtract(np.add.reduce(np.abs(Z) ** 2, axis=1), r2, out=F[:, m])
         F[:, m + 1] = np.add.reduce(Z * anchors_conj[rows], axis=1).imag
