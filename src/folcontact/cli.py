@@ -6,12 +6,14 @@ root) and write one report format, JSON, on stdout:
     {"tool": ..., "version": ..., "command": ..., "config": {...}, "result": {...}}
 
 Each subcommand takes only the options it reads, and the config block
-echoes each of those, defaults included, plus the leaf value c a leaf
-command used (in place of --c-re and --c-im), so a report identifies its
-run exactly. Each subcommand returns one library result (linear-analyze
-its verdict merged with its lines), and main writes the whole report with
-one jsonio.to_json call, so each result key is a field name and a field
-that is None is absent. Exit codes:
+echoes each of those, defaults included, so a report identifies its run
+exactly. A leaf command builds one chart, of the leaf through its input
+vector or of the leaf value given, projects the vector onto it once, and
+echoes the chart's c in place of --c-re and --c-im. Each subcommand
+returns one library result (linear-analyze its verdict merged with its
+lines), and main writes the whole report with one jsonio.to_json call, so
+each result key is a field name and a field that is None is absent. Exit
+codes:
 0 success, 2 input error (non-finite numbers, input that is not UTF-8 and
 JSON nested too deeply to parse included), 3 numerical failure, which
 covers a result that is not finite: reports are strict JSON, without NaN
@@ -51,6 +53,7 @@ from .jsonio import (
 )
 from .leaf import (
     DEFAULT_FLOW_TOL,
+    LeafChart,
     flow_to_critical,
     leaf_hessian,
     make_chart,
@@ -168,12 +171,12 @@ def _wrapped_input(obj: Any, key: str, where: str):
 
 
 def _leaf_setup(args, key: str):
-    """The leaf chart and the input's vector projected onto the leaf g = c.
+    """The leaf chart and the input's vector projected onto its leaf g = c.
 
-    c is the leaf value given, else g at the vector, taken under
-    np.errstate as the leaf code takes g: a vector past the doubles gives a
-    non-finite c, which the projection refuses (exit 3). The config echoes
-    c in place of --c-re and --c-im.
+    One chart: the leaf through the vector (make_chart) when no leaf value
+    is given, else the leaf of the value given. A vector past the doubles
+    gives a non-finite c, which the projection refuses (exit 3). The config
+    echoes the chart's c in place of --c-re and --c-im.
     """
     form, vec = _wrapped_input(_load_json(args.input), key, args.input)
     try:
@@ -181,14 +184,12 @@ def _leaf_setup(args, key: str):
     except ValueError as exc:
         raise InputFormatError(f"{args.input}: {exc}") from exc
     if args.c_re is None and args.c_im is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = complex(integral.evaluate(vec))
+        chart = make_chart(integral, vec, form=form)
     else:
-        c = complex(args.c_re or 0.0, args.c_im or 0.0)
+        chart = LeafChart(integral, form, complex(args.c_re or 0.0, args.c_im or 0.0))
     del args.c_re, args.c_im
-    args.c = c
-    vec = project_to_leaf(integral, form, vec, c)
-    return make_chart(integral, vec, c, form=form), vec
+    args.c = chart.c
+    return chart, project_to_leaf(chart, vec)
 
 
 # One function per subcommand, returning its library result. Each looks up

@@ -38,9 +38,13 @@ a bad point means.
   else of the Newton solve, not even its norms, so sphere_search drops
   the others and the corrector of continue_radially truncates the path
   there; a homogeneous trace truncates at its first failing row.
-  transversality_scan, in leaf.py, calls `_field` on its stack itself: a
-  non-finite scale there raises RadiusRangeError, and a singular row
-  scores 0.
+  transversality_scan, in leaf.py, calls `_field` on its stack itself,
+  and a singular row scores 0.
+* sphere_search and transversality_scan sample the sphere through
+  `_sphere_sample`, one rule for both: a homogeneous form on the unit
+  sphere, seeds drawn there, one evaluate_scaled of them, and
+  RadiusRangeError where f's rounding scale is not finite at a seed. The
+  search's Newton solve starts from that f, so no seed is evaluated twice.
 
 `_contact_point` is the one place a ContactPoint gets its radius and
 residual from (z, mu, w): point_at's point and every point a flow or
@@ -275,6 +279,24 @@ def _check_radius(r: float) -> None:
         raise RadiusRangeError(f"radius {r:.3g} is out of range: its square is {what}")
 
 
+def _sphere_sample(form: PolyOneForm, r: float, count: int, rng_seed: int):
+    """(r_s, Z, F, scale): count seeds Z on the sphere of radius r_s, f at them and its rounding scale.
+
+    The contact set of a homogeneous form is a cone, on which the contact
+    residual and the scan score are constant, so such a form is sampled on
+    the unit sphere, r_s = 1; any other at r_s = r. One evaluate_scaled of
+    the seeds gives F and the scale, and a seed where the scale is not
+    finite raises RadiusRangeError, as point_at does: sphere_search and
+    transversality_scan sample the sphere here.
+    """
+    r_s = 1.0 if form.homogeneous_degree() is not None else r
+    Z = sphere_seeds(form.n, count, rng_seed, r_s)
+    F, scale = form.evaluate_scaled(Z)
+    if not np.isfinite(scale).all():
+        raise RadiusRangeError(f"radius {r:.3g} is out of range: f's rounding scale is non-finite")
+    return r_s, Z, F, scale
+
+
 def _contact_system(form: PolyOneForm, r: float, anchors: np.ndarray):
     """Stacked (residual, jacobian) callbacks of the real contact system.
 
@@ -427,22 +449,24 @@ def _damped_newton(residual, jacobian, U0: np.ndarray, target: float, max_iter: 
     return U, norm
 
 
-def _newton_on_sphere(form: PolyOneForm, Z0: np.ndarray, r: float, tol: float):
+def _newton_on_sphere(form: PolyOneForm, Z0: np.ndarray, F0: np.ndarray, r: float, tol: float):
     """The contact points damped Newton reaches at radius r from the rows of Z0: (Z, mu, residual).
 
-    Each row is anchored at its own start and runs at most NEWTON_MAX_ITER
-    steps. Its last iterate, wherever the kernel stopped, is scaled to
-    radius r unless z collapsed to 0, and kept where it passes
-    _contact_rows to tol, in row order: that verdict alone accepts a point.
-    The kernel's target 1e-13 r is only its early exit, not a verdict, so a
-    row that stalls at the rounding floor of f's terms, which grows with r
-    faster than r, still gives its point. The kernel runs with overflow
-    ignored: a non-finite trial fails its Armijo test, a non-finite step
-    fails its row, and the verdict judges what is left.
+    F0 is f at the rows of Z0, which the caller already holds, so no start
+    is evaluated twice; it gives each row's starting nu, the least-squares
+    solution of nu z = conj(f). Each row is anchored at its own start and
+    runs at most NEWTON_MAX_ITER steps. Its last iterate, wherever the
+    kernel stopped, is scaled to radius r unless z collapsed to 0, and
+    kept where it passes _contact_rows to tol, in row order: that verdict
+    alone accepts a point. The kernel's target 1e-13 r is only its early
+    exit, not a verdict, so a row that stalls at the rounding floor of f's
+    terms, which grows with r faster than r, still gives its point. The
+    kernel runs with overflow ignored: a non-finite trial fails its Armijo
+    test, a non-finite step fails its row, and the verdict judges what is
+    left.
     """
     n = form.n
     with np.errstate(over="ignore", invalid="ignore"):
-        F0 = form.evaluate(Z0)
         nu0 = np.conj(np.sum(F0 * Z0, axis=1)) / (r * r)  # least squares for ||nu z - conj f||
         U0 = np.concatenate([Z0, nu0[:, None]], axis=1).view(float)
         U = _damped_newton(*_contact_system(form, r, Z0), U0, 1e-13 * r, NEWTON_MAX_ITER)[0]
@@ -457,13 +481,18 @@ def _newton_on_sphere(form: PolyOneForm, Z0: np.ndarray, r: float, tol: float):
 def _aligned_distance(z: np.ndarray, w: np.ndarray) -> float:
     """Euclidean distance after the optimal global phase rotation of w.
 
-    Taken as ||z - e^{i theta} w|| with e^{i theta} = <w, z>/|<w, z>| (1 when
-    <w, z> = 0), not from |z|^2 + |w|^2 - 2|<z, w>|, which cancels to a
-    floor of about 1.5e-8 |z|.
+    Taken as ||z - e^{i theta} w|| with e^{i theta} = s/|s|, s = <w, z> (1
+    when s = 0), not from |z|^2 + |w|^2 - 2|<z, w>|, which cancels to a
+    floor of about 1.5e-8 |z|. The phase is taken from s 2^k, the exact
+    scaling whose larger part lies in [0.5, 1): s/|s| itself is not finite
+    where |s| is subnormal or overflows.
     """
-    s = np.vdot(w, z)
-    phase = s / abs(s) if s != 0 else 1.0
-    return float(np.linalg.norm(z - phase * w))
+    s = complex(np.vdot(w, z))
+    if s == 0:
+        return float(np.linalg.norm(z - w))
+    k = -math.frexp(max(abs(s.real), abs(s.imag)))[1]
+    s = complex(math.ldexp(s.real, k), math.ldexp(s.imag, k))
+    return float(np.linalg.norm(z - s / abs(s) * w))
 
 
 def _merge_points(Z: np.ndarray, dedup_tol: float) -> np.ndarray:
@@ -521,13 +550,15 @@ def sphere_search(
     Empty points mean that no contact point was found from these seeds,
     not that the sphere is transverse.
 
-    The contact set of a homogeneous form of degree k is a cone, and mu
-    scales by t^(1-k) along it: such forms are solved on the unit sphere
-    and the points scaled to radius r, so the answer does not depend on
-    how far r is from 1. An r at which the scale r^(1-k) or a scaled mu
-    is not a normal finite double raises RadiusRangeError. Any other form
-    is solved at r itself, and a radius where f's rounding scale overflows
-    at a seed raises RadiusRangeError, as point_at does.
+    The seeds are drawn by _sphere_sample, as transversality_scan's
+    samples are. The contact set of a homogeneous form of degree k is a
+    cone, and mu scales by t^(1-k) along it: such forms are solved on the
+    unit sphere and the points scaled to radius r, so the answer does not
+    depend on how far r is from 1. An r at which the scale r^(1-k) or a
+    scaled mu is not a normal finite double raises RadiusRangeError. Any
+    other form is solved at r itself. Where f's rounding scale overflows at
+    a seed, on the unit sphere or at r, the search raises RadiusRangeError,
+    as point_at does, rather than report no point.
     """
     _check_radius(r)
     _check_tol(tol)
@@ -535,17 +566,14 @@ def sphere_search(
         raise ValueError("need at least one seed")
     if form.is_zero:
         raise SingularGradientError("every coefficient of the one-form is zero")
-    k = form.homogeneous_degree()
-    r_solve = 1.0 if k is not None else r
-    seeds = sphere_seeds(form.n, n_seeds, rng_seed, r_solve)
-    if k is None and not np.isfinite(form.evaluate_scaled(seeds)[1]).all():
-        raise RadiusRangeError(f"radius {r:.3g} is out of range: f's rounding scale is non-finite")
-    blocks = range(0, n_seeds, SEED_BLOCK)
-    found = [_newton_on_sphere(form, seeds[start : start + SEED_BLOCK], r_solve, tol) for start in blocks]
+    r_solve, seeds, F, _ = _sphere_sample(form, r, n_seeds, rng_seed)
+    blocks = [slice(start, start + SEED_BLOCK) for start in range(0, n_seeds, SEED_BLOCK)]
+    found = [_newton_on_sphere(form, seeds[block], F[block], r_solve, tol) for block in blocks]
     Z_all, mu, res = (np.concatenate(parts) for parts in zip(*found))
     reported = _merge_points(Z_all, dedup_tol=1e-6 * r_solve)
     Z, mu, res, radius = Z_all[reported], mu[reported], res[reported], r_solve
     if r_solve != r:
+        k = form.homogeneous_degree()
         with np.errstate(over="ignore", invalid="ignore"):  # out-of-range values are refused below
             mu_scale = np.float64(r) ** (1 - k)
             mu = mu_scale * mu
@@ -578,11 +606,11 @@ def _corrected_side(form: PolyOneForm, start: ContactPoint, radii: np.ndarray, t
     """
     pts, z_prev, r_prev = [], start.z, start.radius
     for r in radii:
-        pred = z_prev * (r / r_prev)
-        Z, mu, residual = _newton_on_sphere(form, pred[None], r, tol)
+        pred = (z_prev * (r / r_prev))[None]
+        Z, mu, residual = _newton_on_sphere(form, pred, form.evaluate_scaled(pred)[0], r, tol)
         # a corrected point far from the prediction means the branch
         # was lost (collision / non-Morse behavior), not continued
-        if not (len(Z) and _aligned_distance(Z[0], pred) <= 0.3 * r):
+        if not (len(Z) and _aligned_distance(Z[0], pred[0]) <= 0.3 * r):
             return pts, float(r)
         z_prev, r_prev = Z[0], r
         pts.append(ContactPoint(z=z_prev, mu=complex(mu[0]), radius=float(r), residual=float(residual[0])))

@@ -11,16 +11,19 @@ computed. A field sample (sample_field, and every flow, polish and Hessian
 sample) refuses its point as point_at does, through contact._point_field,
 the one refusal of a leaf point: the origin (ValueError), a point out of
 range, where |z|^2 or f's rounding scale is not finite
-(RadiusRangeError), and a singular point (SingularGradientError), a
-chart's base included. transversality_scan scores a singular point 0.
+(RadiusRangeError), and a singular point (SingularGradientError).
+transversality_scan scores a singular point 0.
 
 Leaves are tracked through a known polynomial first integral g with
-f = dg. A LeafChart compiles the power plan of g's and f's monomial
-tables stacked (algebra._side_by_side), once per (integral, form): the
-chart of a nearby leaf (index_persistence) shares it. Every point the leaf
-code visits is built once (_evaluate): each iterate of the correction
-onto {g = c}, the seed of a flow, the point of a Hessian and the base of
-make_chart given a c. That build's g rows are contracted with the
+f = dg. A LeafChart is (integral, form, c), and every entry point takes
+one: make_chart gives the leaf through a point, LeafChart(integral, form,
+c) a prescribed one, and replace(chart, c=...) a nearby one
+(index_persistence). A chart looks up the power plan of g's and f's
+monomial tables stacked (algebra._side_by_side, memoised by exponent
+table) at its first use. Every point the leaf code visits is built once
+(_evaluate): each iterate of the correction onto {g = c}, the seed of a
+flow and the point of a Hessian, where one prologue (_leaf_sample) refuses
+a point off the chart's leaf. That build's g rows are contracted with the
 integral's coefficients and its f rows with the form's, and f's rounding
 scale is the form's _scale of its rows, so g, f and the scale are
 integral.evaluate's and form.evaluate_scaled's, bit for bit. A field
@@ -55,12 +58,13 @@ closed form is then exactly {1 +- sigma_i/sigma_j}).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import Polynomial, PolyOneForm, _monomials, _side_by_side, as_cvec, jacobian_form
-from .contact import ContactPoint, _check_radius, _check_tol, _contact_point, _field, _point_field, sphere_seeds
+from .contact import ContactPoint, _check_radius, _check_tol, _contact_point, _field, _point_field, _sphere_sample
 from .errors import FlowError, LeafCorrectionError, RadiusRangeError, SingularGradientError
 
 LEAF_TOL = 1e-9  # relative on-leaf precondition tolerance
@@ -83,24 +87,23 @@ class FieldSample:
 class LeafChart:
     """The leaf {g = c} of a first integral g, with the one-form f = dg.
 
-    `table` is the power plan of g's and f's monomial tables stacked
-    (algebra._side_by_side): one build of it at a point gives g, f and f's
-    rounding scale, each as its own table gives it (_evaluate). It is
-    compiled when a chart is made without one, and replace(chart, c=...)
-    shares it, which is how index_persistence moves to a nearby leaf.
-    Flows, the leaf polish and the restricted Hessian all move on the leaf
-    through it; make_chart checks that a base given with its c is on the
-    leaf, and the first field sample at a point refuses it if singular.
+    form must be the integral's differential; it is taken as given, not
+    recomputed or checked. Flows, the leaf polish and the restricted
+    Hessian all move on the leaf through the chart's power plan, that of
+    g's and f's monomial tables stacked: one build of it at a point gives
+    g, f and f's rounding scale, each as its own table gives it
+    (_evaluate). The plan is looked up at its first use from
+    algebra._side_by_side, which is memoised by exponent table, so the
+    chart of a nearby leaf, replace(chart, c=...), finds it in one memo hit.
     """
 
     integral: Polynomial
     form: PolyOneForm
     c: complex
-    table: tuple | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.table is None:
-            self.table = _side_by_side(self.integral, self.form)
+    @cached_property
+    def _plan(self) -> tuple:
+        return _side_by_side(self.integral, self.form)
 
 
 @dataclass
@@ -174,7 +177,7 @@ def sample_field(form: PolyOneForm, z) -> FieldSample:
 def _evaluate(chart: LeafChart, z: np.ndarray):
     """(g(z), leaf size, f(z), f's rounding scale) at one point: one build.
 
-    The build is of chart.table; its g rows are contracted with the
+    The build is of the chart's plan; its g rows are contracted with the
     integral's coefficients and its f rows with the form's, as each
     table's _build does, and f's scale is the form's _scale of its rows.
     The leaf size, which the leaf tests at z are relative to, is |c| plus
@@ -183,7 +186,7 @@ def _evaluate(chart: LeafChart, z: np.ndarray):
     """
     g, form = chart.integral, chart.form
     with np.errstate(over="ignore", invalid="ignore"):  # a point past the doubles has a non-finite size
-        monomials = _monomials(z[None], chart.table)
+        monomials = _monomials(z[None], chart._plan)
         g_rows, f_rows = monomials[: len(g._exps)], monomials[len(g._exps) :]
         size = abs(chart.c) + (np.abs(g_rows).T @ g._abs_coeffs)[0, 0]
         return (g_rows.T @ g._coeffs)[0, 0], size, (f_rows.T @ form._coeffs)[0], form._scale(f_rows)[0]
@@ -216,8 +219,8 @@ def _project(chart: LeafChart, z: np.ndarray):
             raise LeafCorrectionError("leaf correction diverged")
 
 
-def project_to_leaf(integral: Polynomial, form: PolyOneForm, z, c: complex) -> np.ndarray:
-    """Newton-correct z onto the leaf {g = c} of the integral g along conj(f).
+def project_to_leaf(chart: LeafChart, z) -> np.ndarray:
+    """Newton-correct z onto the chart's leaf {g = c} along conj(f).
 
     With f = dg the form, iterates z += (c - g(z)) conj(f(z)) / ||f(z)||^2
     until |g - c| <= 1e-14 size, or stagnates at most 1e-12 size from c, at
@@ -227,50 +230,50 @@ def project_to_leaf(integral: Polynomial, form: PolyOneForm, z, c: complex) -> n
     loosen it. Raises LeafCorrectionError on divergence, where g's or f's
     rounding scale is not finite and where f vanishes to rounding at an
     iterate (contact._field's singular test). Each iterate gets g and f
-    from one build of the chart's stacked plan; this function compiles that
-    plan, and the leaf code, which has a chart, runs the same loop
-    (_project) on the chart's own plan.
+    from one build of the chart's plan; the leaf code runs the same loop
+    (_project), which also hands back that last build.
 
     It stays outside the damped-Newton kernel contact._damped_newton: it
     solves one complex equation in n unknowns by that minimum-norm step,
     with no line search, and the kernel solves square systems.
     """
-    z = as_cvec(z, form.n)
-    return _project(LeafChart(integral, form, complex(c)), z)[0]
+    return _project(chart, as_cvec(z, chart.form.n))[0]
 
 
 def _check_on_leaf(chart: LeafChart, evaluation, what: str) -> None:
-    """Refuse, with ValueError, the base, seed or point `what` whose
-    evaluation (g, size, f, f's scale) has |g - c| > LEAF_TOL size, for
-    the chart's c."""
+    """Refuse, with ValueError, the seed or point `what` whose evaluation
+    (g, size, f, f's scale) has |g - c| > LEAF_TOL size, for the chart's c."""
     err = abs(evaluation[0] - chart.c)
     if err > LEAF_TOL * evaluation[1]:
         raise ValueError(f"{what} is not on the leaf (|g({what}) - c| = {err:.3e})")
 
 
-def make_chart(
-    integral: Polynomial,
-    base,
-    c: complex | None = None,
-    *,
-    form: PolyOneForm,
-) -> LeafChart:
-    """The leaf of `integral` through (or prescribed by c near) base.
+def _leaf_sample(chart: LeafChart, z, what: str):
+    """(field sample, g) at the seed or point `what`, z, of a flow or a Hessian.
 
-    form must be the integral's differential; it is taken as given, not
-    recomputed or checked. Compiles the chart's stacked plan. Given c, it
-    checks, from one build of the plan, that base is on that leaf
-    (ValueError, _check_on_leaf); without one, c is integral.evaluate(base),
-    which has the bits of g in that build, so base is on the leaf. Neither
-    refuses a base out of range or singular: the first field sample there,
-    of a flow or a Hessian, refuses it, as it refuses every such point.
+    One build of the chart's plan at z (_evaluate). A z off the chart's
+    leaf is refused here (_check_on_leaf), the one place the leaf code
+    refuses a point so; the sample refuses it as every field sample does.
+    """
+    z = as_cvec(z, chart.form.n)
+    evaluation = _evaluate(chart, z)
+    _check_on_leaf(chart, evaluation, what)
+    return _sample(z, *evaluation[2:]), complex(evaluation[0])
+
+
+def make_chart(integral: Polynomial, base, *, form: PolyOneForm) -> LeafChart:
+    """The leaf of `integral` through base: c = integral.evaluate(base).
+
+    form must be the integral's differential (see LeafChart). c is taken
+    under np.errstate, and has the bits of g in a build of the chart's plan
+    at base, so base is on the leaf. A base out of range or singular is not
+    refused here: the first field sample there, of a flow or a Hessian,
+    refuses it, as it refuses every such point. The chart of a prescribed
+    leaf is LeafChart(integral, form, c).
     """
     base = as_cvec(base, form.n)
     with np.errstate(over="ignore", invalid="ignore"):  # a base past the doubles is refused where it is sampled
-        chart = LeafChart(integral, form, complex(integral.evaluate(base) if c is None else c))
-    if c is not None:
-        _check_on_leaf(chart, _evaluate(chart, base), "base")
-    return chart
+        return LeafChart(integral, form, complex(integral.evaluate(base)))
 
 
 def _phi(z: np.ndarray) -> float:
@@ -328,10 +331,10 @@ def flow_to_critical(
     the leaf (_project), whose last evaluation gives the field sample
     there; t starts at 1 and halves until the correction and the sample
     succeed and phi decreases by the Armijo test, 1e-4 of its slope along
-    the step. The seed is refused as every field sample is: a singular
-    seed with SingularGradientError, one out of range with
-    RadiusRangeError. tol must be positive and max_steps non-negative
-    (ValueError).
+    the step. A seed off the chart's leaf is refused with ValueError
+    (_leaf_sample), and as every field sample is: a singular seed with
+    SingularGradientError, one out of range with RadiusRangeError. tol
+    must be positive and max_steps non-negative (ValueError).
 
     One loop, whose top, before each step and after the last, tests for its
     exits in this order:
@@ -354,12 +357,8 @@ def flow_to_critical(
     if max_steps < 0:
         raise ValueError(f"max_steps must be non-negative, got {max_steps}")
 
-    z = as_cvec(z0, chart.form.n)
-    evaluation = _evaluate(chart, z)
-    g = complex(evaluation[0])
-    _check_on_leaf(chart, evaluation, "seed")
-    phi = phi_initial = _phi(z)
-    s = _sample(z, *evaluation[2:])
+    s, g = _leaf_sample(chart, z0, "seed")
+    phi = phi_initial = _phi(s.z)
     last_polish_t = np.inf
     steps = 0
     while True:
@@ -465,7 +464,7 @@ def _leaf_model(chart: LeafChart, z: np.ndarray, s: FieldSample):
 def leaf_hessian(chart: LeafChart, p) -> HessianReport:
     """Exact restricted Hessian (half squared distance) at a critical point p.
 
-    p must be on the chart's leaf (see _check_on_leaf) and critical, with
+    p must be on the chart's leaf (see _leaf_sample) and critical, with
     t_norm at most 1e-6 |p|, else ValueError. An eigenvalue below -EIG_TOL
     counts as negative.
 
@@ -478,17 +477,15 @@ def leaf_hessian(chart: LeafChart, p) -> HessianReport:
     real matrix is I - [[Re S, -Im S], [-Im S, -Re S]], with (Re xi_a,
     Im xi_a) interleaved, and its eigenvalues are 1 +- (Takagi values of S).
     """
-    p = as_cvec(p, chart.form.n)
-    evaluation = _evaluate(chart, p)
-    _check_on_leaf(chart, evaluation, "point")
-    s = _sample(p, *evaluation[2:])
+    s, g = _leaf_sample(chart, p, "point")
+    p = s.z
     if s.t_norm > 1e-6 * np.linalg.norm(p):
         raise ValueError(f"point is not critical (t_norm = {s.t_norm:.3e} at |p| = {np.linalg.norm(p):.3e})")
 
     M = _leaf_model(chart, p, s)[1]
     eigenvalues = np.linalg.eigvalsh(M)
     negative_count = int(np.sum(eigenvalues < -EIG_TOL))
-    point = _contact_point(p, s.mu, s.w, complex(evaluation[0]), negative_count)
+    point = _contact_point(p, s.mu, s.w, g, negative_count)
     return HessianReport(matrix=M, eigenvalues=eigenvalues, negative_count=negative_count, point=point)
 
 
@@ -503,16 +500,13 @@ def transversality_scan(form: PolyOneForm, r: float, n_samples: int, rng_seed: i
     score of a homogeneous form is scale-free, so such forms are sampled on
     the unit sphere and the worst points scaled to radius r. A radius where
     f's rounding scale overflows at a sample raises RadiusRangeError, as
-    point_at does.
+    point_at does. The samples are drawn as sphere_search draws its seeds
+    (contact._sphere_sample).
     """
     _check_radius(r)
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    r_sample = 1.0 if form.homogeneous_degree() is not None else r
-    z = sphere_seeds(form.n, n_samples, rng_seed, r_sample)
-    f, scale = form.evaluate_scaled(z)
-    if not np.all(np.isfinite(scale)):
-        raise RadiusRangeError(f"radius {r:.3g} is out of range: f's rounding scale is non-finite")
+    r_sample, z, f, scale = _sphere_sample(form, r, n_samples, rng_seed)
     _, w, singular = _field(z, f, scale)
     scores = np.linalg.norm(w, axis=1) / r_sample
     scores[singular] = 0.0
@@ -528,7 +522,7 @@ def index_persistence(chart: LeafChart, p: ContactPoint, dc: complex) -> bool:
     flowed to a critical point there at flow_to_critical's default tol;
     True iff that point stays within the persistence radius
     10 sqrt(|dc|) (1 + |p|) and its Morse index matches.
-    The new leaf's chart shares the chart's stacked plan. A seed the flow
+    The new leaf's chart is replace(chart, c=c + dc). A seed the flow
     refuses as singular gives False, as a flow or Hessian that fails does.
     A False is a report, not an error: degenerate (non-Morse) points may
     legitimately fail.
@@ -540,7 +534,7 @@ def index_persistence(chart: LeafChart, p: ContactPoint, dc: complex) -> bool:
         raise ValueError("|dc| must be at most 0.1 |c|")
     chart_new = replace(chart, c=chart.c + dc)
     try:
-        seed = _project(chart_new, as_cvec(p.z, chart.form.n))[0]
+        seed = project_to_leaf(chart_new, p.z)
         result = flow_to_critical(chart_new, seed, "descend")
         report = leaf_hessian(chart_new, result.point.z)
     except (FlowError, SingularGradientError, ValueError):

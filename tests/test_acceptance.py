@@ -81,7 +81,7 @@ def test_criterion_02_degeneracy_detection():
         form = fc.linear_form(I3)
         integral = fc.quadratic_first_integral(I3)
         p = np.array([np.sqrt(2.0), 0.0, 0.0], dtype=complex)  # f = 1
-        chart = fc.make_chart(integral, p, 1.0, form=form)
+        chart = fc.LeafChart(integral, form, 1.0)
         report = fc.leaf_hessian(chart, p)
         assert np.min(np.abs(report.eigenvalues)) <= 1e-6
 
@@ -160,8 +160,8 @@ def test_criterion_06_flow_convergence():
         raw_seeds = sphere_seeds(3, 20, 161803, 1.0)
         for raw in raw_seeds:
             z0 = homogeneous_leaf_scale(integral, raw, 1.0)
-            z0 = fc.project_to_leaf(integral, form, z0, 1.0)
-            chart = fc.make_chart(integral, z0, 1.0, form=form)
+            chart = fc.LeafChart(integral, form, 1.0)
+            z0 = fc.project_to_leaf(chart, z0)
             res = fc.flow_to_critical(chart, z0, "descend", tol=1e-8)
             assert abs(np.linalg.norm(res.point.z) - np.sqrt(2.0 / 3.0)) <= 1e-6
             assert axis_distance(res.point.z, 0) <= 1e-6
@@ -182,7 +182,7 @@ def test_criterion_07_index_persistence():
             (np.array([0, 1.0, 0], dtype=complex), 1),
         ]
         for p, want_index in fixtures:
-            chart = fc.make_chart(integral, p, 1.0, form=form)
+            chart = fc.LeafChart(integral, form, 1.0)
             report = fc.leaf_hessian(chart, p)
             assert report.negative_count == want_index
             for dc in (0.01, 0.01j):

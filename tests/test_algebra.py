@@ -233,7 +233,8 @@ def test_fused_evaluation_agrees_with_separate_passes(n):
         count = max(1, int(rng.integers(3, 201)) // n)
         form = g.differential() if trial % 2 else fc.PolyOneForm([polynomial(count, 6) for _ in range(n)])
         plan, m = _side_by_side(g, form), len(g._exps)
-        chart = fc.LeafChart(g, form, 1.0, plan)
+        chart = fc.LeafChart(g, form, 1.0)
+        assert chart._plan is plan
         Z = rng.standard_normal((30, n)) + 1j * rng.standard_normal((30, n))
         Z *= (10.0 ** rng.uniform(-3, 3, 30) / np.linalg.norm(Z, axis=1))[:, None]
         for z in Z:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 import tracemalloc
 
@@ -24,11 +25,13 @@ from folcontact.errors import RadiusRangeError, SingularGradientError
 from conftest import (
     axis_distance,
     degree_five_form,
+    form_to_json,
     mixed_degree_five_form,
     one_halving_newton,
     random_exact_form,
     radially_invariant,
     random_morse,
+    run_cli,
 )
 
 
@@ -334,9 +337,10 @@ def test_newton_on_sphere_matches_a_one_halving_kernel(form, monkeypatch):
         norms.append(norm)
         return U, norm
 
-    got = _newton_on_sphere(form, seeds, 1.0, fc.ACCEPT_TOL)
+    F = form.evaluate(seeds)
+    got = _newton_on_sphere(form, seeds, F, 1.0, fc.ACCEPT_TOL)
     monkeypatch.setattr(contact, "_damped_newton", reference)
-    ref = _newton_on_sphere(form, seeds, 1.0, fc.ACCEPT_TOL)
+    ref = _newton_on_sphere(form, seeds, F, 1.0, fc.ACCEPT_TOL)
     assert 1 <= np.count_nonzero(np.isinf(norms[0])) < contact.SEED_BLOCK // 4
     assert len(ref[0]) >= contact.SEED_BLOCK // 2
     assert all(np.array_equal(a, b) for a, b in zip(got, ref))
@@ -345,9 +349,11 @@ def test_newton_on_sphere_matches_a_one_halving_kernel(form, monkeypatch):
 def test_stacked_rows_match_rows_solved_alone(cubic3):
     for form in (fc.linear_form(random_morse(np.random.default_rng(2), 4)), cubic3.differential()):
         seeds = sphere_seeds(form.n, 12, 5, 1.0)
-        Z = _newton_on_sphere(form, seeds, 1.0, fc.ACCEPT_TOL)[0]
+        Z = _newton_on_sphere(form, seeds, form.evaluate(seeds), 1.0, fc.ACCEPT_TOL)[0]
         assert len(Z) >= 6
-        alone = np.concatenate([_newton_on_sphere(form, seed[None], 1.0, fc.ACCEPT_TOL)[0] for seed in seeds])
+        alone = np.concatenate(
+            [_newton_on_sphere(form, seed[None], form.evaluate(seed[None]), 1.0, fc.ACCEPT_TOL)[0] for seed in seeds]
+        )
         assert alone.shape == Z.shape and np.abs(alone - Z).max() <= 1e-12
 
 
@@ -499,6 +505,23 @@ def test_non_homogeneous_search_refuses_a_radius_where_f_overflows():
     # are errors here
     with pytest.raises(RadiusRangeError, match="radius 1e\\+40 is out of range: f's rounding scale is non-finite"):
         sphere_search(mixed_degree_five_form(), 1e40, 20, 0)
+
+
+def test_search_and_scan_refuse_a_homogeneous_form_whose_scale_overflows(tmp_path):
+    # f = 3e300 (z1^2, z2^2, z3^2) is homogeneous, so both sample the unit
+    # sphere, where f's rounding scale already overflows: the search
+    # reported no point, exit 0, a clean negative, where the scan refused
+    # it; both refuse it now, from one sampling rule (warnings are errors)
+    form = fc.PolyOneForm([fc.Polynomial(3, [(3e300, tuple(2 * np.eye(3, dtype=int)[j]))]) for j in range(3)])
+    with pytest.raises(RadiusRangeError, match="rounding scale is non-finite"):
+        sphere_search(form, 1.0, 20, 0)
+    with pytest.raises(RadiusRangeError, match="rounding scale is non-finite"):
+        fc.transversality_scan(form, 1.0, 20, 0)
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(form_to_json(form)))
+    for command in ("contact-solve", "scan"):
+        code, out, err = run_cli([command, "--input", str(path)])
+        assert (code, out) == (3, "") and "rounding scale is non-finite" in err
 
 
 def _scaled(form: fc.PolyOneForm, c: float) -> fc.PolyOneForm:
@@ -660,6 +683,17 @@ def test_aligned_distance_resolves_close_points():
     assert _aligned_distance(z, np.zeros(4)) == pytest.approx(1.0)
 
 
+def test_aligned_distance_of_a_subnormal_or_overflowing_overlap():
+    # <w, z> = 1e-320 is subnormal: s/|s| overflowed to nan, with warnings
+    # (errors here), which a corrector would read as a branch jump. An
+    # overlap whose modulus overflows, though its parts do not, took the
+    # phase 0
+    z, w = np.array([1.0, 0.0j]), np.array([1e-320, 1.0 + 0.0j])
+    assert _aligned_distance(z, w) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    z, w = np.array([1e154, 0.0j]), np.array([1.3e154 * (1 - 1j), 0.0])
+    assert _aligned_distance(z, w) == pytest.approx((1.3 * np.sqrt(2.0) - 1.0) * 1e154, rel=1e-14)
+
+
 def test_ratio_spread_at_accepted_points():
     # on accepted points with all coordinates active, the defining ratios agree
     ident = fc.linear_form(fc.SymMatrix(np.eye(3, dtype=complex)))
@@ -705,15 +739,16 @@ def _record_evaluations(form, monkeypatch) -> list:
 
 
 def test_continue_radially_evaluates_form_once_per_radius(monkeypatch):
-    # the corrector's Newton kernel evaluates stacks; f and the rounding
-    # scale of each accepted point come from one build of that point
+    # the corrector's Newton kernel evaluates stacks; f at each prediction,
+    # the kernel's start, and f and the rounding scale of each accepted
+    # point each come from one build of that point
     form = _mixed_form()
     start = fc.point_at(form, [0.0, 0.5])
     calls = _record_evaluations(form, monkeypatch)
     path = fc.continue_radially(form, start, 0.1, 2.0, 15)
     monkeypatch.undo()
     accepted = len(path.points) - 1
-    assert calls.count(True) == 0 and calls.count(("scaled", 2)) == accepted == 15
+    assert calls.count(True) == 0 and calls.count(("scaled", 2)) == 2 * accepted == 30
     for p in path.points[1:]:
         assert p.residual == fc.contact_residual(form, p.z) and p.mu == fc.point_at(form, p.z).mu
 
@@ -807,8 +842,8 @@ def test_continue_radially_keeps_the_points_inside_a_corrector_window(window, mo
     lo, hi = window
     newton = contact._newton_on_sphere
 
-    def windowed(form, Z0, r, tol):
-        found = newton(form, Z0, r, tol)
+    def windowed(form, Z0, F0, r, tol):
+        found = newton(form, Z0, F0, r, tol)
         return found if lo <= r <= hi else tuple(part[:0] for part in found)
 
     monkeypatch.setattr(contact, "_newton_on_sphere", windowed)

@@ -16,7 +16,6 @@ PUBLIC_DEFAULTS = {
     "contact.sphere_search(tol)",
     "contact.point_at(morse_index)",
     "contact.continue_radially(tol)",
-    "leaf.make_chart(c)",
     "leaf.flow_to_critical(direction)",
     "leaf.flow_to_critical(tol)",
     "leaf.flow_to_critical(max_steps)",

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import folcontact as fc
+from folcontact import contact
 from folcontact.contact import sphere_seeds
-from folcontact import leaf
+from folcontact import algebra, leaf
 from folcontact.errors import FlowError, LeafCorrectionError, RadiusRangeError, SingularGradientError
 from folcontact.leaf import _tangent_basis
 
@@ -25,7 +26,7 @@ from conftest import (
 
 def _on_leaf_seed(integral, form, raw, c):
     z = homogeneous_leaf_scale(integral, raw, c)
-    return fc.project_to_leaf(integral, form, z, c)
+    return fc.project_to_leaf(fc.LeafChart(integral, form, c), z)
 
 
 # -----------------------------------------------------------------------------
@@ -186,6 +187,7 @@ def test_gradient_identity_in_chart(diag321, form321, integral321):
     # finite differences of |z|^2 along chart lifts match 2 Re <w, lift>
     rng = np.random.default_rng(14)
     h = 1e-6
+    chart = fc.LeafChart(integral321, form321, 1.0)
     checked = 0
     while checked < 100:
         raw = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -200,8 +202,8 @@ def test_gradient_identity_in_chart(diag321, form321, integral321):
                 lift = np.zeros(3, dtype=complex)
                 lift[j] = comp
                 lift[k] = -comp * f[j] / f[k]
-                zp = fc.project_to_leaf(integral321, form321, z + h * lift, 1.0)
-                zm = fc.project_to_leaf(integral321, form321, z - h * lift, 1.0)
+                zp = fc.project_to_leaf(chart, z + h * lift)
+                zm = fc.project_to_leaf(chart, z - h * lift)
                 fd = (np.sum(np.abs(zp) ** 2) - np.sum(np.abs(zm) ** 2)) / (2 * h)
                 analytic = 2 * np.real(np.sum(s.w * lift.conj()))
                 assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-7)
@@ -233,7 +235,7 @@ def test_flow_descend_to_minimum(form321, integral321):
     for _ in range(5):
         raw = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         z0 = _on_leaf_seed(integral321, form321, raw, 1.0)
-        chart = fc.make_chart(integral321, z0, 1.0, form=form321)
+        chart = fc.LeafChart(integral321, form321, 1.0)
         res = fc.flow_to_critical(chart, z0, "descend", tol=1e-8)
         assert abs(np.linalg.norm(res.point.z) - np.sqrt(2.0 / 3.0)) <= 1e-6
         assert axis_distance(res.point.z, 0) <= 1e-6
@@ -250,7 +252,7 @@ def test_flow_descend_to_minimum(form321, integral321):
 
 def test_flow_already_critical_returns_immediately(form321, integral321):
     p = np.array([np.sqrt(2.0 / 3.0), 0.0, 0.0], dtype=complex)
-    chart = fc.make_chart(integral321, p, 1.0, form=form321)
+    chart = fc.LeafChart(integral321, form321, 1.0)
     res = fc.flow_to_critical(chart, p, "descend")
     assert res.steps == 0 and res.polished is True and res.phi_initial == 2.0 / 3.0
     assert res.phi_final == pytest.approx(2.0 / 3.0, rel=1e-15)
@@ -262,8 +264,8 @@ def test_flow_refuses_to_ascend(form321, integral321):
     # leaf: an ascent from 100 random seeds on diag(3, 2, 1) reached no
     # critical point, and most ended in LinAlgError
     p = np.array([np.sqrt(2.0 / 3.0), 0.02, 0.0], dtype=complex)
-    z0 = fc.project_to_leaf(integral321, form321, p, 1.0)
-    chart = fc.make_chart(integral321, z0, 1.0, form=form321)
+    chart = fc.LeafChart(integral321, form321, 1.0)
+    z0 = fc.project_to_leaf(chart, p)
     with pytest.raises(ValueError, match="no local maximum") as exc:
         fc.flow_to_critical(chart, z0, "ascend")
     assert type(exc.value) is ValueError
@@ -271,7 +273,7 @@ def test_flow_refuses_to_ascend(form321, integral321):
 
 def test_flow_with_no_steps_allowed_raises_at_the_seed(form321, integral321):
     z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
-    chart = fc.make_chart(integral321, z0, 1.0, form=form321)
+    chart = fc.LeafChart(integral321, form321, 1.0)
     assert fc.sample_field(form321, z0).t_norm > 1e-3 * np.linalg.norm(z0)  # outside the polish switch
     with pytest.raises(FlowError, match="step limit exceeded") as exc:
         fc.flow_to_critical(chart, z0, max_steps=0)
@@ -280,7 +282,7 @@ def test_flow_with_no_steps_allowed_raises_at_the_seed(form321, integral321):
 
 def test_flow_whose_corrections_all_fail_reports_a_collapsed_step(form321, integral321, monkeypatch):
     z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
-    chart = fc.make_chart(integral321, z0, 1.0, form=form321)
+    chart = fc.LeafChart(integral321, form321, 1.0)
 
     def fail(chart, z):
         raise LeafCorrectionError("leaf correction diverged")
@@ -295,7 +297,7 @@ def test_flow_halves_a_step_whose_correction_fails(form321, integral321, monkeyp
     # the first leaf correction of a step fails: that step is halved and
     # the flow still polishes to a critical point
     z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
-    chart = fc.make_chart(integral321, z0, 1.0, form=form321)
+    chart = fc.LeafChart(integral321, form321, 1.0)
     project, failed = leaf._project, []
 
     def fail_once(chart, z):
@@ -317,7 +319,7 @@ def test_flow_halves_a_step_whose_trial_sample_is_refused(error, form321, integr
     # refused, out of range or singular: that trial's t is halved, and the
     # flow still polishes
     z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
-    chart = fc.make_chart(integral321, z0, 1.0, form=form321)
+    chart = fc.LeafChart(integral321, form321, 1.0)
     point_field, project, samples, trials = leaf._point_field, leaf._project, [], []
 
     def refuse_second(z, f, scale):
@@ -350,7 +352,7 @@ def test_flow_whose_polish_fails_ends_unpolished_at_tol(form321, integral321, mo
     # at the polish target needs no solve and polishes, so tol is 1e-6,
     # which this flow meets at t_norm 1.6e-7, before it gets that far
     z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
-    chart = fc.make_chart(integral321, z0, 1.0, form=form321)
+    chart = fc.LeafChart(integral321, form321, 1.0)
     solves = []
 
     def fail(M, b):
@@ -381,7 +383,7 @@ def test_projection_refuses_a_point_far_off_the_leaf(x, form321, integral321):
     # a point near 6e102 e1, where g is about 5e205, as on the leaf. The
     # build at 1e200 overflows with no warning (warnings are errors here)
     with pytest.raises(LeafCorrectionError):
-        fc.project_to_leaf(integral321, form321, [x, 0.0, 0.0], 1.0)
+        fc.project_to_leaf(fc.LeafChart(integral321, form321, 1.0), [x, 0.0, 0.0])
 
 
 def test_projection_refuses_an_iterate_where_f_overflows(cubic3):
@@ -390,7 +392,7 @@ def test_projection_refuses_an_iterate_where_f_overflows(cubic3):
     # |f|^2, with warnings (errors here)
     z = 1e80 * np.array([0.3, 0.5 + 0.1j, 0.7])
     with pytest.raises(LeafCorrectionError, match="rounding scale is non-finite"):
-        fc.project_to_leaf(cubic3, cubic3.differential(), z, 1.0)
+        fc.project_to_leaf(fc.LeafChart(cubic3, cubic3.differential(), 1.0), z)
 
 
 def test_projection_iterate_is_one_evaluation(form321, integral321, monkeypatch):
@@ -401,7 +403,7 @@ def test_projection_iterate_is_one_evaluation(form321, integral321, monkeypatch)
     z0 = np.array([0.7 + 0.2j, 0.5 - 0.1j, 0.3 + 0.4j])
     calls, points = _count_evaluations(monkeypatch, form321, integral321), _record_builds(monkeypatch)
     monkeypatch.setattr(leaf, "jacobian_form", None)
-    z = fc.project_to_leaf(integral321, form321, z0, 1.0)
+    z = fc.project_to_leaf(fc.LeafChart(integral321, form321, 1.0), z0)
     monkeypatch.undo()
     assert calls == [] and len(points) >= 3 and np.array_equal(points[0], z0) and np.array_equal(points[-1], z)
     for a, b in zip(points, points[1:]):
@@ -417,7 +419,7 @@ def test_flow_step_samples_cost_no_evaluation(form321, integral321, monkeypatch)
     # there, once per step. The form is not evaluated on its own, not even
     # for the last point, which the error reports
     z0 = _on_leaf_seed(integral321, form321, np.array([0.3, 0.5 + 0.1j, 0.7]), 1.0)
-    chart = fc.make_chart(integral321, z0, 1.0, form=form321)
+    chart = fc.LeafChart(integral321, form321, 1.0)
     monkeypatch.setattr(leaf, "_polish_on_leaf", lambda *args: None)
     jacobian, jacobians = leaf.jacobian_form, []
     monkeypatch.setattr(leaf, "jacobian_form", lambda form, z: jacobians.append(z.copy()) or jacobian(form, z))
@@ -439,7 +441,7 @@ def test_flow_projects_once_per_step_attempt(form321, integral321, monkeypatch):
     # the first step halves three times); beside the projections only the
     # seed is evaluated
     z0 = _on_leaf_seed(integral321, form321, np.array([0.1, 0.5, 0.9]), 1.0)
-    chart = fc.make_chart(integral321, z0, 1.0, form=form321)
+    chart = fc.LeafChart(integral321, form321, 1.0)
     calls, depth = [], [0]
     project, evaluate, model = leaf._project, leaf._evaluate, leaf._leaf_model
 
@@ -476,32 +478,31 @@ def test_flow_projects_once_per_step_attempt(form321, integral321, monkeypatch):
 
 
 def test_index_persistence_shares_the_chart_table(form321, integral321, monkeypatch):
-    # make_chart without c takes it from one evaluation of the integral at
-    # the base and builds nothing there: the base is on that leaf in the
-    # bits an on-leaf test would compare. The nearby leaf's chart shares
-    # the chart's stacked plan
+    # make_chart takes c from one evaluation of the integral at the base
+    # and builds nothing there: the base is on that leaf in the bits an
+    # on-leaf test would compare. The nearby leaf's chart finds the chart's
+    # stacked plan in the memo, with no plan compiled
     p = np.array([0, 1.0, 0], dtype=complex)
     calls, builds = _count_evaluations(monkeypatch, form321, integral321), _record_builds(monkeypatch)
     chart = fc.make_chart(integral321, p, form=form321)
     monkeypatch.undo()
     assert calls == ["evaluate"] and builds == [] and chart.c == integral321.evaluate(p) == 1.0
     report = fc.leaf_hessian(chart, p)
-    monkeypatch.setattr(leaf, "_side_by_side", None)  # compiling a plan would fail
+    monkeypatch.setattr(algebra, "_power_plan", None)  # compiling a plan would fail
     assert fc.index_persistence(chart, report.point, 0.01)
+    assert replace(chart, c=chart.c + 0.01)._plan is chart._plan
 
 
 @pytest.mark.parametrize("tol, max_steps", [(0.0, 10), (-1e-8, 10), (float("nan"), 10), (1e-8, -5)])
 def test_flow_refuses_bad_tolerance_and_step_limit(form321, integral321, tol, max_steps):
     p = np.array([np.sqrt(2.0 / 3.0), 0, 0], dtype=complex)
-    chart = fc.make_chart(integral321, p, 1.0, form=form321)
+    chart = fc.LeafChart(integral321, form321, 1.0)
     with pytest.raises(ValueError):
         fc.flow_to_critical(chart, p, tol=tol, max_steps=max_steps)
 
 
 def test_flow_rejects_off_leaf_seed(form321, integral321):
-    chart = fc.make_chart(
-        integral321, np.array([np.sqrt(2.0 / 3.0), 0, 0], dtype=complex), 1.0, form=form321
-    )
+    chart = fc.LeafChart(integral321, form321, 1.0)
     with pytest.raises(ValueError):
         fc.flow_to_critical(chart, np.array([1.0, 1.0, 1.0]), "descend")
 
@@ -517,12 +518,23 @@ def test_flow_refuses_a_seed_off_its_leaf_at_any_scale(s, form321, integral321):
         fc.flow_to_critical(chart, z0 * (1.0 + 1e-3))
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-7])
+def test_hessian_refuses_a_point_off_its_leaf_at_any_scale(s, form321, integral321):
+    # the critical point s e2, 1e-3 relative off the leaf through it: the
+    # on-leaf test comes before the criticality test, and names the point
+    p = s * np.array([0.0, 1.0, 0.0], dtype=complex)
+    chart = fc.make_chart(integral321, p, form=form321)
+    assert fc.leaf_hessian(chart, p).negative_count == 1
+    with pytest.raises(ValueError, match="point is not on the leaf"):
+        fc.leaf_hessian(chart, p * (1.0 + 1e-3))
+
+
 def test_flow_on_cubic_leaf(cubic3):
     form = cubic3.differential()
     rng = np.random.default_rng(16)
     raw = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     z0 = _on_leaf_seed(cubic3, form, raw, 1.0)
-    chart = fc.make_chart(cubic3, z0, 1.0, form=form)
+    chart = fc.LeafChart(cubic3, form, 1.0)
     res = fc.flow_to_critical(chart, z0, "descend", tol=1e-8, max_steps=4000)
     assert abs(complex(cubic3.evaluate(res.point.z)) - 1.0) <= 1e-9
     assert fc.sample_field(form, res.point.z).t_norm <= 1e-8
@@ -561,7 +573,7 @@ def test_projection_and_flow_steps_do_not_depend_on_scale(s, form321, integral32
     z0 = s * np.array([0.3, 0.5 + 0.1j, 0.7])
     c, start = integral321.evaluate(z0), z0 * (1.0 + 1e-3)
     size = abs(c) + 0.5 * np.sum(np.array([3.0, 2.0, 1.0]) * np.abs(start) ** 2)
-    z = fc.project_to_leaf(integral321, form321, start, c)
+    z = fc.project_to_leaf(fc.LeafChart(integral321, form321, c), start)
     assert abs(integral321.evaluate(z) - c) <= 1e-14 * size
     assert flow_steps(s) == flow_steps(1.0)
 
@@ -610,7 +622,7 @@ def test_flow_newton_matrix_is_the_leaf_hessian(form321, integral321, monkeypatc
     monkeypatch.setattr(leaf, "_leaf_model", recorded_model)
     for p in np.sqrt([2.0 / 3.0, 1.0, 2.0])[:, None] * np.eye(3) * np.exp(0.4j):
         chart = fc.make_chart(integral321, p, form=form321)
-        p = fc.project_to_leaf(integral321, form321, p + 1e-9 * np.array([0.0, 1.0, 1.0j]), chart.c)
+        p = fc.project_to_leaf(chart, p + 1e-9 * np.array([0.0, 1.0, 1.0j]))
         with pytest.raises(FlowError):
             fc.flow_to_critical(chart, p, tol=1e-300, max_steps=1)
         report = fc.leaf_hessian(chart, p)
@@ -642,7 +654,7 @@ def test_seeded_descents_end_at_minima():
 
 def test_leaf_hessian_sigma1(diag321, form321, integral321):
     p = np.array([np.sqrt(2.0 / 3.0), 0, 0], dtype=complex)
-    chart = fc.make_chart(integral321, p, 1.0, form=form321)
+    chart = fc.LeafChart(integral321, form321, 1.0)
     report = fc.leaf_hessian(chart, p)
     expected = sorted([5 / 3, 1 / 3, 4 / 3, 2 / 3])
     assert np.allclose(np.sort(report.eigenvalues), expected, rtol=1e-6)
@@ -652,7 +664,7 @@ def test_leaf_hessian_sigma1(diag321, form321, integral321):
 
 def test_leaf_hessian_sigma2(diag321, form321, integral321):
     p = np.array([0, 1.0, 0], dtype=complex)  # f = 1 on the second axis
-    chart = fc.make_chart(integral321, p, 1.0, form=form321)
+    chart = fc.LeafChart(integral321, form321, 1.0)
     report = fc.leaf_hessian(chart, p)
     expected = sorted([1 + 1.5, 1 - 1.5, 1.5, 0.5])
     assert np.allclose(np.sort(report.eigenvalues), expected, rtol=1e-6)
@@ -663,7 +675,7 @@ def test_leaf_hessian_identity_degenerate(identity3):
     form = fc.linear_form(identity3)
     integral = fc.quadratic_first_integral(identity3)
     p = np.array([np.sqrt(2.0), 0, 0], dtype=complex)
-    chart = fc.make_chart(integral, p, 1.0, form=form)
+    chart = fc.LeafChart(integral, form, 1.0)
     report = fc.leaf_hessian(chart, p)
     assert np.min(np.abs(report.eigenvalues)) <= 1e-6
 
@@ -676,7 +688,7 @@ def test_leaf_hessian_complex_phase_blocks(diag321, form321):
     c = np.exp(1j * np.pi / 5)
     w = np.sqrt(2.0 * c / 3.0)
     p = np.array([w, 0, 0], dtype=complex)
-    chart = fc.make_chart(integral, p, c, form=form321)
+    chart = fc.LeafChart(integral, form321, c)
     report = fc.leaf_hessian(chart, p)
     kappa = w**2 / abs(w) ** 2
     expected_eigs = []
@@ -792,8 +804,8 @@ def test_leaf_hessian_matches_finite_differences_of_distance(cubic3):
             x = rng.standard_normal(2 * (form.n - 1))
             x /= np.linalg.norm(x)
             v = Q @ (x[0::2] + 1j * x[1::2])
-            zp = fc.project_to_leaf(integral, form, p + h * v, chart.c)
-            zm = fc.project_to_leaf(integral, form, p - h * v, chart.c)
+            zp = fc.project_to_leaf(chart, p + h * v)
+            zm = fc.project_to_leaf(chart, p - h * v)
             fd = (phi(zp) + phi(zm) - 2.0 * phi(p)) / (h * h)
             assert fd == pytest.approx(x @ report.matrix @ x, abs=1e-5)
 
@@ -802,7 +814,7 @@ def test_leaf_hessian_rejects_noncritical(form321, integral321):
     z = _on_leaf_seed(
         integral321, form321, np.array([0.4 + 0.1j, 0.5, 0.6 - 0.2j]), 1.0
     )
-    chart = fc.make_chart(integral321, z, 1.0, form=form321)
+    chart = fc.LeafChart(integral321, form321, 1.0)
     if fc.sample_field(form321, z).t_norm > 1e-6:
         with pytest.raises(ValueError):
             fc.leaf_hessian(chart, z)
@@ -823,13 +835,13 @@ def test_leaf_hessian_criticality_is_relative(form321, integral321):
 
 
 def test_chart_requires_gradient():
-    # the gradient 2 z1 dz1 of z1^2 vanishes on the z2 axis: make_chart
-    # checks only that its base is on the leaf, and the first field sample
-    # there, of a flow or a Hessian, refuses the base as it refuses every
+    # the gradient 2 z1 dz1 of z1^2 vanishes on the z2 axis, which lies on
+    # the leaf g = 0: a chart checks nothing, and the first field sample
+    # there, of a flow or a Hessian, refuses the point as it refuses every
     # singular point
     integral = fc.Polynomial(3, [(1.0, (2, 0, 0))])
     base = np.array([0.0, 1.0, 0.0], dtype=complex)
-    chart = fc.make_chart(integral, base, 0.0, form=integral.differential())
+    chart = fc.LeafChart(integral, integral.differential(), 0.0)
     with pytest.raises(SingularGradientError):
         fc.flow_to_critical(chart, base)
     with pytest.raises(SingularGradientError):
@@ -877,7 +889,7 @@ def test_scan_singular_mask_agrees_with_mu_of(monkeypatch):
     step = fc.PolyOneForm([fc.Polynomial(2, [(1.0, (1, 0)), (-1.0, (0, 0))]), fc.Polynomial(2, [])])
     tiny = fc.linear_form(fc.SymMatrix(1e-20 * np.array([[1.0, 1.0], [1.0, 0.0]])))
     points = np.array([[1.0, 0.0], [1.0 + 1e-10, 1.0], [1.0, 1j]], dtype=complex)
-    monkeypatch.setattr(leaf, "sphere_seeds", lambda n, count, seed, r: points[:count])
+    monkeypatch.setattr(contact, "sphere_seeds", lambda n, count, seed, r: points[:count])
     for form, want_singular in ((step, [True, False, True]), (tiny, [False, False, False])):
         worst = fc.transversality_scan(form, 1.0, 3, 0).worst
         singular = []
@@ -903,7 +915,7 @@ def test_scan_singular_mask_agrees_with_mu_of(monkeypatch):
 
 def test_index_persistence_minimum(diag321, form321, integral321):
     p = np.array([np.sqrt(2.0 / 3.0), 0, 0], dtype=complex)
-    chart = fc.make_chart(integral321, p, 1.0, form=form321)
+    chart = fc.LeafChart(integral321, form321, 1.0)
     report = fc.leaf_hessian(chart, p)
     assert report.negative_count == 0
     assert fc.index_persistence(chart, report.point, 0.01)
@@ -912,7 +924,7 @@ def test_index_persistence_minimum(diag321, form321, integral321):
 
 def test_index_persistence_saddle(diag321, form321, integral321):
     p = np.array([0, 1.0, 0], dtype=complex)
-    chart = fc.make_chart(integral321, p, 1.0, form=form321)
+    chart = fc.LeafChart(integral321, form321, 1.0)
     report = fc.leaf_hessian(chart, p)
     assert report.negative_count == 1
     assert fc.index_persistence(chart, report.point, 0.01)
@@ -926,7 +938,7 @@ def test_index_persistence_reports_a_lost_point_as_false(outcome, form321, integ
     # index (g and |z|^2 are even), but lies beyond the persistence radius
     # 10 sqrt(|dc|) (1 + |p|), about 0.57 at dc = 0.001
     p = np.array([np.sqrt(2.0 / 3.0), 0, 0], dtype=complex)
-    chart = fc.make_chart(integral321, p, 1.0, form=form321)
+    chart = fc.LeafChart(integral321, form321, 1.0)
     report = fc.leaf_hessian(chart, p)
     flow, landed = leaf.flow_to_critical, []
 
@@ -950,7 +962,7 @@ def test_index_persistence_identity_reports_bool(identity3):
     form = fc.linear_form(identity3)
     integral = fc.quadratic_first_integral(identity3)
     p = np.array([np.sqrt(2.0), 0, 0], dtype=complex)
-    chart = fc.make_chart(integral, p, 1.0, form=form)
+    chart = fc.LeafChart(integral, form, 1.0)
     report = fc.leaf_hessian(chart, p)
     # degenerate case: the lemma preconditions fail; outcome is only reported
     assert isinstance(fc.index_persistence(chart, report.point, 0.01), bool)
@@ -958,7 +970,7 @@ def test_index_persistence_identity_reports_bool(identity3):
 
 def test_index_persistence_validates_dc(diag321, form321, integral321):
     p = np.array([np.sqrt(2.0 / 3.0), 0, 0], dtype=complex)
-    chart = fc.make_chart(integral321, p, 1.0, form=form321)
+    chart = fc.LeafChart(integral321, form321, 1.0)
     report = fc.leaf_hessian(chart, p)
     with pytest.raises(ValueError):
         fc.index_persistence(chart, report.point, 0.5)

@@ -251,9 +251,7 @@ def test_index_agreement_with_numeric_hessian():
             integral = fc.quadratic_first_integral(A)
             form = fc.linear_form(A)
             for line in lineset.lines:
-                c = complex(integral.evaluate(line.direction))
-                chart = fc.make_chart(integral, line.direction, c, form=form)
-                report = fc.leaf_hessian(chart, line.direction)
+                report = fc.leaf_hessian(fc.make_chart(integral, line.direction, form=form), line.direction)
                 assert report.negative_count == line.morse_index
 
 
