@@ -16,8 +16,9 @@ each result key is a field name and a field that is None is absent. Exit
 codes:
 0 success, 2 input error (non-finite numbers, input that is not UTF-8 and
 JSON nested too deeply to parse included), 3 numerical failure, which
-covers a result that is not finite: reports are strict JSON, without NaN
-or Infinity. Every input object is read by one key rule (jsonio._fields):
+covers a result that is not finite (reports are strict JSON, without NaN
+or Infinity) and a LAPACK failure (np.linalg.LinAlgError, though a
+ValueError). Every input object is read by one key rule (jsonio._fields):
 it must have exactly its keys, and an unknown, a missing or a repeated
 key is an input error. All diagnostics go to stderr.
 """
@@ -260,6 +261,9 @@ def main(argv=None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         result = run(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass, but numerical failure on valid input
+        print(f"{TOOL}: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (InputFormatError, ValueError) as exc:
         print(f"{TOOL}: input error: {exc}", file=sys.stderr)
         return 2

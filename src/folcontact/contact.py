@@ -44,14 +44,17 @@ a bad point means.
   `_sphere_sample`, one rule for both: a homogeneous form on the unit
   sphere, seeds drawn there, one evaluate_scaled of them, and
   RadiusRangeError where f's rounding scale is not finite at a seed. The
-  search's Newton solve starts from that f, so no seed is evaluated twice.
+  search's Newton solve takes its starting nu from that f; the kernel's
+  first residual call evaluates the seeds again.
 
 `_contact_point` is the one place a ContactPoint gets its radius and
 residual from (z, mu, w): point_at's point and every point a flow or
-leaf_hessian reports. Every contact residual, of such a point or of a
-row of a stack, is `_residual`, the row norm np.linalg.norm(., axis=-1)
-of w over that of z, so a point has the same residual alone as in a
-stack of one.
+leaf_hessian reports. `_contact_points` builds the points of a stack's
+rows from the verdict's (mu, residual): every point sphere_search and
+continue_radially report but the trace's start. Every contact residual,
+of such a point, of a row of a stack or of a scan sample, is
+`_residual`, the row norm np.linalg.norm(., axis=-1) of w over that of
+z, so a point has the same residual alone as in a stack of one.
 
 The sphere solver works on the real system in 2n+2 unknowns, the float
 view of the complex row (z_1, ..., z_n, nu), nu = 1/mu, so (Re z_1, Im z_1,
@@ -235,6 +238,15 @@ def _contact_point(z: np.ndarray, mu, w: np.ndarray, leaf_value=None, morse_inde
     return ContactPoint(z, complex(mu), radius, residual, leaf_value, morse_index)
 
 
+def _contact_points(Z: np.ndarray, mu: np.ndarray, radius, residual: np.ndarray) -> list[ContactPoint]:
+    """The ContactPoints of the rows of Z with their multipliers and residuals.
+
+    radius is one value for every row or one per row.
+    """
+    radii = np.broadcast_to(radius, len(Z))
+    return [ContactPoint(z, complex(m), float(r), float(e)) for z, m, r, e in zip(Z, mu, radii, residual)]
+
+
 def _check_tol(tol: float) -> None:
     """Refuse a tolerance that is not positive (NaN too): no point could meet it."""
     if not tol > 0:
@@ -286,14 +298,17 @@ def _sphere_sample(form: PolyOneForm, r: float, count: int, rng_seed: int):
     residual and the scan score are constant, so such a form is sampled on
     the unit sphere, r_s = 1; any other at r_s = r. One evaluate_scaled of
     the seeds gives F and the scale, and a seed where the scale is not
-    finite raises RadiusRangeError, as point_at does: sphere_search and
-    transversality_scan sample the sphere here.
+    finite raises RadiusRangeError, as point_at does, naming the sphere
+    sampled (a homogeneous form fails so at every radius): sphere_search
+    and transversality_scan sample the sphere here.
     """
-    r_s = 1.0 if form.homogeneous_degree() is not None else r
+    homogeneous = form.homogeneous_degree() is not None
+    r_s = 1.0 if homogeneous else r
     Z = sphere_seeds(form.n, count, rng_seed, r_s)
     F, scale = form.evaluate_scaled(Z)
     if not np.isfinite(scale).all():
-        raise RadiusRangeError(f"radius {r:.3g} is out of range: f's rounding scale is non-finite")
+        sphere = "the unit sphere, where a homogeneous form is sampled," if homogeneous else f"radius {r:.3g}"
+        raise RadiusRangeError(f"{sphere} is out of range: f's rounding scale is non-finite")
     return r_s, Z, F, scale
 
 
@@ -452,9 +467,10 @@ def _damped_newton(residual, jacobian, U0: np.ndarray, target: float, max_iter: 
 def _newton_on_sphere(form: PolyOneForm, Z0: np.ndarray, F0: np.ndarray, r: float, tol: float):
     """The contact points damped Newton reaches at radius r from the rows of Z0: (Z, mu, residual).
 
-    F0 is f at the rows of Z0, which the caller already holds, so no start
-    is evaluated twice; it gives each row's starting nu, the least-squares
-    solution of nu z = conj(f). Each row is anchored at its own start and
+    F0 is f at the rows of Z0, which the caller already holds; it gives
+    each row's starting nu, the least-squares solution of nu z = conj(f).
+    The kernel's first residual call evaluates the starts again. Each row
+    is anchored at its own start (its phase row is Im <z, start> = 0) and
     runs at most NEWTON_MAX_ITER steps. Its last iterate, wherever the
     kernel stopped, is scaled to radius r unless z collapsed to 0, and
     kept where it passes _contact_rows to tol, in row order: that verdict
@@ -476,23 +492,6 @@ def _newton_on_sphere(form: PolyOneForm, Z0: np.ndarray, F0: np.ndarray, r: floa
     Z = Z[kept] * (r / nz[kept])[:, None]
     mu, residual, ok = _contact_rows(form, Z, tol)
     return Z[ok], mu[ok], residual[ok]
-
-
-def _aligned_distance(z: np.ndarray, w: np.ndarray) -> float:
-    """Euclidean distance after the optimal global phase rotation of w.
-
-    Taken as ||z - e^{i theta} w|| with e^{i theta} = s/|s|, s = <w, z> (1
-    when s = 0), not from |z|^2 + |w|^2 - 2|<z, w>|, which cancels to a
-    floor of about 1.5e-8 |z|. The phase is taken from s 2^k, the exact
-    scaling whose larger part lies in [0.5, 1): s/|s| itself is not finite
-    where |s| is subnormal or overflows.
-    """
-    s = complex(np.vdot(w, z))
-    if s == 0:
-        return float(np.linalg.norm(z - w))
-    k = -math.frexp(max(abs(s.real), abs(s.imag)))[1]
-    s = complex(math.ldexp(s.real, k), math.ldexp(s.imag, k))
-    return float(np.linalg.norm(z - s / abs(s) * w))
 
 
 def _merge_points(Z: np.ndarray, dedup_tol: float) -> np.ndarray:
@@ -581,8 +580,7 @@ def sphere_search(
         if not np.all((np.finfo(float).tiny <= size) & (size < np.inf)):
             raise RadiusRangeError(f"radius {r:.3g} is out of range: r^{1 - k} mu is not a normal double")
         Z, radius = r * Z, r
-    points = [ContactPoint(z=z, mu=complex(m), radius=radius, residual=float(e)) for z, m, e in zip(Z, mu, res)]
-    return SphereSearch(points, n_seeds, len(Z_all))
+    return SphereSearch(_contact_points(Z, mu, radius, res), n_seeds, len(Z_all))
 
 
 def point_at(form: PolyOneForm, z, morse_index: int | None = None) -> ContactPoint:
@@ -602,7 +600,8 @@ def _corrected_side(form: PolyOneForm, start: ContactPoint, radii: np.ndarray, t
 
     The predictor scales the previous point to the next radius; the
     corrector re-solves the contact system there, anchored at the
-    prediction. The first radius where it fails ends the direction.
+    prediction, so the corrected point has the prediction's phase. The
+    first radius where it fails ends the direction.
     """
     pts, z_prev, r_prev = [], start.z, start.radius
     for r in radii:
@@ -610,10 +609,10 @@ def _corrected_side(form: PolyOneForm, start: ContactPoint, radii: np.ndarray, t
         Z, mu, residual = _newton_on_sphere(form, pred, form.evaluate_scaled(pred)[0], r, tol)
         # a corrected point far from the prediction means the branch
         # was lost (collision / non-Morse behavior), not continued
-        if not (len(Z) and _aligned_distance(Z[0], pred[0]) <= 0.3 * r):
+        if not (len(Z) and np.linalg.norm(Z[0] - pred[0]) <= 0.3 * r):
             return pts, float(r)
         z_prev, r_prev = Z[0], r
-        pts.append(ContactPoint(z=z_prev, mu=complex(mu[0]), radius=float(r), residual=float(residual[0])))
+        pts += _contact_points(Z, mu, r, residual)
     return pts, None
 
 
@@ -630,10 +629,7 @@ def _scaled_side(form: PolyOneForm, start: ContactPoint, radii: np.ndarray, tol:
     Z = start.z * (radii / start.radius)[:, None]
     mu, residual, ok = _contact_rows(form, Z, tol)
     stop = len(radii) if ok.all() else int(np.argmin(ok))  # the first failing radius
-    pts = [
-        ContactPoint(z=z, mu=complex(m), radius=float(r), residual=float(e))
-        for z, m, r, e in zip(Z[:stop], mu[:stop], radii[:stop], residual[:stop])
-    ]
+    pts = _contact_points(Z[:stop], mu[:stop], radii[:stop], residual[:stop])
     return pts, (float(radii[stop]) if stop < len(radii) else None)
 
 

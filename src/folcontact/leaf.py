@@ -64,7 +64,9 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import Polynomial, PolyOneForm, _monomials, _side_by_side, as_cvec, jacobian_form
-from .contact import ContactPoint, _check_radius, _check_tol, _contact_point, _field, _point_field, _sphere_sample
+from .contact import (
+    ContactPoint, _check_radius, _check_tol, _contact_point, _field, _point_field, _residual, _sphere_sample,
+)
 from .errors import FlowError, LeafCorrectionError, RadiusRangeError, SingularGradientError
 
 LEAF_TOL = 1e-9  # relative on-leaf precondition tolerance
@@ -508,7 +510,7 @@ def transversality_scan(form: PolyOneForm, r: float, n_samples: int, rng_seed: i
         raise ValueError("need at least one sample")
     r_sample, z, f, scale = _sphere_sample(form, r, n_samples, rng_seed)
     _, w, singular = _field(z, f, scale)
-    scores = np.linalg.norm(w, axis=1) / r_sample
+    scores = _residual(w, z)
     scores[singular] = 0.0
     order = np.argsort(scores, kind="stable")[:10]
     worst = [ScanSample(float(scores[i]), z[i] * (r / r_sample)) for i in order]

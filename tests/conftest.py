@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -108,6 +109,23 @@ def line_distance(z: np.ndarray, direction: np.ndarray) -> float:
     """Distance of z from the complex line spanned by a unit direction."""
     proj = np.sum(z * direction.conj()) * direction
     return float(np.linalg.norm(z - proj))
+
+
+def aligned_distance(z: np.ndarray, w: np.ndarray) -> float:
+    """Euclidean distance after the optimal global phase rotation of w.
+
+    Taken as ||z - e^{i theta} w|| with e^{i theta} = s/|s|, s = <w, z> (1
+    when s = 0), not from |z|^2 + |w|^2 - 2|<z, w>|, which cancels to a
+    floor of about 1.5e-8 |z|. The phase is taken from s 2^k, the exact
+    scaling whose larger part lies in [0.5, 1): s/|s| itself is not finite
+    where |s| is subnormal or overflows.
+    """
+    s = complex(np.vdot(w, z))
+    if s == 0:
+        return float(np.linalg.norm(z - w))
+    k = -math.frexp(max(abs(s.real), abs(s.imag)))[1]
+    s = complex(math.ldexp(s.real, k), math.ldexp(s.imag, k))
+    return float(np.linalg.norm(z - s / abs(s) * w))
 
 
 def radially_invariant(form: fc.PolyOneForm, p: fc.ContactPoint, T_samples, tol: float) -> bool:

@@ -714,6 +714,23 @@ def test_exit_3_on_a_non_finite_report_value(monkeypatch):
     assert "non-finite report value" in err
 
 
+@pytest.mark.parametrize(
+    "command, name, file",
+    [("leaf-hessian", "leaf_hessian", "hessian_file"), ("leaf-flow", "flow_to_critical", "flow_file")],
+)
+def test_exit_3_on_a_lapack_failure(monkeypatch, request, command, name, file):
+    # np.linalg.LinAlgError is a ValueError, so it exited 2 as an input
+    # error: "input error: Eigenvalues did not converge", on the cubic at
+    # its contact point 1e-80 (1, 1, 1) / sqrt(3)
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, name, fail)
+    code, out, err = run_cli([command, "--input", request.getfixturevalue(file)])
+    assert (code, out) == (3, "")
+    assert "numerical failure: Eigenvalues did not converge" in err
+
+
 def test_exit_3_on_a_scan_radius_where_f_overflows(tmp_path):
     # d(z1^6 + z2^6 + z1^3 z2^3/2 + z1^2/2 + z2^2) is not homogeneous, so it
     # is sampled at r itself, where its rounding scale overflows

@@ -12,7 +12,6 @@ import pytest
 import folcontact as fc
 from folcontact import contact
 from folcontact.contact import (
-    _aligned_distance,
     _contact_system,
     _damped_newton,
     _merge_points,
@@ -23,6 +22,7 @@ from folcontact.contact import (
 from folcontact.errors import RadiusRangeError, SingularGradientError
 
 from conftest import (
+    aligned_distance,
     axis_distance,
     degree_five_form,
     form_to_json,
@@ -507,12 +507,17 @@ def test_non_homogeneous_search_refuses_a_radius_where_f_overflows():
         sphere_search(mixed_degree_five_form(), 1e40, 20, 0)
 
 
+def _huge_squares() -> fc.PolyOneForm:
+    """f = 3e300 (z1^2, z2^2, z3^2): homogeneous, and its rounding scale overflows on the unit sphere."""
+    return fc.PolyOneForm([fc.Polynomial(3, [(3e300, tuple(2 * np.eye(3, dtype=int)[j]))]) for j in range(3)])
+
+
 def test_search_and_scan_refuse_a_homogeneous_form_whose_scale_overflows(tmp_path):
     # f = 3e300 (z1^2, z2^2, z3^2) is homogeneous, so both sample the unit
     # sphere, where f's rounding scale already overflows: the search
     # reported no point, exit 0, a clean negative, where the scan refused
     # it; both refuse it now, from one sampling rule (warnings are errors)
-    form = fc.PolyOneForm([fc.Polynomial(3, [(3e300, tuple(2 * np.eye(3, dtype=int)[j]))]) for j in range(3)])
+    form = _huge_squares()
     with pytest.raises(RadiusRangeError, match="rounding scale is non-finite"):
         sphere_search(form, 1.0, 20, 0)
     with pytest.raises(RadiusRangeError, match="rounding scale is non-finite"):
@@ -522,6 +527,23 @@ def test_search_and_scan_refuse_a_homogeneous_form_whose_scale_overflows(tmp_pat
     for command in ("contact-solve", "scan"):
         code, out, err = run_cli([command, "--input", str(path)])
         assert (code, out) == (3, "") and "rounding scale is non-finite" in err
+
+
+@pytest.mark.parametrize("r", [1e-3, 5.0])
+def test_a_homogeneous_scale_overflow_names_the_unit_sphere(tmp_path, r):
+    # the form is sampled on the unit sphere at every radius, so every
+    # radius fails; the refusal named the radius asked for ("radius 0.001
+    # is out of range"), as if another radius could pass
+    form = _huge_squares()
+    for refuse in (sphere_search, fc.transversality_scan):
+        with pytest.raises(RadiusRangeError, match="the unit sphere, where a homogeneous form is sampled,") as info:
+            refuse(form, r, 20, 0)
+        assert f"radius {r:.3g}" not in str(info.value)
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(form_to_json(form)))
+    for command in ("contact-solve", "scan"):
+        code, out, err = run_cli([command, "--input", str(path), "--radius", repr(r)])
+        assert (code, out) == (3, "") and "the unit sphere" in err and f"radius {r:.3g}" not in err
 
 
 def _scaled(form: fc.PolyOneForm, c: float) -> fc.PolyOneForm:
@@ -539,7 +561,7 @@ def test_sphere_search_does_not_depend_on_the_size_of_the_form(c, cubic3, form32
         assert len(search.points) == len(unit.points) == orbits
         assert search.seeds_converged >= unit.seeds_converged >= 199
         for p in search.points:
-            assert min(_aligned_distance(p.z, q.z) for q in unit.points) <= 1e-9
+            assert min(aligned_distance(p.z, q.z) for q in unit.points) <= 1e-9
 
 
 def test_solve_on_sphere_identity_phase_structure():
@@ -678,20 +700,20 @@ def test_aligned_distance_resolves_close_points():
     v -= np.vdot(z, v) * z  # orthogonal to z: the aligned distance is |v|
     v *= 1.7e-10 / np.linalg.norm(v)
     w = np.exp(0.7j) * (z + v)
-    assert _aligned_distance(z, w) == pytest.approx(1.7e-10, rel=1e-5)
-    assert _aligned_distance(z, z * (1 + 1e-12)) == pytest.approx(1e-12, rel=1e-3)
-    assert _aligned_distance(z, np.zeros(4)) == pytest.approx(1.0)
+    assert aligned_distance(z, w) == pytest.approx(1.7e-10, rel=1e-5)
+    assert aligned_distance(z, z * (1 + 1e-12)) == pytest.approx(1e-12, rel=1e-3)
+    assert aligned_distance(z, np.zeros(4)) == pytest.approx(1.0)
 
 
 def test_aligned_distance_of_a_subnormal_or_overflowing_overlap():
     # <w, z> = 1e-320 is subnormal: s/|s| overflowed to nan, with warnings
-    # (errors here), which a corrector would read as a branch jump. An
-    # overlap whose modulus overflows, though its parts do not, took the
-    # phase 0
+    # (errors here), which would fail any distance bound the tests take
+    # with it. An overlap whose modulus overflows, though its parts do not,
+    # took the phase 0
     z, w = np.array([1.0, 0.0j]), np.array([1e-320, 1.0 + 0.0j])
-    assert _aligned_distance(z, w) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert aligned_distance(z, w) == pytest.approx(np.sqrt(2.0), rel=1e-15)
     z, w = np.array([1e154, 0.0j]), np.array([1.3e154 * (1 - 1j), 0.0])
-    assert _aligned_distance(z, w) == pytest.approx((1.3 * np.sqrt(2.0) - 1.0) * 1e154, rel=1e-14)
+    assert aligned_distance(z, w) == pytest.approx((1.3 * np.sqrt(2.0) - 1.0) * 1e154, rel=1e-14)
 
 
 def test_ratio_spread_at_accepted_points():
@@ -885,7 +907,7 @@ def test_continue_radially_from_a_search_start_over_the_full_radius_range(form32
     assert not path.truncated and len(path.points) == 21
     for p in path.points:
         assert p.residual <= 1e-9 and fc.contact_residual(form321, p.z) <= 1e-9
-        assert _aligned_distance(p.z / p.radius, start.z / start.radius) <= 1e-14
+        assert aligned_distance(p.z / p.radius, start.z / start.radius) <= 1e-14
 
 
 def test_continue_radially_degree_four_form_is_untruncated():
@@ -931,6 +953,34 @@ def test_continue_radially_corrector_runs_until_f_overflows(r_max):
         last, r_fail = path.points[-1].radius, path.truncation_radius
         assert np.isfinite(form.evaluate_scaled(np.array([last, 0.0]))[1])
         assert not np.isfinite(form.evaluate_scaled(np.array([r_fail, 0.0]))[1])
+
+
+def test_continue_radially_corrector_truncates_where_the_branch_jumps(monkeypatch):
+    # both axes of the form are contact on every sphere; at one radius the
+    # corrector is made to land on the z2 axis, a contact point r sqrt(2)
+    # from its prediction on the z1 axis: a jump to another branch, so the
+    # trace ends there and keeps the points before it
+    form = mixed_degree_five_form()
+    start = fc.point_at(form, [1.0, 0.0])
+    whole = fc.continue_radially(form, start, 0.1, 10.0, 12)
+    assert not whole.truncated
+    up = [p.radius for p in whole.points if p.radius > start.radius]
+    r_jump = up[2]
+    newton = contact._newton_on_sphere
+
+    def jumping(form, Z0, F0, r, tol):
+        if r != r_jump:
+            return newton(form, Z0, F0, r, tol)
+        Z = np.array([[0.0, r]], dtype=complex)
+        return newton(form, Z, form.evaluate_scaled(Z)[0], r, tol)
+
+    monkeypatch.setattr(contact, "_newton_on_sphere", jumping)
+    path = fc.continue_radially(form, start, 0.1, 10.0, 12)
+    assert path.truncated and path.truncation_radius == r_jump
+    kept = [p for p in whole.points if p.radius < r_jump]
+    assert [p.radius for p in path.points] == [p.radius for p in kept]
+    for p, q in zip(path.points, kept):
+        assert np.array_equal(p.z, q.z) and (p.mu, p.residual) == (q.mu, q.residual)
 
 
 @pytest.mark.parametrize("r_min, r_max, r_fail", [(1e-150, 1e150, 1e-90), (1e-100, 1e100, 1e-80)])
